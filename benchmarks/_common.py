@@ -17,6 +17,8 @@ in addition to stdout, so results survive pytest's capture.
 from __future__ import annotations
 
 import os
+import statistics
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,11 +44,18 @@ class TimingOpts:
     repeat: int = 1
 
 
-def timed_median(fn, opts: TimingOpts, *, setup=None):
+def timed_median(fn, opts: TimingOpts):
     """``(median_seconds, last_result)`` of ``fn()`` under ``opts``."""
-    from repro.perf.regression import median_seconds
-    return median_seconds(fn, warmup=opts.warmup, repeat=opts.repeat,
-                          setup=setup)
+    result = None
+    for _ in range(opts.warmup):
+        result = fn()
+    times = []
+    for _ in range(max(1, opts.repeat)):
+        t0 = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), result
+
 
 #: error bounds of Table 3 / Figures 2-4
 EBS = (1e-2, 1e-4, 1e-6)

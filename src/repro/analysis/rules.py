@@ -820,11 +820,10 @@ class BandwidthAccounting(Rule):
     title = "span bandwidth accounting"
     contract = (
         "The trace analyzer (repro.obs.analyze) turns spans into per-"
-        "stage bandwidth rows: MB/s per kernel, stage and engine, ranked "
-        "against the warm-path ceiling in BENCH_pipeline.json.  That "
+        "stage bandwidth rows: MB/s per kernel, stage and engine.  That "
         "arithmetic silently reports '-' for any span missing its byte "
         "counts, so a kernel instrumented without them disappears from "
-        "the bandwidth table and from regression diffs.  Every span "
+        "the bandwidth table.  Every span "
         "opened with a kernel./engine./stream./shard./stage. name must "
         "therefore record bytes_in= or bytes_out= — either as span() "
         "keywords at open, or via `<var>.set(bytes_...=...)` on the "

@@ -95,12 +95,11 @@ def compress(data_or_source, spec_or_preset, eb, *,
     * otherwise — the single-stream pipeline
       (:class:`~repro.core.pipeline.CompressedField`).
 
-    The single-stream path is the fast warm path for in-memory fields:
-    its compiled plan auto-threads large inputs across the cores
-    (slab parallelism, container bytes identical at every width), which
-    beats the process-pool sharded engine's warm throughput — per-shard
-    container framing and IPC make processes worth it only for cold
-    runs, explicit ``workers=`` requests or out-of-core inputs.
+    The single-stream path is the default for in-memory fields: its
+    compiled plan auto-threads large inputs across the cores (slab
+    parallelism, container bytes identical at every width) with no
+    per-shard container framing or IPC; the process pool is for explicit
+    ``workers=`` requests and out-of-core inputs.
     ``threads`` pins the slab width explicitly (``None`` resolves
     ``FZMOD_THREADS``, then auto by input size).
 

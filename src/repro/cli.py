@@ -12,8 +12,6 @@ Subcommands
 ``analyze``     trace analytics for a recorded span trace (critical
                 path, per-stage bandwidth, stragglers) — or fidelity
                 metrics for an original/reconstructed field pair
-``diff-bench``  attribute the perf delta between two hot-path bench
-                reports to pipeline stages
 ``verify``      contract check battery for any pipeline
 ``inspect``     describe any .fzmod/.fzar/.fzst blob without decoding
 ``archive``     create/list/extract multi-field snapshot archives
@@ -436,14 +434,10 @@ def _analyze_trace(args: argparse.Namespace) -> int:
     records = load_trace_path(args.original)
     if not records:
         raise FZModError(f"no spans found in {args.original!r}")
-    bench = None
-    if args.bench:
-        with open(args.bench, encoding="utf-8") as fh:
-            bench = json.load(fh)
     kw = {}
     if args.straggler_k is not None:
         kw["straggler_k"] = args.straggler_k
-    report = analyze(records, bench=bench, **kw)
+    report = analyze(records, **kw)
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     elif args.format == "markdown":
@@ -484,24 +478,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"{'spectral fidelity':<24} {spectral_fidelity(a, b):>12.4f}")
     print(f"{'gradient PSNR (dB)':<24} {gradient_fidelity(a, b):>12.2f}")
     print(f"{'histogram overlap':<24} {histogram_intersection(a, b):>12.4f}")
-    return 0
-
-
-def cmd_diff_bench(args: argparse.Namespace) -> int:
-    """``fzmod diff-bench``: attribute a perf delta between two reports."""
-    import json
-    from .perf.regression import diff, render_diff
-    with open(args.a, encoding="utf-8") as fh:
-        run_a = json.load(fh)
-    with open(args.b, encoding="utf-8") as fh:
-        run_b = json.load(fh)
-    d = diff(run_a, run_b)
-    if args.format == "json":
-        print(json.dumps(d, indent=2, sort_keys=True))
-    else:
-        print(render_diff(d, top=args.top))
-    if not d["sections"]:
-        return 1
     return 0
 
 
@@ -738,23 +714,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", default="text",
                     choices=["text", "json", "markdown"],
                     help="trace-mode output format")
-    sp.add_argument("--bench", help="BENCH_pipeline.json to rank stage "
-                                    "MB/s against the warm-path ceiling")
     sp.add_argument("--straggler-k", type=float, default=None,
                     help="MAD multiplier for straggler detection "
                          "(default 3.0)")
     sp.set_defaults(fn=cmd_analyze)
-
-    sp = sub.add_parser("diff-bench",
-                        help="attribute the wall-time delta between two "
-                             "hot-path bench reports (BENCH_pipeline.json) "
-                             "to pipeline stages")
-    sp.add_argument("a", help="baseline report JSON")
-    sp.add_argument("b", help="candidate report JSON")
-    sp.add_argument("--format", default="text", choices=["text", "json"])
-    sp.add_argument("--top", type=int, default=5,
-                    help="stages to show per direction (default 5)")
-    sp.set_defaults(fn=cmd_diff_bench)
 
     sp = sub.add_parser("archive", help="create/list/extract snapshot archives")
     sp.add_argument("action", choices=["create", "list", "extract"])

@@ -112,14 +112,13 @@ def hotpath_stats() -> dict:
     Returns a JSON-ready dict with one entry per plan cache (hits, misses,
     evictions, occupancy — see :mod:`repro.kernels.plancache`), the
     runtime buffer pool's reuse counters, and the global allocator's
-    live/peak bytes per memory space.  The perf-regression harness embeds
-    this in ``BENCH_pipeline.json``; it is also the programmatic answer to
-    "is the warm path actually warm?".
+    live/peak bytes per memory space.  The benchmark (``bench/``) reads
+    its ``plancache.*`` and ``memory.*`` layer metrics from here.
 
     This is a *view*: the counters themselves live in the unified
     telemetry registry (:data:`repro.obs.GLOBAL_METRICS`), which the
     Prometheus exporter scrapes directly.  Keys here are kept stable for
-    existing consumers of the bench report.
+    the benchmark.
     """
     from ..kernels.plancache import cache_stats
     from ..obs.metrics import GLOBAL_METRICS

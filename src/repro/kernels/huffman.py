@@ -31,8 +31,7 @@ from ..errors import CodecError
 from ..obs.spans import span
 from ..runtime.threads import active_threads, run_slabs
 from .bitio import pack_varlen, unpack_windows
-from .plancache import (CODEBOOK_CACHE, DECODE_STREAM_CACHE,
-                        DECODE_TABLE_CACHE, ENCODE_STREAM_CACHE, digest)
+from .plancache import DECODE_TABLE_CACHE, digest
 
 #: Default maximum code length; keeps the decode table at 2**16 entries.
 DEFAULT_MAX_LEN = 16
@@ -205,42 +204,23 @@ class Codebook:
         return self._table_sym, self._table_len
 
 
-def _build_codebook_uncached(counts: np.ndarray, max_len: int) -> Codebook:
-    unbounded = _huffman_lengths_unbounded(counts)
-    if int(unbounded.max()) <= max_len:
-        lengths = unbounded
-    else:
-        lengths = package_merge_lengths(counts, max_len)
-    return Codebook(lengths=lengths, max_len=max_len)
-
-
-def build_codebook(counts: np.ndarray, max_len: int = DEFAULT_MAX_LEN, *,
-                   cache: bool = True) -> Codebook:
-    """Build an optimal length-limited canonical codebook from a histogram.
-
-    Codebooks are value-objects derived purely from the histogram, so they
-    are served from a content-addressed plan cache keyed by the histogram
-    digest: repeated compression of fields with identical code statistics
-    (the warm serving path, and every shard of a repeated sharded run)
-    skips the package-merge entirely.  Pass ``cache=False`` to force a
-    fresh build (the cold-path baseline the perf harness measures).
-    """
+def build_codebook(counts: np.ndarray, max_len: int = DEFAULT_MAX_LEN
+                   ) -> Codebook:
+    """Build an optimal length-limited canonical codebook from a histogram."""
     counts = np.asarray(counts, dtype=np.int64)
     with span("kernel.huffman.build_codebook", bins=int(counts.size),
               bytes_in=int(counts.nbytes)) as sp:
-        if not cache:
-            book = _build_codebook_uncached(counts, max_len)
+        unbounded = _huffman_lengths_unbounded(counts)
+        if int(unbounded.max()) <= max_len:
+            lengths = unbounded
         else:
-            key = (digest(counts), int(max_len))
-            book = CODEBOOK_CACHE.get_or_build(
-                key, lambda: _build_codebook_uncached(counts, max_len),
-                nbytes=lambda book: int(book.lengths.nbytes) + 64)
+            lengths = package_merge_lengths(counts, max_len)
+        book = Codebook(lengths=lengths, max_len=max_len)
         sp.set(bytes_out=int(book.lengths.nbytes))
         return book
 
 
-def warm_decode_book(lengths: np.ndarray, max_len: int, *,
-                     cache: bool = True) -> Codebook:
+def warm_decode_book(lengths: np.ndarray, max_len: int) -> Codebook:
     """A :class:`Codebook` with canonical codes and dense decode tables
     already materialised, served from the plan cache.
 
@@ -258,8 +238,6 @@ def warm_decode_book(lengths: np.ndarray, max_len: int, *,
         book.decode_tables()
         return book
 
-    if not cache:
-        return build()
     key = (digest(np.ascontiguousarray(lengths)), int(max_len))
     return DECODE_TABLE_CACHE.get_or_build(
         key, build,
@@ -318,80 +296,52 @@ def encode_empty(num_bins: int, max_len: int = DEFAULT_MAX_LEN
 
 
 def encode(symbols: np.ndarray, book: Codebook,
-           chunk: int = DEFAULT_CHUNK, *, cache: bool = True
-           ) -> HuffmanEncoded:
-    """Encode a symbol array with a canonical codebook, in chunks.
-
-    Encoded streams are value-objects derived purely from ``(symbols,
-    lengths, chunk)``, so they are served from a content-addressed plan
-    cache: re-compressing content the process has already packed (repeated
-    snapshots of the same field, the warm half of a cold/warm A/B run)
-    costs one digest instead of a full bit-packing pass.  Cached streams
-    have read-only table arrays; ``cache=False`` forces a fresh pack.
-    """
+           chunk: int = DEFAULT_CHUNK) -> HuffmanEncoded:
+    """Encode a symbol array with a canonical codebook, in chunks."""
     symbols = np.ascontiguousarray(np.asarray(symbols).reshape(-1))
     with span("kernel.huffman.encode", symbols=int(symbols.size),
               bytes_in=int(symbols.nbytes)) as sp:
-        if not cache:
-            enc = _encode_uncached(symbols, book, chunk)
+        if symbols.size and int(symbols.max()) >= book.num_bins:
+            raise CodecError("symbol out of codebook range")
+        lengths_lut = book.lengths.astype(np.int64)
+        if symbols.size and bool((lengths_lut[symbols] == 0).any()):
+            raise CodecError("stream contains a symbol absent from the histogram")
+        codes_lut = book.codes
+        parts: list[bytes] = []
+        csyms: list[int] = []
+        cbits: list[int] = []
+        starts = [s for s in range(0, max(symbols.size, 1), chunk)
+                  if symbols[s:s + chunk].size]
+        budget = active_threads()
+        if budget > 1 and len(starts) > 1:
+            # chunks are independent by format (byte-aligned, own bit
+            # counts): pack them concurrently on the slab pool and splice
+            # in chunk order — byte-identical to the serial loop
+            def pack_chunk(start: int) -> tuple[bytes, int, int]:
+                part = symbols[start:start + chunk]
+                payload, nbits = pack_varlen(codes_lut[part], lengths_lut[part])
+                return payload, part.size, nbits
+
+            for payload, nsyms, nbits in run_slabs(pack_chunk, starts,
+                                                   threads=budget):
+                parts.append(payload)
+                csyms.append(nsyms)
+                cbits.append(nbits)
         else:
-            key = (digest(symbols), digest(book.lengths), int(chunk),
-                   int(book.max_len))
-
-            def build() -> HuffmanEncoded:
-                fresh = _encode_uncached(symbols, book, chunk)
-                fresh.chunk_symbols.setflags(write=False)
-                fresh.chunk_bits.setflags(write=False)
-                fresh.lengths.setflags(write=False)
-                return fresh
-
-            enc = ENCODE_STREAM_CACHE.get_or_build(
-                key, build, nbytes=lambda enc: enc.nbytes() + 64)
+            for start in starts:
+                part = symbols[start:start + chunk]
+                payload, nbits = pack_varlen(codes_lut[part], lengths_lut[part])
+                parts.append(payload)
+                csyms.append(part.size)
+                cbits.append(nbits)
+        enc = HuffmanEncoded(payload=b"".join(parts),
+                             chunk_symbols=np.asarray(csyms, dtype=np.int64),
+                             chunk_bits=np.asarray(cbits, dtype=np.int64),
+                             count=int(symbols.size),
+                             lengths=book.lengths.copy(),
+                             max_len=book.max_len)
         sp.set(bytes_out=len(enc.payload))
         return enc
-
-
-def _encode_uncached(symbols: np.ndarray, book: Codebook,
-                     chunk: int) -> HuffmanEncoded:
-    if symbols.size and int(symbols.max()) >= book.num_bins:
-        raise CodecError("symbol out of codebook range")
-    lengths_lut = book.lengths.astype(np.int64)
-    if symbols.size and bool((lengths_lut[symbols] == 0).any()):
-        raise CodecError("stream contains a symbol absent from the histogram")
-    codes_lut = book.codes
-    parts: list[bytes] = []
-    csyms: list[int] = []
-    cbits: list[int] = []
-    starts = [s for s in range(0, max(symbols.size, 1), chunk)
-              if symbols[s:s + chunk].size]
-    budget = active_threads()
-    if budget > 1 and len(starts) > 1:
-        # chunks are independent by format (byte-aligned, own bit
-        # counts): pack them concurrently on the slab pool and splice
-        # in chunk order — byte-identical to the serial loop
-        def pack_chunk(start: int) -> tuple[bytes, int, int]:
-            part = symbols[start:start + chunk]
-            payload, nbits = pack_varlen(codes_lut[part], lengths_lut[part])
-            return payload, part.size, nbits
-
-        for payload, nsyms, nbits in run_slabs(pack_chunk, starts,
-                                               threads=budget):
-            parts.append(payload)
-            csyms.append(nsyms)
-            cbits.append(nbits)
-    else:
-        for start in starts:
-            part = symbols[start:start + chunk]
-            payload, nbits = pack_varlen(codes_lut[part], lengths_lut[part])
-            parts.append(payload)
-            csyms.append(part.size)
-            cbits.append(nbits)
-    return HuffmanEncoded(payload=b"".join(parts),
-                          chunk_symbols=np.asarray(csyms, dtype=np.int64),
-                          chunk_bits=np.asarray(cbits, dtype=np.int64),
-                          count=int(symbols.size),
-                          lengths=book.lengths.copy(),
-                          max_len=book.max_len)
 
 
 def _decode_chunk(payload: bytes, nbits: int, nsyms: int,
@@ -427,78 +377,39 @@ def _decode_chunk(payload: bytes, nbits: int, nsyms: int,
     return out
 
 
-def decode(enc: HuffmanEncoded, *, cache: bool = True) -> np.ndarray:
-    """Decode a :class:`HuffmanEncoded` stream back to symbols (uint32).
-
-    Decoded streams are memoised in a content-addressed plan cache keyed
-    by (payload digest, lengths digest, max_len, count): re-reading a
-    container the process has already decoded (the warm serving path)
-    costs two digests instead of the wavefront-doubling pass.  The count
-    is part of the key because degenerate single-symbol streams pad to
-    identical payload bytes for different symbol counts; the chunk
-    tables need no key of their own — they are derived from the same
-    encode that produced the payload, and a corrupt mismatch still
-    surfaces because the *first* decode of any payload runs in full.
-    Cached arrays are returned read-only — every in-tree consumer
-    copies via ``astype``/fancy indexing before mutating.
-    ``cache=False`` forces a fresh decode.
-    """
+def decode(enc: HuffmanEncoded) -> np.ndarray:
+    """Decode a :class:`HuffmanEncoded` stream back to symbols (uint32)."""
     with span("kernel.huffman.decode", symbols=int(enc.count),
               bytes_in=len(enc.payload)) as sp:
-        if not cache:
-            out = _decode_uncached(enc, cache=False)
+        book = warm_decode_book(enc.lengths, enc.max_len)
+        tsym, tlen = book.decode_tables()
+        entries: list[tuple[int, int, int, int]] = []
+        offset = 0
+        for nsyms, nbits in zip(enc.chunk_symbols, enc.chunk_bits):
+            nbytes = (int(nbits) + 7) // 8
+            entries.append((offset, nbytes, int(nbits), int(nsyms)))
+            offset += nbytes
+        budget = active_threads()
+        if budget > 1 and len(entries) > 1:
+            # chunk boundaries are known up front (byte-aligned starts from
+            # the bit-count table), so the wavefront decodes run
+            # concurrently; concatenation in chunk order keeps the symbol
+            # stream identical to the serial loop
+            def decode_one(entry: tuple[int, int, int, int]) -> np.ndarray:
+                off, nbytes, nbits, nsyms = entry
+                return _decode_chunk(enc.payload[off:off + nbytes], nbits,
+                                     nsyms, tsym, tlen, enc.max_len)
+
+            out = run_slabs(decode_one, entries, threads=budget)
         else:
-            key = (digest(enc.payload),
-                   digest(np.ascontiguousarray(enc.lengths)),
-                   int(enc.max_len), int(enc.count))
-
-            def build() -> np.ndarray:
-                fresh = _decode_uncached(enc, cache=True)
-                fresh.setflags(write=False)
-                return fresh
-
-            out = DECODE_STREAM_CACHE.get_or_build(
-                key, build, nbytes=lambda arr: int(arr.nbytes) + 64)
-            if out.size != enc.count:
-                # the key ignores the chunk tables; a decode whose
-                # size disagrees with the declared count means the
-                # container metadata was tampered with
-                raise CodecError("decoded symbol count mismatch")
-        sp.set(bytes_out=int(out.nbytes))
-        return out
-
-
-def _decode_uncached(enc: HuffmanEncoded, *, cache: bool) -> np.ndarray:
-    book = warm_decode_book(enc.lengths, enc.max_len, cache=cache)
-    tsym, tlen = book.decode_tables()
-    entries: list[tuple[int, int, int, int]] = []
-    offset = 0
-    for nsyms, nbits in zip(enc.chunk_symbols, enc.chunk_bits):
-        nbytes = (int(nbits) + 7) // 8
-        entries.append((offset, nbytes, int(nbits), int(nsyms)))
-        offset += nbytes
-    budget = active_threads()
-    if budget > 1 and len(entries) > 1:
-        # chunk boundaries are known up front (byte-aligned starts from
-        # the bit-count table), so the wavefront decodes run
-        # concurrently; concatenation in chunk order keeps the symbol
-        # stream identical to the serial loop
-        def decode_one(entry: tuple[int, int, int, int]) -> np.ndarray:
-            off, nbytes, nbits, nsyms = entry
-            return _decode_chunk(enc.payload[off:off + nbytes], nbits,
-                                 nsyms, tsym, tlen, enc.max_len)
-
-        out = run_slabs(decode_one, entries, threads=budget)
-    else:
-        out = [_decode_chunk(enc.payload[off:off + nbytes], nbits, nsyms,
-                             tsym, tlen, enc.max_len)
-               for off, nbytes, nbits, nsyms in entries]
-    if not out:
-        return np.zeros(0, dtype=np.uint32)
-    result = np.concatenate(out)
-    if result.size != enc.count:
-        raise CodecError("decoded symbol count mismatch")
-    return result
+            out = [_decode_chunk(enc.payload[off:off + nbytes], nbits, nsyms,
+                                 tsym, tlen, enc.max_len)
+                   for off, nbytes, nbits, nsyms in entries]
+        result = np.concatenate(out) if out else np.zeros(0, dtype=np.uint32)
+        if result.size != enc.count:
+            raise CodecError("decoded symbol count mismatch")
+        sp.set(bytes_out=int(result.nbytes))
+        return result
 
 
 def decode_serial_reference(enc: HuffmanEncoded) -> np.ndarray:

@@ -1,28 +1,20 @@
 """Content-addressed plan cache for expensive derived objects.
 
-Fused GPU compressors (cuSZ, FZ-GPU) amortise their setup work — Huffman
-codebook construction, decode-table expansion, scratch allocation — across
+Fused GPU compressors (cuSZ, FZ-GPU) amortise their setup work —
+decode-table expansion, plan tracing, scratch allocation — across
 a stream of fields; a naive modular pipeline redoes it on every call.  The
 :class:`PlanCache` closes that gap: derived objects ("plans") are keyed by
 a digest of the *content* they were derived from, so any call anywhere in
 the process that needs the same plan gets the cached instance back.
+Nothing is keyed on the field data itself: a caller compressing fresh
+content never repeats it.
 
 Plans cached today
 ------------------
-* canonical Huffman codebooks, keyed by ``(histogram digest, max_len)``
-  (:func:`repro.kernels.huffman.build_codebook`), shared between the
-  modular pipelines and the SZ3 baseline;
 * warmed decode books — a :class:`~repro.kernels.huffman.Codebook` with
   its canonical codes *and* its ``2**max_len``-entry wavefront decode
   tables materialised — keyed by ``(lengths digest, max_len)``
-  (:func:`repro.kernels.huffman.decode`);
-* encoded streams — the packed :class:`~repro.kernels.huffman.HuffmanEncoded`
-  for a symbol array, keyed by the digests of the symbols and the
-  codebook: re-compressing content already seen (repeated snapshots, the
-  warm half of an A/B run) skips the bit-packing pass entirely;
-* decoded streams — the symbol array recovered from a payload, keyed by
-  the digests of the payload, codebook and chunk tables: re-reading a hot
-  container skips the wavefront decode.  Cached arrays are read-only;
+  (:func:`repro.kernels.huffman.warm_decode_book`);
 * resolved module tables for header-driven decompression, keyed by the
   registry generation and the header's stage->name map
   (:func:`repro.core.pipeline.decompress`);
@@ -37,8 +29,8 @@ eviction counters live in the process-wide
 :data:`~repro.obs.metrics.GLOBAL_METRICS` registry (``plancache.hits``
 etc., labelled ``cache=<name>``), from which
 :func:`repro.core.inspect.hotpath_stats`, the Prometheus exporter and
-``BENCH_pipeline.json`` all read.  Occupancy (entries/bytes) is published
-as gauges by a registry collector on scrape.
+the ``plancache.*`` metrics of ``bench/`` all read.  Occupancy
+(entries/bytes) is published as gauges by a registry collector on scrape.
 
 Set ``FZMOD_PLAN_CACHE=0`` to disable every cache (each lookup then calls
 its builder directly but still counts misses), or call
@@ -76,9 +68,7 @@ def digest(*parts: bytes | bytearray | memoryview | np.ndarray | int | str
     Arrays are hashed over their raw bytes together with dtype and shape,
     so two arrays with equal bytes but different views cannot collide.
 
-    sha256 (truncated to 128 bits) rather than blake2b: the hot caches
-    digest multi-megabyte code/payload arrays on every warm hit, and
-    SHA-NI hardware makes sha256 ~2x faster per byte here.
+    sha256, truncated to 128 bits.
     """
     h = hashlib.sha256()
     for part in parts:
@@ -272,21 +262,10 @@ class PlanCache:
 #: themselves at import time; ad-hoc caches join as they are created)
 _CACHES: dict[str, PlanCache] = {}
 
-#: Huffman codebooks built from histograms (encode-side plans)
-CODEBOOK_CACHE = PlanCache("huffman.codebook")
-
 #: decode books: Codebook + canonical codes + dense wavefront tables
 #: (a 2**16-entry table pair is ~325 KiB, so ~48 warm books fit the budget)
 DECODE_TABLE_CACHE = PlanCache("huffman.decode_tables", max_entries=48,
                                max_bytes=32 << 20)
-
-#: packed HuffmanEncoded streams, keyed by (symbols, codebook) digests
-ENCODE_STREAM_CACHE = PlanCache("huffman.encode_streams", max_entries=64,
-                                max_bytes=96 << 20)
-
-#: decoded symbol arrays, keyed by (payload, codebook, chunk-table) digests
-DECODE_STREAM_CACHE = PlanCache("huffman.decode_streams", max_entries=64,
-                                max_bytes=96 << 20)
 
 #: resolved (stage -> module instance) tables for container decompression
 MODULE_TABLE_CACHE = PlanCache("pipeline.modules", max_entries=128,

@@ -25,8 +25,7 @@ Everything is pure computation on plain data — no clocks, no globals —
 so the same code grades a live run (``GLOBAL_TRACER.records()``), a CI
 artifact, or a fixture committed to the test tree.
 
-Used by ``fzmod analyze``, the perf harness's per-stage breakdown
-(:mod:`repro.perf.regression`), and the CI ``analyze-smoke`` job.
+Used by ``fzmod analyze`` and the CI ``analyze-smoke`` job.
 """
 
 from __future__ import annotations
@@ -261,26 +260,6 @@ def stage_table(forest: SpanForest) -> list[dict]:
         row["lanes"] = sorted(row["lanes"])
         out.append(row)
     return out
-
-
-def attach_ceiling(stages: list[dict], ceiling_mb_s: float | None) -> None:
-    """Annotate each stage row with its fraction of the warm-path
-    ceiling (from BENCH_pipeline.json); mutates the rows in place."""
-    for row in stages:
-        row["ceiling_frac"] = (row["mb_s"] / ceiling_mb_s
-                               if row["mb_s"] and ceiling_mb_s else None)
-
-
-def bench_ceiling(bench: dict) -> float | None:
-    """Best warm-path MB/s recorded in a BENCH_pipeline.json report."""
-    best = None
-    for section in ("compiled", "compiled_decompress", "single"):
-        blk = bench.get(section) or {}
-        for direction in ("compress", "decompress"):
-            mbs = (blk.get(direction) or {}).get("warm_mb_s")
-            if mbs and (best is None or mbs > best):
-                best = float(mbs)
-    return best
 
 
 # --------------------------------------------------------------------- #
@@ -539,14 +518,11 @@ def stragglers(forest: SpanForest, k: float = STRAGGLER_MAD_K,
 # --------------------------------------------------------------------- #
 
 def analyze(records: Sequence[SpanRecord], *,
-            bench: dict | None = None,
             straggler_k: float = STRAGGLER_MAD_K) -> dict:
     """Full analysis of one recorded run.  Returns a plain-data report:
     stage table, critical path, overlap metrics, stragglers."""
     forest = build_forest(records)
     stages = stage_table(forest)
-    ceiling = bench_ceiling(bench) if bench else None
-    attach_ceiling(stages, ceiling)
     lanes = sorted({r.lane or MAIN_LANE for r in forest.records})
     threads = {(r.lane, r.thread) for r in forest.records}
     return {
@@ -559,7 +535,6 @@ def analyze(records: Sequence[SpanRecord], *,
         "critical_path": critical_path(forest),
         "overlap": overlap_metrics(forest),
         "stragglers": stragglers(forest, k=straggler_k),
-        "ceiling_mb_s": ceiling,
     }
 
 
@@ -568,12 +543,7 @@ def _fmt_secs(s: float) -> str:
 
 
 def _fmt_mbs(row: dict) -> str:
-    if row.get("mb_s") is None:
-        return "-"
-    txt = f"{row['mb_s']:.1f}"
-    if row.get("ceiling_frac") is not None:
-        txt += f" ({row['ceiling_frac'] * 100:.0f}%)"
-    return txt
+    return "-" if row.get("mb_s") is None else f"{row['mb_s']:.1f}"
 
 
 def render_analysis(report: dict) -> str:
@@ -588,7 +558,7 @@ def render_analysis(report: dict) -> str:
     name_w = max((len(r["name"]) for r in report["stages"]), default=5)
     name_w = max(name_w, 5)
     header = (f"  {'stage':<{name_w}}  {'count':>5}  {'incl':>10}  "
-              f"{'excl':>10}  {'MB/s':>14}  lanes")
+              f"{'excl':>10}  {'MB/s':>8}  lanes")
     lines.append(header)
     for row in report["stages"]:
         lanes = ",".join(row["lanes"][:3])
@@ -598,10 +568,7 @@ def render_analysis(report: dict) -> str:
             f"  {row['name']:<{name_w}}  {row['count']:>5}  "
             f"{_fmt_secs(row['inclusive_s']):>10}  "
             f"{_fmt_secs(row['exclusive_s']):>10}  "
-            f"{_fmt_mbs(row):>14}  {lanes}")
-    if report.get("ceiling_mb_s"):
-        lines.append(f"  (MB/s %% of warm-path ceiling "
-                     f"{report['ceiling_mb_s']:.1f} MB/s)")
+            f"{_fmt_mbs(row):>8}  {lanes}")
 
     cp = report["critical_path"]
     lines.append("")

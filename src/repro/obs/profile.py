@@ -10,9 +10,8 @@ standard ``frame;frame;frame count`` format consumed by flamegraph
 tools (inferno, speedscope, Brendan Gregg's ``flamegraph.pl``).
 
 Sampling means the instrumented process pays only the registry mirror
-(one dict append/pop per span) plus the sampler thread's own work —
-gated < 5% overhead by :mod:`repro.perf.regression`, with byte-identical
-compression output.  When the profiler is off, traced code pays one
+(one dict append/pop per span) plus the sampler thread's own work, and
+compression output stays byte-identical.  When the profiler is off, traced code pays one
 module-global ``is not None`` check per span enter/exit and nothing
 else.
 """

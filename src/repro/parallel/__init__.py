@@ -10,14 +10,11 @@ The simulation side reproduces the measurement context of Table 1
 (loaded bandwidth with all four GPUs transferring) and models node-level
 snapshot compression with compute/transfer overlap.
 
-The package-level ``compress_sharded`` / ``decompress_sharded`` are
-deprecated delegating shims: new code calls :func:`repro.compress` /
+Callers compress and decompress through :func:`repro.compress` /
 :func:`repro.decompress` (the :mod:`repro.api` facade), which dispatch
-here by argument shape; engine internals keep importing from
-:mod:`repro.parallel.executor` directly.
+here by argument shape; engine internals import ``compress_sharded`` /
+``decompress_sharded`` from :mod:`repro.parallel.executor` directly.
 """
-
-import warnings as _warnings
 
 from .cluster import (CampaignReport, ClusterSpec, breakeven_nodes,
                       simulate_campaign_write)
@@ -25,46 +22,16 @@ from .executor import (CODEBOOK_MODES, DEFAULT_SHARD_MB,
                        ShardedCompressedField, ShardIndex, ShardPlan,
                        default_workers, describe_sharded, is_sharded,
                        parse_sharded)
-from .executor import (compress_sharded as _compress_sharded,
-                       decompress_sharded as _decompress_sharded)
 from .link import TransferRequest, loaded_bandwidth, simulate_transfers
 from .node import (FieldJob, NodeReport, measured_bandwidth, scaling_series,
                    simulate_snapshot)
-
-
-def compress_sharded(*args, **kwargs):
-    """Deprecated shim for :func:`repro.parallel.executor.compress_sharded`.
-
-    Use :func:`repro.compress` (the :mod:`repro.api` facade) with
-    ``workers=``/``shard_mb=`` instead; it dispatches to the sharded
-    engine with the same keywords.
-    """
-    _warnings.warn(
-        "repro.parallel.compress_sharded is deprecated; use "
-        "repro.compress(data, spec, eb, workers=...) instead",
-        DeprecationWarning, stacklevel=2)
-    return _compress_sharded(*args, **kwargs)
-
-
-def decompress_sharded(*args, **kwargs):
-    """Deprecated shim for :func:`repro.parallel.executor.decompress_sharded`.
-
-    Use :func:`repro.decompress` (the :mod:`repro.api` facade) instead;
-    it detects multi-shard containers by magic.
-    """
-    _warnings.warn(
-        "repro.parallel.decompress_sharded is deprecated; use "
-        "repro.decompress(blob, workers=...) instead",
-        DeprecationWarning, stacklevel=2)
-    return _decompress_sharded(*args, **kwargs)
-
 
 __all__ = [
     "CampaignReport", "ClusterSpec", "breakeven_nodes",
     "simulate_campaign_write",
     "CODEBOOK_MODES", "DEFAULT_SHARD_MB",
     "ShardedCompressedField", "ShardIndex", "ShardPlan",
-    "compress_sharded", "decompress_sharded", "default_workers",
+    "default_workers",
     "describe_sharded", "is_sharded", "parse_sharded",
     "TransferRequest", "loaded_bandwidth", "simulate_transfers",
     "FieldJob", "NodeReport", "measured_bandwidth", "scaling_series",

@@ -42,8 +42,8 @@ a complete ``FZMD`` container with its own CRCs, so corruption anywhere
 still fails loudly before a codec runs.
 
 Version 3 is the *streaming* layout written by
-:func:`repro.streaming.compress_stream` when the sink cannot be seeked:
-the same prefix with ``header_len = header_crc = 0``, shard containers
+:func:`repro.streaming.engine.compress_stream` when the sink cannot be
+seeked: the same prefix with ``header_len = header_crc = 0``, shard containers
 back to back, then the JSON index and a fixed trailer::
 
     magic "FZMS" | u16 3 | u32 0 | u32 0

@@ -10,10 +10,6 @@ from .costmodel import (CALIBRATION, Calibration, PipelineCost, Resource,
 from .estimator import (COMPRESSORS, RunStats, compression_cost,
                         decompression_cost, estimate_throughput)
 from .platform import H100, PLATFORMS, V100, PlatformSpec, get_platform, table1_rows
-from .regression import (best_seconds, check_regressions, diff,
-                         median_seconds,
-                         render_diff, render_report, run_hotpath_suite,
-                         write_report)
 from .sensitivity import (FIG1_ORDERINGS, OrderingCheck, ordering_robustness,
                           perturb, robustness_summary)
 
@@ -22,9 +18,6 @@ __all__ = [
     "cpu_rate", "COMPRESSORS", "RunStats", "compression_cost",
     "decompression_cost", "estimate_throughput", "H100", "PLATFORMS", "V100",
     "PlatformSpec", "get_platform", "table1_rows",
-    "best_seconds", "check_regressions", "diff", "median_seconds",
-    "render_diff",
-    "render_report", "run_hotpath_suite", "write_report",
     "FIG1_ORDERINGS", "OrderingCheck", "ordering_robustness", "perturb",
     "robustness_summary",
 ]

@@ -14,49 +14,17 @@ The subsystem couples three pieces (see ``docs/PERFORMANCE.md``,
   :func:`repro.streaming.engine.decompress_stream` (STF-scheduled decode
   with real decode/scatter stage overlap).
 
-The package-level ``compress_stream`` / ``decompress_stream`` are
-deprecated delegating shims: new code calls :func:`repro.compress` with
-``stream=True`` (or a source/memmap input) and :func:`repro.decompress`
-with a container path — the :mod:`repro.api` facade — while engine
-internals keep importing from :mod:`repro.streaming.engine` directly.
+Callers use :func:`repro.compress` with ``stream=True`` (or a
+source/memmap input) and :func:`repro.decompress` with a container path
+— the :mod:`repro.api` facade — while engine internals import from
+:mod:`repro.streaming.engine` directly.
 """
-
-import warnings as _warnings
 
 from .container import ShardReader, ShardStreamWriter
 from .engine import DEFAULT_PREFETCH_DEPTH, StreamedCompressedField
-from .engine import (compress_stream as _compress_stream,
-                     decompress_stream as _decompress_stream)
 from .prefetch import SlabPrefetcher
 from .source import (ArraySource, FieldSource, MemmapSource, SlabIterSource,
                      as_source)
-
-
-def compress_stream(*args, **kwargs):
-    """Deprecated shim for :func:`repro.streaming.engine.compress_stream`.
-
-    Use :func:`repro.compress` (the :mod:`repro.api` facade) with
-    ``stream=True`` and ``out=<path>`` instead.
-    """
-    _warnings.warn(
-        "repro.streaming.compress_stream is deprecated; use "
-        "repro.compress(source, spec, eb, stream=True, out=path) instead",
-        DeprecationWarning, stacklevel=2)
-    return _compress_stream(*args, **kwargs)
-
-
-def decompress_stream(*args, **kwargs):
-    """Deprecated shim for :func:`repro.streaming.engine.decompress_stream`.
-
-    Use :func:`repro.decompress` (the :mod:`repro.api` facade) with the
-    container path instead.
-    """
-    _warnings.warn(
-        "repro.streaming.decompress_stream is deprecated; use "
-        "repro.decompress(path, out=..., workers=...) instead",
-        DeprecationWarning, stacklevel=2)
-    return _decompress_stream(*args, **kwargs)
-
 
 __all__ = [
     "ArraySource",
@@ -69,6 +37,4 @@ __all__ = [
     "SlabPrefetcher",
     "StreamedCompressedField",
     "as_source",
-    "compress_stream",
-    "decompress_stream",
 ]

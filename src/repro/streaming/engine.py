@@ -9,8 +9,8 @@ engine uses, and out through an incremental
 :class:`~repro.streaming.container.ShardStreamWriter` — so at no point
 does the field, or the container, exist as one object.  Shard geometry,
 bound resolution, and codebook construction are shared with
-:func:`repro.parallel.compress_sharded`, which is why the ``"compat"``
-layout's output is byte-identical to the in-memory engine's for the
+:func:`repro.parallel.executor.compress_sharded`, which is why the
+``"compat"`` layout's output is byte-identical to the in-memory engine's for the
 same input, at every worker count and backend.
 
 :func:`decompress_stream` reverses it with *real* stage overlap: every
@@ -118,8 +118,8 @@ def compress_stream(source, pipeline: Pipeline | PipelineSpec,
     in-flight shards) x shard``, never the field.
 
     ``layout="compat"`` (default) writes a header-first container
-    byte-identical to :func:`repro.parallel.compress_sharded` on the
-    same input — shards spill next to ``out_path`` and are rewritten
+    byte-identical to :func:`repro.parallel.executor.compress_sharded`
+    on the same input — shards spill next to ``out_path`` and are rewritten
     behind the header on close.  ``layout="stream"`` writes the
     version-3 trailing-index container in one pass (nothing rewritten;
     the sink may be append-only).

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
 from repro.core import decompress, fzmod_default, get_preset
-from repro.parallel import compress_sharded
 from repro.types import EbMode
 
 
@@ -38,8 +38,8 @@ def test_single_container_output_is_owned(field, preset):
 
 
 def test_sharded_container_output_is_owned(field):
-    cf = compress_sharded(field, fzmod_default(), 1e-3, EbMode.REL,
-                          workers=2, shard_mb=0.01, backend="inprocess")
+    cf = repro.compress(field, "fzmod-default", 1e-3, workers=2,
+                        shard_mb=0.01, backend="inprocess")
     _assert_owned(decompress(cf.blob), field)
 
 
@@ -94,8 +94,8 @@ def test_foreign_dtype_backward_is_coerced_to_header_dtype(field):
 
 def test_sharded_reassembly_of_view_returning_backward_is_owned(field):
     """Shard reassembly must also normalise zero-copy shard views."""
-    cf = compress_sharded(field, fzmod_default(), 1e-3, EbMode.REL,
-                          workers=2, shard_mb=0.01, backend="inprocess")
+    cf = repro.compress(field, "fzmod-default", 1e-3, workers=2,
+                        shard_mb=0.01, backend="inprocess")
     reg = _doctored_registry(
         lambda data, meta: np.asfortranarray(data))
     out = decompress(cf.blob, reg)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,11 @@ from repro.kernels import huffman
 
 def _hist(symbols: np.ndarray, bins: int) -> np.ndarray:
     return np.bincount(symbols, minlength=bins).astype(np.int64)
+
+
+def _encoded_stream() -> tuple[np.ndarray, huffman.HuffmanEncoded]:
+    syms = np.random.default_rng(7).integers(0, 40, size=5000).astype(np.uint32)
+    return syms, huffman.encode(syms, huffman.build_codebook(_hist(syms, 64)))
 
 
 class TestCodebook:
@@ -92,7 +99,12 @@ class TestEncodeDecode:
         syms = rng.integers(0, bins, n).astype(np.uint32)
         book = huffman.build_codebook(_hist(syms, bins))
         enc = huffman.encode(syms, book)
-        np.testing.assert_array_equal(huffman.decode(enc), syms)
+        first, second = huffman.decode(enc), huffman.decode(enc)
+        np.testing.assert_array_equal(first, syms)
+        np.testing.assert_array_equal(second, syms)
+        # every decode does the work: callers own (and may mutate) the result
+        assert first is not second and not np.shares_memory(first, second)
+        assert first.flags.writeable and second.flags.writeable
 
     def test_chunked_round_trip(self, rng):
         syms = rng.integers(0, 64, 10000).astype(np.uint32)
@@ -147,6 +159,31 @@ class TestEncodeDecode:
             lengths=enc.lengths, max_len=enc.max_len)
         with pytest.raises(CodecError):
             huffman.decode(bad)
+
+    def test_corrupt_payload_never_decodes_to_the_original(self):
+        syms, enc = _encoded_stream()
+        payload = bytearray(enc.payload)
+        payload[len(payload) // 2] ^= 0xFF
+        try:
+            out = huffman.decode(replace(enc, payload=bytes(payload)))
+        except CodecError:
+            return                                   # loud failure is fine
+        assert not np.array_equal(out, syms)
+
+    def test_count_tamper_raises(self):
+        _, enc = _encoded_stream()
+        with pytest.raises(CodecError, match="count mismatch"):
+            huffman.decode(replace(enc, count=enc.count + 1))
+
+    def test_constant_streams_of_different_sizes_do_not_collide(self):
+        # a single-symbol stream packs to all-padding payload bytes, so
+        # counts 7 and 8 share payload *and* lengths
+        a, b = (huffman.encode(np.full(n, 3, dtype=np.uint32),
+                               huffman.build_codebook(_hist([3] * n, 8)))
+                for n in (7, 8))
+        assert a.payload == b.payload
+        assert huffman.decode(a).size == 7
+        assert huffman.decode(b).size == 8
 
     @given(st.lists(st.integers(0, 63), min_size=1, max_size=2000),
            st.integers(64, 1000))

@@ -1,9 +1,9 @@
-"""The content-addressed plan cache and its Huffman tenants.
+"""The content-addressed plan cache and its tenants.
 
 Covers the generic :class:`PlanCache` mechanics (LRU + byte-budget
 eviction, counters, kill switch), the stability of the content digest,
-and the four Huffman caches layered on top: codebooks, warm decode
-books, and the encoded/decoded stream memoisation.
+the warm decode-book cache, and the inventory of caches the hot path is
+allowed to hit.
 """
 
 from __future__ import annotations
@@ -11,11 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import CodecError
+import repro
+from repro.core.inspect import hotpath_stats
 from repro.kernels import huffman
-from repro.kernels.plancache import (CODEBOOK_CACHE, DECODE_STREAM_CACHE,
-                                     DECODE_TABLE_CACHE, ENCODE_STREAM_CACHE,
-                                     PlanCache, all_caches, cache_stats,
+from repro.kernels.plancache import (DECODE_TABLE_CACHE, PlanCache,
                                      caching_enabled, clear_all_caches,
                                      digest)
 
@@ -109,14 +108,23 @@ class TestPlanCache:
         assert len(cache) == 0                       # nothing is stored
         assert cache.misses == 2                     # misses still counted
 
-    def test_registry_and_stats(self):
-        assert "huffman.codebook" in all_caches()
-        stats = cache_stats()
-        for name in ("huffman.codebook", "huffman.decode_tables",
-                     "huffman.encode_streams", "huffman.decode_streams",
-                     "pipeline.modules"):
-            assert set(stats[name]) >= {"entries", "bytes", "hits",
-                                        "misses", "evictions", "hit_rate"}
+    def test_registry_and_stats(self, smooth_3d):
+        # the hot path's cache inventory: nothing keyed on field content.
+        # Compressing the identical array twice may only hit these three.
+        inventory = {"compile.plans", "huffman.decode_tables",
+                     "pipeline.modules"}
+        for _ in range(2):
+            repro.decompress(repro.compress(smooth_3d, "fzmod-default", 1e-3))
+        stats = hotpath_stats()["plan_caches"]
+        production = {name: st for name, st in stats.items()
+                      if not name.startswith("test.")}
+        assert set(production) == inventory
+        for st in production.values():
+            assert set(st) >= {"entries", "bytes", "hits", "misses",
+                               "evictions", "hit_rate"}
+        assert stats["compile.plans"]["hits"] > 0
+        assert all(st["hits"] == 0 for name, st in stats.items()
+                   if name not in inventory)
 
 
 @pytest.fixture
@@ -131,18 +139,6 @@ def counts(symbols) -> np.ndarray:
 
 
 class TestHuffmanPlans:
-    def test_codebook_served_from_cache(self, counts):
-        b1 = huffman.build_codebook(counts)
-        b2 = huffman.build_codebook(counts.copy())
-        assert b1 is b2
-        assert CODEBOOK_CACHE.hits == 1
-
-    def test_codebook_cache_false_builds_fresh(self, counts):
-        b1 = huffman.build_codebook(counts)
-        b2 = huffman.build_codebook(counts, cache=False)
-        assert b1 is not b2
-        assert np.array_equal(b1.lengths, b2.lengths)
-
     def test_warm_decode_book_is_shared(self, counts):
         book = huffman.build_codebook(counts)
         w1 = huffman.warm_decode_book(book.lengths, book.max_len)
@@ -151,124 +147,9 @@ class TestHuffmanPlans:
         assert w1._table_sym is not None            # tables pre-materialised
         assert DECODE_TABLE_CACHE.hits == 1
 
-    def test_encode_stream_memoised(self, symbols, counts):
-        book = huffman.build_codebook(counts)
-        e1 = huffman.encode(symbols, book)
-        e2 = huffman.encode(symbols.copy(), book)
-        assert e1 is e2
-        assert ENCODE_STREAM_CACHE.hits == 1
-        assert not e1.chunk_symbols.flags.writeable  # hits are tamper-proof
-        fresh = huffman.encode(symbols, book, cache=False)
-        assert fresh is not e1
-        assert fresh.payload == e1.payload
-
-    def test_decode_stream_memoised_and_read_only(self, symbols, counts):
-        enc = huffman.encode(symbols, huffman.build_codebook(counts))
-        d1 = huffman.decode(enc)
-        d2 = huffman.decode(enc)
-        assert d1 is d2
-        assert not d1.flags.writeable
-        assert DECODE_STREAM_CACHE.hits == 1
-        assert np.array_equal(d1, symbols)
-        fresh = huffman.decode(enc, cache=False)
-        assert fresh is not d1
-        assert fresh.flags.writeable
-        assert np.array_equal(fresh, symbols)
-
-    def test_corrupt_payload_is_a_miss_not_a_stale_hit(self, symbols, counts):
-        enc = huffman.encode(symbols, huffman.build_codebook(counts))
-        huffman.decode(enc)                          # prime the stream cache
-        payload = bytearray(enc.payload)
-        payload[len(payload) // 2] ^= 0xFF
-        bad = huffman.HuffmanEncoded(
-            payload=bytes(payload), chunk_symbols=enc.chunk_symbols,
-            chunk_bits=enc.chunk_bits, count=enc.count,
-            lengths=enc.lengths, max_len=enc.max_len)
-        try:
-            out = huffman.decode(bad)
-        except CodecError:
-            return                                   # loud failure is fine
-        # a still-decodable corruption must at least not be the cached stream
-        assert not np.array_equal(out, symbols)
-
     def test_kill_switch_keeps_roundtrip(self, symbols, counts, monkeypatch):
         monkeypatch.setenv("FZMOD_PLAN_CACHE", "0")
         book = huffman.build_codebook(counts)
         enc = huffman.encode(symbols, book)
         assert np.array_equal(huffman.decode(enc), symbols)
-        assert len(ENCODE_STREAM_CACHE) == 0
-        assert len(DECODE_STREAM_CACHE) == 0
-
-
-class TestDecodeStreamCacheKey:
-    """The slim (payload, lengths, max_len, count) content key of PR 10.
-
-    The old key also hashed the chunk tables, so two containers
-    carrying the same payload (e.g. re-read shards) missed whenever any
-    derived metadata object differed — this pins the intended hit
-    behaviour, the count term (degenerate single-symbol streams pad to
-    identical payload bytes for different counts), the tamper guard
-    that makes the slim key safe, and the eviction accounting under a
-    tight byte budget.
-    """
-
-    def _encoded(self, symbols, counts):
-        return huffman.encode(symbols, huffman.build_codebook(counts))
-
-    def test_hit_on_same_content_different_objects(self, symbols, counts):
-        enc = self._encoded(symbols, counts)
-        clone = huffman.HuffmanEncoded(
-            payload=bytes(enc.payload), chunk_symbols=enc.chunk_symbols.copy(),
-            chunk_bits=enc.chunk_bits.copy(), count=enc.count,
-            lengths=enc.lengths.copy(), max_len=enc.max_len)
-        d1 = huffman.decode(enc)
-        d2 = huffman.decode(clone)
-        assert d1 is d2                      # content-addressed, not id()
-        assert DECODE_STREAM_CACHE.hits == 1
-        assert DECODE_STREAM_CACHE.misses == 1
-
-    def test_count_tamper_on_cached_payload_raises(self, symbols, counts):
-        enc = self._encoded(symbols, counts)
-        huffman.decode(enc)                  # prime with the honest count
-        bad = huffman.HuffmanEncoded(
-            payload=enc.payload, chunk_symbols=enc.chunk_symbols,
-            chunk_bits=enc.chunk_bits, count=enc.count + 1,
-            lengths=enc.lengths, max_len=enc.max_len)
-        with pytest.raises(CodecError, match="count mismatch"):
-            huffman.decode(bad)
-
-    def test_constant_streams_of_different_sizes_do_not_collide(self):
-        # a single-symbol stream packs to all-padding payload bytes, so
-        # counts 7 and 8 share payload *and* lengths — only the count
-        # term of the key keeps them apart
-        a = self._encoded(np.full(7, 3, dtype=np.uint32),
-                          np.bincount([3] * 7, minlength=8).astype(np.int64))
-        b = self._encoded(np.full(8, 3, dtype=np.uint32),
-                          np.bincount([3] * 8, minlength=8).astype(np.int64))
-        assert a.payload == b.payload
-        assert huffman.decode(a).size == 7
-        assert huffman.decode(b).size == 8
-
-    def test_eviction_accounting_under_byte_budget(self, counts, monkeypatch):
-        rng = np.random.default_rng(99)
-        streams = [rng.integers(0, 64, size=4096).astype(np.uint32)
-                   for _ in range(3)]
-        one_entry = streams[0].nbytes + 64
-        small = PlanCache("decode_stream_test", max_entries=64,
-                          max_bytes=int(one_entry * 1.5))
-        monkeypatch.setattr(huffman, "DECODE_STREAM_CACHE", small)
-        encs = [self._encoded(s, np.bincount(s, minlength=64)
-                              .astype(np.int64)) for s in streams]
-        for enc in encs:
-            huffman.decode(enc)
-        assert small.misses == 3
-        assert small.evictions == 2          # budget holds one entry
-        assert len(small) == 1
-        assert small.stats()["bytes"] <= small.max_bytes
-        # the survivor is the most recent stream; re-reading it is a hit,
-        # an evicted one is an honest (recounted) miss
-        assert huffman.decode(encs[-1]) is huffman.decode(encs[-1])
-        assert small.hits >= 1
-        out = huffman.decode(encs[0])
-        assert small.misses == 4
-        assert np.array_equal(out, streams[0])
+        assert len(DECODE_TABLE_CACHE) == 0

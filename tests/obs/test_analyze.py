@@ -12,9 +12,7 @@ import pytest
 
 from repro.obs.analyze import (
     analyze,
-    attach_ceiling,
     base_name,
-    bench_ceiling,
     build_forest,
     critical_path,
     load_trace_path,
@@ -125,21 +123,6 @@ class TestStageTable:
         # kernel child time is excluded from shard 0's exclusive total
         assert shard["exclusive_s"] == pytest.approx(
             0.2 + 0.2 + 0.2 + 0.8 - 0.1)
-
-    def test_attach_ceiling(self):
-        rows = [{"name": "a", "mb_s": 2.0}, {"name": "b", "mb_s": None}]
-        attach_ceiling(rows, 4.0)
-        assert rows[0]["ceiling_frac"] == pytest.approx(0.5)
-        assert rows[1]["ceiling_frac"] is None
-        attach_ceiling(rows, None)
-        assert rows[0]["ceiling_frac"] is None
-
-    def test_bench_ceiling_takes_best_warm_path(self):
-        bench = {"single": {"compress": {"warm_mb_s": 120.0}},
-                 "compiled": {"compress": {"warm_mb_s": 300.0},
-                              "decompress": {"warm_mb_s": 250.0}}}
-        assert bench_ceiling(bench) == pytest.approx(300.0)
-        assert bench_ceiling({}) is None
 
 
 class TestCriticalPath:
@@ -336,16 +319,6 @@ class TestAnalyzeReport:
         assert rep["critical_path"]["coverage"] >= 0.95
         assert rep["overlap"]["efficiency"] > 0
         assert [f["shard"] for f in rep["stragglers"]] == [3]
-        assert rep["ceiling_mb_s"] is None
-
-    def test_bench_ceiling_threads_through(self):
-        bench = {"compiled": {"compress": {"warm_mb_s": 8.0}}}
-        rep = analyze(sharded_trace(), bench=bench)
-        assert rep["ceiling_mb_s"] == pytest.approx(8.0)
-        by_name = {r["name"]: r for r in rep["stages"]}
-        # engine root: 4 MB in over 1 s inclusive = 4 MB/s = 50% of ceiling
-        assert (by_name["engine.compress_sharded"]["ceiling_frac"]
-                == pytest.approx(0.5))
 
     def test_renderers_cover_every_section(self):
         rep = analyze(sharded_trace())

@@ -1,4 +1,4 @@
-"""``fzmod analyze`` (trace mode) and ``fzmod diff-bench`` CLI tests.
+"""``fzmod analyze`` (trace mode) CLI tests.
 
 The analyze test is a *golden* test: the fixture trace and the expected
 text report are both committed, so any drift in the analyzer's numbers
@@ -10,22 +10,11 @@ from __future__ import annotations
 import json
 import pathlib
 
-import pytest
-
 from repro.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 TRACE = FIXTURES / "trace_sharded.jsonl"
 GOLDEN = FIXTURES / "analyze_golden.txt"
-
-
-def run_report(wall, stages):
-    """Minimal suite report carrying one per-direction stage breakdown."""
-    return {"stages": {
-        "compress": {
-            "wall_seconds": wall,
-            "stages": {name: {"exclusive_s": s} for name, s in stages},
-        }}}
 
 
 class TestAnalyzeTraceCli:
@@ -48,19 +37,6 @@ class TestAnalyzeTraceCli:
         assert out.startswith("# Trace analysis")
         assert "| `stream.huffman_decode` |" in out
 
-    def test_bench_ceiling_flag(self, tmp_path, capsys):
-        bench = tmp_path / "bench.json"
-        bench.write_text(json.dumps(
-            {"compiled": {"compress": {"warm_mb_s": 38.0}}}))
-        assert main(["analyze", str(TRACE), "--bench", str(bench),
-                     "--format", "json"]) == 0
-        rep = json.loads(capsys.readouterr().out)
-        assert rep["ceiling_mb_s"] == pytest.approx(38.0)
-        decode = next(r for r in rep["stages"]
-                      if r["name"] == "stream.huffman_decode")
-        # 16 MB over 0.84 s = ~19 MB/s = ~50% of the 38 MB/s ceiling
-        assert decode["ceiling_frac"] == pytest.approx(0.5, abs=0.01)
-
     def test_straggler_k_flag(self, capsys):
         assert main(["analyze", str(TRACE), "--straggler-k", "1e9",
                      "--format", "json"]) == 0
@@ -80,51 +56,3 @@ class TestAnalyzeTraceCli:
         a.write_bytes(b"\0" * 16)
         assert main(["analyze", str(a), str(a)]) == 1
         assert "--dims" in capsys.readouterr().err
-
-
-class TestDiffBenchCli:
-    def test_attributes_regression_to_stage(self, tmp_path, capsys):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        a.write_text(json.dumps(run_report(
-            1.0, [("stage.predictor", 0.4), ("stage.encoder", 0.5)])))
-        b.write_text(json.dumps(run_report(
-            1.3, [("stage.predictor", 0.7), ("stage.encoder", 0.5)])))
-        assert main(["diff-bench", str(a), str(b)]) == 0
-        out = capsys.readouterr().out
-        assert "compress: 1.0000s -> 1.3000s (+30.0%, slower)" in out
-        assert "stage.predictor" in out
-        assert "+100% of delta" in out
-
-    def test_json_format(self, tmp_path, capsys):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        a.write_text(json.dumps(run_report(1.0, [("stage.encoder", 0.9)])))
-        b.write_text(json.dumps(run_report(0.8, [("stage.encoder", 0.7)])))
-        assert main(["diff-bench", str(a), str(b), "--format", "json"]) == 0
-        d = json.loads(capsys.readouterr().out)
-        sec = d["sections"]["compress"]
-        assert sec["regressed"] is False
-        assert sec["top_stage"] == "stage.encoder"
-        assert sec["delta_s"] == pytest.approx(-0.2)
-
-    def test_no_comparable_sections_exits_nonzero(self, tmp_path, capsys):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        a.write_text(json.dumps({"single": {}}))
-        b.write_text(json.dumps({"single": {}}))
-        assert main(["diff-bench", str(a), str(b)]) == 1
-        assert "no comparable" in capsys.readouterr().out
-
-    def test_top_limits_stage_rows(self, tmp_path, capsys):
-        stages = [(f"stage.s{i}", 0.1 * (i + 1)) for i in range(6)]
-        bumped = [(n, s + 0.01 * (i + 1))
-                  for i, (n, s) in enumerate(stages)]
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        a.write_text(json.dumps(run_report(2.1, stages)))
-        b.write_text(json.dumps(run_report(2.31, bumped)))
-        assert main(["diff-bench", str(a), str(b), "--top", "2"]) == 0
-        out = capsys.readouterr().out
-        assert sum(1 for line in out.splitlines()
-                   if line.startswith("  stage.")) == 2

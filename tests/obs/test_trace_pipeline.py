@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.pipeline import Pipeline, decompress
 from repro.obs.export import chrome_trace
+from repro.obs.profile import Profiler
 from repro.obs.spans import GLOBAL_TRACER, set_telemetry
 from repro.parallel.executor import compress_sharded
 from repro.types import EbMode
@@ -67,6 +68,17 @@ class TestPipelineSpans:
         off = pipe.compress(field, 1e-3).blob
         assert on == off
         assert GLOBAL_TRACER.records()[-1].name != "noop"  # ring untouched
+
+    def test_blob_byte_identical_with_profiler_on(self, field):
+        pipe = Pipeline.from_names()
+        off = pipe.compress(field, 1e-3).blob
+        profiler = Profiler(interval=0.001)
+        profiler.start()
+        try:
+            on = pipe.compress(field, 1e-3).blob
+        finally:
+            profiler.stop()
+        assert on == off
 
 
 class TestMergeDeterminism:

@@ -17,8 +17,9 @@ from repro.core.modules_std import (HuffmanEncoder, LorenzoPredictor,
                                     NoSecondary, RelEbPreprocess,
                                     StandardHistogram)
 from repro.errors import ConfigError, HeaderError
-from repro.parallel import (ShardPlan, compress_sharded, decompress_sharded,
-                            describe_sharded, is_sharded, parse_sharded)
+from repro.parallel.executor import (ShardPlan, compress_sharded,
+                                     decompress_sharded, describe_sharded,
+                                     is_sharded, parse_sharded)
 from repro.types import EbMode, ErrorBound
 
 

@@ -16,9 +16,9 @@ import pytest
 
 from repro.core import decompress, fzmod_default, get_preset
 from repro.errors import ConfigError
-from repro.parallel import compress_sharded, decompress_sharded
-from repro.parallel.executor import (_PREFIX, SHARD_VERSION, describe_sharded,
-                                     parse_sharded)
+from repro.parallel.executor import (_PREFIX, SHARD_VERSION,
+                                     compress_sharded, decompress_sharded,
+                                     describe_sharded, parse_sharded)
 from repro.types import EbMode
 
 

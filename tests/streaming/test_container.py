@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import decompress, fzmod_default
 from repro.errors import CodecError, ConfigError, HeaderError
-from repro.parallel import compress_sharded
+from repro.parallel.executor import compress_sharded
 from repro.streaming import ShardReader, ShardStreamWriter
 from repro.types import EbMode
 

@@ -15,9 +15,9 @@ from repro.core import decompress
 from repro.core.pipeline import Pipeline
 from repro.errors import ConfigError
 from repro.obs import GLOBAL_TRACER, set_telemetry
-from repro.parallel import compress_sharded
-from repro.streaming import (MemmapSource, SlabIterSource, compress_stream,
-                             decompress_stream)
+from repro.parallel.executor import compress_sharded
+from repro.streaming import MemmapSource, SlabIterSource
+from repro.streaming.engine import compress_stream, decompress_stream
 from repro.types import EbMode
 
 

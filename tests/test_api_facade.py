@@ -1,9 +1,8 @@
-"""Dispatch matrix and shim tests for the ``repro.api`` facade.
+"""Dispatch matrix tests for the ``repro.api`` facade.
 
 ``repro.compress`` / ``repro.decompress`` are the public front door:
 they pick the engine from the argument shape.  These tests pin the
-dispatch table, the ``out=`` contracts, and the deprecation shims that
-keep the old per-engine entrypoints importable.
+dispatch table and the ``out=`` contracts.
 """
 
 from __future__ import annotations
@@ -229,43 +228,3 @@ class TestCompileKwarg:
                        shard_mb=0.125)
         with pytest.raises(PipelineError, match="compile-decoded"):
             repro.decompress(path, compile=True)
-
-
-# --------------------------------------------------------------------- #
-# deprecation shims
-# --------------------------------------------------------------------- #
-class TestDeprecationShims:
-    def test_parallel_compress_shim_warns_and_works(self, field):
-        from repro.parallel import compress_sharded
-        with pytest.warns(DeprecationWarning, match="repro.compress"):
-            cf = compress_sharded(field, repro.get_preset("fzmod-default"),
-                                  1e-3, workers=2)
-        assert isinstance(cf, ShardedCompressedField)
-
-    def test_parallel_decompress_shim_warns_and_works(self, field):
-        cf = repro.compress(field, "fzmod-default", 1e-3, workers=2)
-        from repro.parallel import decompress_sharded
-        with pytest.warns(DeprecationWarning, match="repro.decompress"):
-            recon = decompress_sharded(cf.blob)
-        assert recon.shape == field.shape
-
-    def test_streaming_shims_warn_and_work(self, field, tmp_path):
-        from repro.streaming import (ArraySource, compress_stream,
-                                     decompress_stream)
-        path = tmp_path / "f.fzms"
-        with pytest.warns(DeprecationWarning, match="stream=True"):
-            with ArraySource(field) as source:
-                compress_stream(source, repro.get_preset("fzmod-default"),
-                                1e-3, out_path=str(path), workers=2)
-        with pytest.warns(DeprecationWarning, match="repro.decompress"):
-            recon = decompress_stream(str(path))
-        assert recon.shape == field.shape
-
-    def test_shims_forward_byte_identically(self, field):
-        from repro.parallel import compress_sharded
-        ref = repro.compress(field, "fzmod-default", 1e-3, workers=2,
-                             shard_mb=0.125)
-        with pytest.warns(DeprecationWarning):
-            old = compress_sharded(field, repro.get_preset("fzmod-default"),
-                                   1e-3, workers=2, shard_mb=0.125)
-        assert old.blob == ref.blob
