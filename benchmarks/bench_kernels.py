@@ -29,6 +29,21 @@ def codes(field3d) -> np.ndarray:
     return lorenzo.compress(field3d, eb).codes.reshape(-1)
 
 
+#: Laplace scale of synthetic quantisation codes, named by the Huffman
+#: bits/symbol it gives: the bench workloads ``default_3d`` (2.5) and
+#: ``stream_1d_file`` (4.1).  Decode time should follow the bits.
+HUFFMAN_STREAMS = {"2.5bit": 0.95, "4.1bit": 3.1}
+
+
+@pytest.fixture(scope="module", params=sorted(HUFFMAN_STREAMS))
+def huffman_stream(request) -> tuple[np.ndarray, huffman.Codebook]:
+    noise = np.random.default_rng(1).laplace(
+        0, HUFFMAN_STREAMS[request.param], N)
+    symbols = np.clip(np.rint(noise) + 512, 0, 1023).astype(np.uint16)
+    return symbols, huffman.build_codebook(
+        np.bincount(symbols, minlength=1024))
+
+
 class TestPredictorKernels:
     def test_lorenzo_compress(self, benchmark, field3d):
         eb = float(np.ptp(field3d)) * 1e-4
@@ -61,16 +76,22 @@ class TestStatisticsKernels:
 
 
 class TestEncoderKernels:
-    def test_huffman_encode(self, benchmark, codes):
-        counts = np.bincount(codes, minlength=1024)
-        book = huffman.build_codebook(counts)
-        benchmark(huffman.encode, codes, book)
+    # one chunk or two of the same 1M symbols: the decoder splits a chunk
+    # into lanes itself, so the chunk count should not matter
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_huffman_encode(self, benchmark, huffman_stream, chunks):
+        symbols, book = huffman_stream
+        enc = benchmark(huffman.encode, symbols, book, N // chunks)
+        assert enc.chunk_bits.size == chunks
 
-    def test_huffman_decode(self, benchmark, codes):
-        counts = np.bincount(codes, minlength=1024)
-        book = huffman.build_codebook(counts)
-        enc = huffman.encode(codes, book)
-        benchmark(huffman.decode, enc)
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_huffman_decode(self, benchmark, huffman_stream, chunks):
+        symbols, book = huffman_stream
+        enc = huffman.encode(symbols, book, N // chunks)
+        benchmark.extra_info["bits_per_symbol"] = round(
+            float(enc.chunk_bits.sum()) / N, 2)
+        out = benchmark(huffman.decode, enc)
+        assert np.array_equal(out, symbols)
 
     def test_bitshuffle(self, benchmark, codes):
         benchmark(bitshuffle.shuffle, codes.astype(np.uint16), 16)

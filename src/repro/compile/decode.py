@@ -9,7 +9,7 @@ bit, to the interpreted ``decode_codes`` + ``reconstruct_field`` chain.
 What gets fused
 ---------------
 The interpreter's read path round-trips through full-field temporaries:
-the encoder's wavefront Huffman decode produces a code array, the
+the encoder's Huffman decode produces a code array, the
 predictor's decode merges outliers into a fresh ``int64`` buffer, the
 inverse Lorenzo scans it, dequantise materialises the float field, and
 the ownership normalisation may copy once more.  The compiled plan
@@ -159,7 +159,7 @@ class CompiledDecodePlan:
             f"decode plan {self.key}  {self.spec.describe()}",
             f"  [0] secondary[{self._secondary.name}]       module call",
             f"  [1] encoder[{self._encoder.name}]         module call "
-            "(wavefront decode, content-addressed caches)",
+            "(segment-sweep decode, content-addressed caches)",
             "  [2] reconstruct              fused outlier merge + inverse "
             "lorenzo + dequantize, one pooled pass into out=",
         ])
@@ -169,7 +169,7 @@ class CompiledDecodePlan:
                        section_overrides: dict[str, bytes] | None = None,
                        threads: int | None = None
                        ) -> tuple[ContainerHeader, PredictorArtifacts]:
-        """The entropy half: parse, secondary decode, wavefront decode.
+        """The entropy half: parse, secondary decode, Huffman decode.
 
         Mirrors :func:`repro.core.pipeline.decode_codes` with the module
         lookups pre-bound.  The recovered artifacts feed

@@ -14,7 +14,7 @@ module            models
 ``interp``        cuSZ-i G-Interp multilevel spline interpolation
 ``histogram``     cuSZ GPU histogram modules (standard, top-k)
 ``huffman``       cuSZ chunked canonical Huffman (package-merge limited,
-                  wavefront-parallel decode)
+                  segment-parallel decode)
 ``bitshuffle``    FZ-GPU / PFPL bit-plane shuffle (+ zigzag mapping)
 ``dictionary``    FZ-GPU dictionary / PFPL hierarchical zero elimination
 ``delta``         PFPL delta coding

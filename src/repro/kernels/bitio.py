@@ -5,9 +5,11 @@ value-by-value, following the data-parallel formulation of the GPU kernels
 they model.  This module provides the shared primitives:
 
 * :func:`pack_varlen` / :func:`unpack_windows` — pack per-symbol variable
-  length codes into a byte stream (the core of the Huffman encoder) and read
-  a fixed-width window at *every* bit offset of a stream (the core of the
-  wavefront-parallel Huffman decoder).
+  length codes into a byte stream (the core of the Huffman encoder: one
+  shifted 64-bit word per code, OR-reduced per output word) and read a
+  fixed-width window at *every* bit offset of a stream (what the
+  bit-serial reference Huffman decoder walks; the segment-sweep decoder
+  in :mod:`repro.kernels.huffman` builds its own segment-ordered tables).
 * :func:`pack_fixed` / :func:`unpack_fixed` — pack ``n`` values of a uniform
   bit width (cuSZp2-style fixed-length blocks).
 
@@ -48,16 +50,30 @@ def pack_varlen(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     if lengths.min() < 1 or lengths.max() > 32:
         raise CodecError("code lengths must be in [1, 32]")
 
-    total_bits = int(lengths.sum())
-    # Bit index of the first bit of each symbol in the output stream.
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    # For every output bit: which symbol does it come from, and which bit of
-    # that symbol's code is it (0 == most significant of the code)?
-    sym_of_bit = np.repeat(np.arange(codes.size, dtype=np.int64), lengths)
-    bit_in_sym = np.arange(total_bits, dtype=np.int64) - np.repeat(starts, lengths)
-    shift = (lengths[sym_of_bit] - 1 - bit_in_sym).astype(np.uint32)
-    bits = ((codes[sym_of_bit] >> shift) & np.uint32(1)).astype(np.uint8)
-    return np.packbits(bits).tobytes(), total_bits
+    u64 = np.uint64
+    width = lengths.astype(u64)
+    ends = np.cumsum(width)
+    total_bits = int(ends[-1])
+    value = codes.astype(u64)
+    value &= (u64(1) << width) - u64(1)
+    # A word is 64 bits and a code at most 32, so some code ends in every
+    # word: the runs of equal ``word_of`` are the output words, in order.
+    word_of = (ends - u64(1)) >> u64(6)
+    first = np.flatnonzero(word_of[1:] != word_of[:-1]) + 1
+    first = np.concatenate((np.zeros(1, dtype=first.dtype), first))
+    # Only the first code ending in a word can have begun in the one
+    # before; the bits of it above the ``inside`` that fit here go there
+    # (none for a code that did not straddle: it is below ``2**inside``).
+    straddler = first[1:]
+    inside = ends[straddler] - (word_of[straddler] << u64(6))
+    spill = value[straddler] >> np.minimum(inside, u64(63))
+    # Align every code's last bit with its place in the word it ends in;
+    # the leading bits of a straddler fall off the top of the uint64.
+    value <<= np.negative(ends) & u64(63)
+    words = np.bitwise_or.reduceat(value, first)
+    words[:-1] |= spill
+    payload = words.astype(">u8").view(np.uint8)[:(total_bits + 7) // 8]
+    return payload.tobytes(), total_bits
 
 
 def bits_to_bytes(bits: np.ndarray) -> bytes:
@@ -78,10 +94,10 @@ def unpack_windows(payload: bytes, total_bits: int, width: int) -> np.ndarray:
 
     Returns a ``uint32`` array ``w`` of length ``total_bits`` where ``w[p]``
     is the value of bits ``p .. p+width-1`` of the stream (bits past the end
-    read as zero).  This is the enabling primitive for the wavefront-parallel
-    canonical-Huffman decoder in :mod:`repro.kernels.huffman`: a decode table
-    indexed by ``w[p]`` yields the symbol and code length at offset ``p``
-    for all ``p`` simultaneously.
+    read as zero).  A decode table indexed by ``w[p]`` yields the symbol
+    and code length at offset ``p`` for all ``p`` simultaneously;
+    :func:`repro.kernels.huffman.decode_serial_reference` walks it one
+    symbol at a time.
     """
     if width < 1 or width > 24:
         raise CodecError("window width must be in [1, 24]")

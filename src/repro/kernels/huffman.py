@@ -1,4 +1,4 @@
-"""Canonical Huffman codec with chunked, wavefront-parallel decoding.
+"""Canonical Huffman codec with chunked, segment-parallel decoding.
 
 This models cuSZ's Huffman stage faithfully in structure:
 
@@ -10,12 +10,17 @@ This models cuSZ's Huffman stage faithfully in structure:
 * **Coarse-grained chunking**: symbols are encoded in independent,
   byte-aligned chunks (as cuSZ does for its GPU codec) so chunks can be
   decoded concurrently and memory stays bounded.
-* **Wavefront-doubling decoder**: within a chunk, a decode table indexed by
-  the ``max_len``-bit window at *every* bit offset yields ``(symbol,
-  length)`` for all offsets at once; the symbol boundary chain starting at
-  offset 0 is then extracted with pointer doubling — ``ceil(log2(n))``
-  vectorised gathers instead of a per-symbol loop.  This is the NumPy
-  analogue of parallel-prefix Huffman decoding on GPUs.
+* **Segment-sweep decoder**: a chunk's bit range is cut into segments of
+  ``T`` bits (``T`` derived from the chunk's bit count), which become
+  lanes advanced in lock-step.  The code length at *every* bit offset
+  comes from eight shifted gathers through the ``max_len``-bit decode
+  table; one backward sweep of ``T`` gathers then tells, for every offset
+  a chain could enter a segment at, where it enters the next one, a
+  scalar walk over the segments picks the true entries, and a forward
+  walk of all segments from those entries (at most ``T`` gathers) visits
+  every code start.  Exact — no speculation, no re-synchronisation — and
+  the Python-level step count is about ``2 * T + segments``, not the
+  symbol count.  This is the NumPy analogue of cuSZ's many coarse lanes.
 
 Encoding and decoding are exact inverses for arbitrary symbol streams.
 """
@@ -23,6 +28,7 @@ Encoding and decoding are exact inverses for arbitrary symbol streams.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,7 +230,7 @@ def warm_decode_book(lengths: np.ndarray, max_len: int) -> Codebook:
     """A :class:`Codebook` with canonical codes and dense decode tables
     already materialised, served from the plan cache.
 
-    The ``2**max_len``-entry wavefront tables are the dominant per-call
+    The ``2**max_len``-entry decode tables are the dominant per-call
     setup cost of :func:`decode`; keying them by the digest of the
     serialised lengths array means every container written with the same
     codebook (all shards of a shared-codebook run, every re-read of the
@@ -304,36 +310,29 @@ def encode(symbols: np.ndarray, book: Codebook,
         if symbols.size and int(symbols.max()) >= book.num_bins:
             raise CodecError("symbol out of codebook range")
         lengths_lut = book.lengths.astype(np.int64)
-        if symbols.size and bool((lengths_lut[symbols] == 0).any()):
-            raise CodecError("stream contains a symbol absent from the histogram")
         codes_lut = book.codes
-        parts: list[bytes] = []
-        csyms: list[int] = []
-        cbits: list[int] = []
-        starts = [s for s in range(0, max(symbols.size, 1), chunk)
-                  if symbols[s:s + chunk].size]
+
+        def pack_chunk(start: int) -> tuple[bytes, int, int]:
+            part = symbols[start:start + chunk]
+            lengths = lengths_lut[part]
+            if int(lengths.min()) == 0:
+                raise CodecError(
+                    "stream contains a symbol absent from the histogram")
+            payload, nbits = pack_varlen(codes_lut[part], lengths)
+            return payload, part.size, nbits
+
+        starts = range(0, symbols.size, chunk)
         budget = active_threads()
-        if budget > 1 and len(starts) > 1:
+        if budget > 1:
             # chunks are independent by format (byte-aligned, own bit
             # counts): pack them concurrently on the slab pool and splice
             # in chunk order — byte-identical to the serial loop
-            def pack_chunk(start: int) -> tuple[bytes, int, int]:
-                part = symbols[start:start + chunk]
-                payload, nbits = pack_varlen(codes_lut[part], lengths_lut[part])
-                return payload, part.size, nbits
-
-            for payload, nsyms, nbits in run_slabs(pack_chunk, starts,
-                                                   threads=budget):
-                parts.append(payload)
-                csyms.append(nsyms)
-                cbits.append(nbits)
+            packed = run_slabs(pack_chunk, starts, threads=budget)
         else:
-            for start in starts:
-                part = symbols[start:start + chunk]
-                payload, nbits = pack_varlen(codes_lut[part], lengths_lut[part])
-                parts.append(payload)
-                csyms.append(part.size)
-                cbits.append(nbits)
+            packed = [pack_chunk(start) for start in starts]
+        parts = [payload for payload, _, _ in packed]
+        csyms = [nsyms for _, nsyms, _ in packed]
+        cbits = [nbits for _, _, nbits in packed]
         enc = HuffmanEncoded(payload=b"".join(parts),
                              chunk_symbols=np.asarray(csyms, dtype=np.int64),
                              chunk_bits=np.asarray(cbits, dtype=np.int64),
@@ -344,71 +343,184 @@ def encode(symbols: np.ndarray, book: Codebook,
         return enc
 
 
+def _segment_bits(nbits: int) -> int:
+    """Segment length for a chunk of ``nbits``: the power of two nearest
+    ``sqrt(nbits) / 2``, within [64, 2048].
+
+    A chunk costs about ``2 * T`` vectorised steps over ``nbits / T``
+    lanes plus a scalar walk over the lanes; the square root balances the
+    per-step call overhead against the per-lane one.
+    """
+    return 1 << min(max(round(math.log2(nbits) / 2) - 1, 6), 11)
+
+
+def _index_dtype(cells: int) -> type[np.signedinteger]:
+    """Narrowest index dtype for a table of ``cells`` entries."""
+    return np.int32 if cells <= np.iinfo(np.int32).max else np.int64
+
+
 def _decode_chunk(payload: bytes, nbits: int, nsyms: int,
-                  tsym: np.ndarray, tlen: np.ndarray, max_len: int) -> np.ndarray:
-    """Wavefront-doubling decode of one chunk."""
+                  tsym: np.ndarray, tlen: np.ndarray, max_len: int
+                  ) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """Segment-sweep decode of one chunk.
+
+    The caller has checked ``nsyms <= nbits``, ``max_len <= 24`` and that
+    ``payload`` holds ``ceil(nbits / 8)`` bytes.  Returns the symbols and
+    ``(segments, segment_bits, walk_steps)``.
+    """
     if nsyms == 0:
-        return np.zeros(0, dtype=np.uint32)
-    if len(payload) < (nbits + 7) // 8:
-        raise CodecError("Huffman chunk payload shorter than its bit length")
-    windows = unpack_windows(payload, nbits, max_len)
-    sym_at = tsym[windows]
-    len_at = tlen[windows].astype(np.int64)
-    if bool((len_at == 0).any()):
+        return np.zeros(0, dtype=np.uint32), (0, 0, 0)
+    T = _segment_bits(nbits)
+    S = -(-nbits // T)
+    seg_bytes = T // 8
+    nbytes = (nbits + 7) // 8
+    # Tables are laid out (offset in segment, segment): one row holds the
+    # same offset of every segment, so a lock-step move of all segments is
+    # one gather over near-contiguous memory.
+    raw = np.zeros((S + 1) * seg_bytes, dtype=np.uint8)     # zero past the end
+    raw[:nbytes] = np.frombuffer(payload, dtype=np.uint8, count=nbytes)
+    raw = raw.reshape(S + 1, seg_bytes)
+    byte_at = np.empty((seg_bytes + 3, S), dtype=np.uint8)
+    byte_at[:seg_bytes] = raw[:S].T
+    byte_at[seg_bytes:] = raw[1:, :3].T     # look-ahead into the next segment
+    # word[j, s]: the 32 bits starting at byte j of segment s, big-endian
+    word = byte_at[:seg_bytes].astype(np.uint32)
+    for ahead in (1, 2, 3):
+        word <<= np.uint32(8)
+        word |= byte_at[ahead:seg_bytes + ahead]
+    del raw, byte_at
+    mask = np.uint32((1 << max_len) - 1)
+
+    # lens[o, s]: length of the code starting at bit o of segment s
+    lens = np.empty((seg_bytes, 8, S), dtype=np.uint8)
+    window = np.empty_like(word)
+    row = np.empty(word.shape, dtype=np.uint8)
+    for bit in range(8):
+        np.right_shift(word, np.uint32(32 - max_len - bit), out=window)
+        window &= mask
+        lens[:, bit, :] = tlen.take(window, out=row, mode="clip")
+    del window, row
+    lens = lens.reshape(T, S)
+    tail = nbits - (S - 1) * T      # offsets of the last segment in the chunk
+    lens[tail:, -1] = 1             # padding: any length but "unknown"
+    if int(lens.min()) == 0:
         raise CodecError("corrupt Huffman stream: unknown code window")
-    # next[p] = bit offset of the following symbol; sentinel self-loop at end.
-    jump = np.minimum(np.arange(nbits, dtype=np.int64) + len_at, nbits)
-    jump = np.concatenate([jump, np.asarray([nbits], dtype=np.int64)])
-    positions = np.empty(nsyms, dtype=np.int64)
-    positions[0] = 0
-    known = 1
-    while known < nsyms:
-        take = min(known, nsyms - known)
-        positions[known:known + take] = jump[positions[:take]]
-        known += take
-        if known < nsyms:
-            jump = jump[jump]  # next^(2k)
-    if bool((positions >= nbits).any()):
+
+    # nxt[o, s]: flat index of the code after the one at (o, s).  Rows T..
+    # mean "left the segment, at offset o - T of the next one" and loop on
+    # themselves, so a finished segment stands still.
+    idx = _index_dtype((T + max_len) * S)
+    left = T * S
+    nxt = np.zeros((T + max_len) * S, dtype=idx)
+    np.multiply(lens.reshape(-1), idx(S), out=nxt[:left], dtype=idx)
+    nxt += np.arange(nxt.size, dtype=idx)
+    nxt_at = nxt.reshape(T + max_len, S)
+    nxt_at[tail:T, -1] = left       # padding offsets leave at once
+
+    # Backward sweep: leave[o, s] is the offset at which a chain entering
+    # segment s at offset o enters segment s + 1.
+    leave = np.empty((T + max_len, S), dtype=np.uint8)
+    leave[T:] = np.arange(max_len, dtype=np.uint8)[:, None]
+    leave_flat = leave.reshape(-1)
+    for o in range(T - 1, -1, -1):
+        leave_flat.take(nxt_at[o], out=leave[o], mode="clip")
+    # a code is at most max_len bits, so a segment is entered below max_len
+    head = leave[:max_len].tolist()
+    del leave, leave_flat
+    entry = np.empty(S, dtype=idx)
+    enter = 0
+    for s in range(S):
+        entry[s] = enter
+        enter = head[enter][s]
+
+    # Forward walk of every segment from its true entry, in lock-step;
+    # every code is at least one bit, so T steps empty every segment.
+    trail = np.empty((T + 1, S), dtype=idx)
+    trail[0] = entry * idx(S) + np.arange(S, dtype=idx)
+    steps = 0
+    while int(trail[steps].min()) < left:
+        nxt.take(trail[steps], out=trail[steps + 1], mode="clip")
+        steps += 1
+    visited = trail[:steps].T       # segment-major: stream order
+    at = visited[visited < left]
+    del trail, visited, nxt, nxt_at
+    # ``at`` may end with one padding offset, reached by a code that ran
+    # to or past the chunk's end; it is never among the first nsyms of a
+    # well-formed chunk.
+    if at.size < nsyms:
         raise CodecError("Huffman stream too short for symbol count")
-    out = sym_at[positions]
-    end = positions[-1] + len_at[positions[-1]]
-    if int(end) != nbits:
+    at = at[:nsyms]
+    offset = at // idx(S)
+    segment = at - offset * idx(S)
+    last = int(segment[-1]) * T + int(offset[-1])
+    if last >= nbits:
+        raise CodecError("Huffman stream too short for symbol count")
+    if last + int(lens[offset[-1], segment[-1]]) != nbits:
         raise CodecError("Huffman chunk bit-length mismatch")
-    return out
+    byte = offset >> 3
+    byte *= idx(S)
+    byte += segment
+    window = word.reshape(-1)[byte]
+    offset &= 7
+    window >>= np.uint32(32 - max_len) - offset.astype(np.uint32)
+    window &= mask
+    return tsym[window], (S, T, steps)
+
+
+def _chunk_table(enc: HuffmanEncoded) -> list[tuple[int, int, int, int]]:
+    """``(byte offset, bytes, bits, symbols)`` per chunk, checked against
+    the payload and the declared count before anything is sized by it."""
+    if not 1 <= enc.max_len <= 24:
+        raise CodecError("Huffman max_len must be in [1, 24]")
+    csyms = [int(n) for n in enc.chunk_symbols]
+    cbits = [int(n) for n in enc.chunk_bits]
+    if len(csyms) != len(cbits):
+        raise CodecError("Huffman chunk tables differ in length")
+    # a code is at least one bit, so a chunk holds at most nbits symbols
+    if any(not 0 <= nsyms <= nbits for nsyms, nbits in zip(csyms, cbits)):
+        raise CodecError("corrupt Huffman chunk table")
+    if sum(csyms) != enc.count:
+        raise CodecError("decoded symbol count mismatch")
+    entries = []
+    offset = 0
+    for nsyms, nbits in zip(csyms, cbits):
+        nbytes = (nbits + 7) // 8
+        entries.append((offset, nbytes, nbits, nsyms))
+        offset += nbytes
+    if offset > len(enc.payload):
+        raise CodecError("Huffman payload shorter than its chunk table")
+    return entries
 
 
 def decode(enc: HuffmanEncoded) -> np.ndarray:
     """Decode a :class:`HuffmanEncoded` stream back to symbols (uint32)."""
     with span("kernel.huffman.decode", symbols=int(enc.count),
               bytes_in=len(enc.payload)) as sp:
+        entries = _chunk_table(enc)
         book = warm_decode_book(enc.lengths, enc.max_len)
         tsym, tlen = book.decode_tables()
-        entries: list[tuple[int, int, int, int]] = []
-        offset = 0
-        for nsyms, nbits in zip(enc.chunk_symbols, enc.chunk_bits):
-            nbytes = (int(nbits) + 7) // 8
-            entries.append((offset, nbytes, int(nbits), int(nsyms)))
-            offset += nbytes
-        budget = active_threads()
-        if budget > 1 and len(entries) > 1:
-            # chunk boundaries are known up front (byte-aligned starts from
-            # the bit-count table), so the wavefront decodes run
-            # concurrently; concatenation in chunk order keeps the symbol
-            # stream identical to the serial loop
-            def decode_one(entry: tuple[int, int, int, int]) -> np.ndarray:
-                off, nbytes, nbits, nsyms = entry
-                return _decode_chunk(enc.payload[off:off + nbytes], nbits,
-                                     nsyms, tsym, tlen, enc.max_len)
 
-            out = run_slabs(decode_one, entries, threads=budget)
+        def decode_one(entry: tuple[int, int, int, int]
+                       ) -> tuple[np.ndarray, tuple[int, int, int]]:
+            off, nbytes, nbits, nsyms = entry
+            return _decode_chunk(enc.payload[off:off + nbytes], nbits,
+                                 nsyms, tsym, tlen, enc.max_len)
+
+        budget = active_threads()
+        if budget > 1:
+            # chunk boundaries are known up front (byte-aligned starts from
+            # the bit-count table), so chunks decode concurrently;
+            # concatenation in chunk order keeps the symbol stream
+            # identical to the serial loop
+            done = run_slabs(decode_one, entries, threads=budget)
         else:
-            out = [_decode_chunk(enc.payload[off:off + nbytes], nbits, nsyms,
-                                 tsym, tlen, enc.max_len)
-                   for off, nbytes, nbits, nsyms in entries]
+            done = [decode_one(entry) for entry in entries]
+        out = [symbols for symbols, _ in done]
         result = np.concatenate(out) if out else np.zeros(0, dtype=np.uint32)
-        if result.size != enc.count:
-            raise CodecError("decoded symbol count mismatch")
-        sp.set(bytes_out=int(result.nbytes))
+        segments, segment_bits, walk_steps = (
+            max((shape[i] for _, shape in done), default=0) for i in range(3))
+        sp.set(bytes_out=int(result.nbytes), segments=segments,
+               segment_bits=segment_bits, walk_steps=walk_steps)
         return result
 
 

@@ -12,8 +12,8 @@ content never repeats it.
 Plans cached today
 ------------------
 * warmed decode books — a :class:`~repro.kernels.huffman.Codebook` with
-  its canonical codes *and* its ``2**max_len``-entry wavefront decode
-  tables materialised — keyed by ``(lengths digest, max_len)``
+  its canonical codes *and* its ``2**max_len``-entry decode tables
+  materialised — keyed by ``(lengths digest, max_len)``
   (:func:`repro.kernels.huffman.warm_decode_book`);
 * resolved module tables for header-driven decompression, keyed by the
   registry generation and the header's stage->name map
@@ -262,7 +262,7 @@ class PlanCache:
 #: themselves at import time; ad-hoc caches join as they are created)
 _CACHES: dict[str, PlanCache] = {}
 
-#: decode books: Codebook + canonical codes + dense wavefront tables
+#: decode books: Codebook + canonical codes + dense decode tables
 #: (a 2**16-entry table pair is ~325 KiB, so ~48 warm books fit the budget)
 DECODE_TABLE_CACHE = PlanCache("huffman.decode_tables", max_entries=48,
                                max_bytes=32 << 20)

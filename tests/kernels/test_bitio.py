@@ -52,6 +52,62 @@ class TestPackVarlen:
         assert len(payload) == (bits + 7) // 8
 
 
+def _pack_varlen_per_bit(codes: np.ndarray, lengths: np.ndarray
+                         ) -> tuple[bytes, int]:
+    """The packer this module replaced: one array element per output bit.
+    Kept as the byte-identity reference for :func:`bitio.pack_varlen`."""
+    codes = np.asarray(codes, dtype=np.uint32)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    total_bits = int(lengths.sum())
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    sym_of_bit = np.repeat(np.arange(codes.size, dtype=np.int64), lengths)
+    bit_in_sym = (np.arange(total_bits, dtype=np.int64)
+                  - np.repeat(starts, lengths))
+    shift = (lengths[sym_of_bit] - 1 - bit_in_sym).astype(np.uint32)
+    bits = ((codes[sym_of_bit] >> shift) & np.uint32(1)).astype(np.uint8)
+    return np.packbits(bits).tobytes(), total_bits
+
+
+class TestPackVarlenByteIdentity:
+    @given(st.lists(st.tuples(st.integers(1, 32), st.integers(0, 2**32 - 1)),
+                    min_size=1, max_size=300))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_matches_per_bit_reference(self, pairs):
+        # codes carry garbage above their length: only the low bits count
+        lengths = np.array([ln for ln, _ in pairs], dtype=np.int64)
+        codes = np.array([v for _, v in pairs], dtype=np.uint32)
+        assert (bitio.pack_varlen(codes, lengths)
+                == _pack_varlen_per_bit(codes, lengths))
+
+    @pytest.mark.parametrize("length", range(1, 33))
+    def test_every_length_at_every_offset_of_a_word(self, length):
+        for lead in range(64):
+            lengths = np.array([1] * lead + [length, 7], dtype=np.int64)
+            codes = np.full(lengths.size, 0xFFFFFFFF, dtype=np.uint32)
+            codes[::2] = 0xA5A5A5A5
+            assert (bitio.pack_varlen(codes, lengths)
+                    == _pack_varlen_per_bit(codes, lengths))
+
+    @pytest.mark.parametrize("end", [63, 64, 65])
+    @pytest.mark.parametrize("length", [1, 2, 31, 32])
+    def test_code_around_a_word_boundary(self, end, length):
+        # a code ending at bit 63 fits, at 64 exactly fills the first
+        # word, at 65 straddles into the second
+        lead = end - length
+        lengths = np.array([16] * (lead // 16) + [1] * (lead % 16)
+                           + [length, 32, 32, 5], dtype=np.int64)
+        codes = np.arange(lengths.size, dtype=np.uint32) * 0x9E3779B1
+        payload, bits = bitio.pack_varlen(codes, lengths)
+        assert (payload, bits) == _pack_varlen_per_bit(codes, lengths)
+        assert bits == int(lengths.sum())
+
+    def test_last_code_straddles_into_the_final_word(self):
+        lengths = np.array([32, 31, 3], dtype=np.int64)    # 63 + 3
+        codes = np.array([0xDEADBEEF, 0x7FFFFFFF, 0b101], dtype=np.uint32)
+        assert (bitio.pack_varlen(codes, lengths)
+                == _pack_varlen_per_bit(codes, lengths))
+
+
 class TestUnpackWindows:
     def test_window_values(self):
         # stream = 1010 1100 (one byte)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.errors import CodecError
 from repro.kernels import huffman
+from repro.obs.spans import GLOBAL_TRACER, set_telemetry
 
 
 def _hist(symbols: np.ndarray, bins: int) -> np.ndarray:
@@ -201,3 +202,200 @@ class TestEncodeDecode:
         enc = huffman.encode(syms, book)
         # ~0.95 prob on one symbol -> far below 9 bits/sym
         assert len(enc.payload) * 8 < 3 * syms.size
+
+
+class TestHostileChunkTable:
+    """The chunk table is container metadata: every lie in it must end in
+    ``CodecError`` before anything is sized by it."""
+
+    @pytest.mark.parametrize("tamper", [
+        lambda e: replace(e, chunk_symbols=np.array([-5])),
+        lambda e: replace(e, chunk_symbols=np.array([-5]), count=-5),
+        lambda e: replace(e, chunk_bits=np.array([-8])),
+        lambda e: replace(e, chunk_symbols=np.array([1 << 40])),
+        lambda e: replace(e, chunk_symbols=np.array([1 << 40]),
+                          count=1 << 40),
+        # a code is at least one bit
+        lambda e: replace(e, chunk_symbols=e.chunk_bits + 1,
+                          count=int(e.chunk_bits[0]) + 1),
+        lambda e: replace(e, chunk_bits=e.chunk_bits + 8 * len(e.payload)),
+        lambda e: replace(e, chunk_bits=np.array([1 << 62])),
+        lambda e: replace(e, chunk_bits=np.repeat(e.chunk_bits, 2),
+                          chunk_symbols=np.repeat(e.chunk_symbols, 2),
+                          count=2 * e.count),
+        lambda e: replace(e, chunk_bits=np.repeat(e.chunk_bits, 2)),
+        lambda e: replace(e, chunk_symbols=np.zeros(0, dtype=np.int64)),
+        lambda e: replace(e, max_len=0),
+        lambda e: replace(e, max_len=25),
+        lambda e: replace(e, max_len=60),
+    ])
+    def test_rejected_as_codec_error(self, tamper):
+        _, enc = _encoded_stream()
+        with pytest.raises(CodecError):
+            huffman.decode(tamper(enc))
+
+    def test_trailing_payload_bytes_are_ignored(self):
+        syms, enc = _encoded_stream()
+        padded = replace(enc, payload=enc.payload + b"\xff\xff")
+        np.testing.assert_array_equal(huffman.decode(padded), syms)
+
+
+def _stream(rng: np.random.Generator, alphabet: str, max_len: int,
+            n: int, spread: float, deep: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Random symbols and the histogram their codebook is built from.
+
+    ``spread`` runs from one dominant symbol (about one bit per symbol)
+    to a flat distribution over up to 4096 symbols (about twelve);
+    ``deep`` skews the histogram exponentially so codes reach ``max_len``.
+    """
+    bins = {"one": 1, "two": 2,
+            "many": min(1 << max_len, 3 + int(spread ** 2 * 4093))}[alphabet]
+    p = np.exp(-np.arange(bins) / (0.3 + spread * bins))
+    syms = rng.choice(bins, size=n, p=p / p.sum()).astype(np.uint32)
+    counts = np.bincount(syms, minlength=bins).astype(np.int64)
+    if deep:
+        counts <<= np.minimum(np.arange(bins), 40)
+    return syms, counts
+
+
+def _reference_or_codec_error(enc: huffman.HuffmanEncoded) -> None:
+    """A stream the decoder accepts decodes as the bit-serial reference
+    does; anything else is a ``CodecError``, never another exception."""
+    try:
+        out = huffman.decode(enc)
+    except CodecError:
+        return
+    np.testing.assert_array_equal(out, huffman.decode_serial_reference(enc))
+
+
+class TestSegmentSweepAgainstReference:
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           alphabet=st.sampled_from(["one", "two", "many"]),
+           max_len=st.sampled_from([8, 12, 16, 20]),
+           n=st.integers(1, 5000), spread=st.floats(0.0, 1.0),
+           deep=st.booleans(), chunks=st.sampled_from([1, 2, 3, 7]),
+           as_view=st.booleans())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_decode_matches_reference_or_rejects(
+            self, seed, alphabet, max_len, n, spread, deep, chunks, as_view):
+        rng = np.random.default_rng(seed)
+        syms, counts = _stream(rng, alphabet, max_len, n, spread, deep)
+        book = huffman.build_codebook(counts, max_len=max_len)
+        enc = huffman.encode(syms, book, chunk=-(-n // chunks))
+        if as_view:     # the compiled decode plan hands over section views
+            enc = replace(enc, payload=memoryview(enc.payload))
+        out = huffman.decode(enc)
+        np.testing.assert_array_equal(out, syms)
+        np.testing.assert_array_equal(out,
+                                      huffman.decode_serial_reference(enc))
+
+        which = int(rng.integers(enc.chunk_bits.size))
+        flipped = bytearray(enc.payload)
+        flipped[int(rng.integers(len(flipped)))] ^= 1 << int(rng.integers(8))
+        _reference_or_codec_error(replace(enc, payload=bytes(flipped)))
+        _reference_or_codec_error(replace(enc, payload=enc.payload[:-1]))
+        for delta in (-8, -1, 1, 8):
+            bits = enc.chunk_bits.copy()
+            bits[which] += delta
+            _reference_or_codec_error(replace(enc, chunk_bits=bits))
+        for delta in (-1, 1):
+            nsyms = enc.chunk_symbols.copy()
+            nsyms[which] += delta
+            _reference_or_codec_error(replace(enc, chunk_symbols=nsyms,
+                                              count=enc.count + delta))
+
+    @staticmethod
+    def _two_length_book() -> huffman.Codebook:
+        # symbol 0 -> "0", 1 -> "10", 2 -> "110", 3 -> "111"
+        return huffman.Codebook(lengths=np.array([1, 2, 3, 3]), max_len=8)
+
+    @pytest.mark.parametrize("nbits", [1, 5, 63])
+    def test_chunk_shorter_than_one_segment(self, nbits):
+        syms = np.zeros(nbits, dtype=np.uint32)         # one bit each
+        enc = huffman.encode(syms, self._two_length_book())
+        assert int(enc.chunk_bits[0]) == nbits < huffman._segment_bits(nbits)
+        np.testing.assert_array_equal(huffman.decode(enc), syms)
+
+    @pytest.mark.parametrize("segments", [1, 2, 64])
+    def test_chunk_an_exact_multiple_of_the_segment(self, segments):
+        nbits = 64 * segments
+        assert huffman._segment_bits(nbits) == 64
+        syms = np.zeros(nbits - 2, dtype=np.uint32)
+        syms[-1] = 3                    # three bits, ending flush with nbits
+        enc = huffman.encode(syms, self._two_length_book())
+        assert int(enc.chunk_bits[0]) == nbits
+        np.testing.assert_array_equal(huffman.decode(enc), syms)
+        _reference_or_codec_error(replace(enc, chunk_bits=enc.chunk_bits - 1))
+
+    @pytest.mark.parametrize("inside", [1, 2])
+    def test_final_code_straddles_the_last_segment_boundary(self, inside):
+        # the last segment holds nothing but the final code's last bits
+        nbits = 64 * 3 + inside
+        syms = np.zeros(nbits - 2, dtype=np.uint32)
+        syms[-1] = 2                                    # three bits
+        enc = huffman.encode(syms, self._two_length_book())
+        assert int(enc.chunk_bits[0]) == nbits
+        assert huffman._segment_bits(nbits) == 64
+        np.testing.assert_array_equal(huffman.decode(enc), syms)
+        # the same bytes with the final code cut short, or one symbol more
+        # than the bits hold, are refused
+        for bits, nsyms in ((nbits - inside, syms.size),
+                            (nbits, syms.size + 1)):
+            with pytest.raises(CodecError):
+                huffman.decode(replace(
+                    enc, chunk_bits=np.array([bits]),
+                    chunk_symbols=np.array([nsyms]), count=nsyms))
+
+    def test_unknown_window_at_an_unvisited_offset_is_refused(self):
+        # codes 00, 01, 10; no code starts with 11
+        book = huffman.Codebook(lengths=np.array([2, 2, 2]), max_len=8)
+        good = huffman.encode(np.array([0, 1, 0, 1, 0], dtype=np.uint32), book)
+        np.testing.assert_array_equal(huffman.decode(good), [0, 1, 0, 1, 0])
+        # 01 10 ...: offset 1 reads 11, though no code starts there
+        bad = huffman.encode(np.array([1, 2, 0, 0, 0], dtype=np.uint32), book)
+        with pytest.raises(CodecError, match="unknown code window"):
+            huffman.decode(bad)
+        # the six padding bits of the last byte are outside the stream
+        payload = bytearray(good.payload)
+        payload[-1] |= 0x01
+        np.testing.assert_array_equal(
+            huffman.decode(replace(good, payload=bytes(payload))),
+            [0, 1, 0, 1, 0])
+
+    def test_segment_length_follows_the_bit_count(self):
+        assert huffman._segment_bits(1) == 64
+        assert huffman._segment_bits(1 << 14) == 64       # sqrt / 2
+        assert huffman._segment_bits(1 << 20) == 512
+        assert huffman._segment_bits(1 << 22) == 1024
+        assert huffman._segment_bits(1 << 24) == 2048
+        assert huffman._segment_bits(1 << 40) == 2048
+
+    def test_wide_index_tables_decode_the_same(self, monkeypatch, rng):
+        # chunks past 2**31 table cells index with int64; run that path
+        # on a small chunk
+        assert huffman._index_dtype(2 ** 31 - 1) is np.int32
+        assert huffman._index_dtype(2 ** 31) is np.int64
+        syms = rng.integers(0, 300, 3000).astype(np.uint32)
+        enc = huffman.encode(syms, huffman.build_codebook(_hist(syms, 300)))
+        monkeypatch.setattr(huffman, "_index_dtype", lambda cells: np.int64)
+        np.testing.assert_array_equal(huffman.decode(enc), syms)
+
+    def test_decode_span_reports_the_iteration_shape(self, rng):
+        syms = rng.integers(0, 64, 10000).astype(np.uint32)
+        enc = huffman.encode(syms, huffman.build_codebook(_hist(syms, 64)),
+                             chunk=6000)
+        prev = set_telemetry(True)
+        try:
+            with GLOBAL_TRACER.capture() as records:
+                huffman.decode(enc)
+        finally:
+            set_telemetry(prev)
+        attrs = next(r.attrs for r in records
+                     if r.name == "kernel.huffman.decode")
+        # each is the maximum over the chunks
+        widths = [huffman._segment_bits(int(b)) for b in enc.chunk_bits]
+        assert attrs["segment_bits"] == max(widths)
+        assert attrs["segments"] == max(
+            -(-int(b) // t) for b, t in zip(enc.chunk_bits, widths))
+        # every code is at least one bit: a segment empties within T steps
+        assert 0 < attrs["walk_steps"] <= attrs["segment_bits"]

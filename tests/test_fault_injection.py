@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.baselines import get_compressor
 from repro.core import decompress, fzmod_default, fzmod_speed
-from repro.errors import FZModError
+from repro.core.header import assemble, parse, split_sections
+from repro.errors import CodecError, FZModError
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +53,25 @@ class TestSingleByteCorruption:
         for junk in (b"", b"F", b"FZMD", b"FZMD" + b"\x00" * 6):
             with pytest.raises(FZModError):
                 decompress(junk)
+
+
+class TestResealedChunkTable:
+    """CRCs stop accidents, not authors: a container re-sealed around a
+    lying Huffman chunk table must still end in ``CodecError``."""
+
+    @pytest.mark.parametrize("section,value", [
+        ("enc.chunk_syms", -5), ("enc.chunk_syms", 1 << 40),
+        ("enc.chunk_syms", 1281), ("enc.chunk_bits", -8),
+        ("enc.chunk_bits", 1 << 40)])
+    def test_tampered_table_is_a_codec_error(self, blob, section, value):
+        header, body = parse(blob)
+        sections = dict(split_sections(header, body))
+        sections[section] = np.array([value], dtype=np.int64).tobytes()
+        head, body = assemble(header, sections)
+        with pytest.raises(CodecError):
+            decompress(head + body)
+        with pytest.raises(CodecError):
+            repro.decompress(head + body)
 
 
 class TestBaselineCorruption:
