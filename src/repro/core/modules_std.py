@@ -105,10 +105,14 @@ class InterpPredictor(PredictorModule):
                dtype: np.dtype, eb_abs: float, radius: int) -> np.ndarray:
         if artifacts.anchors is None:
             raise CodecError("interp artifacts missing anchors")
+        # ``max_level`` goes through as stored: the kernel checks it, the
+        # anchor count and the stream length (CodecError) before any of
+        # them sizes an array
         res = interp.InterpResult(
             codes=artifacts.codes, outliers=artifacts.outliers,
-            anchors=artifacts.anchors.astype(dtype), radius=radius,
-            eb_abs=eb_abs, max_level=int(artifacts.meta["max_level"]),
+            anchors=artifacts.anchors.astype(dtype, copy=False),
+            radius=radius, eb_abs=eb_abs,
+            max_level=artifacts.meta.get("max_level"),
             shape=shape, dtype=np.dtype(dtype))
         return interp.decompress(res)
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, DataError, PipelineError
+from ..errors import (ConfigError, DataError, ModuleNotFoundInRegistry,
+                      PipelineError)
 from ..kernels.quantize import (OutlierSet, pack_outliers as quantize_pack,
                                 unpack_outliers as quantize_unpack)
 from ..kernels.plancache import MODULE_TABLE_CACHE
@@ -264,8 +265,14 @@ class Pipeline:
             eb = ErrorBound(float(eb), EbMode(mode))
         data = check_field(data)
         timings: dict[str, float] = {}
+        # an "auto" run that got here was declined by the compiler: say why
+        fallback = {}
+        if compile is not False:
+            from ..compile import decline_reason
+            fallback["decline_reason"] = decline_reason(self)
         with span("pipeline.compress", pipeline=self.name,
-                  bytes_in=int(data.nbytes)) as root:
+                  bytes_in=int(data.nbytes), compiled=False,
+                  **fallback) as root:
             t0 = time.perf_counter()
             with span("stage.preprocess", module=self.preprocess.name,
                       bytes_in=int(data.nbytes)) as sp:
@@ -504,6 +511,20 @@ def check_decode_out(out: np.ndarray, shape: tuple[int, ...],
     return out
 
 
+def _decode_decline_reason(header: ContainerHeader,
+                           registry: ModuleRegistry) -> str | None:
+    """Why ``header``'s container has no compiled decode plan."""
+    from ..compile import decode_decline_reason
+    spec = header.pipeline_spec()
+    if spec is None:
+        return "container carries no pipeline spec"
+    try:
+        pipeline = Pipeline.from_spec(spec, registry=registry)
+    except ModuleNotFoundInRegistry as exc:
+        return str(exc)
+    return decode_decline_reason(pipeline)
+
+
 def _decode_plan_for_mode(header: ContainerHeader, registry: ModuleRegistry,
                           compile_mode):
     """Map a decode ``compile=`` argument to a plan (``None`` = interpret).
@@ -569,7 +590,12 @@ def decompress(blob: bytes, registry: ModuleRegistry = DEFAULT_REGISTRY,
         return plan.decompress(blob, out=out,
                                section_overrides=section_overrides,
                                threads=threads)
-    with span("pipeline.decompress", bytes_in=len(blob)) as root:
+    # an "auto" run that got here was declined by the compiler: say why
+    fallback = {}
+    if compile is not False:
+        fallback["decline_reason"] = _decode_decline_reason(header, registry)
+    with span("pipeline.decompress", bytes_in=len(blob), compiled=False,
+              **fallback) as root:
         header, arts = decode_codes(blob, registry,
                                     section_overrides=section_overrides)
         field = reconstruct_field(header, arts, registry)

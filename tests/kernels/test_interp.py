@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,33 +11,219 @@ from hypothesis import strategies as st
 
 from repro.errors import CodecError
 from repro.kernels import interp
+from repro.kernels import quantize as q
 from tests.conftest import eb_abs_for
+
+
+# ---------------------------------------------------------------------- #
+# The kernel this module replaced: coordinate vectors per batch, every    #
+# tap / read / commit an ``np.ix_`` gather or scatter with clip + where   #
+# masks.  Kept as the byte-identity reference for the strided-view        #
+# kernel.                                                                 #
+# ---------------------------------------------------------------------- #
+def _reference_batches(shape, max_level):
+    for level in range(max_level, 0, -1):
+        s = 1 << level
+        h = s >> 1
+        for axis in range(len(shape)):
+            coords = [np.arange(h if a == axis else 0, n,
+                                h if a < axis else s, dtype=np.int64)
+                      for a, n in enumerate(shape)]
+            if all(c.size for c in coords):
+                yield level, axis, coords
+
+
+def _reference_predict(recon, axis, coords, h, linear_only=False):
+    n = recon.shape[axis]
+    c = coords[axis]
+
+    def tap(offset):
+        ix = list(coords)
+        ix[axis] = np.clip(c + offset, 0, n - 1)
+        return recon[np.ix_(*ix)]
+
+    left = tap(-h)
+    right = tap(+h)
+    lin = 0.5 * (left + right)
+    bshape = [1] * recon.ndim
+    bshape[axis] = c.size
+    has_right = (c + h <= n - 1).reshape(bshape)
+    pred = np.where(has_right, lin, left)
+    if linear_only:
+        return pred
+    has_cubic = ((c - 3 * h >= 0) & (c + 3 * h <= n - 1)).reshape(bshape)
+    if bool(has_cubic.any()):
+        far_l = tap(-3 * h)
+        far_r = tap(+3 * h)
+        cubic = (-far_l + 9.0 * left + 9.0 * right - far_r) / 16.0
+        pred = np.where(has_cubic, cubic, pred)
+    return pred
+
+
+def _reference_compress(data, eb_abs, radius, max_level, dynamic):
+    """``(codes, outliers, anchors, choices)`` of the ``np.ix_`` kernel."""
+    twoeb = 2.0 * eb_abs
+    work = data.astype(np.float64, copy=False)
+    recon = np.zeros(data.shape, dtype=np.float64)
+    asl = tuple(slice(0, n, 1 << max_level) for n in data.shape)
+    recon[asl] = work[asl]
+    anchors = data[asl].reshape(-1).copy()
+    code_batches = []
+    choices = []
+    for level, axis, coords in _reference_batches(data.shape, max_level):
+        h = 1 << (level - 1)
+        true = work[np.ix_(*coords)]
+        pred = _reference_predict(recon, axis, coords, h)
+        if dynamic:
+            pred_lin = _reference_predict(recon, axis, coords, h,
+                                          linear_only=True)
+            cost_cubic = float(np.abs(np.rint((true - pred) / twoeb)).sum())
+            cost_lin = float(np.abs(np.rint((true - pred_lin) / twoeb)).sum())
+            if cost_lin < cost_cubic:
+                pred = pred_lin
+                choices.append(1)
+            else:
+                choices.append(0)
+        codes = np.rint((true - pred) / twoeb).astype(np.int64)
+        recon[np.ix_(*coords)] = pred + codes * twoeb
+        code_batches.append(codes.reshape(-1))
+    stream = (np.concatenate(code_batches) if code_batches
+              else np.zeros(0, dtype=np.int64))
+    dense, outliers = q.split_outliers(stream, radius)
+    return dense, outliers, anchors, tuple(choices)
+
+
+def _reference_decompress(result):
+    twoeb = 2.0 * result.eb_abs
+    stride = 1 << result.max_level
+    stream = q.merge_outliers(result.codes, result.outliers,
+                              result.radius).reshape(-1)
+    recon = np.zeros(result.shape, dtype=np.float64)
+    asl = tuple(slice(0, n, stride) for n in result.shape)
+    recon[asl] = result.anchors.reshape(recon[asl].shape).astype(np.float64)
+    pos = 0
+    for batch_no, (level, axis, coords) in enumerate(
+            _reference_batches(result.shape, result.max_level)):
+        pred = _reference_predict(
+            recon, axis, coords, 1 << (level - 1),
+            linear_only=bool(result.choices and result.choices[batch_no] == 1))
+        codes = stream[pos:pos + pred.size].reshape(pred.shape)
+        pos += pred.size
+        recon[np.ix_(*coords)] = pred + codes * twoeb
+    assert pos == stream.size
+    return recon.astype(result.dtype)
+
+
+#: extents 1..40 with the powers of two and their neighbours drawn often
+_EXTENTS = st.one_of(st.integers(1, 40),
+                     st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17,
+                                      31, 32, 33]))
+
+
+@st.composite
+def _fields(draw):
+    """A field in one of three memory layouts, plus kernel arguments."""
+    shape = tuple(draw(st.lists(_EXTENTS, min_size=1, max_size=3)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    base = rng.standard_normal(shape)
+    if draw(st.booleans()):
+        base = np.cumsum(base, axis=0)
+    base = (base * draw(st.sampled_from([1e-3, 1.0, 1e4]))).astype(dtype)
+    layout = draw(st.sampled_from(["c", "transposed", "reversed"]))
+    if layout == "transposed":
+        data = base.T
+    elif layout == "reversed":
+        data = base[(slice(None, None, -1),) * base.ndim]
+    else:
+        data = base
+    max_level = draw(st.integers(1, interp.default_max_level(data.ndim)))
+    eb = float(np.ptp(base) or 1.0) * draw(st.sampled_from([1e-1, 1e-3, 1e-6]))
+    radius = draw(st.sampled_from([512, 1 << 15, 4]))
+    return data, eb, radius, max_level, draw(st.booleans())
+
+
+class TestMatchesIndexGatherReference:
+    """Byte identity with the ``np.ix_`` kernel, in both directions."""
+
+    @given(_fields())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_artifacts_and_reconstruction_identical(self, case):
+        data, eb, radius, max_level, dynamic = case
+        res = interp.compress(data, eb, radius, max_level=max_level,
+                              dynamic=dynamic)
+        codes, outliers, anchors, choices = _reference_compress(
+            data, eb, radius, max_level, dynamic)
+        assert res.codes.dtype == codes.dtype
+        np.testing.assert_array_equal(res.codes, codes)
+        np.testing.assert_array_equal(res.outliers.indices, outliers.indices)
+        np.testing.assert_array_equal(res.outliers.values, outliers.values)
+        assert res.anchors.dtype == anchors.dtype
+        assert res.anchors.tobytes() == anchors.tobytes()
+        assert res.choices == choices
+        assert (res.shape, res.dtype, res.max_level) == (
+            data.shape, data.dtype, max_level)
+        want = _reference_decompress(res)
+        got = interp.decompress(res)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        out = np.empty(data.shape, dtype=data.dtype)
+        assert interp.decompress(res, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (1, 1, 1), (1, 9, 1),
+                                       (257,), (40, 1), (33, 32, 31)])
+    def test_default_level_shapes(self, rng, shape, dtype):
+        data = rng.standard_normal(shape).astype(dtype)
+        max_level = interp.default_max_level(len(shape))
+        res = interp.compress(data, 1e-2)
+        codes, outliers, anchors, _ = _reference_compress(
+            data, 1e-2, q.DEFAULT_RADIUS, max_level, False)
+        np.testing.assert_array_equal(res.codes, codes)
+        np.testing.assert_array_equal(res.outliers.indices, outliers.indices)
+        assert res.anchors.tobytes() == anchors.tobytes()
+        assert (interp.decompress(res).tobytes()
+                == _reference_decompress(res).tobytes())
+
+    def test_float64_reconstruction_is_not_copied_again(self, smooth_2d):
+        """float64 fields come back as the working buffer itself."""
+        data = smooth_2d.astype(np.float64)
+        got = interp.decompress(interp.compress(data, 1e-3))
+        assert got.dtype == np.float64 and got.base is None
+        assert got.flags.c_contiguous and got.flags.writeable
 
 
 class TestBatchSchedule:
     @pytest.mark.parametrize("shape", [(33,), (17, 12), (9, 10, 11), (8, 8),
                                        (1, 5), (257,)])
     def test_every_point_covered_exactly_once(self, shape):
-        """Anchors + all batch targets must partition the index set."""
+        """Anchors + all batch target views must partition the index set."""
         max_level = interp.default_max_level(len(shape))
-        stride = 1 << max_level
         seen = np.zeros(shape, dtype=np.int64)
-        seen[tuple(slice(0, n, stride) for n in shape)] += 1
-        for _level, _axis, coords in interp._batches(shape, max_level):
-            seen[np.ix_(*coords)] += 1
+        seen[interp._anchor_slices(shape, 1 << max_level)] += 1
+        for _axis, _known, targets in interp._schedule(shape, max_level):
+            assert seen[targets].size
+            seen[targets] += 1
         np.testing.assert_array_equal(seen, np.ones(shape, dtype=np.int64))
 
     def test_batches_consume_known_neighbors_only(self):
-        """Reconstruction never reads an unset position: decompress of a
-        compress must be exact on integers-friendly data (checked via the
-        round-trip tests); here we check the schedule is deterministic."""
-        a = list(interp._batches((33, 17), 4))
-        b = list(interp._batches((33, 17), 4))
-        assert len(a) == len(b)
-        for (l1, x1, c1), (l2, x2, c2) in zip(a, b):
-            assert (l1, x1) == (l2, x2)
-            for u, v in zip(c1, c2):
-                np.testing.assert_array_equal(u, v)
+        """Every tap is a slice of the batch's ``known`` view, and that view
+        never holds a target of the same or a later batch."""
+        shape, max_level = (33, 17, 9), 4
+        never = 1 << 30
+        written_by = np.full(shape, never, dtype=np.int64)
+        written_by[interp._anchor_slices(shape, 1 << max_level)] = -1
+        schedule = interp._schedule(shape, max_level)
+        for batch_no, (axis, known, targets) in enumerate(schedule):
+            assert written_by[known].max() < batch_no
+            assert written_by[targets].min() == never
+            # targets interleave the known points along ``axis`` only
+            n_even = written_by[known].shape[axis]
+            n_odd = written_by[targets].shape[axis]
+            assert n_odd in (n_even, n_even - 1)
+            written_by[targets] = batch_no
+        assert written_by.max() < len(schedule)
+        assert schedule == interp._schedule(shape, max_level)
 
 
 class TestRoundTrip:
@@ -166,11 +354,42 @@ class TestValidation:
         with pytest.raises(CodecError):
             interp.compress(smooth_2d, 0.1, max_level=0)
 
+    @pytest.mark.parametrize("level", [0, -1, 63, 70, 2.5, "x", None, True])
+    def test_rejects_level_out_of_range_both_ways(self, smooth_2d, level):
+        if level is not None:  # None asks compress for the rank's default
+            with pytest.raises(CodecError, match="max_level"):
+                interp.compress(smooth_2d, 0.1, max_level=level)
+        res = interp.compress(smooth_2d, 0.1)
+        with pytest.raises(CodecError, match="max_level"):
+            interp.decompress(dataclasses.replace(res, max_level=level))
+
     def test_stream_length_mismatch_detected(self, smooth_2d):
+        """A short stream is a ``CodecError`` raised before any batch is
+        written, like a long one."""
         res = interp.compress(smooth_2d, eb_abs_for(smooth_2d, 1e-3))
-        bad = interp.InterpResult(
-            codes=res.codes[:-5], outliers=res.outliers, anchors=res.anchors,
-            radius=res.radius, eb_abs=res.eb_abs, max_level=res.max_level,
-            shape=res.shape, dtype=res.dtype)
-        with pytest.raises((CodecError, ValueError)):
-            interp.decompress(bad)
+        for cut in (slice(None, -5), slice(5, None), slice(0, 0)):
+            out = np.full(smooth_2d.shape, 7, dtype=smooth_2d.dtype)
+            bad = dataclasses.replace(res, codes=res.codes[cut])
+            with pytest.raises(CodecError, match="stream length mismatch"):
+                interp.decompress(bad, out=out)
+            assert (out == 7).all()
+
+    def test_long_stream_detected(self, smooth_2d):
+        res = interp.compress(smooth_2d, eb_abs_for(smooth_2d, 1e-3))
+        longer = np.concatenate([res.codes, res.codes[:3]])
+        with pytest.raises(CodecError, match="stream length mismatch"):
+            interp.decompress(dataclasses.replace(res, codes=longer))
+
+    @pytest.mark.parametrize("level", [1, 4, 40])
+    def test_anchor_count_must_match_level(self, smooth_2d, level):
+        """A level other than the encoder's changes the anchor grid."""
+        res = interp.compress(smooth_2d, 0.1)
+        assert res.max_level != level
+        with pytest.raises(CodecError, match="anchor count"):
+            interp.decompress(dataclasses.replace(res, max_level=level))
+
+    def test_choices_must_cover_the_schedule(self, noisy_2d):
+        res = interp.compress(noisy_2d, 0.1, dynamic=True)
+        with pytest.raises(CodecError, match="choices"):
+            interp.decompress(
+                dataclasses.replace(res, choices=res.choices[:-1]))

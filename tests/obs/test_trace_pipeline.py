@@ -81,6 +81,68 @@ class TestPipelineSpans:
         assert on == off
 
 
+class TestInterpretedRunsExplainThemselves:
+    """The interpreter's root spans say they were not compiled and, when
+    ``compile="auto"`` fell back, why; the interp kernel spans carry the
+    schedule they walked."""
+
+    def test_auto_fallback_records_the_decline_reason(self, field):
+        from repro.compile import decline_reason, decode_decline_reason
+        from repro.obs.analyze import analyze, render_analysis
+        pipe = Pipeline.from_names(predictor="interp",
+                                   statistics="histogram-topk")
+        blob = pipe.compress(field, 1e-3).blob
+        decompress(blob)
+        recs = {r.name: r for r in GLOBAL_TRACER.records()}
+        root = recs["pipeline.compress"].attrs
+        assert root["compiled"] is False
+        assert root["decline_reason"] == decline_reason(pipe) is not None
+        root = recs["pipeline.decompress"].attrs
+        assert root["compiled"] is False
+        assert root["decline_reason"] == decode_decline_reason(pipe)
+        for name in ("kernel.interp.compress", "kernel.interp.decompress"):
+            attrs = recs[name].attrs
+            assert (attrs["levels"], attrs["batches"], attrs["dynamic"]) == (
+                4, 12, False)
+        text = render_analysis(analyze(GLOBAL_TRACER.records()))
+        assert f"pipeline.compress x1: {decline_reason(pipe)}" in text
+        assert f"pipeline.decompress x1: {decode_decline_reason(pipe)}" in text
+
+    def test_forced_interpreter_has_no_reason(self, field):
+        pipe = Pipeline.from_names()
+        blob = pipe.compress(field, 1e-3, compile=False).blob
+        decompress(blob, compile=False)
+        for r in GLOBAL_TRACER.records():
+            if r.name in ("pipeline.compress", "pipeline.decompress"):
+                assert r.attrs["compiled"] is False
+                assert "decline_reason" not in r.attrs
+
+    def test_decode_fallbacks_that_are_not_a_compiler_decline(self, field):
+        """No spec in the header, or a spec naming an unregistered module:
+        the interpreter still decodes by the header's module map and the
+        root span says which of the two it was."""
+        from dataclasses import replace
+
+        from repro.core.header import assemble, parse, split_sections
+        header, body = parse(Pipeline.from_names().compress(field, 1e-3).blob)
+        sections = dict(split_sections(header, body))
+        for spec, reason in [
+                (None, "no pipeline spec"),
+                ({**header.pipeline, "predictor": "nope"}, "'nope'")]:
+            head, body = assemble(replace(header, pipeline=spec), sections)
+            GLOBAL_TRACER.clear()
+            assert decompress(head + body).shape == field.shape
+            (root,) = [r for r in GLOBAL_TRACER.records()
+                       if r.name == "pipeline.decompress"]
+            assert reason in root.attrs["decline_reason"]
+
+    def test_compiled_runs_are_not_listed(self, field):
+        from repro.obs.analyze import analyze
+        pipe = Pipeline.from_names()
+        decompress(pipe.compress(field, 1e-3).blob)
+        assert analyze(GLOBAL_TRACER.records())["interpreted"] == []
+
+
 class TestMergeDeterminism:
     def _span_set(self, field, workers: int) -> TallyCounter:
         GLOBAL_TRACER.clear()

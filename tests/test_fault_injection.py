@@ -10,6 +10,8 @@ failure.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,8 @@ from hypothesis import strategies as st
 
 import repro
 from repro.baselines import get_compressor
-from repro.core import decompress, fzmod_default, fzmod_speed
+from repro.core import (decompress, fzmod_default, fzmod_quality,
+                        fzmod_speed)
 from repro.core.header import assemble, parse, split_sections
 from repro.errors import CodecError, FZModError
 
@@ -72,6 +75,53 @@ class TestResealedChunkTable:
             decompress(head + body)
         with pytest.raises(CodecError):
             repro.decompress(head + body)
+
+
+class TestResealedInterpMeta:
+    """A ``fzmod-quality`` container re-sealed (valid CRCs) around lying
+    interpolation metadata must end in ``CodecError`` — not in whatever a
+    shift, a slice or a reshape sized by that metadata raises."""
+
+    @pytest.fixture(scope="class")
+    def parts(self):
+        rng = np.random.default_rng(7)
+        data = np.cumsum(rng.standard_normal((24, 20, 18)),
+                         axis=0).astype(np.float32)
+        header, body = parse(fzmod_quality().compress(data, 1e-3).blob)
+        assert header.stage_meta["predictor"] == {"max_level": 4}
+        return header, dict(split_sections(header, body))
+
+    @staticmethod
+    def _assert_codec_error(header, sections):
+        head, body = assemble(header, sections)
+        with pytest.raises(CodecError):
+            decompress(head + body)
+        with pytest.raises(CodecError):
+            repro.decompress(head + body)
+
+    @pytest.mark.parametrize("level", [0, -1, 40, 70, 2.5, "x", None, True,
+                                       3, 5])
+    def test_lying_max_level(self, parts, level):
+        header, sections = parts
+        meta = {**header.stage_meta, "predictor": {"max_level": level}}
+        self._assert_codec_error(replace(header, stage_meta=meta), sections)
+
+    def test_missing_max_level(self, parts):
+        header, sections = parts
+        meta = {**header.stage_meta, "predictor": {}}
+        self._assert_codec_error(replace(header, stage_meta=meta), sections)
+
+    @pytest.mark.parametrize("keep", [0, 4, -4])
+    def test_anchor_section_of_the_wrong_length(self, parts, keep):
+        """Dropped, truncated or padded anchors: the Huffman stream then
+        holds a symbol count other than the one the header implies, or the
+        anchor grid does not match ``max_level``."""
+        header, sections = parts
+        anchors = sections["anchors"]
+        sections = {**sections,
+                    "anchors": anchors[:keep] if keep >= 0
+                    else anchors + anchors[keep:]}
+        self._assert_codec_error(header, sections)
 
 
 class TestBaselineCorruption:
