@@ -54,13 +54,27 @@ def interp_field(request) -> np.ndarray:
 HUFFMAN_STREAMS = {"2.5bit": 0.95, "4.1bit": 3.1}
 
 
+def _laplace_symbols(scale: float, n: int = N) -> np.ndarray:
+    noise = np.random.default_rng(1).laplace(0, scale, n)
+    return np.clip(np.rint(noise) + 512, 0, 1023).astype(np.uint16)
+
+
 @pytest.fixture(scope="module", params=sorted(HUFFMAN_STREAMS))
 def huffman_stream(request) -> tuple[np.ndarray, huffman.Codebook]:
-    noise = np.random.default_rng(1).laplace(
-        0, HUFFMAN_STREAMS[request.param], N)
-    symbols = np.clip(np.rint(noise) + 512, 0, 1023).astype(np.uint16)
+    symbols = _laplace_symbols(HUFFMAN_STREAMS[request.param])
     return symbols, huffman.build_codebook(
         np.bincount(symbols, minlength=1024))
+
+
+#: (symbols, Laplace scale, live bins, deeper than ``max_len`` 16?) of the
+#: histograms ``build_codebook`` is timed on, named by what they exercise:
+#: a small field whose Huffman tree stays under the limit (the merge loop
+#: only), a ``default_3d``-like one whose thin tails go past it (merge
+#: loop, then package-merge over few leaves), and a ``stream_1d_file``-like
+#: shard with most bins live (the same over many).
+HUFFMAN_HISTOGRAMS = {"24-live-unlimited": (1 << 17, 1.0, 24, False),
+                      "41-live-limited": (1 << 20, 1.55, 41, True),
+                      "626-live-limited": (1 << 19, 33.0, 626, True)}
 
 
 class TestPredictorKernels:
@@ -98,6 +112,15 @@ class TestStatisticsKernels:
 class TestEncoderKernels:
     # one chunk or two of the same 1M symbols: the decoder splits a chunk
     # into lanes itself, so the chunk count should not matter
+    @pytest.mark.parametrize("histogram_name", sorted(HUFFMAN_HISTOGRAMS))
+    def test_huffman_build_codebook(self, benchmark, histogram_name):
+        n, scale, live, limited = HUFFMAN_HISTOGRAMS[histogram_name]
+        counts = np.bincount(_laplace_symbols(scale, n), minlength=1024)
+        assert np.count_nonzero(counts) == live
+        book = benchmark(huffman.build_codebook, counts)
+        # a tree cut down by package-merge has codes at the limit
+        assert (int(book.lengths.max()) == book.max_len) == limited
+
     @pytest.mark.parametrize("chunks", [1, 2])
     def test_huffman_encode(self, benchmark, huffman_stream, chunks):
         symbols, book = huffman_stream

@@ -180,19 +180,15 @@ class HuffmanEncoder(EncoderModule):
 
     def encode(self, codes: np.ndarray, num_bins: int,
                hist: HistogramResult | None) -> EncodedStream:
-        if self.fixed_lengths is not None:
-            if codes.size == 0:
-                enc = huffman.encode_empty(num_bins, max_len=self.max_len)
-            else:
-                book = huffman.warm_decode_book(self.fixed_lengths,
-                                                self.max_len)
-                enc = huffman.encode(codes, book, chunk=self.chunk)
-        elif hist is None:
+        if self.fixed_lengths is None and hist is None:
             raise CodecError("huffman encoder requires a statistics stage")
-        elif codes.size == 0:
+        if codes.size == 0:
             enc = huffman.encode_empty(num_bins, max_len=self.max_len)
         else:
-            book = huffman.build_codebook(hist.counts, max_len=self.max_len)
+            book = (huffman.build_codebook(hist.counts, max_len=self.max_len)
+                    if self.fixed_lengths is None else
+                    huffman.Codebook(lengths=self.fixed_lengths,
+                                     max_len=self.max_len))
             enc = huffman.encode(codes, book, chunk=self.chunk)
         sections = {
             "enc.payload": enc.payload,
@@ -208,16 +204,25 @@ class HuffmanEncoder(EncoderModule):
 
     def decode(self, stream: EncodedStream, count: int, num_bins: int
                ) -> np.ndarray:
-        nchunks = int(stream.meta["nchunks"])
+        # all of it comes from the container: check the values against
+        # each other before any of them sizes a read
+        nchunks, total, max_len = (stream.meta.get(key)
+                                   for key in ("nchunks", "count", "max_len"))
+        if any(type(value) is not int for value in (nchunks, total, max_len)):
+            raise CodecError("huffman nchunks/count/max_len must be integers")
+        payload, chunk_syms, chunk_bits, lengths = (
+            stream.sections.get(f"enc.{name}")
+            for name in ("payload", "chunk_syms", "chunk_bits", "lengths"))
+        if payload is None or lengths is None or len(lengths) != num_bins:
+            raise CodecError("huffman payload or num_bins-long codebook missing")
+        if nchunks < 0 or any(table is None or len(table) != 8 * nchunks
+                              for table in (chunk_syms, chunk_bits)):
+            raise CodecError("huffman chunk tables do not hold nchunks entries")
         enc = huffman.HuffmanEncoded(
-            payload=stream.sections["enc.payload"],
-            chunk_symbols=np.frombuffer(stream.sections["enc.chunk_syms"],
-                                        dtype=np.int64, count=nchunks),
-            chunk_bits=np.frombuffer(stream.sections["enc.chunk_bits"],
-                                     dtype=np.int64, count=nchunks),
-            count=int(stream.meta["count"]),
-            lengths=np.frombuffer(stream.sections["enc.lengths"], dtype=np.uint8),
-            max_len=int(stream.meta["max_len"]))
+            payload=payload, count=total, max_len=max_len,
+            chunk_symbols=np.frombuffer(chunk_syms, dtype=np.int64),
+            chunk_bits=np.frombuffer(chunk_bits, dtype=np.int64),
+            lengths=np.frombuffer(lengths, dtype=np.uint8))
         out = huffman.decode(enc)
         if out.size != count:
             raise CodecError("huffman decode count mismatch")

@@ -19,9 +19,62 @@ first* (``np.packbits`` convention), which keeps round-trips exact.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..errors import CodecError
+
+
+#: Codes per pass of :func:`pack_blocks`; derived, not a knob: the small
+#: end of the flat part, where a block's temporaries stay in L2.  A 983 k
+#: chunk of 2.5-bit codes (2 cores, 4 MiB L2) packs in 22 ms at 2**12 a
+#: block, 17 at 2**13, 14-15 at 2**14, 13-14 to 2**18, 18-19 as one block.
+PACK_BLOCK = 1 << 14
+
+
+def pack_blocks(count: int, max_width: int,
+                fetch: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
+                ) -> tuple[bytes, int]:
+    """:func:`pack_varlen` for ``count`` codes fetched a block at a time.
+
+    ``fetch(lo, hi)`` returns the codes of ``[lo, hi)``, each masked to
+    its width, as a fresh ``uint64`` array (it is shifted in place) and the
+    widths, checked here; ``max_width`` bounds them and sizes the output.
+
+    Every code is shifted until its last bit is in place in the 64-bit
+    word it ends in, and the codes ending in one word are OR-reduced into
+    it.  A code is at most 32 bits, so some code ends in every word and
+    only the first of them can have begun in the word before: its leading
+    bits fall off the top of the shift and are ORed into that word on
+    their own (the spill).  Blocks OR into one zeroed word array at the
+    running bit offset, so a seam is just a word two blocks touch.
+    """
+    u32, u64 = np.uint32, np.uint64
+    words = np.zeros((count * max_width + 63) // 64, dtype=u64)
+    total_bits = 0
+    for lo in range(0, count, PACK_BLOCK):
+        value, width = fetch(lo, min(lo + PACK_BLOCK, count))
+        if int(width.min()) < 1 or int(width.max()) > 32:
+            raise CodecError("code lengths must be in [1, 32]")
+        # bit offsets count from the start of the word the block begins in
+        ends = np.cumsum(width, dtype=u32)
+        ends += u32(total_bits & 63)
+        word_of = (ends - u32(1)) >> u32(6)
+        first = np.flatnonzero(word_of[1:] != word_of[:-1]) + 1
+        first = np.concatenate((np.zeros(1, dtype=first.dtype), first))
+        # no spill from a code that did not straddle: it is < 2**inside
+        inside = ends[first] - (word_of[first] << u32(6))
+        spill = value[first] >> np.minimum(inside, u32(63))
+        value <<= np.negative(ends) & u32(63)
+        begin, last = int(word_of[0]), int(word_of[-1])
+        out = words[total_bits >> 6:][:last + 1]
+        out[begin:] |= np.bitwise_or.reduceat(value, first)
+        # begin == 1: the block's first code began in the word before
+        out[:last] |= spill[1 - begin:]
+        total_bits += int(ends[-1]) - (total_bits & 63)
+    payload = words[:(total_bits + 63) // 64].astype(">u8").view(np.uint8)
+    return payload[:(total_bits + 7) // 8].tobytes(), total_bits
 
 
 def pack_varlen(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
@@ -45,35 +98,14 @@ def pack_varlen(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     lengths = np.asarray(lengths, dtype=np.int64)
     if codes.shape != lengths.shape or codes.ndim != 1:
         raise CodecError("codes and lengths must be 1-D arrays of equal shape")
-    if codes.size == 0:
-        return b"", 0
-    if lengths.min() < 1 or lengths.max() > 32:
-        raise CodecError("code lengths must be in [1, 32]")
 
-    u64 = np.uint64
-    width = lengths.astype(u64)
-    ends = np.cumsum(width)
-    total_bits = int(ends[-1])
-    value = codes.astype(u64)
-    value &= (u64(1) << width) - u64(1)
-    # A word is 64 bits and a code at most 32, so some code ends in every
-    # word: the runs of equal ``word_of`` are the output words, in order.
-    word_of = (ends - u64(1)) >> u64(6)
-    first = np.flatnonzero(word_of[1:] != word_of[:-1]) + 1
-    first = np.concatenate((np.zeros(1, dtype=first.dtype), first))
-    # Only the first code ending in a word can have begun in the one
-    # before; the bits of it above the ``inside`` that fit here go there
-    # (none for a code that did not straddle: it is below ``2**inside``).
-    straddler = first[1:]
-    inside = ends[straddler] - (word_of[straddler] << u64(6))
-    spill = value[straddler] >> np.minimum(inside, u64(63))
-    # Align every code's last bit with its place in the word it ends in;
-    # the leading bits of a straddler fall off the top of the uint64.
-    value <<= np.negative(ends) & u64(63)
-    words = np.bitwise_or.reduceat(value, first)
-    words[:-1] |= spill
-    payload = words.astype(">u8").view(np.uint8)[:(total_bits + 7) // 8]
-    return payload.tobytes(), total_bits
+    def fetch(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        width = lengths[lo:hi]
+        value = codes[lo:hi].astype(np.uint64)
+        value &= (np.uint64(1) << width.astype(np.uint64)) - np.uint64(1)
+        return value, width
+
+    return pack_blocks(codes.size, 32, fetch)
 
 
 def bits_to_bytes(bits: np.ndarray) -> bytes:

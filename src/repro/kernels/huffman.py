@@ -9,7 +9,8 @@ This models cuSZ's Huffman stage faithfully in structure:
   code length per symbol.
 * **Coarse-grained chunking**: symbols are encoded in independent,
   byte-aligned chunks (as cuSZ does for its GPU codec) so chunks can be
-  decoded concurrently and memory stays bounded.
+  decoded concurrently and memory stays bounded; a chunk is packed a
+  cache-sized block of symbols at a time (:mod:`repro.kernels.bitio`).
 * **Segment-sweep decoder**: a chunk's bit range is cut into segments of
   ``T`` bits (``T`` derived from the chunk's bit count), which become
   lanes advanced in lock-step.  The code length at *every* bit offset
@@ -27,17 +28,15 @@ Encoding and decoding are exact inverses for arbitrary symbol streams.
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import CodecError
 from ..obs.spans import span
 from ..runtime.threads import active_threads, run_slabs
-from .bitio import pack_varlen, unpack_windows
-from .plancache import DECODE_TABLE_CACHE, digest
+from .bitio import PACK_BLOCK, pack_blocks, unpack_windows
 
 #: Default maximum code length; keeps the decode table at 2**16 entries.
 DEFAULT_MAX_LEN = 16
@@ -46,93 +45,93 @@ DEFAULT_MAX_LEN = 16
 DEFAULT_CHUNK = 1 << 20
 
 
-def _huffman_lengths_unbounded(counts: np.ndarray) -> np.ndarray:
-    """Classic heap-built Huffman code lengths (no length limit).
-
-    Used only to decide whether package-merge is needed and in tests as a
-    reference; zero-count symbols get length 0.
-    """
+def _leaves(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The live symbols sorted by ``(count, symbol)``, and their counts."""
     sym = np.flatnonzero(counts)
-    lengths = np.zeros(counts.size, dtype=np.int64)
     if sym.size == 0:
         raise CodecError("cannot build a codebook from an empty histogram")
-    if sym.size == 1:
-        lengths[sym[0]] = 1
-        return lengths
-    heap: list[tuple[int, int, list[int]]] = [
-        (int(counts[s]), int(s), [int(s)]) for s in sym]
-    heapq.heapify(heap)
-    tie = counts.size
-    while len(heap) > 1:
-        w1, _, s1 = heapq.heappop(heap)
-        w2, _, s2 = heapq.heappop(heap)
-        lengths[s1] += 1
-        lengths[s2] += 1
-        heapq.heappush(heap, (w1 + w2, tie, s1 + s2))
-        tie += 1
+    order = sym[np.argsort(counts[sym], kind="stable")]
+    return order, counts[order]
+
+
+def _huffman_lengths_unbounded(counts: np.ndarray) -> np.ndarray:
+    """Classic Huffman code lengths (no length limit).
+
+    Used only to decide whether package-merge is needed; zero-count
+    symbols get length 0.
+    """
+    order, leaves = _leaves(counts)
+    n = order.size
+    # Two queues, each in order: the sorted leaves, and the merges as they
+    # are made (their weights never decrease).  The lighter head, the leaf
+    # on a tie, is what a heap keyed (weight, leaves by symbol < merges by
+    # age) pops: the merge order every container so far was built with.
+    weight = leaves.tolist() + [math.inf] * n
+    parent = [0] * (2 * n - 1)
+    leaf, merge = 0, n                      # the heads of the two queues
+    for node in range(n, 2 * n - 1):
+        total = 0
+        for _ in range(2):
+            if leaf < n and weight[leaf] <= weight[merge]:
+                child, leaf = leaf, leaf + 1
+            else:
+                child, merge = merge, merge + 1
+            parent[child] = node
+            total += weight[child]
+        weight[node] = total
+    # a merge is younger than its children: one pass from the root down
+    # (a lone symbol is its own root's child, and gets its one bit)
+    depth = [0] * (2 * n - 1)
+    for node in range(2 * n - 3, n - 1, -1):
+        depth[node] = depth[parent[node]] + 1
+    lengths = np.zeros(counts.size, dtype=np.int64)
+    lengths[order] = np.asarray(depth)[parent[:n]] + 1
     return lengths
 
 
 def package_merge_lengths(counts: np.ndarray, max_len: int) -> np.ndarray:
-    """Optimal length-limited code lengths (package-merge).
+    """Optimal length-limited code lengths (package-merge, boundary form).
 
     Returns an array of code lengths (0 for zero-count symbols) satisfying
     the Kraft inequality with ``max(lengths) <= max_len``.
+
+    Level 1 is the leaves sorted by ``(count, symbol)``; the next level is
+    the leaves merged with the pairwise sums ("packages") of this one, a
+    leaf before a package of equal weight.  The ``2n - 2`` lightest items
+    of the last level are the solution, and a leaf's length is the number
+    of them it occurs in.  Packages keep the order they were made in, so
+    what is chosen at a level is a prefix of it: ``take`` items, ``c`` of
+    them leaves (the lightest: one more bit each), the rest packages, made
+    of the first ``2 * (take - c)`` items below.  Only that boundary is
+    carried down; no package is ever expanded.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    sym = np.flatnonzero(counts)
-    n = sym.size
-    if n == 0:
-        raise CodecError("cannot build a codebook from an empty histogram")
-    lengths = np.zeros(counts.size, dtype=np.int64)
+    order, leaves = _leaves(np.asarray(counts, dtype=np.int64))
+    n = order.size
+    lengths = np.zeros(len(counts), dtype=np.int64)
     if n == 1:
-        lengths[sym[0]] = 1
+        lengths[order] = 1
         return lengths
     if n > (1 << max_len):
         raise CodecError(f"{n} symbols cannot be coded with max length {max_len}")
+    # a package holds a leaf at most once per level below its own
+    if sum(leaves.tolist()) * (max_len - 1) >= 1 << 63:
+        raise CodecError("histogram counts too large for package-merge")
 
-    # Each item is (weight, frozenset-of-leaf-ids represented as a counter).
-    # We track per-leaf multiplicity with integer arrays for speed.
-    order = sym[np.argsort(counts[sym], kind="stable")]
-    base_w = counts[order].astype(np.int64)
-
-    # items at each level: list of (weight, leaf_multiplicity_vector_index)
-    # To stay O(n * max_len) in memory we represent each package as an index
-    # tree: (weight, left_child, right_child, leaf_id) with leaf_id >= 0 for
-    # leaves.  Lengths = number of solution items containing each leaf.
-    weights = list(base_w)
-    lefts = [-1] * n
-    rights = [-1] * n
-    leaf_of = list(range(n))
-
-    def make_package(a: int, b: int) -> int:
-        weights.append(weights[a] + weights[b])
-        lefts.append(a)
-        rights.append(b)
-        leaf_of.append(-1)
-        return len(weights) - 1
-
-    prev_level: list[int] = list(range(n))  # node ids, sorted by weight
+    level = leaves
+    is_leaf = []
     for _ in range(max_len - 1):
-        packages = [make_package(prev_level[i], prev_level[i + 1])
-                    for i in range(0, len(prev_level) - 1, 2)]
-        merged = sorted(list(range(n)) + packages, key=lambda i: weights[i])
-        prev_level = merged
-
+        paired = level[:level.size & ~1]
+        items = np.concatenate((leaves, paired[0::2] + paired[1::2]))
+        merged = np.argsort(items, kind="stable")
+        level = items[merged]
+        is_leaf.append(merged < n)
     take = 2 * n - 2
-    counts_per_leaf = np.zeros(n, dtype=np.int64)
-    stack = list(prev_level[:take])
-    while stack:
-        node = stack.pop()
-        lid = leaf_of[node]
-        if lid >= 0:
-            counts_per_leaf[lid] += 1
-        else:
-            stack.append(lefts[node])
-            stack.append(rights[node])
-    lengths[order] = counts_per_leaf
-    if int(lengths.max()) > max_len:  # pragma: no cover - algorithmic guard
-        raise CodecError("package-merge produced an over-long code")
+    chosen = []
+    for leaf_at in reversed(is_leaf):
+        chosen.append(int(np.count_nonzero(leaf_at[:take])))
+        take = 2 * (take - chosen[-1])
+    chosen.append(take)         # level 1 holds nothing but leaves
+    lengths[order] = (np.arange(n) < np.array(chosen)[:, None]).sum(axis=0)
     return lengths
 
 
@@ -147,9 +146,6 @@ class Codebook:
 
     lengths: np.ndarray
     max_len: int = DEFAULT_MAX_LEN
-    _codes: np.ndarray | None = field(default=None, repr=False)
-    _table_sym: np.ndarray | None = field(default=None, repr=False)
-    _table_len: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.lengths = np.asarray(self.lengths, dtype=np.uint8)
@@ -168,24 +164,25 @@ class Codebook:
     def num_bins(self) -> int:
         return int(self.lengths.size)
 
+    def _tiling(self, bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The coded symbols in canonical ``(length, symbol)`` order, their
+        lengths, and how many ``bits``-bit windows each one's code prefixes.
+        In that order the codes tile the windows from 0 up."""
+        order = np.argsort(self.lengths, kind="stable")
+        order = order[np.count_nonzero(self.lengths == 0):]
+        ln = self.lengths[order].astype(np.int64)
+        return order, ln, np.left_shift(1, bits - ln)
+
     @property
     def codes(self) -> np.ndarray:
         """Canonical code value per symbol (``uint32``, right-aligned)."""
-        if self._codes is None:
-            lengths = self.lengths.astype(np.int64)
-            codes = np.zeros(lengths.size, dtype=np.uint32)
-            order = np.lexsort((np.arange(lengths.size), lengths))
-            order = order[lengths[order] > 0]
-            code = 0
-            prev_len = 0
-            for s in order:
-                ln = int(lengths[s])
-                code <<= (ln - prev_len)
-                codes[s] = code
-                code += 1
-                prev_len = ln
-            self._codes = codes
-        return self._codes
+        top = int(self.lengths.max(initial=0))
+        if top > 32:
+            raise CodecError("canonical codes are at most 32 bits")
+        codes = np.zeros(self.lengths.size, dtype=np.uint32)
+        order, ln, span = self._tiling(top)
+        codes[order] = (np.cumsum(span) - span) >> (top - ln)
+        return codes
 
     def decode_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense decode tables indexed by a ``max_len``-bit window.
@@ -194,20 +191,13 @@ class Codebook:
         ``table_len[w]`` its code length (0 for windows reachable only past
         the end of a stream).
         """
-        if self._table_sym is None:
-            L = self.max_len
-            tsym = np.zeros(1 << L, dtype=np.uint32)
-            tlen = np.zeros(1 << L, dtype=np.uint8)
-            lengths = self.lengths.astype(np.int64)
-            codes = self.codes
-            for s in np.flatnonzero(lengths):
-                ln = int(lengths[s])
-                lo = int(codes[s]) << (L - ln)
-                hi = lo + (1 << (L - ln))
-                tsym[lo:hi] = s
-                tlen[lo:hi] = ln
-            self._table_sym, self._table_len = tsym, tlen
-        return self._table_sym, self._table_len
+        tsym = np.zeros(1 << self.max_len, dtype=np.uint32)
+        tlen = np.zeros(1 << self.max_len, dtype=np.uint8)
+        order, ln, span = self._tiling(self.max_len)
+        covered = int(span.sum())
+        tsym[:covered] = np.repeat(order.astype(np.uint32), span)
+        tlen[:covered] = np.repeat(ln.astype(np.uint8), span)
+        return tsym, tlen
 
 
 def build_codebook(counts: np.ndarray, max_len: int = DEFAULT_MAX_LEN
@@ -216,40 +206,15 @@ def build_codebook(counts: np.ndarray, max_len: int = DEFAULT_MAX_LEN
     counts = np.asarray(counts, dtype=np.int64)
     with span("kernel.huffman.build_codebook", bins=int(counts.size),
               bytes_in=int(counts.nbytes)) as sp:
-        unbounded = _huffman_lengths_unbounded(counts)
-        if int(unbounded.max()) <= max_len:
-            lengths = unbounded
-        else:
+        lengths = _huffman_lengths_unbounded(counts)
+        limited = int(lengths.max()) > max_len
+        if limited:
             lengths = package_merge_lengths(counts, max_len)
         book = Codebook(lengths=lengths, max_len=max_len)
-        sp.set(bytes_out=int(book.lengths.nbytes))
+        sp.set(bytes_out=int(book.lengths.nbytes),
+               symbols=int(np.count_nonzero(lengths)), limited=limited,
+               longest=int(lengths.max()))
         return book
-
-
-def warm_decode_book(lengths: np.ndarray, max_len: int) -> Codebook:
-    """A :class:`Codebook` with canonical codes and dense decode tables
-    already materialised, served from the plan cache.
-
-    The ``2**max_len``-entry decode tables are the dominant per-call
-    setup cost of :func:`decode`; keying them by the digest of the
-    serialised lengths array means every container written with the same
-    codebook (all shards of a shared-codebook run, every re-read of the
-    same blob) shares one table pair.
-    """
-    def build() -> Codebook:
-        # copy so a cached book never pins a caller's blob-backed view
-        book = Codebook(lengths=np.array(lengths, dtype=np.uint8),
-                        max_len=max_len)
-        book.codes  # noqa: B018 - materialise the canonical codes
-        book.decode_tables()
-        return book
-
-    key = (digest(np.ascontiguousarray(lengths)), int(max_len))
-    return DECODE_TABLE_CACHE.get_or_build(
-        key, build,
-        nbytes=lambda book: int(book._table_sym.nbytes
-                                + book._table_len.nbytes
-                                + book.codes.nbytes + book.lengths.nbytes))
 
 
 @dataclass(frozen=True)
@@ -309,16 +274,22 @@ def encode(symbols: np.ndarray, book: Codebook,
               bytes_in=int(symbols.nbytes)) as sp:
         if symbols.size and int(symbols.max()) >= book.num_bins:
             raise CodecError("symbol out of codebook range")
-        lengths_lut = book.lengths.astype(np.int64)
-        codes_lut = book.codes
+        # masking the table masks every code gathered from it
+        codes_lut = book.codes.astype(np.uint64)
+        codes_lut &= (np.uint64(1) << book.lengths) - np.uint64(1)
 
         def pack_chunk(start: int) -> tuple[bytes, int, int]:
             part = symbols[start:start + chunk]
-            lengths = lengths_lut[part]
-            if int(lengths.min()) == 0:
-                raise CodecError(
-                    "stream contains a symbol absent from the histogram")
-            payload, nbits = pack_varlen(codes_lut[part], lengths)
+
+            def fetch(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+                block = part[lo:hi]
+                width = book.lengths.take(block)
+                if int(width.min()) == 0:
+                    raise CodecError(
+                        "stream contains a symbol absent from the histogram")
+                return codes_lut.take(block), width
+
+            payload, nbits = pack_blocks(part.size, book.max_len, fetch)
             return payload, part.size, nbits
 
         starts = range(0, symbols.size, chunk)
@@ -339,7 +310,8 @@ def encode(symbols: np.ndarray, book: Codebook,
                              count=int(symbols.size),
                              lengths=book.lengths.copy(),
                              max_len=book.max_len)
-        sp.set(bytes_out=len(enc.payload))
+        sp.set(bytes_out=len(enc.payload),
+               blocks=sum(-(-nsyms // PACK_BLOCK) for nsyms in csyms))
         return enc
 
 
@@ -497,8 +469,8 @@ def decode(enc: HuffmanEncoded) -> np.ndarray:
     with span("kernel.huffman.decode", symbols=int(enc.count),
               bytes_in=len(enc.payload)) as sp:
         entries = _chunk_table(enc)
-        book = warm_decode_book(enc.lengths, enc.max_len)
-        tsym, tlen = book.decode_tables()
+        tsym, tlen = Codebook(lengths=enc.lengths,
+                              max_len=enc.max_len).decode_tables()
 
         def decode_one(entry: tuple[int, int, int, int]
                        ) -> tuple[np.ndarray, tuple[int, int, int]]:

@@ -1,7 +1,7 @@
 """Content-addressed plan cache for expensive derived objects.
 
 Fused GPU compressors (cuSZ, FZ-GPU) amortise their setup work —
-decode-table expansion, plan tracing, scratch allocation — across
+plan tracing, module resolution, scratch allocation — across
 a stream of fields; a naive modular pipeline redoes it on every call.  The
 :class:`PlanCache` closes that gap: derived objects ("plans") are keyed by
 a digest of the *content* they were derived from, so any call anywhere in
@@ -11,10 +11,6 @@ content never repeats it.
 
 Plans cached today
 ------------------
-* warmed decode books — a :class:`~repro.kernels.huffman.Codebook` with
-  its canonical codes *and* its ``2**max_len``-entry decode tables
-  materialised — keyed by ``(lengths digest, max_len)``
-  (:func:`repro.kernels.huffman.warm_decode_book`);
 * resolved module tables for header-driven decompression, keyed by the
   registry generation and the header's stage->name map
   (:func:`repro.core.pipeline.decompress`);
@@ -261,11 +257,6 @@ class PlanCache:
 #: every PlanCache ever constructed, by name (module-level caches register
 #: themselves at import time; ad-hoc caches join as they are created)
 _CACHES: dict[str, PlanCache] = {}
-
-#: decode books: Codebook + canonical codes + dense decode tables
-#: (a 2**16-entry table pair is ~325 KiB, so ~48 warm books fit the budget)
-DECODE_TABLE_CACHE = PlanCache("huffman.decode_tables", max_entries=48,
-                               max_bytes=32 << 20)
 
 #: resolved (stage -> module instance) tables for container decompression
 MODULE_TABLE_CACHE = PlanCache("pipeline.modules", max_entries=128,

@@ -108,6 +108,45 @@ class TestPackVarlenByteIdentity:
                 == _pack_varlen_per_bit(codes, lengths))
 
 
+class TestPackVarlenBlockSeams:
+    """The packer walks its input ``PACK_BLOCK`` codes at a time; where a
+    block ends must not show in the bytes."""
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_sizes_around_a_whole_number_of_blocks(self, rng, blocks, delta):
+        n = blocks * bitio.PACK_BLOCK + delta
+        lengths = rng.integers(1, 33, n)
+        codes = rng.integers(0, 2 ** 32, n, dtype=np.uint32)   # garbage above
+        assert (bitio.pack_varlen(codes, lengths)
+                == _pack_varlen_per_bit(codes, lengths))
+
+    @pytest.mark.parametrize("offset", range(64))
+    def test_seam_at_every_bit_offset_of_a_word(self, offset):
+        # the first block ends ``offset`` bits into a word and the second
+        # opens with a 32-bit code: past offset 32 that code straddles the
+        # seam's word boundary as well, and its leading bits belong to a
+        # word the first block wrote
+        lengths = np.ones(2 * bitio.PACK_BLOCK, dtype=np.int64)
+        lengths[:offset] = 2
+        lengths[bitio.PACK_BLOCK] = 32
+        lengths[bitio.PACK_BLOCK + 1::3] = 32
+        lengths[bitio.PACK_BLOCK + 2::5] = 17
+        assert int(lengths[:bitio.PACK_BLOCK].sum()) % 64 == offset
+        codes = np.arange(lengths.size, dtype=np.uint32) * 0x9E3779B1
+        codes[bitio.PACK_BLOCK] = 0xFFFFFFFF
+        assert (bitio.pack_varlen(codes, lengths)
+                == _pack_varlen_per_bit(codes, lengths))
+
+    def test_bad_length_in_a_later_block_rejected(self):
+        codes = np.zeros(bitio.PACK_BLOCK + 2, dtype=np.uint32)
+        for bad in (0, 33, -1, 256 + 8):
+            lengths = np.full(codes.size, 8, dtype=np.int64)
+            lengths[-1] = bad
+            with pytest.raises(CodecError):
+                bitio.pack_varlen(codes, lengths)
+
+
 class TestUnpackWindows:
     def test_window_values(self):
         # stream = 1010 1100 (one byte)

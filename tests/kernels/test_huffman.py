@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CodecError
-from repro.kernels import huffman
+from repro.kernels import bitio, huffman
 from repro.obs.spans import GLOBAL_TRACER, set_telemetry
 
 
 def _hist(symbols: np.ndarray, bins: int) -> np.ndarray:
     return np.bincount(symbols, minlength=bins).astype(np.int64)
+
+
+def _with_span_attrs(name: str, call):
+    """``call()`` with telemetry on: its result and span ``name``'s attrs."""
+    prev = set_telemetry(True)
+    try:
+        with GLOBAL_TRACER.capture() as records:
+            result = call()
+    finally:
+        set_telemetry(prev)
+    return result, next(r.attrs for r in records if r.name == name)
 
 
 def _encoded_stream() -> tuple[np.ndarray, huffman.HuffmanEncoded]:
@@ -94,6 +106,222 @@ class TestCodebook:
             assert tlen[window] == ln
 
 
+def _reference_huffman_lengths(counts: np.ndarray) -> np.ndarray:
+    """The heap-of-symbol-lists Huffman ``huffman._huffman_lengths_unbounded``
+    replaced; its ``(weight, tie)`` keys fix the merge order of every
+    container written so far."""
+    sym = np.flatnonzero(counts)
+    lengths = np.zeros(counts.size, dtype=np.int64)
+    if sym.size == 1:
+        lengths[sym[0]] = 1
+        return lengths
+    heap = [(int(counts[s]), int(s), [int(s)]) for s in sym]
+    heapq.heapify(heap)
+    tie = counts.size
+    while len(heap) > 1:
+        w1, _, s1 = heapq.heappop(heap)
+        w2, _, s2 = heapq.heappop(heap)
+        lengths[s1] += 1
+        lengths[s2] += 1
+        heapq.heappush(heap, (w1 + w2, tie, s1 + s2))
+        tie += 1
+    return lengths
+
+
+def _reference_package_merge(counts: np.ndarray, max_len: int) -> np.ndarray:
+    """The tree-walking package-merge ``huffman.package_merge_lengths``
+    replaced: every package is a node, the solution is expanded leaf by
+    leaf."""
+    counts = np.asarray(counts, dtype=np.int64)
+    sym = np.flatnonzero(counts)
+    n = sym.size
+    lengths = np.zeros(counts.size, dtype=np.int64)
+    if n == 1:
+        lengths[sym[0]] = 1
+        return lengths
+    order = sym[np.argsort(counts[sym], kind="stable")]
+    weights = counts[order].tolist()
+    lefts = [-1] * n
+    rights = [-1] * n
+
+    def make_package(a: int, b: int) -> int:
+        weights.append(weights[a] + weights[b])
+        lefts.append(a)
+        rights.append(b)
+        return len(weights) - 1
+
+    prev_level = list(range(n))
+    for _ in range(max_len - 1):
+        packages = [make_package(prev_level[i], prev_level[i + 1])
+                    for i in range(0, len(prev_level) - 1, 2)]
+        prev_level = sorted(list(range(n)) + packages,
+                            key=lambda i: weights[i])
+    per_leaf = np.zeros(n, dtype=np.int64)
+    stack = list(prev_level[:2 * n - 2])
+    while stack:
+        node = stack.pop()
+        if node < n:
+            per_leaf[node] += 1
+        else:
+            stack.append(lefts[node])
+            stack.append(rights[node])
+    lengths[order] = per_leaf
+    return lengths
+
+
+def _reference_codes(lengths: np.ndarray) -> np.ndarray:
+    """Canonical codes one symbol at a time, in ``(length, symbol)`` order."""
+    lengths = lengths.astype(np.int64)
+    codes = np.zeros(lengths.size, dtype=np.uint32)
+    order = np.lexsort((np.arange(lengths.size), lengths))
+    code = prev_len = 0
+    for s in order[lengths[order] > 0]:
+        code <<= int(lengths[s]) - prev_len
+        codes[s] = code
+        code += 1
+        prev_len = int(lengths[s])
+    return codes
+
+
+def _reference_decode_tables(lengths: np.ndarray, codes: np.ndarray,
+                             max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense decode tables filled one symbol's window range at a time."""
+    tsym = np.zeros(1 << max_len, dtype=np.uint32)
+    tlen = np.zeros(1 << max_len, dtype=np.uint8)
+    for s in np.flatnonzero(lengths):
+        ln = int(lengths[s])
+        lo = int(codes[s]) << (max_len - ln)
+        tsym[lo:lo + (1 << (max_len - ln))] = s
+        tlen[lo:lo + (1 << (max_len - ln))] = ln
+    return tsym, tlen
+
+
+_FIBONACCI = [1, 1]
+while len(_FIBONACCI) < 72:
+    _FIBONACCI.append(_FIBONACCI[-1] + _FIBONACCI[-2])
+
+
+def _histogram(rng: np.random.Generator, shape: str, live: int,
+               gaps: bool) -> np.ndarray:
+    """``live`` positive counts of the given shape in shuffled bins, with
+    zero bins interleaved when ``gaps``."""
+    i = np.arange(live, dtype=np.float64)
+    weights = {
+        "uniform": lambda: rng.integers(1, 1000, live),
+        "power-law": lambda: 1 + (1e6 / (1 + i) ** 1.5).astype(np.int64),
+        "bump": lambda: 1 + (5e5 * np.exp(
+            -0.5 * ((i - live / 2) / (1 + live / 9)) ** 2)).astype(np.int64),
+        "all-equal": lambda: np.full(live, 7),
+        # unbounded depth is live - 1 up to 72 symbols: far past any limit
+        "fibonacci": lambda: np.array(_FIBONACCI)[np.minimum(
+            np.arange(live), len(_FIBONACCI) - 1)],
+    }[shape]().astype(np.int64)
+    rng.shuffle(weights)
+    counts = np.zeros(live * (3 if gaps else 1), dtype=np.int64)
+    counts[np.sort(rng.choice(counts.size, live, replace=False))] = weights
+    return counts
+
+
+#: (live symbols, max_len): the alphabet sizes the encoder meets, plus
+#: exactly ``2**max_len`` symbols where the reference is still quick
+_ALPHABETS = ([(live, max_len) for max_len in (4, 8, 12, 16)
+               for live in (1, 2, 3, 300, 1024)] + [(16, 4), (256, 8)])
+
+
+class TestCodebookAgainstReferences:
+    """The vectorised codebook construction is the loops it replaced."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           shape=st.sampled_from(["uniform", "power-law", "bump",
+                                  "all-equal", "fibonacci"]),
+           alphabet=st.sampled_from(_ALPHABETS), gaps=st.booleans())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_lengths_codes_and_tables_match(self, seed, shape, alphabet,
+                                            gaps):
+        live, max_len = alphabet
+        counts = _histogram(np.random.default_rng(seed), shape, live, gaps)
+        np.testing.assert_array_equal(
+            huffman._huffman_lengths_unbounded(counts),
+            _reference_huffman_lengths(counts))
+        if live > 1 << max_len:
+            with pytest.raises(CodecError, match="cannot be coded"):
+                huffman.package_merge_lengths(counts, max_len)
+            with pytest.raises(CodecError, match="cannot be coded"):
+                huffman.build_codebook(counts, max_len=max_len)
+            return
+        np.testing.assert_array_equal(
+            huffman.package_merge_lengths(counts, max_len),
+            _reference_package_merge(counts, max_len))
+
+        book = huffman.build_codebook(counts, max_len=max_len)
+        lengths = book.lengths.astype(np.int64)
+        assert np.array_equal(lengths > 0, counts > 0)
+        if live >= 2:       # an optimal code is complete: Kraft with equality
+            assert (sum(1 << (max_len - int(ln)) for ln in lengths[lengths > 0])
+                    == 1 << max_len)
+        codes = _reference_codes(book.lengths)
+        np.testing.assert_array_equal(book.codes, codes)
+        tsym, tlen = book.decode_tables()
+        ref_sym, ref_len = _reference_decode_tables(book.lengths, codes,
+                                                    max_len)
+        np.testing.assert_array_equal(tsym, ref_sym)
+        np.testing.assert_array_equal(tlen, ref_len)
+        assert (tsym.dtype, tlen.dtype) == (ref_sym.dtype, ref_len.dtype)
+
+    def test_incomplete_and_empty_books(self):
+        # a pinned codebook need not be complete, or hold any code at all
+        for lengths in ([3, 0, 1, 3], [0, 0, 0], [2], []):
+            book = huffman.Codebook(lengths=np.array(lengths, dtype=np.uint8),
+                                    max_len=6)
+            codes = _reference_codes(book.lengths)
+            np.testing.assert_array_equal(book.codes, codes)
+            for got, want in zip(book.decode_tables(),
+                                 _reference_decode_tables(book.lengths,
+                                                          codes, 6)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_empty_histogram_rejected(self):
+        for build in (huffman._huffman_lengths_unbounded,
+                      lambda c: huffman.package_merge_lengths(c, 16),
+                      huffman.build_codebook):
+            with pytest.raises(CodecError, match="empty histogram"):
+                build(np.zeros(8, dtype=np.int64))
+
+    def test_package_weights_past_int64_rejected_not_wrapped(self):
+        # a package holds each leaf at most once per level below its own,
+        # so (max_len - 1) * sum(counts) bounds every weight
+        counts = np.array(_FIBONACCI[:40], dtype=np.int64) << 34
+        assert int(counts.sum()) * 15 >= 1 << 63 > int(counts.sum())
+        with pytest.raises(CodecError, match="too large"):
+            huffman.package_merge_lengths(counts, 16)
+        with pytest.raises(CodecError, match="too large"):
+            huffman.build_codebook(counts, max_len=16)
+        # the same shape just inside the bound is still the reference
+        counts >>= 4
+        assert int(counts.sum()) * 15 < 1 << 63
+        np.testing.assert_array_equal(
+            huffman.package_merge_lengths(counts, 16),
+            _reference_package_merge(counts, 16))
+
+    def test_codes_wider_than_32_bits_rejected(self):
+        book = huffman.Codebook(lengths=np.array([1, 40], dtype=np.uint8),
+                                max_len=40)
+        with pytest.raises(CodecError, match="32 bits"):
+            _ = book.codes
+
+    @pytest.mark.parametrize("counts,limited", [
+        (np.array([9, 0, 5, 3, 0, 1]), False),
+        (np.array(_FIBONACCI[:30]), True)])
+    def test_build_span_says_why_it_cost_what_it_did(self, counts, limited):
+        book, attrs = _with_span_attrs(
+            "kernel.huffman.build_codebook",
+            lambda: huffman.build_codebook(counts, max_len=16))
+        assert attrs["symbols"] == np.count_nonzero(counts)
+        assert attrs["limited"] is limited
+        assert attrs["longest"] == int(book.lengths.max())
+        assert (attrs["longest"] == 16) is limited
+
+
 class TestEncodeDecode:
     @pytest.mark.parametrize("n,bins", [(100, 8), (5000, 256), (40000, 1024)])
     def test_round_trip(self, rng, n, bins):
@@ -113,6 +341,29 @@ class TestEncodeDecode:
         enc = huffman.encode(syms, book, chunk=777)
         assert enc.chunk_symbols.size == int(np.ceil(10000 / 777))
         np.testing.assert_array_equal(huffman.decode(enc), syms)
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_payload_across_packer_block_seams(self, rng, blocks, delta):
+        # encode gathers from its tables a block at a time; the bytes are
+        # those of the codes packed as one array
+        n = blocks * bitio.PACK_BLOCK + delta
+        syms = np.minimum(rng.geometric(0.3, n), 299).astype(np.uint16)
+        book = huffman.build_codebook(_hist(syms, 300))
+        enc, attrs = _with_span_attrs("kernel.huffman.encode",
+                                      lambda: huffman.encode(syms, book))
+        payload, nbits = bitio.pack_varlen(book.codes[syms],
+                                           book.lengths[syms])
+        assert (enc.payload, int(enc.chunk_bits[0])) == (payload, nbits)
+        assert attrs["blocks"] == -(-n // bitio.PACK_BLOCK)
+        np.testing.assert_array_equal(huffman.decode(enc), syms)
+
+    def test_absent_symbol_in_a_later_block_rejected(self):
+        syms = np.zeros(bitio.PACK_BLOCK + 5, dtype=np.uint32)
+        syms[-1] = 1
+        book = huffman.build_codebook(np.array([1, 0, 1], dtype=np.int64))
+        with pytest.raises(CodecError, match="absent from the histogram"):
+            huffman.encode(syms, book)
 
     def test_parallel_matches_serial_reference(self, rng):
         syms = rng.integers(0, 300, 3000).astype(np.uint32)

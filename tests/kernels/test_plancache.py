@@ -1,9 +1,8 @@
 """The content-addressed plan cache and its tenants.
 
 Covers the generic :class:`PlanCache` mechanics (LRU + byte-budget
-eviction, counters, kill switch), the stability of the content digest,
-the warm decode-book cache, and the inventory of caches the hot path is
-allowed to hit.
+eviction, counters, kill switch), the stability of the content digest
+and the inventory of caches the hot path is allowed to hit.
 """
 
 from __future__ import annotations
@@ -13,10 +12,8 @@ import pytest
 
 import repro
 from repro.core.inspect import hotpath_stats
-from repro.kernels import huffman
-from repro.kernels.plancache import (DECODE_TABLE_CACHE, PlanCache,
-                                     caching_enabled, clear_all_caches,
-                                     digest)
+from repro.kernels.plancache import (PlanCache, caching_enabled,
+                                     clear_all_caches, digest)
 
 
 @pytest.fixture(autouse=True)
@@ -110,9 +107,8 @@ class TestPlanCache:
 
     def test_registry_and_stats(self, smooth_3d):
         # the hot path's cache inventory: nothing keyed on field content.
-        # Compressing the identical array twice may only hit these three.
-        inventory = {"compile.plans", "huffman.decode_tables",
-                     "pipeline.modules"}
+        # Compressing the identical array twice may only hit these two.
+        inventory = {"compile.plans", "pipeline.modules"}
         for _ in range(2):
             repro.decompress(repro.compress(smooth_3d, "fzmod-default", 1e-3))
         stats = hotpath_stats()["plan_caches"]
@@ -126,30 +122,3 @@ class TestPlanCache:
         assert all(st["hits"] == 0 for name, st in stats.items()
                    if name not in inventory)
 
-
-@pytest.fixture
-def symbols() -> np.ndarray:
-    rng = np.random.default_rng(7)
-    return rng.integers(0, 40, size=5000).astype(np.uint32)
-
-
-@pytest.fixture
-def counts(symbols) -> np.ndarray:
-    return np.bincount(symbols, minlength=64).astype(np.int64)
-
-
-class TestHuffmanPlans:
-    def test_warm_decode_book_is_shared(self, counts):
-        book = huffman.build_codebook(counts)
-        w1 = huffman.warm_decode_book(book.lengths, book.max_len)
-        w2 = huffman.warm_decode_book(book.lengths.copy(), book.max_len)
-        assert w1 is w2
-        assert w1._table_sym is not None            # tables pre-materialised
-        assert DECODE_TABLE_CACHE.hits == 1
-
-    def test_kill_switch_keeps_roundtrip(self, symbols, counts, monkeypatch):
-        monkeypatch.setenv("FZMOD_PLAN_CACHE", "0")
-        book = huffman.build_codebook(counts)
-        enc = huffman.encode(symbols, book)
-        assert np.array_equal(huffman.decode(enc), symbols)
-        assert len(DECODE_TABLE_CACHE) == 0

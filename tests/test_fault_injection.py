@@ -77,6 +77,63 @@ class TestResealedChunkTable:
             repro.decompress(head + body)
 
 
+class TestResealedHuffmanMeta:
+    """A ``fzmod-default`` container re-sealed (valid CRCs) around lying
+    Huffman encoder metadata must end in ``CodecError`` -- not in whatever
+    ``int()``, ``np.frombuffer`` or a dict lookup raises on it, and not in
+    a quiet decode."""
+
+    @pytest.fixture(scope="class")
+    def parts(self, blob):
+        header, body = parse(blob)
+        assert header.stage_meta["encoder"]["nchunks"] == 1
+        return header, dict(split_sections(header, body))
+
+    @staticmethod
+    def _assert_codec_error(header, sections):
+        head, body = assemble(header, sections)
+        with pytest.raises(CodecError):
+            decompress(head + body)
+        with pytest.raises(CodecError):
+            repro.decompress(head + body)
+
+    @pytest.mark.parametrize("key,value", [
+        ("nchunks", 5), ("nchunks", 2.5), ("nchunks", 1 << 40),
+        ("nchunks", 0), ("nchunks", -1), ("nchunks", True),
+        ("nchunks", "x"), ("nchunks", None),
+        ("count", "x"), ("count", None), ("count", 2.5),
+        ("max_len", "x"), ("max_len", None), ("max_len", True)])
+    def test_lying_value(self, parts, key, value):
+        header, sections = parts
+        encoder = {**header.stage_meta["encoder"], key: value}
+        meta = {**header.stage_meta, "encoder": encoder}
+        self._assert_codec_error(replace(header, stage_meta=meta), sections)
+
+    @pytest.mark.parametrize("key", ["nchunks", "count", "max_len"])
+    def test_missing_value(self, parts, key):
+        header, sections = parts
+        encoder = dict(header.stage_meta["encoder"])
+        del encoder[key]
+        meta = {**header.stage_meta, "encoder": encoder}
+        self._assert_codec_error(replace(header, stage_meta=meta), sections)
+
+    @pytest.mark.parametrize("name", ["enc.lengths", "enc.payload",
+                                      "enc.chunk_syms", "enc.chunk_bits"])
+    def test_missing_section(self, parts, name):
+        header, sections = parts
+        self._assert_codec_error(
+            header, {k: v for k, v in sections.items() if k != name})
+
+    @pytest.mark.parametrize("name", ["enc.lengths", "enc.chunk_syms",
+                                      "enc.chunk_bits"])
+    @pytest.mark.parametrize("resize", [lambda b: b[:-1], lambda b: b + b],
+                             ids=["truncated", "doubled"])
+    def test_section_of_the_wrong_length(self, parts, name, resize):
+        header, sections = parts
+        self._assert_codec_error(
+            header, {**sections, name: resize(bytes(sections[name]))})
+
+
 class TestResealedInterpMeta:
     """A ``fzmod-quality`` container re-sealed (valid CRCs) around lying
     interpolation metadata must end in ``CodecError`` — not in whatever a
