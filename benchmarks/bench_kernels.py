@@ -139,6 +139,12 @@ class TestEncoderKernels:
     def test_bitshuffle(self, benchmark, codes):
         benchmark(bitshuffle.shuffle, codes.astype(np.uint16), 16)
 
+    def test_bitunshuffle(self, benchmark, codes):
+        values = codes.astype(np.uint16)
+        payload = bitshuffle.shuffle(values, 16)
+        out = benchmark(bitshuffle.unshuffle, payload, values.size, 16)
+        assert np.array_equal(out, values)
+
     def test_zero_elimination(self, benchmark, codes):
         payload = bitshuffle.shuffle(codes.astype(np.uint16), 16)
         benchmark(dictionary.eliminate, payload)

@@ -229,6 +229,13 @@ class HuffmanEncoder(EncoderModule):
         return out.astype(np.uint16 if num_bins <= 65536 else np.uint32)
 
 
+def _shuffle_width(num_bins: int) -> int:
+    """Bit width of a zigzagged code: 16 while the alphabet fits, else 32."""
+    if not 1 <= num_bins <= 1 << 32:
+        raise CodecError("bitshuffle needs an alphabet of 1 to 2**32 codes")
+    return 16 if num_bins <= 65536 else 32
+
+
 class BitshuffleEncoder(EncoderModule):
     """FZ-GPU-style encoder: recentre + zigzag + bit-plane shuffle +
     hierarchical zero elimination.  Much faster than Huffman on a GPU,
@@ -242,10 +249,12 @@ class BitshuffleEncoder(EncoderModule):
 
     def encode(self, codes: np.ndarray, num_bins: int,
                hist: HistogramResult | None) -> EncodedStream:
-        radius = num_bins // 2
-        signed = codes.astype(np.int64) - radius
+        width = _shuffle_width(num_bins)
+        # codes of at most 16 bits recentre and zigzag without leaving int32
+        narrow = width == 16 and codes.dtype.itemsize <= 2
+        signed = codes.astype(np.int32 if narrow else np.int64)
+        signed -= num_bins // 2
         zz = bitshuffle.zigzag(signed)
-        width = 16 if num_bins <= 65536 else 32
         if zz.size and int(zz.max()) >> width:
             raise CodecError("zigzagged code exceeds shuffle width")
         shuffled = bitshuffle.shuffle(zz.astype(np.uint16 if width == 16
@@ -263,21 +272,34 @@ class BitshuffleEncoder(EncoderModule):
 
     def decode(self, stream: EncodedStream, count: int, num_bins: int
                ) -> np.ndarray:
-        z = dictionary.ZeroEliminated(
-            bitmap2=stream.sections["enc.bitmap2"],
-            bitmap1=stream.sections["enc.bitmap1"],
-            words=stream.sections["enc.words"],
-            orig_len=int(stream.meta["orig_len"]),
-            word_bytes=int(stream.meta["word_bytes"]))
-        shuffled = dictionary.restore(z)
-        width = int(stream.meta["width"])
+        # all of it comes from the container: check it against the header
+        # before any of it sizes an array
+        orig_len, word_bytes, width = (stream.meta.get(key) for key in
+                                       ("orig_len", "word_bytes", "width"))
+        if any(type(value) is not int
+               for value in (orig_len, word_bytes, width)):
+            raise CodecError(
+                "bitshuffle orig_len/word_bytes/width must be integers")
+        if width != _shuffle_width(num_bins) or word_bytes < 1:
+            raise CodecError("bitshuffle width or word_bytes out of range")
+        if orig_len != bitshuffle.shuffled_size(count, width):
+            raise CodecError("bitshuffle orig_len does not match the count")
+        bitmap2, bitmap1, words = (stream.sections.get(f"enc.{name}")
+                                   for name in ("bitmap2", "bitmap1", "words"))
+        if bitmap2 is None or bitmap1 is None or words is None:
+            raise CodecError("bitshuffle stream is missing a section")
+        shuffled = dictionary.restore(dictionary.ZeroEliminated(
+            bitmap2=bitmap2, bitmap1=bitmap1, words=words,
+            orig_len=orig_len, word_bytes=word_bytes))
         zz = bitshuffle.unshuffle(shuffled, count, width)
-        signed = bitshuffle.unzigzag(zz.astype(np.uint64))
-        radius = num_bins // 2
-        out = signed + radius
-        if out.size and (int(out.min()) < 0 or int(out.max()) >= num_bins):
+        # zigzag maps [-radius, num_bins - radius) onto [0, num_bins), so
+        # the range check needs no recentred copy
+        if zz.size and int(zz.max()) >= num_bins:
             raise CodecError("bitshuffle decode produced out-of-range code")
-        return out.astype(np.uint16 if num_bins <= 65536 else np.uint32)
+        out = bitshuffle.unzigzag(zz).view(zz.dtype)
+        # modulo 2**width, which is exact: the sum is a code below num_bins
+        out += num_bins // 2
+        return out
 
 
 # ---------------------------------------------------------------------- #

@@ -6,8 +6,15 @@ mapping, small residuals have all-zero high bit planes, so the shuffled
 stream contains long zero runs that the dictionary/zero-elimination stages
 remove.  The transform is lossless and self-inverse up to padding.
 
-The implementation is one ``np.unpackbits`` / transpose / ``np.packbits``
-per call — a direct data-parallel formulation of the GPU kernel.
+The transpose never expands a bit to a byte.  The values are split into
+byte planes (most significant byte first), every run of eight plane bytes
+— eight consecutive values — is read as one little-endian ``uint64`` and
+that 8x8 bit matrix is flipped about its anti-diagonal by three masked
+delta-swaps (:func:`_flip`, the word-parallel form of FZ-GPU's warp-ballot
+transpose); one byte-level transpose then puts the plane bytes where the
+format wants them: plane 0 is the MSB plane, and the first value of a
+block sits in bit 7 of a plane's first byte.  ``docs/PERFORMANCE.md`` §6
+has the derivation and the measurements.
 """
 
 from __future__ import annotations
@@ -15,39 +22,116 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CodecError
+from ..obs.spans import span
 
 #: Values per shuffle block.  4096 values x 16 bits -> 16 planes of 512 B.
 BLOCK_VALUES = 4096
+
+# Bit ``8*r + c`` of a word is row ``r`` (the value), column ``c`` (the bit
+# of its plane byte).  The flip sends (r, c) to (7-c, 7-r) in three rounds
+# of ``(shift, mask)``: swap the two 4x4 quadrants the anti-diagonal does
+# not cross (bit distance 4*8 + 4), then the same for the 2x2 tiles inside
+# every quadrant (2*8 + 2) and for the bits inside every tile (8 + 1); a
+# mask selects the upper partner of each exchanged pair.
+_FLIP_ROUNDS = ((36, np.uint64(0xF0F0F0F000000000)),
+                (18, np.uint64(0xCCCC0000CCCC0000)),
+                (9, np.uint64(0xAA00AA00AA00AA00)))
+
+# Words flipped per pass: the slab and its one scratch array (256 KiB each)
+# stay in L2 across the eighteen passes.  245 760 words, 2 cores: 2.2 ms as
+# one slab, 1.5 at 2**13, 1.15 at 2**15..2**16, 1.4 at 2**17.
+_FLIP_WORDS = 1 << 15
+
+# the integer type of the same width and the other signedness
+_UNSIGNED_OF = {np.dtype(np.int16): np.uint16, np.dtype(np.int32): np.uint32,
+                np.dtype(np.int64): np.uint64}
+_SIGNED_OF = {np.dtype(np.uint16): np.int16, np.dtype(np.uint32): np.int32,
+              np.dtype(np.uint64): np.int64}
 
 
 def zigzag(values: np.ndarray) -> np.ndarray:
     """Map signed integers to unsigned: 0,-1,1,-2,... -> 0,1,2,3,...
 
     Small-magnitude residuals map to small unsigned values, which is what
-    makes bit planes sparse.
+    makes bit planes sparse.  ``int16``/``int32``/``int64`` input maps to
+    the unsigned type of the same width; anything else goes through
+    ``int64``.
     """
-    v = np.asarray(values, dtype=np.int64)
-    return ((v << 1) ^ (v >> 63)).astype(np.uint64)
+    v = np.asarray(values)
+    if v.dtype not in _UNSIGNED_OF:
+        v = v.astype(np.int64)
+    # the result is the array allocated last (here and in unzigzag):
+    # freeing the older temporary leaves the top of the heap alone, where
+    # freeing the newer one has glibc trim it and fault the pages back in
+    # on the next call (0.9 -> 2.4 ms on 983 k int32 values)
+    doubled = v << 1
+    out = v >> (8 * v.dtype.itemsize - 1)
+    out ^= doubled
+    return out.view(_UNSIGNED_OF[v.dtype])
 
 
 def unzigzag(values: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`zigzag`."""
-    v = np.asarray(values, dtype=np.uint64)
-    return ((v >> np.uint64(1)).astype(np.int64)
-            ^ -(v & np.uint64(1)).astype(np.int64))
+    """Inverse of :func:`zigzag`: ``uint16``/``uint32``/``uint64`` input
+    maps to the signed type of the same width, anything else goes through
+    ``uint64``."""
+    v = np.asarray(values)
+    if v.dtype not in _SIGNED_OF:
+        v = v.astype(np.uint64)
+    halved = v >> 1
+    out = (v & 1).view(_SIGNED_OF[v.dtype])
+    np.negative(out, out=out)
+    out ^= halved.view(out.dtype)
+    return out
+
+
+def _uint_dtype(width_bits: int) -> type:
+    if width_bits == 16:
+        return np.uint16
+    if width_bits == 32:
+        return np.uint32
+    raise CodecError("bitshuffle supports 16- or 32-bit values")
 
 
 def _as_uint(values: np.ndarray, width_bits: int) -> np.ndarray:
-    if width_bits == 16:
-        dt = np.uint16
-    elif width_bits == 32:
-        dt = np.uint32
-    else:
-        raise CodecError("bitshuffle supports 16- or 32-bit values")
+    dt = _uint_dtype(width_bits)
     v = np.asarray(values)
+    if v.dtype == dt:
+        return v
     if v.size and int(v.max(initial=0)) >> width_bits:
         raise CodecError(f"value does not fit in {width_bits} bits")
     return v.astype(dt)
+
+
+def shuffled_size(count: int, width_bits: int = 16,
+                  block: int = BLOCK_VALUES) -> int:
+    """Bytes :func:`shuffle` emits for ``count`` values: whole blocks of
+    ``width_bits`` planes.  ``CodecError`` for an unsupported width, a
+    negative count, or a block that is not a positive multiple of 8 (a
+    plane row must end on a byte)."""
+    _uint_dtype(width_bits)
+    if count < 0:
+        raise CodecError("bitshuffle value count must be >= 0")
+    if block <= 0 or block % 8:
+        raise CodecError("bitshuffle block must be a positive multiple of 8")
+    return -(-count // block) * block * (width_bits // 8)
+
+
+def _flip(words: np.ndarray) -> None:
+    """Flip every ``uint64`` of ``words``, read as an 8x8 bit matrix, about
+    its anti-diagonal, in place.  An involution: shuffle and unshuffle
+    share it."""
+    scratch = np.empty(min(words.size, _FLIP_WORDS), dtype=np.uint64)
+    for start in range(0, words.size, _FLIP_WORDS):
+        x = words[start:start + _FLIP_WORDS]
+        t = scratch[:x.size]
+        for shift, upper in _FLIP_ROUNDS:
+            # t = the pairs that differ, at the upper partner's position
+            np.left_shift(x, shift, out=t)
+            t ^= x
+            t &= upper
+            x ^= t
+            t >>= shift
+            x ^= t
 
 
 def shuffle(values: np.ndarray, width_bits: int = 16,
@@ -58,37 +142,52 @@ def shuffle(values: np.ndarray, width_bits: int = 16,
     remember the true count to undo the padding (see :func:`unshuffle`).
     """
     v = _as_uint(values, width_bits).reshape(-1)
-    pad = (-v.size) % block
-    if pad:
-        v = np.concatenate([v, np.zeros(pad, dtype=v.dtype)])
-    nblocks = v.size // block
-    # bytes, big-endian within each value so plane 0 is the MSB plane.
-    raw = v.reshape(nblocks, block).astype(v.dtype.newbyteorder(">"))
-    bits = np.unpackbits(raw.view(np.uint8), axis=-1)
-    # bits: (nblocks, block * width_bits) -> (nblocks, block, width_bits)
-    bits = bits.reshape(nblocks, block, width_bits)
-    planes = bits.transpose(0, 2, 1)  # (nblocks, width_bits, block)
-    return np.packbits(planes.reshape(nblocks, -1), axis=-1).tobytes()
+    lanes = width_bits // 8
+    padded = shuffled_size(v.size, width_bits, block) // lanes
+    if not padded:
+        return b""
+    with span("kernel.bitshuffle.shuffle", values=int(v.size),
+              width=width_bits, blocks=padded // block,
+              bytes_in=int(v.nbytes), bytes_out=padded * lanes):
+        # a fresh buffer: the flip never runs on the caller's array
+        planes = np.empty((lanes, padded), dtype=np.uint8)
+        for lane in range(lanes):
+            np.right_shift(v, 8 * (lanes - 1 - lane),
+                           out=planes[lane, :v.size], casting="unsafe")
+        planes[:, v.size:] = 0
+        _flip(planes.reshape(-1).view("<u8"))
+        # a flipped word holds one byte of each of 8 planes: gather every
+        # plane's bytes of a block into one row
+        return planes.reshape(lanes, padded // block, block // 8, 8
+                              ).transpose(1, 0, 3, 2).tobytes()
 
 
 def unshuffle(payload: bytes, count: int, width_bits: int = 16,
               block: int = BLOCK_VALUES) -> np.ndarray:
     """Inverse of :func:`shuffle`; returns the first ``count`` values."""
-    if width_bits not in (16, 32):
-        raise CodecError("bitshuffle supports 16- or 32-bit values")
-    padded = count + ((-count) % block)
-    nblocks = padded // block
-    expect = nblocks * block * width_bits // 8
+    expect = shuffled_size(count, width_bits, block)
     raw = np.frombuffer(payload, dtype=np.uint8)
     if raw.size != expect:
         raise CodecError(f"bitshuffle payload size {raw.size}, expected {expect}")
+    dt = _uint_dtype(width_bits)
     if count == 0:
-        return np.zeros(0, dtype=np.uint16 if width_bits == 16 else np.uint32)
-    planes = np.unpackbits(raw.reshape(nblocks, -1), axis=-1)
-    planes = planes.reshape(nblocks, width_bits, block)
-    bits = planes.transpose(0, 2, 1).reshape(nblocks, block, width_bits)
-    packed = np.packbits(bits.reshape(nblocks, -1), axis=-1)
-    dt = np.dtype(np.uint16 if width_bits == 16 else np.uint32).newbyteorder(">")
-    values = packed.reshape(-1).view(dt).astype(
-        np.uint16 if width_bits == 16 else np.uint32)
-    return values[:count]
+        return np.zeros(0, dtype=dt)
+    lanes = width_bits // 8
+    nblocks = expect // (lanes * block)
+    with span("kernel.bitshuffle.unshuffle", values=int(count),
+              width=width_bits, blocks=nblocks, bytes_in=expect,
+              bytes_out=int(count) * lanes):
+        rows = raw.reshape(nblocks, lanes, 8, block // 8)
+        # a fresh buffer again (``payload`` may be read-only).  One plane
+        # at a time: eight long strided copies run twice as fast as one
+        # transposing copy whose inner loop is the 8 bytes of a word.
+        planes = np.empty((lanes, nblocks, block // 8, 8), dtype=np.uint8)
+        for bit in range(8):
+            planes[..., bit] = rows[:, :, bit].transpose(1, 0, 2)
+        _flip(planes.reshape(-1).view("<u8"))
+        planes = planes.reshape(lanes, -1)
+        values = planes[0].astype(dt)
+        for lane in planes[1:]:
+            values <<= 8
+            values |= lane
+        return values[:count]

@@ -96,6 +96,48 @@ class TestEncoders:
         out = enc.decode(stream, codes.size, 1024)
         np.testing.assert_array_equal(out, codes)
 
+    @pytest.mark.parametrize("codes,num_bins", [
+        (np.zeros(0, np.uint16), 1024),
+        (np.array([0, 1023, 512], np.uint16), 1024),
+        (np.array([65535, 0, 32768], np.uint16), 65536),
+        (np.array([2**32 - 1, 0, 2**31], np.uint32), 2**32)])
+    def test_bitshuffle_roundtrip_at_the_alphabet_edges(self, codes,
+                                                        num_bins):
+        enc = BitshuffleEncoder()
+        out = enc.decode(enc.encode(codes, num_bins, None), codes.size,
+                         num_bins)
+        assert out.dtype == codes.dtype
+        np.testing.assert_array_equal(out, codes)
+
+    def test_bitshuffle_codes_of_any_integer_dtype_give_the_same_stream(
+            self, rng):
+        codes = rng.integers(0, 1024, 5000)
+        enc = BitshuffleEncoder()
+        narrow = enc.encode(codes.astype(np.uint16), 1024, None)
+        for dtype in (np.int64, np.int32, np.uint32, np.int16):
+            wide = enc.encode(codes.astype(dtype), 1024, None)
+            assert wide.meta == narrow.meta
+            assert wide.sections == narrow.sections
+
+    @pytest.mark.parametrize("codes,num_bins", [
+        (np.array([33280], np.uint16), 1024),     # 512 + 2**15
+        (np.array([-32257]), 1024),               # 512 - 2**15 - 1
+        (np.array([70000], np.uint32), 65536),
+        (np.array([5], np.uint16), 0),
+        (np.array([5], np.uint32), 2**32 + 2)])
+    def test_bitshuffle_rejects_codes_wider_than_the_shuffle(self, codes,
+                                                             num_bins):
+        with pytest.raises(CodecError):
+            BitshuffleEncoder().encode(codes, num_bins, None)
+
+    def test_bitshuffle_decode_rejects_out_of_range_codes(self):
+        """In range for the 16-bit shuffle, outside ``[0, num_bins)``."""
+        enc = BitshuffleEncoder()
+        for code in (1024, 33279, -1, -32256):
+            stream = enc.encode(np.array([0, code]), 1024, None)
+            with pytest.raises(CodecError):
+                enc.decode(stream, 2, 1024)
+
     def test_secondary_roundtrips(self, rng):
         body = bytes(rng.integers(0, 256, 5000).tolist()) + b"\x00" * 3000
         for sec in (ZstdLikeSecondary(), RleSecondary(), NoSecondary()):

@@ -32,6 +32,15 @@ def blob() -> bytes:
     return fzmod_default().compress(data, 1e-3).blob
 
 
+def _assert_resealed_codec_error(header, sections):
+    """Re-seal (valid CRCs) and demand ``CodecError`` at both entry points."""
+    head, body = assemble(header, sections)
+    with pytest.raises(CodecError):
+        decompress(head + body)
+    with pytest.raises(CodecError):
+        repro.decompress(head + body)
+
+
 class TestSingleByteCorruption:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -89,14 +98,6 @@ class TestResealedHuffmanMeta:
         assert header.stage_meta["encoder"]["nchunks"] == 1
         return header, dict(split_sections(header, body))
 
-    @staticmethod
-    def _assert_codec_error(header, sections):
-        head, body = assemble(header, sections)
-        with pytest.raises(CodecError):
-            decompress(head + body)
-        with pytest.raises(CodecError):
-            repro.decompress(head + body)
-
     @pytest.mark.parametrize("key,value", [
         ("nchunks", 5), ("nchunks", 2.5), ("nchunks", 1 << 40),
         ("nchunks", 0), ("nchunks", -1), ("nchunks", True),
@@ -107,7 +108,7 @@ class TestResealedHuffmanMeta:
         header, sections = parts
         encoder = {**header.stage_meta["encoder"], key: value}
         meta = {**header.stage_meta, "encoder": encoder}
-        self._assert_codec_error(replace(header, stage_meta=meta), sections)
+        _assert_resealed_codec_error(replace(header, stage_meta=meta), sections)
 
     @pytest.mark.parametrize("key", ["nchunks", "count", "max_len"])
     def test_missing_value(self, parts, key):
@@ -115,13 +116,13 @@ class TestResealedHuffmanMeta:
         encoder = dict(header.stage_meta["encoder"])
         del encoder[key]
         meta = {**header.stage_meta, "encoder": encoder}
-        self._assert_codec_error(replace(header, stage_meta=meta), sections)
+        _assert_resealed_codec_error(replace(header, stage_meta=meta), sections)
 
     @pytest.mark.parametrize("name", ["enc.lengths", "enc.payload",
                                       "enc.chunk_syms", "enc.chunk_bits"])
     def test_missing_section(self, parts, name):
         header, sections = parts
-        self._assert_codec_error(
+        _assert_resealed_codec_error(
             header, {k: v for k, v in sections.items() if k != name})
 
     @pytest.mark.parametrize("name", ["enc.lengths", "enc.chunk_syms",
@@ -130,8 +131,105 @@ class TestResealedHuffmanMeta:
                              ids=["truncated", "doubled"])
     def test_section_of_the_wrong_length(self, parts, name, resize):
         header, sections = parts
-        self._assert_codec_error(
+        _assert_resealed_codec_error(
             header, {**sections, name: resize(bytes(sections[name]))})
+
+
+class TestResealedBitshuffleMeta:
+    """A ``fzmod-speed`` container re-sealed (valid CRCs) around lying
+    bitshuffle encoder metadata must end in ``CodecError`` -- not in
+    whatever ``int()``, a modulo or a dict lookup raises on it, not in a
+    quiet decode, and not after an allocation the metadata sized."""
+
+    @pytest.fixture(scope="class")
+    def parts(self):
+        rng = np.random.default_rng(42)
+        data = np.cumsum(rng.standard_normal((32, 40)),
+                         axis=0).astype(np.float32)
+        header, body = parse(fzmod_speed().compress(data, 1e-3).blob)
+        assert header.stage_meta["encoder"] == {
+            "count": 1280, "orig_len": 8192, "word_bytes": 32, "width": 16}
+        return header, dict(split_sections(header, body))
+
+    @staticmethod
+    def _with_encoder_meta(header, **changes):
+        encoder = {**header.stage_meta["encoder"], **changes}
+        return replace(header,
+                       stage_meta={**header.stage_meta, "encoder": encoder})
+
+    @pytest.mark.parametrize("value", ["x", None, [16], True, 2.5],
+                             ids=repr)
+    @pytest.mark.parametrize("key", ["orig_len", "word_bytes", "width"])
+    def test_value_of_the_wrong_type(self, parts, key, value):
+        header, sections = parts
+        _assert_resealed_codec_error(
+            self._with_encoder_meta(header, **{key: value}), sections)
+
+    @pytest.mark.parametrize("key,value", [
+        ("word_bytes", 32.5), ("word_bytes", 32.0), ("word_bytes", 0),
+        ("word_bytes", -32), ("word_bytes", 16), ("word_bytes", 1 << 40),
+        ("width", 16.0), ("width", 32), ("width", 8), ("width", 0),
+        ("orig_len", 8192.0), ("orig_len", 0), ("orig_len", -8192),
+        ("orig_len", 8191), ("orig_len", 8224), ("orig_len", 16384),
+        ("orig_len", 1 << 40)])
+    def test_lying_value(self, parts, key, value):
+        header, sections = parts
+        _assert_resealed_codec_error(
+            self._with_encoder_meta(header, **{key: value}), sections)
+
+    @pytest.mark.parametrize("key", ["orig_len", "word_bytes", "width"])
+    def test_missing_value(self, parts, key):
+        header, sections = parts
+        encoder = dict(header.stage_meta["encoder"])
+        del encoder[key]
+        meta = {**header.stage_meta, "encoder": encoder}
+        _assert_resealed_codec_error(replace(header, stage_meta=meta), sections)
+
+    @pytest.mark.parametrize("name", ["enc.bitmap2", "enc.bitmap1",
+                                      "enc.words"])
+    def test_missing_section(self, parts, name):
+        header, sections = parts
+        _assert_resealed_codec_error(
+            header, {k: v for k, v in sections.items() if k != name})
+
+    @pytest.mark.parametrize("name", ["enc.bitmap1", "enc.words"])
+    @pytest.mark.parametrize("resize", [lambda b: b[:-1], lambda b: b + b],
+                             ids=["truncated", "doubled"])
+    def test_section_of_the_wrong_length(self, parts, name, resize):
+        header, sections = parts
+        _assert_resealed_codec_error(
+            header, {**sections, name: resize(bytes(sections[name]))})
+
+    @pytest.mark.parametrize("bitmap2", [b"\x00", b"\xff" * 3, bytes(4096)],
+                             ids=["short", "one-byte-short", "all-zero"])
+    def test_level_two_bitmap_that_does_not_fit(self, parts, bitmap2):
+        """The speed pipeline writes a flat bitmap (empty ``enc.bitmap2``);
+        a non-empty one switches ``restore`` to the two-level reading,
+        which must then account for all 32 bytes of ``enc.bitmap1``."""
+        header, sections = parts
+        _assert_resealed_codec_error(header, {**sections, "enc.bitmap2": bitmap2})
+
+    def test_orig_len_does_not_size_an_allocation(self, parts):
+        """1 MiB of zero bitmap, no words, ``orig_len`` = 256 MiB: the flat
+        bitmap has exactly the length that stream implies, so the only
+        thing standing between the header and a 256 MiB ``np.zeros`` is
+        the check against the element count."""
+        import tracemalloc
+        header, sections = parts
+        header = self._with_encoder_meta(header, orig_len=256 << 20)
+        head, body = assemble(header, {**sections,
+                                       "enc.bitmap1": bytes(1 << 20),
+                                       "enc.words": b""})
+        blob = head + body
+        for entry in (decompress, repro.decompress):
+            tracemalloc.start()
+            try:
+                with pytest.raises(CodecError):
+                    entry(blob)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * len(blob)
 
 
 class TestResealedInterpMeta:
@@ -148,25 +246,17 @@ class TestResealedInterpMeta:
         assert header.stage_meta["predictor"] == {"max_level": 4}
         return header, dict(split_sections(header, body))
 
-    @staticmethod
-    def _assert_codec_error(header, sections):
-        head, body = assemble(header, sections)
-        with pytest.raises(CodecError):
-            decompress(head + body)
-        with pytest.raises(CodecError):
-            repro.decompress(head + body)
-
     @pytest.mark.parametrize("level", [0, -1, 40, 70, 2.5, "x", None, True,
                                        3, 5])
     def test_lying_max_level(self, parts, level):
         header, sections = parts
         meta = {**header.stage_meta, "predictor": {"max_level": level}}
-        self._assert_codec_error(replace(header, stage_meta=meta), sections)
+        _assert_resealed_codec_error(replace(header, stage_meta=meta), sections)
 
     def test_missing_max_level(self, parts):
         header, sections = parts
         meta = {**header.stage_meta, "predictor": {}}
-        self._assert_codec_error(replace(header, stage_meta=meta), sections)
+        _assert_resealed_codec_error(replace(header, stage_meta=meta), sections)
 
     @pytest.mark.parametrize("keep", [0, 4, -4])
     def test_anchor_section_of_the_wrong_length(self, parts, keep):
@@ -178,7 +268,7 @@ class TestResealedInterpMeta:
         sections = {**sections,
                     "anchors": anchors[:keep] if keep >= 0
                     else anchors + anchors[keep:]}
-        self._assert_codec_error(header, sections)
+        _assert_resealed_codec_error(header, sections)
 
 
 class TestBaselineCorruption:
@@ -192,6 +282,22 @@ class TestBaselineCorruption:
             bad[pos] ^= 0xA5
             with pytest.raises(FZModError):
                 comp.decompress(bytes(bad))
+
+
+    @pytest.mark.parametrize("block", [0, -256, 12])
+    @pytest.mark.parametrize("name", ["fzgpu", "pfpl"])
+    def test_resealed_shuffle_block(self, name, block, rng):
+        """``meta["block"]`` reaches ``bitshuffle.unshuffle`` as read: zero
+        used to divide, a negative one to reshape."""
+        data = np.cumsum(rng.standard_normal(2000)).astype(np.float32)
+        comp = get_compressor(name)
+        header, body = parse(comp.compress(data, 1e-3).blob)
+        baseline = {**header.stage_meta["baseline"], "block": block}
+        head, body = assemble(
+            replace(header, stage_meta={"baseline": baseline}),
+            dict(split_sections(header, body)))
+        with pytest.raises(CodecError):
+            comp.decompress(head + body)
 
 
 class TestCrossContainerConfusion:

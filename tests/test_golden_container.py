@@ -9,6 +9,11 @@ option.
 
 The blob: fzmod-default (lorenzo + histogram + huffman, radius 512),
 eb=1e-3 REL, on a seeded 12x16 float32 cumsum field.
+
+A second blob pins fzmod-speed (lorenzo + bitshuffle) on the same field.
+That pipeline builds no codebook, so its bytes are a pure function of the
+input: the blob, written by the ``np.unpackbits`` bit-plane shuffle of
+commit 22b8cfd, must also be *reproduced* byte for byte by today's encoder.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import base64
 
 import numpy as np
 
-from repro.core import decompress
+from repro.core import decompress, fzmod_speed
 from repro.metrics import verify_error_bound
 
 GOLDEN_BLOB = base64.b64decode(
@@ -54,6 +59,28 @@ GOLDEN_BLOB = base64.b64decode(
     "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
     "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
     "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAADAAAAAAAAAADQFAAAAAAAA"
+)
+
+GOLDEN_SPEED_BLOB = base64.b64decode(
+    "RlpNRAEAkwIAAM1Kxhd7InNoYXBlIjpbMTIsMTZdLCJkdHlwZSI6IjxmNCIsImViX3ZhbHVl"
+    "IjowLjAwMSwiZWJfbW9kZSI6InJlbCIsImViX2FicyI6MC4wMTE5MTE5NTIwMTg3Mzc3OTMs"
+    "InJhZGl1cyI6NTEyLCJtb2R1bGVzIjp7InByZXByb2Nlc3MiOiJyZWwtZWIiLCJwcmVkaWN0"
+    "b3IiOiJsb3JlbnpvIiwiZW5jb2RlciI6ImJpdHNodWZmbGUiLCJzZWNvbmRhcnkiOiJub25l"
+    "In0sInN0YWdlX21ldGEiOnsicHJlZGljdG9yIjp7fSwiZW5jb2RlciI6eyJjb3VudCI6MTky"
+    "LCJvcmlnX2xlbiI6ODE5Miwid29yZF9ieXRlcyI6MzIsIndpZHRoIjoxNn0sInByZXByb2Nl"
+    "c3MiOnsibW9kZSI6InJlbCIsIm1pbiI6LTYuNDY5MTc4MTk5NzY4MDY2LCJtYXgiOjUuNDQy"
+    "NzczODE4OTY5NzI3fSwib3V0bGllcnMiOnsiY291bnQiOjB9LCJhdXgiOnt9fSwic2VjdGlv"
+    "bnMiOltbImVuYy5iaXRtYXAyIiwwLDBdLFsiZW5jLmJpdG1hcDEiLDAsMzJdLFsiZW5jLndv"
+    "cmRzIiwzMiwyODhdXSwiYm9keV9jcmMiOjMxODY1OTIwNjAsInBpcGVsaW5lIjp7InByZXBy"
+    "b2Nlc3MiOiJyZWwtZWIiLCJwcmVkaWN0b3IiOiJsb3JlbnpvIiwic3RhdGlzdGljcyI6bnVs"
+    "bCwiZW5jb2RlciI6ImJpdHNodWZmbGUiLCJzZWNvbmRhcnkiOiJub25lIiwicmFkaXVzIjo1"
+    "MTIsIm5hbWUiOiJmem1vZC1zcGVlZCJ9fQAAAAAAAAAAAAAAAAAAgACAAIAAgACAAIAAgACA"
+    "AIAAAAAAAAAAACAAAEAAIAAAAAAAAAAAAAAAAAAAAAAAAAAMJAJGwNATUKB4ChdQEADAQgCM"
+    "AABAhwAAAAAAAAAAAAQAifxWCCzkHTaUABgrcFwRZmESAzxyJwAAAAAAAAAATksAdKbuphAK"
+    "BTDAlqINAtD5KyKJ6lP4AAAAAAAAAAARdvF3qcfxGhT8oaYRIpJipKsqPzmHHW4AAAAAAAAA"
+    "AJzBWWaUVxw9ELWJ6+WFDTGFmAoyZ/WCtQAAAAAAAAAA2z07borGP5M+Av6gXP1Hb+fzV5aV"
+    "GRaoAAAAAAAAAABWvyBUwEUQuw7LecXWEDNwEetVH7HRimUAAAAAAAAAAEtWdkWlcqzUlSpJ"
+    "7KrXma6dXZnODamtHAAAAAAAAAAA"
 )
 
 GOLDEN_DATA = np.frombuffer(base64.b64decode(
@@ -104,3 +131,15 @@ class TestGoldenContainer:
         assert header.modules["encoder"] == "huffman"
         assert header.radius == 512
         assert header.eb_mode == "rel"
+
+
+class TestGoldenSpeedContainer:
+    def test_bound_still_honoured(self):
+        recon = decompress(GOLDEN_SPEED_BLOB)
+        assert recon.shape == (12, 16) and recon.dtype == np.float32
+        rng_v = float(GOLDEN_DATA.max() - GOLDEN_DATA.min())
+        assert verify_error_bound(GOLDEN_DATA, recon, 1e-3 * rng_v)
+
+    def test_todays_encoder_writes_the_same_bytes(self):
+        assert fzmod_speed().compress(GOLDEN_DATA, 1e-3).blob == \
+            GOLDEN_SPEED_BLOB
