@@ -29,8 +29,8 @@ Quickstart::
 :func:`repro.compress` / :func:`repro.decompress` (the :mod:`repro.api`
 facade) are the one-call front door: they dispatch between the single,
 shard-parallel and out-of-core streaming engines by argument shape
-(``workers=``, ``stream=``, sources, paths), and run the fused compiled
-execution plans of :mod:`repro.compile` transparently.
+(``workers=``, ``stream=``, sources, paths), and every engine runs the
+pipeline's compiled execution plan (:mod:`repro.compile`).
 """
 
 from .api import compress, decompress

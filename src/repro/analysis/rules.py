@@ -716,7 +716,7 @@ class FacadeDiscipline(Rule):
     contract = (
         "repro.api is the single front door: repro.compress / "
         "repro.decompress pick the engine (single / sharded / streaming) "
-        "from the argument shape and thread the compile=, telemetry and "
+        "from the argument shape and thread the threads=, telemetry and "
         "out= contracts through uniformly.  Library code that calls "
         "compress_sharded / decompress_sharded / compress_stream / "
         "decompress_stream directly forks the calling convention the "

@@ -17,8 +17,7 @@ right module:
 >>> back = repro.decompress(cf.blob)
 >>> back = repro.decompress("field.fzms", out=dst, workers=8)
 
-Every path honours ``compile=`` (``"auto"`` default — the fused compiled
-plans of :mod:`repro.compile`, byte-identical to the interpreter) and
+Every path runs the pipeline's compiled plan (:mod:`repro.compile`) and
 shares keyword names with the engines, so there is no per-engine
 translation table in here: arguments pass straight through.
 """
@@ -63,6 +62,20 @@ def resolve_pipeline(spec_or_preset,
         f"{type(spec_or_preset).__name__}")
 
 
+def _check_inert_compile(compile) -> None:
+    """``compile=`` selects nothing: every pipeline runs its compiled plan.
+
+    The keyword survives on the facade only because ``bench/harness.py``
+    (which a change to the library may not edit) passes
+    ``compile="auto"`` on every timed op; the values it used to take are
+    accepted and ignored, anything else is a :class:`ConfigError`.  The
+    bench-refresh item in ROADMAP.md removes it.
+    """
+    if compile is not True and compile is not False and compile != "auto":
+        raise ConfigError(
+            f"compile must be 'auto', True or False, got {compile!r}")
+
+
 def _is_source_like(data) -> bool:
     """Inputs that want the out-of-core engine even without ``stream=True``."""
     from .streaming.source import FieldSource
@@ -103,11 +116,11 @@ def compress(data_or_source, spec_or_preset, eb, *,
     ``threads`` pins the slab width explicitly (``None`` resolves
     ``FZMOD_THREADS``, then auto by input size).
 
-    ``compile`` selects the execution path on every engine (``"auto"`` /
-    ``True`` / ``False``, see :meth:`Pipeline.compress`); output bytes do
-    not depend on it.  For the in-memory engines ``out`` may name a file
-    the container blob is also written to.
+    ``compile`` is accepted and ignored (see :func:`_check_inert_compile`).
+    For the in-memory engines ``out`` may name a file the container blob
+    is also written to.
     """
+    _check_inert_compile(compile)
     pipeline = resolve_pipeline(spec_or_preset, registry)
     if stream or _is_source_like(data_or_source):
         if out is None or isinstance(out, np.ndarray):
@@ -119,18 +132,16 @@ def compress(data_or_source, spec_or_preset, eb, *,
                                out_path=os.fspath(out), workers=workers,
                                shard_mb=shard_mb, registry=registry,
                                backend=backend, codebook=codebook,
-                               compile=compile, layout=layout)
+                               layout=layout)
     data = np.asarray(data_or_source)
     if workers is not None or shard_mb is not None \
             or codebook is not None or backend is not None:
         from .parallel.executor import compress_sharded
         result = compress_sharded(data, pipeline, eb, mode, workers=workers,
                                   shard_mb=shard_mb, registry=registry,
-                                  backend=backend, codebook=codebook,
-                                  compile=compile)
+                                  backend=backend, codebook=codebook)
     else:
-        result = pipeline.compress(data, eb, mode, compile=compile,
-                                   threads=threads)
+        result = pipeline.compress(data, eb, mode, threads=threads)
     if out is not None:
         if isinstance(out, np.ndarray):
             raise ConfigError(
@@ -154,13 +165,13 @@ def decompress(blob_or_path, *, out: np.ndarray | None = None,
     header-driven in memory (multi-shard blobs shard-parallel under
     ``workers``).  ``out`` receives the field in place when given (its
     shape/dtype must match) and is returned — every engine writes the
-    reconstruction into it directly, no staging copy.  ``compile``
-    selects the decode path (``"auto"`` / ``True`` / ``False``, see
-    :func:`repro.core.decompress`); reconstructed values do not depend
-    on it.  ``threads`` selects the compiled decode's slab-parallel
-    width (``None`` resolves ``FZMOD_THREADS``, then auto by field
-    size); values do not depend on it either.
+    reconstruction into it directly, no staging copy.  ``compile`` is
+    accepted and ignored (see :func:`_check_inert_compile`).  ``threads``
+    selects the decode plan's slab-parallel width (``None`` resolves
+    ``FZMOD_THREADS``, then auto by field size); values do not depend on
+    it.
     """
+    _check_inert_compile(compile)
     if out is not None and (not isinstance(out, np.ndarray)
                             or not out.flags.writeable):
         raise ConfigError("out= for decompression must be a writable array")
@@ -174,8 +185,7 @@ def decompress(blob_or_path, *, out: np.ndarray | None = None,
         if magic == SHARD_MAGIC:
             from .streaming.engine import decompress_stream
             return decompress_stream(path, out=out, workers=workers,
-                                     registry=registry, window=None,
-                                     compile=compile)
+                                     registry=registry, window=None)
         blob = Path(path).read_bytes()
     if isinstance(blob, (bytearray, memoryview)):
         blob = bytes(blob)
@@ -183,5 +193,5 @@ def decompress(blob_or_path, *, out: np.ndarray | None = None,
         raise ConfigError(
             "expected container bytes, a compressed-field result or a "
             f"path, got {type(blob_or_path).__name__}")
-    return _decompress_blob(blob, registry, workers=workers,
-                            compile=compile, out=out, threads=threads)
+    return _decompress_blob(blob, registry, workers=workers, out=out,
+                            threads=threads)

@@ -5,8 +5,8 @@ Subcommands
 ``compress``    compress a raw .f32/.f64 field (or a synthetic dataset
                 field) with a preset or custom pipeline
 ``decompress``  reconstruct a field from a ``.fzmod`` container
-``compile``     trace a preset/spec into its fused execution plan and
-                print the stage DAG (or the decline reason)
+``compile``     trace a preset/spec into its execution plan and print
+                the step list (fused pass or module call, per stage)
 ``eval``        run compressors over a dataset and print CR/PSNR rows
 ``report``      full comparison (CR/PSNR/SSIM/speedups) for one field
 ``analyze``     trace analytics for a recorded span trace (critical
@@ -76,12 +76,6 @@ def _resolve_pipeline(name: str) -> object:
     return get_compressor(name)
 
 
-def _compile_mode(args: argparse.Namespace):
-    """Map ``--compile/--no-compile`` (tri-state) to the facade kwarg."""
-    flag = getattr(args, "compile", None)
-    return "auto" if flag is None else flag
-
-
 def cmd_compress(args: argparse.Namespace) -> int:
     """``fzmod compress``: compress one field to a container file."""
     if args.stream:
@@ -95,10 +89,6 @@ def cmd_compress(args: argparse.Namespace) -> int:
             raise FZModError(
                 f"--workers/--shard-mb need a modular pipeline "
                 f"(one of {PRESET_NAMES}), not baseline {args.pipeline!r}")
-        if getattr(args, "compile", None):
-            raise FZModError(
-                f"--compile needs a modular pipeline (one of "
-                f"{PRESET_NAMES}), not baseline {args.pipeline!r}")
         cf = comp.compress(data, args.eb, EbMode(args.mode))
         with open(args.output, "wb") as fh:
             fh.write(cf.blob)
@@ -107,8 +97,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
             data, comp, args.eb, mode=EbMode(args.mode),
             workers=args.workers, shard_mb=args.shard_mb,
             codebook=("shared" if args.shared_codebook else None),
-            compile=_compile_mode(args), out=args.output,
-            threads=args.threads)
+            out=args.output, threads=args.threads)
     s = cf.stats
     print(f"{args.pipeline}: {s.input_bytes} -> {s.output_bytes} bytes  "
           f"CR={s.cr:.2f}  bitrate={s.bit_rate:.3f} b/val  "
@@ -136,8 +125,7 @@ def _compress_stream(args: argparse.Namespace) -> int:
             source, comp, args.eb, mode=EbMode(args.mode),
             stream=True, out=args.output, workers=args.workers,
             shard_mb=args.shard_mb, layout=args.layout,
-            codebook=("shared" if args.shared_codebook else None),
-            compile=_compile_mode(args))
+            codebook=("shared" if args.shared_codebook else None))
     s = cf.stats
     print(f"{args.pipeline}: {s.input_bytes} -> {s.output_bytes} bytes  "
           f"CR={s.cr:.2f}  bitrate={s.bit_rate:.3f} b/val  "
@@ -187,7 +175,7 @@ def cmd_decompress(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    """``fzmod compile``: trace a preset/spec to its fused plan."""
+    """``fzmod compile``: trace a preset/spec to its execution plan."""
     import json
     from .core.spec import PipelineSpec
     target = args.pipeline
@@ -200,13 +188,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         raise FZModError(
             f"{target!r} is neither a preset ({PRESET_NAMES}) nor a "
             f"spec JSON file")
-    from .compile import decline_reason
-    reason = decline_reason(pipe)
-    if reason is not None:
-        print(f"{pipe.name}: not compilable — {reason}")
-        return 1
-    plan = pipe.compile()
-    print(plan.describe())
+    print(pipe.compile().describe())
     return 0
 
 
@@ -566,19 +548,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="build one global Huffman codebook for all shards "
                          "(implies the parallel engine; huffman pipelines "
                          "only)")
-    sp.add_argument("--compile", action=argparse.BooleanOptionalAction,
-                    default=None,
-                    help="--compile requires the fused compiled plan "
-                         "(error if the pipeline declines); --no-compile "
-                         "forces the interpreter; default: auto "
-                         "(compiled when possible, byte-identical either "
-                         "way)")
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(fn=cmd_compress)
 
     sp = sub.add_parser("compile", help="trace a preset or spec JSON file "
-                                        "into its fused execution plan and "
-                                        "print the stage DAG")
+                                        "into its execution plan and print "
+                                        "the step list")
     sp.add_argument("pipeline",
                     help=f"preset name (one of {PRESET_NAMES}) or a path "
                          "to a PipelineSpec JSON file")

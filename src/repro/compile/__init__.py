@@ -1,45 +1,37 @@
-"""Plan compiler: fused, specialised executors for frozen pipeline specs.
+"""Plan compiler: the executors every pipeline and container runs through.
 
 ``repro.compile`` traces an assembled pipeline into a
 :class:`~repro.compile.plan.CompiledPlan` — a flat list of pre-bound
-step closures that collapses preprocess, prediction, quantisation and
-histogramming into a single pooled pass per slab while staying
-byte-identical to the interpreted :class:`~repro.core.pipeline.Pipeline`.
-The single, sharded and streaming engines all pick plans up
-transparently (``compile="auto"``); specs the compiler declines run on
-the interpreter unchanged.
+step closures.  For the standard Lorenzo pipelines preprocess,
+prediction, quantisation and histogramming collapse into a single pooled
+pass per slab; every other module runs as a module-call step of the same
+plan.  There is no second executor: :meth:`Pipeline.compress
+<repro.core.pipeline.Pipeline.compress>`, :func:`repro.core.decompress`
+and the sharded and streaming engines all resolve a plan and run it.
 
 Public surface
 --------------
 :func:`plan_for`
-    cached plan for a pipeline, or ``None`` when it declines — the
-    transparent engine entry.
+    cached plan for a pipeline — the engine entry.
 :func:`compile_plan`
-    uncached trace; raises :class:`~repro.errors.PipelineError` on
-    decline (``compile=True`` / ``fzmod compile`` semantics).
-:func:`plan_from_key`
-    resolve a plan key shipped to a shard worker, with digest agreement
-    enforced before the fused path is trusted.
-:func:`decline_reason` / :func:`plan_key`
-    introspection for CLI messaging and cache keying.
+    uncached trace.
+:func:`plan_key`
+    the content digest plans are cached under.
 
-The read side mirrors all of it (:mod:`repro.compile.decode`):
-:func:`decode_plan_for` / :func:`decode_plan_for_header` are the
-transparent engine entries, :func:`compile_decode_plan` the raising
-trace, :func:`decode_plan_from_key` the shard-worker resolution, and
-:func:`decode_decline_reason` / :func:`decode_plan_key` the
-introspection pair.  Decode plans share ``COMPILED_PLAN_CACHE`` with
-the compress plans under a distinct digest tag.
+The read side mirrors it (:mod:`repro.compile.decode`):
+:func:`decode_plan_for` / :func:`decode_plan_for_header` are the engine
+entries, :func:`compile_decode_plan` the uncached trace and
+:func:`decode_plan_key` the digest.  Decode plans share
+``COMPILED_PLAN_CACHE`` with the compress plans under a distinct digest
+tag.
 """
 
 from .decode import (CompiledDecodePlan, compile_decode_plan,
-                     decode_decline_reason, decode_plan_for,
-                     decode_plan_for_header, decode_plan_from_key,
+                     decode_plan_for, decode_plan_for_header,
                      decode_plan_key)
 from .fused import (fused_decode_reconstruct, fused_predict_quantize,
                     scaled_magnitude_bound)
-from .plan import (CompiledPlan, PlanStep, compile_plan, decline_reason,
-                   plan_for, plan_from_key, plan_key)
+from .plan import CompiledPlan, PlanStep, compile_plan, plan_for, plan_key
 
 __all__ = [
     "CompiledDecodePlan",
@@ -47,16 +39,12 @@ __all__ = [
     "PlanStep",
     "compile_decode_plan",
     "compile_plan",
-    "decline_reason",
-    "decode_decline_reason",
     "decode_plan_for",
     "decode_plan_for_header",
-    "decode_plan_from_key",
     "decode_plan_key",
     "fused_decode_reconstruct",
     "fused_predict_quantize",
     "plan_for",
-    "plan_from_key",
     "plan_key",
     "scaled_magnitude_bound",
 ]

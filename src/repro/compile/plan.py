@@ -1,39 +1,33 @@
-"""The plan compiler: trace a pipeline into a fused, specialised executor.
+"""The plan compiler: trace a pipeline into a flat list of bound steps.
 
 :func:`compile_plan` inspects an assembled
-:class:`~repro.core.pipeline.Pipeline`, verifies every hot-path stage is
-one of the standard modules the fused kernels reproduce exactly, and
-emits a :class:`CompiledPlan` — a flat list of pre-bound step closures
-(module lookups, codebook handles, histogram construction, header
-assembly all resolved at compile time) whose ``compress`` produces a
-container byte-identical to the interpreted
-:meth:`~repro.core.pipeline.Pipeline.compress`.
+:class:`~repro.core.pipeline.Pipeline` and emits a :class:`CompiledPlan`
+— a flat list of pre-bound step closures (module lookups, codebook
+handles, histogram construction, header assembly all resolved at compile
+time).  The plan is the only executor: :meth:`Pipeline.compress
+<repro.core.pipeline.Pipeline.compress>` and every engine run
+``plan_for(pipeline).compress(...)``, and every pipeline has a plan.
 
-What gets fused
----------------
-``preprocess -> prequantize -> Lorenzo -> outlier split -> histogram``
-collapse into a single pass over the slab
-(:func:`repro.compile.fused.fused_predict_quantize`), threaded through
-the runtime :class:`~repro.runtime.memory.BufferPool` so no intermediate
-array is materialised between the fused stages.  The encoder and
-secondary stages still run as module calls — their cost already lives in
-content-addressed kernels and caches shared with the interpreter, which
-is also what keeps the two paths byte-identical by construction.
-
-What declines
--------------
-Any stage bound to a non-standard module type (a re-registered custom
-module, the ``interp`` predictor, a subclassed histogram) declines
-compilation; :func:`plan_for` then returns ``None`` and the engines fall
-back to the interpreter.  ``type() is`` checks — not ``isinstance`` — do
-the gating, so subclasses that may override behaviour are never fused.
+What is fused, what is a module call
+------------------------------------
+When preprocess, predictor and statistics are exactly the standard
+modules the fused kernels reproduce, ``preprocess -> prequantize ->
+Lorenzo -> outlier split -> histogram`` collapse into a single pass over
+the slab (:func:`repro.compile.fused.fused_predict_quantize`), threaded
+through the runtime :class:`~repro.runtime.memory.BufferPool` so no
+intermediate array is materialised between the fused stages.  ``type()
+is`` checks — not ``isinstance`` — do the gating, so subclasses that may
+override behaviour are never fused.  Any other module at those stages (a
+re-registered custom module, the ``interp`` predictor, a subclassed
+histogram) becomes a *module-call* step: ``preprocess.forward``,
+``predictor.encode``, ``statistics.collect`` run as written, which is
+what the encoder and secondary steps always are.  Both step groups write
+the same bytes for the same modules.
 
 Plans are content-addressed (spec JSON + per-module fingerprints) and
 cached in :data:`repro.kernels.plancache.COMPILED_PLAN_CACHE`, honouring
-``FZMOD_PLAN_CACHE=0``.  The digest is the *plan key* shard workers
-receive from the parallel and streaming engines: each worker process
-compiles (or cache-hits) the plan for that key once instead of
-re-tracing per shard.
+``FZMOD_PLAN_CACHE=0``; a shard worker calls :func:`plan_for` on the
+pipeline it rebuilt and so traces at most once per process.
 """
 
 from __future__ import annotations
@@ -45,16 +39,15 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.header import ContainerHeader, assemble
+from ..core.header import ContainerHeader, as_bytes_view, assemble
 from ..core.modules_std import (AbsEbPreprocess, BitshuffleEncoder,
-                                HuffmanEncoder, LorenzoPredictor,
-                                NoSecondary, RelEbPreprocess, RleSecondary,
+                                HuffmanEncoder, InterpPredictor,
+                                LorenzoPredictor, NoSecondary,
+                                RelEbPreprocess, RleSecondary,
                                 StandardHistogram, TopKHistogram,
                                 ZstdLikeSecondary)
 from ..core.pipeline import (CompressedField, CompressionStats,
                              _serialize_outliers)
-from ..core.spec import PipelineSpec
-from ..errors import PipelineError
 from ..kernels.histogram import HistogramResult
 from ..kernels.plancache import COMPILED_PLAN_CACHE, digest
 from ..obs.metrics import GLOBAL_METRICS
@@ -73,9 +66,10 @@ class _ExecState:
     """Mutable state threaded through a plan's step closures."""
 
     __slots__ = ("data", "eb", "lo", "hi", "eb_abs", "pre_meta",
-                 "scaled_bound", "codes", "outliers", "counts", "hist",
-                 "stream", "sections", "outlier_sections", "outlier_count",
-                 "header", "body", "stored_body", "threads")
+                 "scaled_bound", "work", "codes", "outliers", "anchors",
+                 "aux", "pred_meta", "counts", "hist", "stream", "sections",
+                 "outlier_sections", "outlier_count", "header", "body",
+                 "stored_body", "threads")
 
     def __init__(self, data: np.ndarray, eb: ErrorBound,
                  threads: int = 1) -> None:
@@ -85,6 +79,10 @@ class _ExecState:
         self.scaled_bound = None
         self.counts = None
         self.hist = None
+        # what only a module-call predictor step fills in
+        self.anchors = None
+        self.aux = {}
+        self.pred_meta = {}
 
 
 @dataclass(frozen=True)
@@ -96,8 +94,8 @@ class PlanStep:
     is the closure itself, and ``detail`` is the human rendering used by
     ``describe()`` and ``fzmod compile``.  ``bytes_of`` (optional) maps
     the post-run state to ``{"bytes_in": ..., "bytes_out": ...}`` span
-    attributes so compiled stage spans carry the same bandwidth
-    accounting as the interpreter's.
+    attributes, so fused and module-call stage spans carry the same
+    bandwidth accounting.
     """
 
     name: str
@@ -113,15 +111,16 @@ def _module_fingerprint(stage: Stage, module) -> tuple:
     """Content fingerprint of a module's plan-relevant configuration.
 
     Standard modules are fully captured by their knobs; unknown types
-    collapse to their registry name (cross-process plan identity for
-    them rests on the spec-name contract, exactly as the sharded
-    engine's spec shipping does).
+    collapse to ``(stage, "opaque", name)``, and a plan that binds one
+    is only ever run for that very instance (:meth:`_BoundPlan.matches`).
     """
     t = type(module)
     if t in (RelEbPreprocess, AbsEbPreprocess, LorenzoPredictor,
              StandardHistogram, NoSecondary, RleSecondary,
              ZstdLikeSecondary):
         return (stage.value, module.name)
+    if t is InterpPredictor:
+        return (stage.value, module.name, module.max_level)
     if t is TopKHistogram:
         return (stage.value, module.name, int(module.k))
     if t is HuffmanEncoder:
@@ -134,31 +133,56 @@ def _module_fingerprint(stage: Stage, module) -> tuple:
     return (stage.value, "opaque", module.name)
 
 
-def decline_reason(pipeline) -> str | None:
-    """Why this pipeline cannot be compiled (``None`` = it can).
+def _fuses_decode(pipeline) -> bool:
+    """Do the fused kernels reproduce this preprocess + predictor exactly?
 
-    The compiler only fuses stages whose exact semantics it reproduces;
-    everything else stays on the interpreter.  Encoder and secondary
-    modules are never a reason to decline — they run as module calls in
-    the compiled plan too.
+    The fused reconstruct pass skips the preprocess ``backward`` call
+    entirely, so only preprocessors known to be value-identity on the
+    way back qualify.
     """
-    if type(pipeline.preprocess) not in _PREPROCESS_TYPES:
-        return (f"preprocess module {pipeline.preprocess.name!r} is not a "
-                "standard abs-eb/rel-eb preprocessor")
-    if type(pipeline.predictor) is not LorenzoPredictor:
-        return (f"predictor module {pipeline.predictor.name!r} has no fused "
-                "kernel (only 'lorenzo' compiles)")
-    if pipeline.encoder.needs_statistics:
-        stats = pipeline.statistics
-        if stats is None or type(stats) not in _STATISTICS_TYPES:
-            name = None if stats is None else stats.name
-            return (f"statistics module {name!r} is not a standard "
-                    "histogram")
-        if type(stats) is TopKHistogram and int(stats.k) < 1:
-            return "top-k histogram with k < 1"
-    if not (1 <= pipeline.radius <= 2**30):
-        return f"radius {pipeline.radius} outside the fused kernel's range"
-    return None
+    return (type(pipeline.preprocess) in _PREPROCESS_TYPES
+            and type(pipeline.predictor) is LorenzoPredictor
+            and 1 <= pipeline.radius <= 2**30)
+
+
+def _fuses_encode(pipeline) -> bool:
+    """:func:`_fuses_decode`, and the histogram is one the fused pass
+    collects itself."""
+    if not _fuses_decode(pipeline):
+        return False
+    if not pipeline.encoder.needs_statistics:
+        return True
+    stats = pipeline.statistics
+    return (type(stats) in _STATISTICS_TYPES
+            and not (type(stats) is TopKHistogram and int(stats.k) < 1))
+
+
+def _bound_modules(pipeline, *, decode: bool = False) -> tuple:
+    """``(stage, module)`` for every module a plan of ``pipeline`` runs.
+
+    Statistics modules exist only to feed encoders at compress time:
+    decode plans, and compress plans whose encoder asks for no
+    histogram, leave them out.
+    """
+    bound = [(Stage.PREPROCESS, pipeline.preprocess),
+             (Stage.PREDICTOR, pipeline.predictor)]
+    if not decode and pipeline.encoder.needs_statistics:
+        bound.append((Stage.STATISTICS, pipeline.statistics))
+    bound += [(Stage.ENCODER, pipeline.encoder),
+              (Stage.SECONDARY, pipeline.secondary)]
+    return tuple(bound)
+
+
+def _fingerprints(bound: tuple) -> tuple:
+    return tuple(_module_fingerprint(stage, module)
+                 for stage, module in bound)
+
+
+def _content_key(tag: str, pipeline, *, decode: bool = False) -> str:
+    parts = [tag, json.dumps(pipeline.spec.to_json(), sort_keys=True)]
+    parts += [repr(fp) for fp in
+              _fingerprints(_bound_modules(pipeline, decode=decode))]
+    return digest(*parts)
 
 
 def plan_key(pipeline) -> str:
@@ -169,63 +193,52 @@ def plan_key(pipeline) -> str:
     codebook's lengths digest — so two pipelines share a plan exactly
     when their compiled executors would be indistinguishable.
     """
-    spec = pipeline.spec
-    parts: list = ["fzmod-plan-v1",
-                   json.dumps(spec.to_json(), sort_keys=True)]
-    parts.append(_module_fingerprint(Stage.PREPROCESS, pipeline.preprocess))
-    parts.append(_module_fingerprint(Stage.PREDICTOR, pipeline.predictor))
-    if pipeline.encoder.needs_statistics and pipeline.statistics is not None:
-        parts.append(_module_fingerprint(Stage.STATISTICS,
-                                         pipeline.statistics))
-    parts.append(_module_fingerprint(Stage.ENCODER, pipeline.encoder))
-    parts.append(_module_fingerprint(Stage.SECONDARY, pipeline.secondary))
-    return digest(*[p if isinstance(p, str) else repr(p) for p in parts])
+    return _content_key("fzmod-plan-v1", pipeline)
 
 
-class CompiledPlan:
-    """A fused, specialised executor for one pipeline configuration.
+class _BoundPlan:
+    """What a compress plan and a decode plan have in common: a content
+    key, the spec it was traced from and the module instances it runs."""
 
-    Produced by :func:`compile_plan`; execute with :meth:`compress`,
-    inspect with :meth:`describe`.  The plan pre-resolves everything the
-    interpreter looks up per call — module instances, the code alphabet,
-    the header name map, the histogram constructor — into
-    :class:`PlanStep` closures, and its output is byte-identical to
-    :meth:`repro.core.pipeline.Pipeline.compress` on the same input.
-    """
+    _decode = False
 
-    def __init__(self, *, key: str, spec: PipelineSpec, radius: int,
-                 module_names: dict[str, str], fingerprints: tuple,
-                 encoder, secondary, steps: list[PlanStep]) -> None:
+    def __init__(self, key: str, pipeline) -> None:
         self.key = key
-        self.spec = spec
-        self.name = spec.name
-        self.radius = radius
-        self.num_bins = 2 * radius
-        self.module_names = dict(module_names)
-        self._fingerprints = fingerprints
-        self._encoder = encoder
-        self._secondary = secondary
-        self.steps = list(steps)
+        self.spec = pipeline.spec
+        self.name = self.spec.name
+        self._bound = _bound_modules(pipeline, decode=self._decode)
+        self._fingerprints = _fingerprints(self._bound)
 
-    # ------------------------------------------------------------------ #
     def matches(self, pipeline) -> bool:
         """Does this plan execute exactly what ``pipeline`` would?
 
         Fingerprint equality decides for standard modules (their knobs
-        fully determine behaviour); opaque encoder/secondary modules
-        additionally require instance identity, because the plan calls
+        fully determine behaviour); an opaque module at any stage
+        additionally requires instance identity, because the plan calls
         *its* bound instance, not the pipeline's.
         """
         if pipeline.spec != self.spec:
             return False
-        if _plan_fingerprints(pipeline) != self._fingerprints:
+        theirs = _bound_modules(pipeline, decode=self._decode)
+        if _fingerprints(theirs) != self._fingerprints:
             return False
-        for mine, theirs in ((self._encoder, pipeline.encoder),
-                             (self._secondary, pipeline.secondary)):
-            fp = _module_fingerprint(Stage.ENCODER, mine)
-            if fp[1] == "opaque" and mine is not theirs:
-                return False
-        return True
+        return all(fp[1] != "opaque" or mine is other
+                   for fp, (_, mine), (_, other)
+                   in zip(self._fingerprints, self._bound, theirs))
+
+
+class CompiledPlan(_BoundPlan):
+    """The executor for one pipeline configuration.
+
+    Produced by :func:`compile_plan`; execute with :meth:`compress`,
+    inspect with :meth:`describe`.  The plan pre-resolves everything a
+    run needs — module instances, the code alphabet, the header name
+    map, the histogram constructor — into :class:`PlanStep` closures.
+    """
+
+    def __init__(self, key: str, pipeline, steps: list[PlanStep]) -> None:
+        super().__init__(key, pipeline)
+        self.steps = steps
 
     def describe(self) -> str:
         """Human rendering of the stage DAG (CLI / trace output)."""
@@ -238,7 +251,7 @@ class CompiledPlan:
     def compress(self, data: np.ndarray, eb: ErrorBound | float,
                  mode: EbMode | str = EbMode.REL, *,
                  threads: int | None = None) -> CompressedField:
-        """Run the fused plan; byte-identical to the interpreted path.
+        """Run the plan's steps over ``data``.
 
         ``threads`` selects the slab-parallel width (``None`` = resolve
         from ``FZMOD_THREADS`` / input size, see
@@ -252,12 +265,11 @@ class CompiledPlan:
         state = _ExecState(data, eb, n_threads)
         timings: dict[str, float] = {}
         with span("pipeline.compress", pipeline=self.name,
-                  bytes_in=int(data.nbytes), compiled=True,
+                  bytes_in=int(data.nbytes), plan=self.key,
                   threads=n_threads) as root, thread_budget(n_threads):
             t_exec = time.perf_counter()
-            # stage spans stay direct children of the pipeline root — the
-            # trace contract shared with the interpreter — so consumers
-            # need not know which path ran
+            # stage spans stay direct children of the pipeline root, fused
+            # or not, so consumers need not know which step group ran
             for step in self.steps:
                 t0 = time.perf_counter()
                 if step.span_name is not None:
@@ -293,35 +305,15 @@ class CompiledPlan:
             / data.nbytes,
             outlier_count=state.outliers.count,
             section_sizes={k: len(v) for k, v in state.sections.items()},
-            stage_seconds=timings, interp_levels=0)
+            stage_seconds=timings,
+            interp_levels=int(state.pred_meta.get("max_level", 0)))
         return CompressedField(blob=blob, stats=stats, header=state.header)
 
 
-def _plan_fingerprints(pipeline) -> tuple:
-    fps = [_module_fingerprint(Stage.PREPROCESS, pipeline.preprocess),
-           _module_fingerprint(Stage.PREDICTOR, pipeline.predictor)]
-    if pipeline.encoder.needs_statistics and pipeline.statistics is not None:
-        fps.append(_module_fingerprint(Stage.STATISTICS,
-                                       pipeline.statistics))
-    fps.append(_module_fingerprint(Stage.ENCODER, pipeline.encoder))
-    fps.append(_module_fingerprint(Stage.SECONDARY, pipeline.secondary))
-    return tuple(fps)
-
-
 def compile_plan(pipeline) -> CompiledPlan:
-    """Trace ``pipeline`` into a :class:`CompiledPlan` (uncached).
-
-    Raises :class:`~repro.errors.PipelineError` when the pipeline uses a
-    stage the compiler declines — call :func:`decline_reason` first (or
-    use :func:`plan_for`) for the soft-failure path.
-    """
+    """Trace ``pipeline`` into a :class:`CompiledPlan` (uncached)."""
     with span("compile.plan", pipeline=pipeline.name):
         with span("compile.trace"):
-            reason = decline_reason(pipeline)
-            if reason is not None:
-                raise PipelineError(
-                    f"pipeline {pipeline.name!r} cannot be compiled: "
-                    f"{reason}")
             key = plan_key(pipeline)
         with span("compile.specialize", plan=key):
             plan = _specialize(pipeline, key)
@@ -329,17 +321,13 @@ def compile_plan(pipeline) -> CompiledPlan:
     return plan
 
 
-def _specialize(pipeline, key: str) -> CompiledPlan:
-    """Build the flat step-closure list for a validated pipeline."""
-    spec = pipeline.spec
+def _fused_steps(pipeline) -> list[PlanStep]:
+    """Preprocess, predictor and statistics as the one fused pass."""
     radius = pipeline.radius
     num_bins = 2 * radius
     preprocess = pipeline.preprocess
     statistics = pipeline.statistics
-    encoder = pipeline.encoder
-    secondary = pipeline.secondary
-    module_names = pipeline.module_names()
-    collect_counts = bool(encoder.needs_statistics)
+    collect_counts = bool(pipeline.encoder.needs_statistics)
     steps: list[PlanStep] = []
 
     # -- preprocess: resolve the bound (and the range scan for rel-eb) --
@@ -416,6 +404,71 @@ def _specialize(pipeline, key: str) -> CompiledPlan:
             bytes_of=lambda s: {"bytes_in": int(s.codes.nbytes),
                                 "bytes_out": int(s.counts.nbytes)}))
 
+    return steps
+
+
+def _module_call_steps(pipeline) -> list[PlanStep]:
+    """Preprocess, predictor and statistics as calls into the modules."""
+    radius = pipeline.radius
+    num_bins = 2 * radius
+    preprocess = pipeline.preprocess
+    predictor = pipeline.predictor
+    statistics = pipeline.statistics
+
+    def run_preprocess(state: _ExecState) -> None:
+        pre = preprocess.forward(state.data, state.eb)
+        state.work = pre.data
+        state.eb_abs = pre.eb_abs
+        state.pre_meta = pre.meta
+
+    def run_predictor(state: _ExecState) -> None:
+        arts = predictor.encode(state.work, state.eb_abs, radius)
+        state.codes = arts.codes
+        state.outliers = arts.outliers
+        state.anchors = arts.anchors
+        state.aux = arts.aux
+        state.pred_meta = arts.meta
+
+    steps = [
+        PlanStep(
+            name=f"preprocess[{preprocess.name}]", detail="module call",
+            run=run_preprocess, stage="preprocess",
+            span_name="stage.preprocess",
+            span_attrs={"module": preprocess.name},
+            bytes_of=lambda s: {"bytes_in": int(s.data.nbytes),
+                                "bytes_out": int(s.work.nbytes)}),
+        PlanStep(
+            name=f"predictor[{predictor.name}]", detail="module call",
+            run=run_predictor, stage="predictor",
+            span_name="stage.predictor",
+            span_attrs={"module": predictor.name},
+            bytes_of=lambda s: {"bytes_in": int(s.work.nbytes),
+                                "bytes_out": int(s.codes.nbytes)})]
+    if pipeline.encoder.needs_statistics:
+        def run_statistics(state: _ExecState) -> None:
+            state.hist = statistics.collect(state.codes, num_bins)
+
+        steps.append(PlanStep(
+            name=f"statistics[{statistics.name}]", detail="module call",
+            run=run_statistics, stage="statistics",
+            span_name="stage.statistics",
+            span_attrs={"module": statistics.name},
+            bytes_of=lambda s: {"bytes_in": int(s.codes.nbytes),
+                                "bytes_out": int(s.hist.counts.nbytes)}))
+    return steps
+
+
+def _specialize(pipeline, key: str) -> CompiledPlan:
+    """Build the flat step-closure list for ``pipeline``."""
+    spec = pipeline.spec
+    radius = pipeline.radius
+    num_bins = 2 * radius
+    encoder = pipeline.encoder
+    secondary = pipeline.secondary
+    module_names = pipeline.module_names()
+    steps = (_fused_steps(pipeline) if _fuses_encode(pipeline)
+             else _module_call_steps(pipeline))
+
     # -- encoder: pre-bound module call (shares the encode caches) ------
     def run_encoder(state: _ExecState) -> None:
         state.stream = encoder.encode(state.codes, num_bins, state.hist)
@@ -429,11 +482,17 @@ def _specialize(pipeline, key: str) -> CompiledPlan:
             "bytes_in": int(s.codes.nbytes),
             "bytes_out": sum(len(v) for v in s.stream.sections.values())}))
 
-    # -- header + sections (untimed glue, as in the interpreter) --------
+    # -- header + sections (untimed glue) --------------------------------
     def run_assemble(state: _ExecState) -> None:
         sections: dict[str, bytes] = dict(state.stream.sections)
         outlier_sections, outlier_count = _serialize_outliers(state.outliers)
         sections.update(outlier_sections)
+        if state.anchors is not None:
+            sections["anchors"] = as_bytes_view(state.anchors)
+        aux_meta: dict[str, list] = {}
+        for aname, arr in state.aux.items():
+            sections[f"aux.{aname}"] = as_bytes_view(arr)
+            aux_meta[aname] = [arr.dtype.str, list(arr.shape)]
         state.sections = sections
         state.outlier_sections = outlier_sections
         state.outlier_count = outlier_count
@@ -442,15 +501,16 @@ def _specialize(pipeline, key: str) -> CompiledPlan:
             eb_value=state.eb.value, eb_mode=state.eb.mode.value,
             eb_abs=state.eb_abs, radius=radius, modules=dict(module_names),
             pipeline=spec.to_json(),
-            stage_meta={"predictor": {},
+            stage_meta={"predictor": dict(state.pred_meta),
                         "encoder": dict(state.stream.meta),
                         "preprocess": dict(state.pre_meta),
                         "outliers": {"count": outlier_count},
-                        "aux": {}})
+                        "aux": aux_meta})
         _, state.body = assemble(state.header, sections)
 
     steps.append(PlanStep(
-        name="assemble", detail="outlier packing + container header",
+        name="assemble",
+        detail="outlier/anchor/aux packing + container header",
         run=run_assemble))
 
     # -- secondary + CRC finalise ---------------------------------------
@@ -473,43 +533,24 @@ def _specialize(pipeline, key: str) -> CompiledPlan:
         name="finalize", detail="stored-body CRC + header rewrite",
         run=run_finalize))
 
-    return CompiledPlan(key=key, spec=spec, radius=radius,
-                        module_names=module_names,
-                        fingerprints=_plan_fingerprints(pipeline),
-                        encoder=encoder, secondary=secondary, steps=steps)
+    return CompiledPlan(key, pipeline, steps)
 
 
-def plan_for(pipeline) -> CompiledPlan | None:
-    """The cached compiled plan for ``pipeline``, or ``None`` (declined).
+def _cached_plan(pipeline, key: str, build, group: str):
+    """The cached plan under ``key``, verified against the live pipeline.
 
-    This is the transparent entry the engines use: a decline costs a few
-    type checks, a hit costs one digest + cache lookup, and a miss
-    compiles once per process (``FZMOD_PLAN_CACHE=0`` recompiles every
-    call but still executes fused).  The cached plan is verified against
-    the live pipeline instance (:meth:`CompiledPlan.matches`); exotic
-    mismatches — same spec, differently-configured opaque modules — get
-    a fresh uncached plan instead of someone else's closures.
+    A hit costs one digest + cache lookup and a miss compiles once per
+    process (``FZMOD_PLAN_CACHE=0`` recompiles every call).  A cached
+    plan that does not :meth:`~_BoundPlan.matches` the pipeline — same
+    spec, another instance of an opaque module — is left alone and the
+    caller gets a fresh uncached plan instead of someone else's closures.
     """
-    if decline_reason(pipeline) is not None:
-        return None
-    key = plan_key(pipeline)
-    plan = COMPILED_PLAN_CACHE.get_or_build(
-        key, lambda: compile_plan(pipeline), group="compress")
-    if not plan.matches(pipeline):
-        plan = compile_plan(pipeline)
-    return plan
+    plan = COMPILED_PLAN_CACHE.get_or_build(key, lambda: build(pipeline),
+                                            group=group)
+    return plan if plan.matches(pipeline) else build(pipeline)
 
 
-def plan_from_key(pipeline, key: str) -> CompiledPlan | None:
-    """Resolve a plan key shipped by an engine (shard-worker entry).
-
-    The worker compiles (or cache-hits) the plan for its own rebuilt
-    pipeline and accepts it only when the content digests agree — a
-    mismatch means this process would trace a different plan than the
-    parent did, and the shard falls back to the interpreter rather than
-    silently diverging.
-    """
-    plan = plan_for(pipeline)
-    if plan is None or plan.key != key:
-        return None
-    return plan
+def plan_for(pipeline) -> CompiledPlan:
+    """The cached compiled plan for ``pipeline`` (every engine's entry)."""
+    return _cached_plan(pipeline, plan_key(pipeline), compile_plan,
+                        "compress")

@@ -147,14 +147,14 @@ def render_hotpath() -> str:
     lines = ["plan caches:"]
     for name, cs in s["plan_caches"].items():
         lines.append(f"  {name:<24} {cs['entries']:>4} entries "
-                     f"{cs['bytes']:>10} B  hit rate {cs['hit_rate']:.2%} "
+                     f"hit rate {cs['hit_rate']:.2%} "
                      f"({cs['hits']} hits / {cs['misses']} misses, "
                      f"{cs['evictions']} evicted)")
         # caches holding plans for several directions (compress vs
         # decode) report each group on its own sub-line
         for grp, g in cs.get("by_group", {}).items():
             lines.append(f"    {grp:<22} {g['entries']:>4} entries "
-                         f"             ({g['hits']} hits / "
+                         f"({g['hits']} hits / "
                          f"{g['misses']} misses, "
                          f"{g['evictions']} evicted)")
     bp = s["buffer_pool"]

@@ -11,28 +11,20 @@ the same modules registered can decode.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import (ConfigError, DataError, ModuleNotFoundInRegistry,
-                      PipelineError)
+from ..errors import CodecError, ConfigError, DataError, PipelineError
 from ..kernels.quantize import (OutlierSet, pack_outliers as quantize_pack,
                                 unpack_outliers as quantize_unpack)
-from ..kernels.plancache import MODULE_TABLE_CACHE
-from ..obs.metrics import GLOBAL_METRICS
-from ..obs.spans import span
-from ..types import EbMode, ErrorBound, check_field
-from .header import (ContainerHeader, as_bytes_view, assemble, parse,
-                     peek_header, split_sections)
-from .module import (EncodedStream, EncoderModule, PredictorArtifacts,
-                     PredictorModule, PreprocessModule, SecondaryModule,
-                     StatisticsModule)
+from ..types import EbMode, ErrorBound, Stage
+from .header import ContainerHeader, peek_header
+from .module import (EncoderModule, PredictorModule, PreprocessModule,
+                     SecondaryModule, StatisticsModule)
 from .modules_std import NoSecondary
 from .registry import DEFAULT_REGISTRY, ModuleRegistry
 from .spec import DEFAULT_RADIUS, PipelineSpec
-from ..types import Stage
 
 
 @dataclass(frozen=True)
@@ -85,9 +77,28 @@ def _serialize_outliers(out: OutlierSet) -> tuple[dict[str, bytes], int]:
     return sections, count
 
 
-def _deserialize_outliers(sections: dict[str, bytes], count: int) -> OutlierSet:
+def _outlier_count(header: ContainerHeader,
+                   sections: dict[str, bytes]) -> int:
+    """The outlier count a parsed container declares.
+
+    It comes from the container: it is checked against the two outlier
+    sections (written together, and only for a non-zero count) before it
+    sizes anything.
+    """
+    count = header.stage_meta.get("outliers", {}).get("count", 0)
+    if (type(count) is not int or count < 0
+            or any(bool(count) != bool(len(sections.get(name, b"")))
+                   for name in ("outlier.idx", "outlier.val"))):
+        raise CodecError("outlier count must be a non-negative integer "
+                         "that matches the outlier sections")
+    return count
+
+
+def _deserialize_outliers(header: ContainerHeader,
+                          sections: dict[str, bytes]) -> OutlierSet:
     return quantize_unpack(sections.get("outlier.idx", b""),
-                           sections.get("outlier.val", b""), count)
+                           sections.get("outlier.val", b""),
+                           _outlier_count(header, sections))
 
 
 class Pipeline:
@@ -184,44 +195,19 @@ class Pipeline:
         return names
 
     # ------------------------------------------------------------------ #
-    def _resolve_plan(self, compile_mode):
-        """Map a ``compile=`` argument to a plan (or ``None`` = interpret).
-
-        ``"auto"`` uses the compiled plan when the spec compiles and
-        falls back silently otherwise; ``True`` requires a plan (raises
-        :class:`~repro.errors.PipelineError` naming the declining stage);
-        ``False`` forces the interpreter.
-        """
-        if compile_mode is False:
-            return None
-        if compile_mode is not True and compile_mode != "auto":
-            raise PipelineError(
-                f"compile must be 'auto', True or False, got {compile_mode!r}")
-        from ..compile import decline_reason, plan_for
-        plan = plan_for(self)
-        if plan is None and compile_mode is True:
-            raise PipelineError(
-                f"pipeline {self.name!r} cannot be compiled: "
-                f"{decline_reason(self)}")
-        return plan
-
     def compile(self):
         """The cached :class:`~repro.compile.CompiledPlan` for this pipeline.
 
-        Raises :class:`~repro.errors.PipelineError` when the compiler
-        declines a stage (use :func:`repro.compile.decline_reason` to ask
-        why without raising).  Compiling is idempotent and content-cached,
-        so calling this once per process pre-warms the plan cache for
-        every engine.
+        Compiling is idempotent and content-cached, so calling this once
+        per process pre-warms the plan cache for every engine.
         """
-        plan = self._resolve_plan(True)
-        assert plan is not None  # _resolve_plan(True) raised otherwise
-        return plan
+        from ..compile import plan_for
+        return plan_for(self)
 
     def compress(self, data: np.ndarray, eb: ErrorBound | float,
                  mode: EbMode | str = EbMode.REL, *,
                  workers: int | None = None, shard_mb: float | None = None,
-                 codebook: str | None = None, compile="auto",
+                 codebook: str | None = None,
                  threads: int | None = None):
         """Compress ``data`` under the given error bound.
 
@@ -240,256 +226,31 @@ class Pipeline:
         combined histogram and ships it to every shard — one package-merge
         run instead of N, and one stored codebook instead of N.
 
-        ``compile`` selects the execution path: ``"auto"`` (default) runs
-        the fused compiled plan when :mod:`repro.compile` accepts the spec
-        — output is byte-identical either way — and the interpreter
-        otherwise; ``True`` requires the compiled path; ``False`` forces
-        the interpreter.
-
-        ``threads`` selects the compiled plan's slab-parallel width
-        (``None`` resolves ``FZMOD_THREADS``, then auto-threads large
-        inputs across the cores — see
+        Otherwise the field runs through this pipeline's compiled plan
+        (:func:`repro.compile.plan_for`).  ``threads`` selects the plan's
+        slab-parallel width (``None`` resolves ``FZMOD_THREADS``, then
+        auto-threads large inputs across the cores — see
         :func:`repro.runtime.threads.resolve_threads`); the container
-        bytes are identical for every value.  The interpreter path runs
-        single-threaded regardless.
+        bytes are identical for every value.
         """
         if workers is not None or shard_mb is not None or codebook is not None:
             from ..parallel.executor import compress_sharded
             return compress_sharded(data, self, eb, mode, workers=workers,
-                                    shard_mb=shard_mb, codebook=codebook,
-                                    compile=compile)
-        plan = self._resolve_plan(compile)
-        if plan is not None:
-            return plan.compress(data, eb, mode, threads=threads)
-        if not isinstance(eb, ErrorBound):
-            eb = ErrorBound(float(eb), EbMode(mode))
-        data = check_field(data)
-        timings: dict[str, float] = {}
-        # an "auto" run that got here was declined by the compiler: say why
-        fallback = {}
-        if compile is not False:
-            from ..compile import decline_reason
-            fallback["decline_reason"] = decline_reason(self)
-        with span("pipeline.compress", pipeline=self.name,
-                  bytes_in=int(data.nbytes), compiled=False,
-                  **fallback) as root:
-            t0 = time.perf_counter()
-            with span("stage.preprocess", module=self.preprocess.name,
-                      bytes_in=int(data.nbytes)) as sp:
-                pre = self.preprocess.forward(data, eb)
-                sp.set(bytes_out=int(pre.data.nbytes))
-            timings["preprocess"] = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            with span("stage.predictor", module=self.predictor.name,
-                      bytes_in=int(pre.data.nbytes)) as sp:
-                arts = self.predictor.encode(pre.data, pre.eb_abs, self.radius)
-                sp.set(bytes_out=int(arts.codes.nbytes))
-            timings["predictor"] = time.perf_counter() - t0
-
-            hist = None
-            if self.encoder.needs_statistics:
-                t0 = time.perf_counter()
-                with span("stage.statistics", module=self.statistics.name,
-                          bytes_in=int(arts.codes.nbytes)) as sp:
-                    hist = self.statistics.collect(arts.codes, self.num_bins)
-                    sp.set(bytes_out=int(hist.counts.nbytes))
-                timings["statistics"] = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            with span("stage.encoder", module=self.encoder.name,
-                      bytes_in=int(arts.codes.nbytes)) as sp:
-                stream = self.encoder.encode(arts.codes, self.num_bins, hist)
-                sp.set(bytes_out=sum(len(v) for v in
-                                     stream.sections.values()))
-            timings["encoder"] = time.perf_counter() - t0
-
-            sections: dict[str, bytes] = dict(stream.sections)
-            outlier_sections, outlier_count = _serialize_outliers(arts.outliers)
-            sections.update(outlier_sections)
-            if arts.anchors is not None:
-                sections["anchors"] = as_bytes_view(arts.anchors)
-            aux_meta: dict[str, list] = {}
-            for aname, arr in arts.aux.items():
-                sections[f"aux.{aname}"] = as_bytes_view(arr)
-                aux_meta[aname] = [arr.dtype.str, list(arr.shape)]
-
-            header = ContainerHeader(
-                shape=data.shape, dtype=data.dtype.str, eb_value=eb.value,
-                eb_mode=eb.mode.value, eb_abs=pre.eb_abs, radius=self.radius,
-                modules=self.module_names(), pipeline=self.spec.to_json(),
-                stage_meta={"predictor": dict(arts.meta),
-                            "encoder": dict(stream.meta),
-                            "preprocess": dict(pre.meta),
-                            "outliers": {"count": outlier_count},
-                            "aux": aux_meta})
-            _, body = assemble(header, sections)
-
-            t0 = time.perf_counter()
-            with span("stage.secondary", module=self.secondary.name,
-                      bytes_in=len(body)) as sp:
-                stored_body = self.secondary.encode(body)
-                sp.set(bytes_out=len(stored_body))
-            timings["secondary"] = time.perf_counter() - t0
-
-            # rebuild the header with the CRC of the *stored* body so parse()
-            # can reject corruption before any codec runs
-            header_bytes, _ = assemble(header, sections, stored_body=stored_body)
-            blob = header_bytes + stored_body
-            root.set(bytes_out=len(blob))
-        for stage, seconds in timings.items():
-            GLOBAL_METRICS.histogram("pipeline.stage_seconds",
-                                     stage=stage).observe(seconds)
-        GLOBAL_METRICS.counter("pipeline.compress_calls").inc()
-        GLOBAL_METRICS.counter("pipeline.bytes_in").inc(int(data.nbytes))
-        GLOBAL_METRICS.counter("pipeline.bytes_out").inc(len(blob))
-        stats = CompressionStats(
-            input_bytes=data.nbytes, output_bytes=len(blob),
-            element_count=data.size, eb_abs=pre.eb_abs,
-            code_fraction=arts.codes.nbytes / data.nbytes,
-            outlier_fraction=sum(len(v) for v in outlier_sections.values())
-            / data.nbytes,
-            outlier_count=arts.outliers.count,
-            section_sizes={k: len(v) for k, v in sections.items()},
-            stage_seconds=timings,
-            interp_levels=int(arts.meta.get("max_level", 0)))
-        return CompressedField(blob=blob, stats=stats, header=header)
+                                    shard_mb=shard_mb, codebook=codebook)
+        return self.compile().compress(data, eb, mode, threads=threads)
 
     def decompress(self, blob: bytes | CompressedField, *,
                    out: np.ndarray | None = None,
-                   compile="auto",
                    threads: int | None = None) -> np.ndarray:
         """Reconstruct a field compressed by (any) pipeline.
 
         ``out`` receives the field directly when given (and is
-        returned).  ``compile`` selects the decode path: ``"auto"``
-        (default) runs the fused compiled decode plan when the
-        container's spec is accepted — output is value-identical either
-        way — and the interpreter otherwise; ``True`` requires the
-        compiled path; ``False`` forces the interpreter.  ``threads``
-        selects the compiled decode's slab-parallel width
-        (value-identical for every width).
+        returned).  ``threads`` selects the decode plan's slab-parallel
+        width (value-identical for every width).
         """
         if isinstance(blob, CompressedField):
             blob = blob.blob
-        return decompress(blob, out=out, compile=compile, threads=threads)
-
-
-def _module_table(header: ContainerHeader, registry: ModuleRegistry
-                  ) -> dict[str, object]:
-    """Resolve the header's stage->name map to module instances, cached.
-
-    The table is a pure function of the registry contents and the name
-    map, so it is served from the plan cache keyed by the registry
-    identity + generation: decompressing a stream of same-pipeline
-    containers resolves the modules once instead of five lookups per blob.
-    """
-    names = tuple(sorted(header.modules.items()))
-    key = (id(registry), registry.generation, names)
-    return MODULE_TABLE_CACHE.get_or_build(
-        key, lambda: {stage: registry.get(Stage(stage), name)
-                      for stage, name in names})
-
-
-def decode_codes(blob: bytes, registry: ModuleRegistry = DEFAULT_REGISTRY,
-                 *, section_overrides: dict[str, bytes] | None = None
-                 ) -> tuple[ContainerHeader, PredictorArtifacts]:
-    """The entropy half of container decoding.
-
-    Parses the container, runs the secondary decode and the encoder's
-    entropy decode (Huffman for the standard pipelines), and
-    deserialises the outlier/anchor/aux channels — everything up to but
-    excluding the predictor's reconstruction.  Returns the header plus
-    the recovered :class:`PredictorArtifacts`, which
-    :func:`reconstruct_field` turns back into a field.
-
-    The split exists for the streaming engine: entropy decode of shard
-    k+1 can run concurrently with the outlier scatter of shard k (the
-    paper's §3.3.1 overlap), which needs the two halves as separately
-    schedulable tasks.
-    """
-    header, stored_body = parse(blob)
-    modules = _module_table(header, registry)
-    secondary = modules[Stage.SECONDARY.value]
-    with span("stage.secondary", module=secondary.name, op="decode",
-              bytes_in=len(stored_body)) as sp:
-        body = secondary.decode(stored_body)
-        sp.set(bytes_out=len(body))
-    sections = split_sections(header, body, zero_copy=True)
-    if section_overrides:
-        sections.update(section_overrides)
-
-    encoder = modules[Stage.ENCODER.value]
-    stream = EncodedStream(
-        sections={k: v for k, v in sections.items()
-                  if k.startswith("enc.")},
-        meta=header.stage_meta.get("encoder", {}))
-    # interp predictors carry anchors: the dense code stream is shorter
-    # than the element count by the anchor count.  Predictors whose
-    # stream length differs from the element count for other reasons
-    # (e.g. the regression predictor's padded blocks) declare it
-    # explicitly.
-    anchors = None
-    anchor_count = 0
-    if "anchors" in sections:
-        anchors = np.frombuffer(sections["anchors"], dtype=header.np_dtype)
-        anchor_count = anchors.size
-    predictor_meta = header.stage_meta.get("predictor", {})
-    count = int(predictor_meta.get("stream_length",
-                                   header.element_count - anchor_count))
-    with span("stage.encoder", module=encoder.name, op="decode",
-              bytes_in=sum(len(v) for v in stream.sections.values())) as sp:
-        codes = encoder.decode(stream, count, 2 * header.radius)
-        sp.set(bytes_out=int(codes.nbytes))
-
-    outlier_count = int(header.stage_meta.get("outliers", {})
-                        .get("count", 0))
-    outliers = _deserialize_outliers(sections, outlier_count)
-    aux: dict[str, np.ndarray] = {}
-    for aname, (dtype_str, shape) in header.stage_meta.get("aux",
-                                                           {}).items():
-        arr = np.frombuffer(sections[f"aux.{aname}"],
-                            dtype=np.dtype(dtype_str))
-        aux[aname] = arr.reshape([int(s) for s in shape])
-    arts = PredictorArtifacts(codes=codes, outliers=outliers,
-                              anchors=anchors, aux=aux,
-                              meta=header.stage_meta.get("predictor", {}))
-    return header, arts
-
-
-def reconstruct_field(header: ContainerHeader, arts: PredictorArtifacts,
-                      registry: ModuleRegistry = DEFAULT_REGISTRY
-                      ) -> np.ndarray:
-    """The reconstruction half: predictor decode (outlier merge/scatter
-    included) and the inverse preprocess, from :func:`decode_codes`
-    artifacts back to the field."""
-    modules = _module_table(header, registry)
-    predictor = modules[Stage.PREDICTOR.value]
-    with span("stage.predictor", module=predictor.name, op="decode",
-              bytes_in=int(arts.codes.nbytes)) as sp:
-        out = predictor.decode(arts, header.shape, header.np_dtype,
-                               header.eb_abs, header.radius)
-        sp.set(bytes_out=int(out.nbytes))
-    preprocess = modules[Stage.PREPROCESS.value]
-    with span("stage.preprocess", module=preprocess.name, op="decode",
-              bytes_in=int(out.nbytes)) as sp:
-        out = preprocess.backward(out,
-                                  header.stage_meta.get("preprocess", {}))
-        sp.set(bytes_out=int(out.nbytes))
-    # Contract: callers get exactly one C-contiguous, writable array of
-    # the header's dtype that owns its data.  The standard chain already
-    # ends in a fresh buffer (audited: Lorenzo/interp dequantize into a
-    # new array and the preprocessors pass it through), so these
-    # normalisations only fire for custom modules that return
-    # transposed/strided views, foreign dtypes, or views into
-    # blob-backed sections.
-    if out.dtype != header.np_dtype:
-        out = out.astype(header.np_dtype)
-    elif not out.flags.c_contiguous:
-        out = np.ascontiguousarray(out)
-    if not out.flags.writeable or out.base is not None:
-        out = out.copy()
-    return out
+        return decompress(blob, out=out, threads=threads)
 
 
 def check_decode_out(out: np.ndarray, shape: tuple[int, ...],
@@ -511,97 +272,34 @@ def check_decode_out(out: np.ndarray, shape: tuple[int, ...],
     return out
 
 
-def _decode_decline_reason(header: ContainerHeader,
-                           registry: ModuleRegistry) -> str | None:
-    """Why ``header``'s container has no compiled decode plan."""
-    from ..compile import decode_decline_reason
-    spec = header.pipeline_spec()
-    if spec is None:
-        return "container carries no pipeline spec"
-    try:
-        pipeline = Pipeline.from_spec(spec, registry=registry)
-    except ModuleNotFoundInRegistry as exc:
-        return str(exc)
-    return decode_decline_reason(pipeline)
-
-
-def _decode_plan_for_mode(header: ContainerHeader, registry: ModuleRegistry,
-                          compile_mode):
-    """Map a decode ``compile=`` argument to a plan (``None`` = interpret).
-
-    ``"auto"`` uses the compiled decode plan when the header's spec
-    compiles and falls back silently otherwise; ``True`` requires a plan
-    (raises :class:`~repro.errors.PipelineError` naming the obstacle);
-    ``False`` forces the interpreter.
-    """
-    if compile_mode is False:
-        return None
-    if compile_mode is not True and compile_mode != "auto":
-        raise PipelineError(
-            f"compile must be 'auto', True or False, got {compile_mode!r}")
-    from ..compile import decode_decline_reason, decode_plan_for_header
-    plan = decode_plan_for_header(header, registry)
-    if plan is None and compile_mode is True:
-        spec = header.pipeline_spec()
-        if spec is None:
-            raise PipelineError(
-                "container carries no pipeline spec; compiled decode "
-                "requires one")
-        pipeline = Pipeline.from_spec(spec, registry=registry)
-        raise PipelineError(
-            f"pipeline {pipeline.name!r} cannot be compile-decoded: "
-            f"{decode_decline_reason(pipeline)}")
-    return plan
-
-
 def decompress(blob: bytes, registry: ModuleRegistry = DEFAULT_REGISTRY,
                *, workers: int | None = None,
                section_overrides: dict[str, bytes] | None = None,
-               compile="auto", out: np.ndarray | None = None,
+               out: np.ndarray | None = None,
                threads: int | None = None) -> np.ndarray:
     """Container-driven decompression: module names come from the header.
 
     Multi-shard containers (written by the parallel engine) are detected
     by magic and decoded shard-parallel; ``workers`` bounds that pool and
-    is ignored for ordinary single-shard containers.
+    is ignored for ordinary single-shard containers, which run through
+    the decode plan of the pipeline their header names
+    (:func:`repro.compile.decode_plan_for_header`).
 
     ``section_overrides`` merges extra named sections over the container's
     own after the body is split — the parallel engine uses it to inject
     the shared codebook into shard containers that deliberately omit it.
 
-    ``compile`` selects the decode path (``"auto"``/``True``/``False``,
-    see :meth:`Pipeline.decompress`) and ``out`` receives the field
-    directly when given — the compiled path dequantises straight into
-    it, the interpreter copies into it — and is returned.  ``threads``
-    selects the compiled decode's slab-parallel width (ignored by the
-    interpreter; values identical for every width).
+    ``out`` receives the field directly when given and is returned.
+    ``threads`` selects the decode plan's slab-parallel width (values
+    identical for every width).
     """
+    from ..compile import decode_plan_for_header
     from ..parallel.executor import SHARD_MAGIC, decompress_sharded
     if blob[:len(SHARD_MAGIC)] == SHARD_MAGIC:
         return decompress_sharded(blob, workers=workers, registry=registry,
-                                  compile=compile, out=out)
-    plan = None
-    if compile is not False or out is not None:
-        header = peek_header(blob)
-        if out is not None:
-            check_decode_out(out, header.shape, header.np_dtype)
-        plan = _decode_plan_for_mode(header, registry, compile)
-    if plan is not None:
-        return plan.decompress(blob, out=out,
-                               section_overrides=section_overrides,
-                               threads=threads)
-    # an "auto" run that got here was declined by the compiler: say why
-    fallback = {}
-    if compile is not False:
-        fallback["decline_reason"] = _decode_decline_reason(header, registry)
-    with span("pipeline.decompress", bytes_in=len(blob), compiled=False,
-              **fallback) as root:
-        header, arts = decode_codes(blob, registry,
-                                    section_overrides=section_overrides)
-        field = reconstruct_field(header, arts, registry)
-        if out is not None:
-            out[...] = field
-            field = out
-        root.set(bytes_out=int(field.nbytes))
-    GLOBAL_METRICS.counter("pipeline.decompress_calls").inc()
-    return field
+                                  out=out)
+    header = peek_header(blob)
+    if out is not None:
+        check_decode_out(out, header.shape, header.np_dtype)
+    return decode_plan_for_header(header, registry).decompress(
+        blob, out=out, section_overrides=section_overrides, threads=threads)

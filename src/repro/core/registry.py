@@ -25,13 +25,6 @@ class ModuleRegistry:
 
     def __init__(self) -> None:
         self._modules: dict[Stage, dict[str, Module]] = {s: {} for s in Stage}
-        self._generation = 0
-
-    @property
-    def generation(self) -> int:
-        """Bumped on every (un)register; cache keys derived from this
-        registry include it so stale module tables can never be served."""
-        return self._generation
 
     def register(self, module: Module, *, replace: bool = False) -> Module:
         """Add a module instance under its (stage, name) key."""
@@ -41,7 +34,6 @@ class ModuleRegistry:
                 f"module {module.name!r} already registered for stage "
                 f"{module.stage.value}; pass replace=True to override")
         table[module.name] = module
-        self._generation += 1
         return module
 
     def unregister(self, stage: Stage, name: str) -> Module:
@@ -52,9 +44,7 @@ class ModuleRegistry:
         modules into the process-wide default.
         """
         try:
-            module = self._modules[stage].pop(name)
-            self._generation += 1
-            return module
+            return self._modules[stage].pop(name)
         except KeyError:
             raise ModuleNotFoundInRegistry(
                 f"no module {name!r} for stage {stage.value}; have "

@@ -125,12 +125,11 @@ class PipelineSpec:
         return f"{self.name}: " + " -> ".join(stages) + f" (radius={self.radius})"
 
     def compile(self, registry=None):
-        """Assemble this spec and compile it into a fused execution plan.
+        """Assemble this spec and compile it into its execution plan.
 
         Returns the content-cached :class:`~repro.compile.CompiledPlan`
-        (so repeated calls are cheap) or raises
-        :class:`~repro.errors.PipelineError` when the compiler declines a
-        stage.  ``registry`` defaults to the process-wide module registry.
+        (so repeated calls are cheap).  ``registry`` defaults to the
+        process-wide module registry.
         """
         from .pipeline import Pipeline
         from .registry import DEFAULT_REGISTRY

@@ -31,7 +31,10 @@ from ..runtime.device import DeviceRegistry, default_node
 from ..stf import ExecutionReport, StfContext
 from ..types import EbMode, ErrorBound, check_field
 from .header import ContainerHeader, assemble, parse, split_sections
-from .pipeline import DEFAULT_RADIUS, CompressedField, CompressionStats
+from .module import EncodedStream
+from .modules_std import HuffmanEncoder
+from .pipeline import (DEFAULT_RADIUS, CompressedField, CompressionStats,
+                       _outlier_count)
 
 
 def _registry_for(platform: PlatformSpec) -> DeviceRegistry:
@@ -182,22 +185,18 @@ class StfDefaultPipeline:
         cal = CALIBRATION
         plat = self.platform
         nbytes = header.element_count * header.np_dtype.itemsize
-        enc_meta = header.stage_meta["encoder"]
-        nchunks = int(enc_meta["nchunks"])
-        enc = huffman.HuffmanEncoded(
-            payload=sections["enc.payload"],
-            chunk_symbols=np.frombuffer(sections["enc.chunk_syms"],
-                                        dtype=np.int64, count=nchunks),
-            chunk_bits=np.frombuffer(sections["enc.chunk_bits"],
-                                     dtype=np.int64, count=nchunks),
-            count=int(enc_meta["count"]),
-            lengths=np.frombuffer(sections["enc.lengths"], dtype=np.uint8),
-            max_len=int(enc_meta["max_len"]))
-        ocount = int(header.stage_meta.get("outliers", {}).get("count", 0))
+        # the module checks the container's encoder metadata and sections
+        # against each other (CodecError) before any of them sizes a read
+        stream = EncodedStream(
+            sections={k: v for k, v in sections.items()
+                      if k.startswith("enc.")},
+            meta=header.stage_meta.get("encoder", {}))
+        ocount = _outlier_count(header, sections)
 
         ctx = StfContext(registry=_registry_for(plat))
         ld_payload = ctx.logical_data(
-            np.frombuffer(enc.payload, dtype=np.uint8), "payload")
+            np.frombuffer(stream.sections.get("enc.payload", b"\0"),
+                          dtype=np.uint8), "payload")
         ld_oidx_raw = ctx.logical_data(
             np.frombuffer(sections.get("outlier.idx", b"\0"), dtype=np.uint8),
             "outlier-idx-packed")
@@ -210,7 +209,8 @@ class StfDefaultPipeline:
         ld_out = ctx.logical_data_empty("reconstruction")
 
         def t_decode(_payload: np.ndarray):
-            return (huffman.decode(enc),)
+            return (HuffmanEncoder().decode(stream, header.element_count,
+                                            2 * header.radius),)
 
         huff_rate = cpu_rate(cal.cpu_huffman_decode_per_core, plat, cal)
         ctx.task("huffman-decode", t_decode,

@@ -11,22 +11,19 @@ content never repeats it.
 
 Plans cached today
 ------------------
-* resolved module tables for header-driven decompression, keyed by the
-  registry generation and the header's stage->name map
-  (:func:`repro.core.pipeline.decompress`);
-* compiled execution plans — the fused, specialised executors
-  :func:`repro.compile.compile_plan` emits for a pipeline, keyed by the
-  plan's content digest (spec + module fingerprints), so every engine in
-  the process traces a given pipeline once.
+* compiled execution plans — the executors
+  :func:`repro.compile.compile_plan` and
+  :func:`repro.compile.compile_decode_plan` emit for a pipeline, keyed
+  by the plan's content digest (spec + module fingerprints), so every
+  engine in the process traces a given pipeline once.
 
-Caches are process-wide, thread-safe, LRU-bounded by entry count and by
-an approximate byte budget, and fully observable: per-cache hit / miss /
-eviction counters live in the process-wide
-:data:`~repro.obs.metrics.GLOBAL_METRICS` registry (``plancache.hits``
-etc., labelled ``cache=<name>``), from which
+Caches are process-wide, thread-safe, LRU-bounded by entry count, and
+fully observable: per-cache hit / miss / eviction counters live in the
+process-wide :data:`~repro.obs.metrics.GLOBAL_METRICS` registry
+(``plancache.hits`` etc., labelled ``cache=<name>``), from which
 :func:`repro.core.inspect.hotpath_stats`, the Prometheus exporter and
-the ``plancache.*`` metrics of ``bench/`` all read.  Occupancy
-(entries/bytes) is published as gauges by a registry collector on scrape.
+the ``plancache.*`` metrics of ``bench/`` all read.  Occupancy is
+published as a gauge by a registry collector on scrape.
 
 Set ``FZMOD_PLAN_CACHE=0`` to disable every cache (each lookup then calls
 its builder directly but still counts misses), or call
@@ -47,9 +44,6 @@ from ..obs.metrics import GLOBAL_METRICS
 
 #: default per-cache entry bound
 DEFAULT_MAX_ENTRIES = 64
-
-#: default per-cache (approximate) byte budget
-DEFAULT_MAX_BYTES = 64 << 20
 
 
 def caching_enabled() -> bool:
@@ -89,20 +83,17 @@ class PlanCache:
     ----------
     name:
         stable identifier used in stats reports.
-    max_entries / max_bytes:
-        eviction bounds.  ``max_bytes`` is enforced against the byte
-        estimate the caller supplies with each insert (0 = untracked).
+    max_entries:
+        eviction bound.
     """
 
-    def __init__(self, name: str, *, max_entries: int = DEFAULT_MAX_ENTRIES,
-                 max_bytes: int = DEFAULT_MAX_BYTES) -> None:
+    def __init__(self, name: str, *,
+                 max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         self.name = name
         self.max_entries = int(max_entries)
-        self.max_bytes = int(max_bytes)
         self._lock = threading.Lock()
-        self._entries: OrderedDict[Any, tuple[Any, int, str | None]] = \
+        self._entries: OrderedDict[Any, tuple[Any, str | None]] = \
             OrderedDict()
-        self._bytes = 0
         # counters live in the global metrics registry (labelled by cache
         # name); a new cache taking over a name starts its counts fresh
         self._hits = GLOBAL_METRICS.counter("plancache.hits", cache=name)
@@ -132,15 +123,12 @@ class PlanCache:
         return triple
 
     def get_or_build(self, key: Any, builder: Callable[[], Any],
-                     nbytes: Callable[[Any], int] | int = 0,
                      group: str | None = None) -> Any:
         """Return the cached plan for ``key``, building it on a miss.
 
-        ``nbytes`` sizes the built value for the byte budget — either a
-        constant or a callable applied to the freshly built value.  The
-        builder runs outside the lock, so concurrent misses on the same
-        key may build twice; last write wins (plans are value-objects, so
-        duplicated work is safe, just wasted).
+        The builder runs outside the lock, so concurrent misses on the
+        same key may build twice; last write wins (plans are
+        value-objects, so duplicated work is safe, just wasted).
 
         ``group`` optionally tags the lookup for per-group breakdown
         counters on top of the cache-wide totals (the compiled-plan
@@ -165,20 +153,11 @@ class PlanCache:
             if gstats is not None:
                 gstats[1].inc()
         value = builder()
-        size = nbytes(value) if callable(nbytes) else int(nbytes)
         with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old[1]
-            self._entries[key] = (value, size, group)
-            self._bytes += size
-            while (len(self._entries) > self.max_entries
-                   or (self.max_bytes and self._bytes > self.max_bytes)):
-                if len(self._entries) <= 1:
-                    break
-                _, (_, dropped, dropped_group) = \
-                    self._entries.popitem(last=False)
-                self._bytes -= dropped
+            self._entries.pop(key, None)
+            self._entries[key] = (value, group)
+            while len(self._entries) > max(1, self.max_entries):
+                _, (_, dropped_group) = self._entries.popitem(last=False)
                 self._evictions.inc()
                 if dropped_group is not None:
                     self._group_counters(dropped_group)[2].inc()
@@ -188,7 +167,6 @@ class PlanCache:
         """Drop every cached plan (counters are kept)."""
         with self._lock:
             self._entries.clear()
-            self._bytes = 0
 
     def reset_stats(self) -> None:
         """Zero the hit/miss/eviction counters (group counters too)."""
@@ -231,7 +209,6 @@ class PlanCache:
         with self._lock:
             out = {
                 "entries": len(self._entries),
-                "bytes": self._bytes,
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
@@ -239,7 +216,7 @@ class PlanCache:
             }
             if self._groups:
                 occupancy: dict[str, int] = {}
-                for _, _, grp in self._entries.values():
+                for _, grp in self._entries.values():
                     if grp is not None:
                         occupancy[grp] = occupancy.get(grp, 0) + 1
                 out["by_group"] = {
@@ -258,18 +235,12 @@ class PlanCache:
 #: themselves at import time; ad-hoc caches join as they are created)
 _CACHES: dict[str, PlanCache] = {}
 
-#: resolved (stage -> module instance) tables for container decompression
-MODULE_TABLE_CACHE = PlanCache("pipeline.modules", max_entries=128,
-                               max_bytes=0)
-
 #: compiled execution plans (:mod:`repro.compile`) for both directions —
 #: compress plans and decode plans — keyed by the plan's content digest
 #: (distinct digest tags keep the directions from colliding; lookups are
 #: tagged ``group="compress"``/``group="decode"`` so stats break out per
-#: direction).  Plans are flat closure lists over module references — a
-#: few hundred bytes each — so only the entry bound matters.
-COMPILED_PLAN_CACHE = PlanCache("compile.plans", max_entries=128,
-                                max_bytes=0)
+#: direction).
+COMPILED_PLAN_CACHE = PlanCache("compile.plans", max_entries=128)
 
 
 def all_caches() -> dict[str, PlanCache]:
@@ -293,10 +264,7 @@ def clear_all_caches(reset_stats: bool = False) -> None:
 def _collect_cache_gauges(registry) -> None:
     """Publish per-cache occupancy as gauges on registry scrape."""
     for name, cache in sorted(_CACHES.items()):
-        with cache._lock:
-            entries, nbytes = len(cache._entries), cache._bytes
-        registry.gauge("plancache.entries", cache=name).set(entries)
-        registry.gauge("plancache.bytes", cache=name).set(nbytes)
+        registry.gauge("plancache.entries", cache=name).set(len(cache))
 
 
 GLOBAL_METRICS.add_collector(_collect_cache_gauges)

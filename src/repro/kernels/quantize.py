@@ -238,8 +238,10 @@ def unpack_outliers(idx_payload: bytes, val_payload: bytes, count: int
 
     def _fl_parse(blob: bytes, offset: int = 0
                   ) -> tuple[_fl.FixedLenEncoded, int]:
-        n, wlen = _struct.unpack_from("<QI", blob, offset)
         off = offset + _struct.calcsize("<QI")
+        if len(blob) < off:
+            raise CodecError("outlier payload shorter than its own header")
+        n, wlen = _struct.unpack_from("<QI", blob, offset)
         widths = blob[off:off + wlen]
         block = _fl.BLOCK_VALUES
         padded = n + ((-n) % block)

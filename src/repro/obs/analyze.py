@@ -33,7 +33,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
@@ -515,40 +514,13 @@ def stragglers(forest: SpanForest, k: float = STRAGGLER_MAD_K,
 
 
 # --------------------------------------------------------------------- #
-# interpreted runs                                                      #
-# --------------------------------------------------------------------- #
-
-def interpreted_runs(forest: SpanForest) -> list[dict]:
-    """Root pipeline spans that ran on the interpreter, and why.
-
-    The interpreter's ``pipeline.compress`` / ``pipeline.decompress``
-    spans carry ``compiled=False`` and, when ``compile="auto"`` fell
-    back, the plan compiler's ``decline_reason``; one row per distinct
-    (span name, reason), ``reason`` ``None`` for a forced
-    ``compile=False``.
-    """
-    counts = Counter((base_name(r.name), r.attrs.get("decline_reason"))
-                     for r in forest.records
-                     if r.attrs.get("compiled") is False)
-    return [{"name": name, "count": n, "decline_reason": reason}
-            for (name, reason), n in sorted(
-                counts.items(), key=lambda kv: (kv[0][0], kv[0][1] or ""))]
-
-
-def _fmt_interpreted(row: dict) -> str:
-    why = row["decline_reason"] or "compile=False requested"
-    return f"{row['name']} x{row['count']}: {why}"
-
-
-# --------------------------------------------------------------------- #
 # one-call analysis + renderers                                         #
 # --------------------------------------------------------------------- #
 
 def analyze(records: Sequence[SpanRecord], *,
             straggler_k: float = STRAGGLER_MAD_K) -> dict:
     """Full analysis of one recorded run.  Returns a plain-data report:
-    stage table, critical path, overlap metrics, stragglers and the
-    interpreted (not compiled) pipeline runs with their decline reason."""
+    stage table, critical path, overlap metrics and stragglers."""
     forest = build_forest(records)
     stages = stage_table(forest)
     lanes = sorted({r.lane or MAIN_LANE for r in forest.records})
@@ -563,7 +535,6 @@ def analyze(records: Sequence[SpanRecord], *,
         "critical_path": critical_path(forest),
         "overlap": overlap_metrics(forest),
         "stragglers": stragglers(forest, k=straggler_k),
-        "interpreted": interpreted_runs(forest),
     }
 
 
@@ -637,11 +608,6 @@ def render_analysis(report: dict) -> str:
                 + (("  " + " ".join(extras)) if extras else ""))
     else:
         lines.append("stragglers: none")
-    if report["interpreted"]:
-        lines.append("")
-        lines.append("interpreted (no compiled plan)")
-        lines.extend(f"  {_fmt_interpreted(row)}"
-                     for row in report["interpreted"])
     return "\n".join(lines) + "\n"
 
 
@@ -692,10 +658,4 @@ def render_analysis_markdown(report: dict) -> str:
                          f"{f.get('plan') or '-'} |")
     else:
         lines.append("none")
-    if report["interpreted"]:
-        lines.append("")
-        lines.append("## Interpreted (no compiled plan)")
-        lines.append("")
-        lines.extend(f"- {_fmt_interpreted(row)}"
-                     for row in report["interpreted"])
     return "\n".join(lines) + "\n"

@@ -75,13 +75,11 @@ import numpy as np
 
 from ..core.chunked import TileGrid
 from ..core.header import peek_header
-from ..core.pipeline import (CompressedField, CompressionStats, Pipeline,
-                             check_decode_out,
-                             decompress as _decompress_container)
+from ..core.pipeline import CompressionStats, Pipeline, check_decode_out
 from ..core.registry import DEFAULT_REGISTRY, ModuleRegistry
 from ..core.spec import PipelineSpec
 from ..errors import (CodecError, ConfigError, HeaderError,
-                      ModuleNotFoundInRegistry, PipelineError)
+                      ModuleNotFoundInRegistry)
 from ..kernels import huffman
 from ..obs.spans import GLOBAL_TRACER, absorb_capture, export_capture, span
 from ..runtime.stream import OrderedWorkQueue
@@ -468,24 +466,16 @@ def _with_fixed_codebook(pipeline: Pipeline, lengths: np.ndarray) -> Pipeline:
 
 
 def _compress_shard_local(pipeline: Pipeline, shard: np.ndarray,
-                          eb_abs: float, plan_key: str | None = None
+                          eb_abs: float
                           ) -> tuple[bytes, CompressionStats, dict | None]:
-    compiled = None
-    if plan_key is not None:
-        from ..compile import plan_from_key
-        # the key the engine shipped resolves through this process's plan
-        # cache (one trace per worker, not per shard); a digest mismatch
-        # means this worker would compile something else — interpret then
-        compiled = plan_from_key(pipeline, plan_key)
+    # resolves through this process's plan cache: one trace per worker,
+    # not per shard
+    plan = pipeline.compile()
     with GLOBAL_TRACER.capture() as spans:
         with span("shard.compress", rows=int(shard.shape[0]),
-                  plan=plan_key, bytes_in=int(shard.nbytes)) as sp:
-            shard = np.ascontiguousarray(shard)
-            eb = ErrorBound(eb_abs, EbMode.ABS)
-            if compiled is not None:
-                cf: CompressedField = compiled.compress(shard, eb, EbMode.ABS)
-            else:
-                cf = pipeline.compress(shard, eb, EbMode.ABS, compile=False)
+                  plan=plan.key, bytes_in=int(shard.nbytes)) as sp:
+            cf = plan.compress(np.ascontiguousarray(shard),
+                               ErrorBound(eb_abs, EbMode.ABS))
             sp.set(bytes_out=len(cf.blob))
     return cf.blob, cf.stats, export_capture(spans)
 
@@ -493,15 +483,12 @@ def _compress_shard_local(pipeline: Pipeline, shard: np.ndarray,
 def _compress_shard_shm(spec_json: dict, shm_name: str,
                         shape: tuple[int, ...], dtype: str,
                         start: int, stop: int, eb_abs: float,
-                        lengths: bytes | None = None,
-                        plan_key: str | None = None
+                        lengths: bytes | None = None
                         ) -> tuple[bytes, CompressionStats, dict | None]:
     """Process-pool job: map the shared field, compress rows [start, stop).
 
     ``lengths`` (serialised ``uint8`` code lengths) pins the shard to a
-    shared Huffman codebook instead of building one from its own stats;
-    ``plan_key`` selects the compiled execution plan the parent resolved
-    (``None`` = interpret).
+    shared Huffman codebook instead of building one from its own stats.
     """
     spec = PipelineSpec.from_json(spec_json)
     pipeline = Pipeline.from_spec(spec, DEFAULT_REGISTRY)
@@ -515,13 +502,12 @@ def _compress_shard_shm(spec_json: dict, shm_name: str,
         shard = np.array(field[start:stop])
     finally:
         shm.close()
-    return _compress_shard_local(pipeline, shard, eb_abs, plan_key)
+    return _compress_shard_local(pipeline, shard, eb_abs)
 
 
 def _compress_shard_bytes(spec_json: dict, raw: bytes,
                           shape: tuple[int, ...], dtype: str, eb_abs: float,
-                          lengths: bytes | None = None,
-                          plan_key: str | None = None
+                          lengths: bytes | None = None
                           ) -> tuple[bytes, CompressionStats, dict | None]:
     """Process-pool job for the streaming engine: compress one slab that
     travelled as raw bytes (the source field never exists as one array in
@@ -532,7 +518,7 @@ def _compress_shard_bytes(spec_json: dict, raw: bytes,
         pipeline = _with_fixed_codebook(
             pipeline, np.frombuffer(lengths, dtype=np.uint8))
     shard = np.frombuffer(raw, dtype=np.dtype(dtype)).reshape(shape)
-    return _compress_shard_local(pipeline, shard, eb_abs, plan_key)
+    return _compress_shard_local(pipeline, shard, eb_abs)
 
 
 def _histogram_shard_bytes(spec_json: dict, raw: bytes,
@@ -579,55 +565,39 @@ def _histogram_shard_shm(spec_json: dict, shm_name: str,
     return _histogram_shard_local(pipeline, shard, eb_abs)
 
 
-def _decode_plan_from_shipped_key(shard_blob: bytes,
-                                  registry: ModuleRegistry,
-                                  plan_key: str | None):
-    """Resolve the decode plan the engine shipped (``None`` = interpret).
+def _decode_shard(shard_blob: bytes, registry: ModuleRegistry,
+                  lengths: bytes | None, dest: np.ndarray | None
+                  ) -> tuple[np.ndarray, str]:
+    """Decode one shard container into ``dest`` (its slab of the output).
 
-    The key resolves through this process's plan cache (one trace per
-    worker, not per shard); a digest mismatch means this worker would
-    compile something else — interpret then, exactly like the
-    compress-side workers.
+    The plan resolves through this process's plan cache (one trace per
+    worker, not per shard) and its reconstruction writes straight into
+    ``dest`` — no per-shard staging copy.  Returns the slab and the
+    plan's key.
     """
-    if plan_key is None:
-        return None
     from ..compile import decode_plan_for_header
     plan = decode_plan_for_header(peek_header(shard_blob), registry)
-    if plan is None or plan.key != plan_key:
-        return None
-    return plan
+    overrides = {"enc.lengths": lengths} if lengths is not None else None
+    header, arts = plan.decode_entropy(shard_blob,
+                                       section_overrides=overrides)
+    return plan.reconstruct(header, arts, out=dest), plan.key
 
 
 def _decompress_shard_shm(shard_blob: bytes, shm_name: str,
                           shape: tuple[int, ...], dtype: str,
                           start: int, stop: int,
-                          lengths: bytes | None = None,
-                          plan_key: str | None = None) -> dict | None:
-    """Process-pool job: decode one shard into the shared output buffer.
-
-    With a compiled decode plan the fused reconstruction dequantises
-    straight into the shared-memory slab — the per-shard staging copy of
-    the interpreted path disappears.
-    """
-    overrides = {"enc.lengths": lengths} if lengths is not None else None
+                          lengths: bytes | None = None) -> dict | None:
+    """Process-pool job: decode one shard into the shared output buffer."""
     with GLOBAL_TRACER.capture() as spans:
         with span("shard.decompress", rows=int(stop - start),
-                  plan=plan_key, bytes_in=len(shard_blob)) as sp:
-            plan = _decode_plan_from_shipped_key(shard_blob, DEFAULT_REGISTRY,
-                                                 plan_key)
+                  bytes_in=len(shard_blob)) as sp:
             shm = shared_memory.SharedMemory(name=shm_name)
             try:
                 field = np.ndarray(shape, dtype=np.dtype(dtype),
                                    buffer=shm.buf)
-                sp.set(bytes_out=int(field[start:stop].nbytes))
-                if plan is not None:
-                    header, arts = plan.decode_entropy(
-                        shard_blob, section_overrides=overrides)
-                    plan.reconstruct(header, arts, out=field[start:stop])
-                else:
-                    field[start:stop] = _decompress_container(
-                        shard_blob, DEFAULT_REGISTRY,
-                        section_overrides=overrides, compile=False)
+                slab, key = _decode_shard(shard_blob, DEFAULT_REGISTRY,
+                                          lengths, field[start:stop])
+                sp.set(plan=key, bytes_out=int(slab.nbytes))
             finally:
                 shm.close()
     return export_capture(spans)
@@ -635,25 +605,13 @@ def _decompress_shard_shm(shard_blob: bytes, shm_name: str,
 
 def _decompress_shard_local(shard_blob: bytes, registry: ModuleRegistry,
                             lengths: bytes | None = None,
-                            plan_key: str | None = None,
                             dest: np.ndarray | None = None
                             ) -> tuple[np.ndarray, dict | None]:
     """Thread-pool job: decode one shard (into ``dest`` when given)."""
-    overrides = {"enc.lengths": lengths} if lengths is not None else None
     with GLOBAL_TRACER.capture() as spans:
-        with span("shard.decompress", plan=plan_key,
-                  bytes_in=len(shard_blob)) as sp:
-            plan = _decode_plan_from_shipped_key(shard_blob, registry,
-                                                 plan_key)
-            if plan is not None:
-                header, arts = plan.decode_entropy(
-                    shard_blob, section_overrides=overrides)
-                out = plan.reconstruct(header, arts, out=dest)
-            else:
-                out = _decompress_container(shard_blob, registry,
-                                            section_overrides=overrides,
-                                            compile=False, out=dest)
-            sp.set(bytes_out=int(out.nbytes))
+        with span("shard.decompress", bytes_in=len(shard_blob)) as sp:
+            out, key = _decode_shard(shard_blob, registry, lengths, dest)
+            sp.set(plan=key, bytes_out=int(out.nbytes))
     return out, export_capture(spans)
 
 
@@ -743,12 +701,6 @@ def _drain_histograms(queue: OrderedWorkQueue) -> np.ndarray:
     return total
 
 
-def _resolve_plan_key(pipeline: Pipeline, compile_mode) -> str | None:
-    """The plan key shipped to shard workers (``None`` = interpret)."""
-    plan = pipeline._resolve_plan(compile_mode)
-    return None if plan is None else plan.key
-
-
 def compress_sharded(data: np.ndarray,
                      pipeline: Pipeline | PipelineSpec,
                      eb: ErrorBound | float,
@@ -757,8 +709,8 @@ def compress_sharded(data: np.ndarray,
                      shard_mb: float | None = None,
                      registry: ModuleRegistry = DEFAULT_REGISTRY,
                      backend: str | None = None,
-                     codebook: str | None = None,
-                     compile="auto") -> ShardedCompressedField:
+                     codebook: str | None = None
+                     ) -> ShardedCompressedField:
     """Compress ``data`` shard-parallel into a multi-shard container.
 
     ``pipeline`` may be an assembled :class:`Pipeline` or a bare
@@ -774,21 +726,12 @@ def compress_sharded(data: np.ndarray,
     instead of one per shard, and the codebook stored once in the index
     instead of once per shard.  Shared-mode blobs are still
     deterministic across worker counts and decode self-describingly.
-
-    ``compile`` selects the worker execution path (``"auto"`` / ``True``
-    / ``False``, as in :meth:`Pipeline.compress`): the parent resolves
-    the compiled plan once and ships its content key to the workers, who
-    trace at most once per process instead of once per shard.  Compiled
-    and interpreted shards are byte-identical.
     """
     t_start = time.perf_counter()
     data = check_field(data)
     if isinstance(pipeline, PipelineSpec):
         pipeline = Pipeline.from_spec(pipeline, registry)
     spec = pipeline.spec
-    # validate the compile mode (and fail a required compile) before any
-    # pool or shared-memory setup
-    pipeline._resolve_plan(compile)
     if codebook is None:
         codebook = "per-shard"
     if codebook not in CODEBOOK_MODES:
@@ -844,16 +787,11 @@ def compress_sharded(data: np.ndarray,
                         extra_seconds["codebook"] = time.perf_counter() - t0
                     lengths_blob = (None if shared_lengths is None
                                     else shared_lengths.tobytes())
-                    plan_key = _resolve_plan_key(
-                        pipeline if shared_lengths is None
-                        else _with_fixed_codebook(pipeline, shared_lengths),
-                        compile)
                     queue = OrderedWorkQueue(pool, max_in_flight=in_flight)
                     for start, stop in bounds:
                         queue.submit(_compress_shard_shm, spec.to_json(),
                                      shm.name, data.shape, data.dtype.str,
-                                     start, stop, eb_abs, lengths_blob,
-                                     plan_key)
+                                     start, stop, eb_abs, lengths_blob)
                     for k, (blob, stats, payload) in enumerate(queue.drain()):
                         absorb_capture(payload, lane=f"shard:{k}")
                         shard_blobs.append(blob)
@@ -878,11 +816,10 @@ def compress_sharded(data: np.ndarray,
                 enc_pipeline = (pipeline if shared_lengths is None
                                 else _with_fixed_codebook(pipeline,
                                                           shared_lengths))
-                plan_key = _resolve_plan_key(enc_pipeline, compile)
                 queue = OrderedWorkQueue(pool, max_in_flight=in_flight)
                 for start, stop in bounds:
                     queue.submit(_compress_shard_local, enc_pipeline,
-                                 data[start:stop], eb_abs, plan_key)
+                                 data[start:stop], eb_abs)
                 for k, (blob, stats, payload) in enumerate(queue.drain()):
                     absorb_capture(payload, lane=f"shard:{k}")
                     shard_blobs.append(blob)
@@ -906,58 +843,16 @@ def compress_sharded(data: np.ndarray,
         codebook_mode=codebook)
 
 
-def _resolve_decode_plan(index: ShardIndex, registry: ModuleRegistry,
-                         compile_mode):
-    """The compiled decode plan for a shard index (``None`` = interpret).
-
-    ``compile=True`` demands a compiled decode and raises with the
-    decline reason; ``"auto"`` falls back silently, exactly as
-    :func:`repro.core.decompress` does for single containers.
-    """
-    if compile_mode is False:
-        return None
-    if compile_mode is not True and compile_mode != "auto":
-        raise PipelineError(
-            f"compile must be 'auto', True or False, got {compile_mode!r}")
-    from ..compile import decode_decline_reason, decode_plan_for
-    try:
-        pipeline = Pipeline.from_spec(index.spec(), registry)
-    except ModuleNotFoundInRegistry:
-        if compile_mode is True:
-            raise
-        return None
-    plan = decode_plan_for(pipeline)
-    if plan is None and compile_mode is True:
-        raise PipelineError(
-            f"pipeline {pipeline.name!r} cannot be compile-decoded: "
-            f"{decode_decline_reason(pipeline)}")
-    return plan
-
-
-def _resolve_decode_key(index: ShardIndex, registry: ModuleRegistry,
-                        compile_mode) -> str | None:
-    """The decode-plan key shipped to decode workers (``None`` = interpret)."""
-    plan = _resolve_decode_plan(index, registry, compile_mode)
-    return None if plan is None else plan.key
-
-
 def decompress_sharded(blob: bytes, *, workers: int | None = None,
                        registry: ModuleRegistry = DEFAULT_REGISTRY,
                        backend: str | None = None,
-                       compile="auto",
                        out: np.ndarray | None = None) -> np.ndarray:
     """Reconstruct a field from a multi-shard container, shard-parallel.
 
     Header-driven like single-container decompression: the index stores
     the pipeline spec, so the blob alone suffices for any process with
-    the same modules registered.
-
-    ``compile`` selects the worker decode path (``"auto"`` / ``True`` /
-    ``False``): the engine resolves the compiled decode plan once from
-    the index spec and ships its content key to the workers, whose fused
-    reconstruction dequantises straight into the output slab.  Compiled
-    and interpreted decodes are value-identical.  ``out`` receives the
-    field in place (and is returned) when supplied.
+    the same modules registered.  ``out`` receives the field in place
+    (and is returned) when supplied.
     """
     index, shards = parse_sharded(blob)
     dtype = np.dtype(index.dtype)
@@ -973,11 +868,9 @@ def decompress_sharded(blob: bytes, *, workers: int | None = None,
     workers = min(workers, len(shards))
     shared = index.shared_lengths()
     lengths_blob = None if shared is None else shared.tobytes()
-    plan_key = _resolve_decode_key(index, registry, compile)
 
     with span("engine.decompress_sharded", shards=len(shards),
               workers=workers, backend=chosen,
-              compiled=plan_key is not None,
               bytes_in=len(blob), bytes_out=nbytes):
         if chosen == "process":
             shm = _shm_create(nbytes)
@@ -988,7 +881,7 @@ def decompress_sharded(blob: bytes, *, workers: int | None = None,
                     for shard_blob, (start, stop) in zip(shards, index.bounds):
                         queue.submit(_decompress_shard_shm, shard_blob, shm.name,
                                      index.shape, index.dtype, start, stop,
-                                     lengths_blob, plan_key)
+                                     lengths_blob)
                     for k, payload in enumerate(queue.drain()):
                         absorb_capture(payload, lane=f"shard:{k}")
                 staged = np.ndarray(index.shape, dtype=dtype, buffer=shm.buf)
@@ -1008,7 +901,7 @@ def decompress_sharded(blob: bytes, *, workers: int | None = None,
                 pool, max_in_flight=_IN_FLIGHT_PER_WORKER * workers)
             for shard_blob, (start, stop) in zip(shards, index.bounds):
                 queue.submit(_decompress_shard_local, shard_blob, registry,
-                             lengths_blob, plan_key, out[start:stop])
+                             lengths_blob, out[start:stop])
             for k, ((start, stop), (shard, payload)) in enumerate(
                     zip(index.bounds, queue.drain())):
                 absorb_capture(payload, lane=f"shard:{k}")

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.pipeline import (CompressionStats, Pipeline, decode_codes,
-                             reconstruct_field)
+from ..compile import decode_plan_for
+from ..core.pipeline import CompressionStats, Pipeline
 from ..core.registry import DEFAULT_REGISTRY, ModuleRegistry
 from ..core.spec import PipelineSpec
 from ..errors import ConfigError, DataError, HeaderError
@@ -48,7 +48,6 @@ from ..parallel.executor import (CODEBOOK_MODES, DEFAULT_SHARD_MB,
                                  _compress_shard_bytes, _compress_shard_local,
                                  _histogram_shard_bytes,
                                  _histogram_shard_local, _make_pool,
-                                 _resolve_decode_plan, _resolve_plan_key,
                                  _with_fixed_codebook, combine_stats,
                                  default_workers)
 from ..runtime.memory import Allocator, BufferPool
@@ -104,7 +103,6 @@ def compress_stream(source, pipeline: Pipeline | PipelineSpec,
                     registry: ModuleRegistry = DEFAULT_REGISTRY,
                     backend: str | None = None,
                     codebook: str | None = None,
-                    compile="auto",
                     layout: str = "compat",
                     prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
                     prefetch_bytes: int | None = None
@@ -126,19 +124,12 @@ def compress_stream(source, pipeline: Pipeline | PipelineSpec,
 
     REL bounds and ``codebook="shared"`` need a second pass over the
     rows and therefore a rescannable source.
-
-    ``compile`` selects the worker execution path (``"auto"`` / ``True``
-    / ``False``, as in :meth:`Pipeline.compress`): workers receive the
-    resolved plan key and trace at most once per process.  Compiled and
-    interpreted slabs are byte-identical.
     """
     t_start = time.perf_counter()
     src = as_source(source)
     if isinstance(pipeline, PipelineSpec):
         pipeline = Pipeline.from_spec(pipeline, registry)
     spec = pipeline.spec
-    # validate the compile mode (and fail a required compile) up front
-    pipeline._resolve_plan(compile)
     if codebook is None:
         codebook = "per-shard"
     if codebook not in CODEBOOK_MODES:
@@ -256,17 +247,16 @@ def compress_stream(source, pipeline: Pipeline | PipelineSpec,
                 enc_pipeline = (pipeline if shared_lengths is None
                                 else _with_fixed_codebook(pipeline,
                                                           shared_lengths))
-                plan_key = _resolve_plan_key(enc_pipeline, compile)
                 retired = {"k": 0}
 
                 def submit_compress(queue, payload, shape):
                     if chosen == "process":
                         queue.submit(_compress_shard_bytes, spec.to_json(),
                                      payload, shape, dtype.str, eb_abs,
-                                     lengths_blob, plan_key)
+                                     lengths_blob)
                     else:
                         queue.submit(_compress_shard_local, enc_pipeline,
-                                     payload, eb_abs, plan_key)
+                                     payload, eb_abs)
 
                 def retire_compress(res):
                     blob, stats, payload = res
@@ -309,8 +299,7 @@ def compress_stream(source, pipeline: Pipeline | PipelineSpec,
 def decompress_stream(path: str, *, out: np.ndarray | None = None,
                       workers: int | None = None,
                       registry: ModuleRegistry = DEFAULT_REGISTRY,
-                      window: int | None = None,
-                      compile="auto") -> np.ndarray:
+                      window: int | None = None) -> np.ndarray:
     """Reconstruct a field from a multi-shard container on disk.
 
     Reads the index (trailing for version 3, leading for 1/2), then
@@ -326,12 +315,9 @@ def decompress_stream(path: str, *, out: np.ndarray | None = None,
     what is in flight, so peak resident memory is
     ``O(window x shard)``, not ``O(field)``.
 
-    ``compile`` selects the per-shard decode path (``"auto"`` / ``True``
-    / ``False``): with a compiled decode plan the decode task runs the
-    plan's entropy half and the scatter task its fused reconstruction,
-    dequantising straight into ``out[start:stop]`` — the task graph (and
-    so the scatter(k) / decode(k+1) overlap) is unchanged.  Compiled and
-    interpreted streams are value-identical.
+    The decode task runs the decode plan's entropy half and the scatter
+    task its reconstruction half, which writes straight into
+    ``out[start:stop]``.
     """
     t_start = time.perf_counter()
     if workers is None:
@@ -363,14 +349,13 @@ def decompress_stream(path: str, *, out: np.ndarray | None = None,
             raise ConfigError(f"window must be >= 1, got {win}")
         # one plan resolution for the whole stream (the tasks run on a
         # thread pool, so the plan object is shared, not a shipped key)
-        plan = _resolve_decode_plan(index, registry, compile)
+        plan = decode_plan_for(Pipeline.from_spec(index.spec(), registry))
 
         row_nbytes = int(np.prod(index.shape[1:], dtype=np.int64)
                          ) * dtype.itemsize
         blob_bytes = sum(length for _, length in index.table)
         with span("engine.decompress_stream", shards=n, workers=workers,
-                  window=win, compiled=plan is not None,
-                  bytes_in=blob_bytes, bytes_out=int(out.nbytes)):
+                  window=win, bytes_in=blob_bytes, bytes_out=int(out.nbytes)):
             ctx = StfContext()
             state: dict = {}
             token = np.zeros(1, dtype=np.uint8)
@@ -400,15 +385,9 @@ def decompress_stream(path: str, *, out: np.ndarray | None = None,
                 def decode(*_args, k=k):
                     blob = state.pop(("blob", k))
                     with span(f"stream.huffman_decode:{k}", shard=k,
-                              bytes_in=len(blob),
-                              plan=plan.key if plan is not None else None,
-                              compiled=plan is not None) as sp:
-                        if plan is not None:
-                            header, arts = plan.decode_entropy(
-                                blob, section_overrides=overrides)
-                        else:
-                            header, arts = decode_codes(
-                                blob, registry, section_overrides=overrides)
+                              bytes_in=len(blob), plan=plan.key) as sp:
+                        header, arts = plan.decode_entropy(
+                            blob, section_overrides=overrides)
                         sp.set(bytes_out=int(arts.codes.nbytes))
                     state["arts", k] = (header, arts)
                     return (token,)
@@ -422,22 +401,16 @@ def decompress_stream(path: str, *, out: np.ndarray | None = None,
                     with span(f"stream.outlier_scatter:{k}", shard=k,
                               rows=stop - start,
                               bytes_in=int(arts.codes.nbytes),
-                              bytes_out=(stop - start) * row_nbytes,
-                              compiled=plan is not None):
+                              bytes_out=(stop - start) * row_nbytes):
                         expected = (stop - start, *index.shape[1:])
                         if tuple(header.shape) != expected:
                             raise HeaderError(
                                 f"shard rows {start}:{stop} decoded to "
                                 f"shape {tuple(header.shape)}, expected "
                                 f"{expected}")
-                        if plan is not None:
-                            # fused reconstruct writes straight into the
-                            # output slab — no per-shard staging copy
-                            plan.reconstruct(header, arts,
-                                             out=out[start:stop])
-                        else:
-                            field = reconstruct_field(header, arts, registry)
-                            out[start:stop] = field
+                        # reconstruct writes straight into the output
+                        # slab — no per-shard staging copy
+                        plan.reconstruct(header, arts, out=out[start:stop])
                         # memmapped outputs: hand the freshly written
                         # pages to the page cache so residency tracks
                         # the window, not the bytes written so far

@@ -1,11 +1,12 @@
 """Golden value-identity and plan-cache tests for the decode-plan compiler.
 
 The read-side mirror of ``test_compiled_plans.py``: for every preset and
-every engine x container layout, ``compile="auto"`` decompression must
-reconstruct exactly the bytes the interpreter does, declined pipelines
-must fall back silently (with a nameable reason), and decode plans must
-be content-addressed in the shared plan cache under their own direction
-group.
+every engine x container layout, the fused reconstruction must produce
+exactly the bytes the ``predictor.decode`` + ``preprocess.backward``
+module calls do (decoding against ``module_call_registry``, whose
+predictors the fused gate rejects, gives that reference), and decode
+plans must be content-addressed in the shared plan cache under their own
+direction group.
 """
 
 from __future__ import annotations
@@ -13,18 +14,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compile import (compile_decode_plan, decode_decline_reason,
-                           decode_plan_for, decode_plan_for_header,
-                           decode_plan_from_key, decode_plan_key, plan_key)
+import repro
+from repro.compile import (decode_plan_for, decode_plan_for_header,
+                           decode_plan_key, plan_key)
 from repro.core import get_preset
 from repro.core.header import peek_header
 from repro.core.pipeline import decompress as core_decompress
-from repro.errors import PipelineError
+from repro.errors import ConfigError, ModuleNotFoundInRegistry
 from repro.kernels.plancache import COMPILED_PLAN_CACHE
 from repro.types import EbMode
 
 PRESETS = ("fzmod-default", "fzmod-speed", "fzmod-quality")
-#: presets whose decode path compiles (lorenzo predictor)
+#: presets whose reconstruction is the fused pass (lorenzo predictor)
 DECODABLE = ("fzmod-default", "fzmod-speed")
 
 
@@ -35,134 +36,132 @@ def field(rng) -> np.ndarray:
 
 
 # --------------------------------------------------------------------- #
-# value identity: compiled vs interpreted, every preset x every engine
+# value identity: fused vs module-call steps, every preset x every engine
 # --------------------------------------------------------------------- #
 class TestValueIdentity:
     @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("mode", [EbMode.REL, EbMode.ABS])
-    def test_single_engine(self, field, preset, mode):
+    def test_single_engine(self, field, preset, mode, module_call_registry):
         pipe = get_preset(preset)
         eb = 1e-3 if mode is EbMode.REL else 0.05
         blob = pipe.compress(field, eb, mode).blob
-        ref = core_decompress(blob, compile=False)
-        got = core_decompress(blob, compile="auto")
+        ref = core_decompress(blob, module_call_registry)
+        got = core_decompress(blob)
         assert got.tobytes() == ref.tobytes()
         assert got.shape == field.shape and got.dtype == field.dtype
 
     @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("codebook", ["per-shard", "shared"])
-    def test_sharded_engine(self, field, preset, codebook):
+    def test_sharded_engine(self, field, preset, codebook,
+                            module_call_registry):
         from repro.parallel.executor import decompress_sharded
         pipe = get_preset(preset)
         if codebook == "shared" and preset == "fzmod-speed":
             pytest.skip("shared codebook is a huffman-only mode")
         blob = pipe.compress(field, 1e-3, workers=2, shard_mb=0.125,
                              codebook=codebook).blob
-        ref = decompress_sharded(blob, compile=False)
-        got = decompress_sharded(blob, workers=2, compile="auto")
+        ref = decompress_sharded(blob, registry=module_call_registry)
+        got = decompress_sharded(blob, workers=2)
         assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("layout", ["compat", "stream"])
-    def test_streaming_engine(self, field, preset, layout, tmp_path):
+    def test_streaming_engine(self, field, preset, layout, tmp_path,
+                              module_call_registry):
         from repro.streaming.engine import compress_stream, decompress_stream
         pipe = get_preset(preset)
         path = tmp_path / "f.fzms"
         compress_stream(field, pipe, 1e-3, EbMode.REL, out_path=str(path),
                         workers=2, shard_mb=0.125, layout=layout)
-        ref = decompress_stream(str(path), workers=2, compile=False)
-        got = decompress_stream(str(path), workers=2, compile="auto")
+        ref = decompress_stream(str(path), workers=2,
+                                registry=module_call_registry)
+        got = decompress_stream(str(path), workers=2)
         assert got.tobytes() == ref.tobytes()
 
-    def test_process_backend_matches(self, field):
+    def test_process_backend_matches(self, field, module_call_registry):
         from repro.parallel.executor import decompress_sharded
         pipe = get_preset("fzmod-default")
         blob = pipe.compress(field, 1e-3, workers=2, shard_mb=0.125).blob
-        ref = decompress_sharded(blob, compile=False)
-        got = decompress_sharded(blob, workers=2, backend="process",
-                                 compile="auto")
+        ref = decompress_sharded(blob, registry=module_call_registry)
+        got = decompress_sharded(blob, workers=2, backend="process")
         assert got.tobytes() == ref.tobytes()
 
-    def test_tight_bound_outlier_path(self, spiky_1d):
+    def test_tight_bound_outlier_path(self, spiky_1d, module_call_registry):
         # spiky data under a tight bound exercises the outlier scatter
         pipe = get_preset("fzmod-default")
         cf = pipe.compress(spiky_1d, 1e-6)
         assert cf.stats.outlier_count > 0
-        ref = core_decompress(cf.blob, compile=False)
-        got = core_decompress(cf.blob, compile="auto")
+        ref = core_decompress(cf.blob, module_call_registry)
+        got = core_decompress(cf.blob)
         assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("preset", DECODABLE)
-    def test_out_buffer_written_through(self, field, preset):
+    def test_out_buffer_written_through(self, field, preset,
+                                        module_call_registry):
         pipe = get_preset(preset)
         blob = pipe.compress(field, 1e-3).blob
-        ref = core_decompress(blob, compile=False)
-        out = np.empty(field.shape, dtype=field.dtype)
-        got = core_decompress(blob, compile="auto", out=out)
-        assert got is out
-        assert out.tobytes() == ref.tobytes()
+        ref = core_decompress(blob)
+        for registry in (repro.core.DEFAULT_REGISTRY, module_call_registry):
+            out = np.empty(field.shape, dtype=field.dtype)
+            got = core_decompress(blob, registry, out=out)
+            assert got is out
+            assert out.tobytes() == ref.tobytes()
 
-    def test_float64_fields(self, rng):
+    def test_float64_fields(self, rng, module_call_registry):
         pipe = get_preset("fzmod-default")
         data = np.cumsum(rng.standard_normal((30, 40)), axis=1)
         blob = pipe.compress(data, 1e-4).blob
-        ref = core_decompress(blob, compile=False)
-        got = core_decompress(blob, compile=True)
+        ref = core_decompress(blob, module_call_registry)
+        got = core_decompress(blob)
         assert got.dtype == np.float64
         assert got.tobytes() == ref.tobytes()
 
 
 # --------------------------------------------------------------------- #
-# compile= mode semantics
+# which reconstruction a container gets
 # --------------------------------------------------------------------- #
 class TestCompileModes:
-    def test_quality_declines_and_interprets(self, field):
-        pipe = get_preset("fzmod-quality")
-        reason = decode_decline_reason(pipe)
-        assert reason is not None and "interp" in reason
-        blob = pipe.compress(field, 1e-3).blob
-        ref = core_decompress(blob, compile=False)
-        got = core_decompress(blob, compile="auto")  # silent fallback
-        assert got.tobytes() == ref.tobytes()
+    def test_quality_compiles_to_module_call_steps(self, field):
+        from tests.test_golden_container import GOLDEN_QUALITY_BLOB
+        plan = decode_plan_for(get_preset("fzmod-quality"))
+        assert "predictor[interp]       module call" in plan.describe()
+        assert "fused" not in plan.describe()
+        header = peek_header(GOLDEN_QUALITY_BLOB)
+        assert decode_plan_for_header(header) is plan
+        assert plan.decompress(GOLDEN_QUALITY_BLOB).tobytes() == \
+            core_decompress(GOLDEN_QUALITY_BLOB).tobytes()
 
-    def test_compile_true_raises_on_decline(self, field):
-        blob = get_preset("fzmod-quality").compress(field, 1e-3).blob
-        with pytest.raises(PipelineError, match="interp"):
-            core_decompress(blob, compile=True)
-
-    def test_compile_true_raises_on_sharded_decline(self, field):
-        from repro.parallel.executor import decompress_sharded
-        blob = get_preset("fzmod-quality").compress(
-            field, 1e-3, workers=2, shard_mb=0.125).blob
-        with pytest.raises(PipelineError, match="compile-decoded"):
-            decompress_sharded(blob, compile=True)
-
-    def test_compile_true_raises_on_stream_decline(self, field, tmp_path):
-        from repro.streaming.engine import compress_stream, decompress_stream
-        path = tmp_path / "f.fzms"
-        compress_stream(field, get_preset("fzmod-quality"), 1e-3,
-                        out_path=str(path), shard_mb=0.125)
-        with pytest.raises(PipelineError, match="compile-decoded"):
-            decompress_stream(str(path), compile=True)
+    @pytest.mark.parametrize("preset", DECODABLE)
+    def test_gate_is_the_module_type(self, field, preset,
+                                     module_call_registry):
+        header = peek_header(get_preset(preset).compress(field, 1e-3).blob)
+        fused = decode_plan_for_header(header)
+        plain = decode_plan_for_header(header, module_call_registry)
+        assert "fused" in fused.describe()
+        assert "fused" not in plain.describe()
+        assert plain.spec == fused.spec and plain.key != fused.key
 
     def test_invalid_mode_rejected(self, field):
         blob = get_preset("fzmod-default").compress(field, 1e-3).blob
-        with pytest.raises(PipelineError, match="compile"):
-            core_decompress(blob, compile="yes-please")
+        with pytest.raises(ConfigError, match="compile"):
+            repro.decompress(blob, compile="yes-please")
 
-    def test_compile_false_never_resolves_a_plan(self, field):
-        blob = get_preset("fzmod-default").compress(field, 1e-3).blob
-        COMPILED_PLAN_CACHE.clear()
-        COMPILED_PLAN_CACHE.reset_stats()
-        core_decompress(blob, compile=False)
-        assert COMPILED_PLAN_CACHE.stats()["misses"] == 0
-
-    def test_specless_header_declines(self, field):
+    def test_specless_header_resolves_through_its_module_map(self, field):
         pipe = get_preset("fzmod-default")
         blob = pipe.compress(field, 1e-3).blob
         header = peek_header(blob)
         header.pipeline = None  # containers written before the spec field
-        assert decode_plan_for_header(header) is None
+        plan = decode_plan_for_header(header)
+        assert plan.spec == pipe.spec.replace(name="custom")
+        assert plan.decompress(blob).tobytes() == \
+            core_decompress(blob).tobytes()
+
+    def test_unregistered_module_is_named(self, field):
+        header = peek_header(
+            get_preset("fzmod-default").compress(field, 1e-3).blob)
+        header.pipeline = {**header.pipeline, "predictor": "nope"}
+        with pytest.raises(ModuleNotFoundInRegistry, match="'nope'"):
+            decode_plan_for_header(header)
 
 
 # --------------------------------------------------------------------- #
@@ -187,7 +186,6 @@ class TestDecodePlanCache:
         COMPILED_PLAN_CACHE.reset_stats()
         enc = plan_for(pipe)
         dec = decode_plan_for(pipe)
-        assert enc is not None and dec is not None
         assert enc.key != dec.key
         by_group = COMPILED_PLAN_CACHE.stats()["by_group"]
         assert by_group["compress"]["entries"] == 1
@@ -197,7 +195,6 @@ class TestDecodePlanCache:
     def test_distinct_specs_get_distinct_plans(self):
         a = decode_plan_for(get_preset("fzmod-default"))
         b = decode_plan_for(get_preset("fzmod-speed"))
-        assert a is not None and b is not None
         assert a.key != b.key
 
     def test_env_kill_switch_disables_reuse(self, monkeypatch):
@@ -206,7 +203,6 @@ class TestDecodePlanCache:
         COMPILED_PLAN_CACHE.clear()
         first = decode_plan_for(pipe)
         second = decode_plan_for(pipe)
-        assert first is not None and second is not None
         assert first is not second  # rebuilt every time, never stored
         assert len(COMPILED_PLAN_CACHE) == 0
         assert first.key == second.key  # still the same content address
@@ -214,29 +210,43 @@ class TestDecodePlanCache:
     def test_env_kill_switch_output_identical(self, monkeypatch, smooth_3d):
         pipe = get_preset("fzmod-default")
         blob = pipe.compress(smooth_3d, 1e-3).blob
-        ref = core_decompress(blob, compile="auto")
+        ref = core_decompress(blob)
         monkeypatch.setenv("FZMOD_PLAN_CACHE", "0")
-        got = core_decompress(blob, compile="auto")
+        got = core_decompress(blob)
         assert got.tobytes() == ref.tobytes()
 
-    def test_plan_from_key_round_trip(self):
-        pipe = get_preset("fzmod-default")
-        key = decode_plan_key(pipe)
-        plan = decode_plan_from_key(pipe, key)
-        assert plan is not None and plan.key == key
+    def test_rebuilt_pipeline_resolves_the_same_plan(self):
+        # what a decode worker does with the spec in a shard's header
+        from repro.core.pipeline import Pipeline
+        from repro.core.spec import PipelineSpec
+        pipe = get_preset("fzmod-quality")
+        rebuilt = Pipeline.from_spec(
+            PipelineSpec.from_json(pipe.spec.to_json()))
+        assert decode_plan_for(rebuilt) is decode_plan_for(pipe)
 
-    def test_plan_from_key_rejects_foreign_key(self):
-        pipe = get_preset("fzmod-default")
-        assert decode_plan_from_key(pipe, "0" * 32) is None
-
-    def test_compile_decode_plan_rejects_uncompilable(self):
-        with pytest.raises(PipelineError, match="compile-decoded"):
-            compile_decode_plan(get_preset("fzmod-quality"))
+    def test_cached_plan_never_runs_another_registrys_module(
+            self, field, module_call_registry):
+        """Same spec and names, another registry's opaque predictor: the
+        cached plan binds one instance and must not serve the other."""
+        from tests.conftest import _PlainLorenzo
+        header = peek_header(
+            get_preset("fzmod-default").compress(field, 1e-3).blob)
+        mine = decode_plan_for_header(header, module_call_registry)
+        assert decode_plan_for_header(header, module_call_registry) is mine
+        other = repro.core.ModuleRegistry()
+        for stage, name in (("preprocess", "rel-eb"),
+                            ("statistics", "histogram"),
+                            ("encoder", "huffman"), ("secondary", "none")):
+            other.register(repro.core.DEFAULT_REGISTRY.get(
+                repro.types.Stage(stage), name))
+        other.register(_PlainLorenzo())
+        theirs = decode_plan_for_header(header, other)
+        assert theirs.key == mine.key and theirs is not mine
+        assert theirs._predictor is not mine._predictor
 
     def test_header_resolution_matches_pipeline_resolution(self, field):
         pipe = get_preset("fzmod-default")
         blob = pipe.compress(field, 1e-3).blob
         plan = decode_plan_for_header(peek_header(blob))
-        assert plan is not None
         assert plan.key == decode_plan_key(pipe)
         assert "decode plan" in plan.describe()

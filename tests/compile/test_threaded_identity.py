@@ -66,10 +66,11 @@ class TestSingleStreamMatrix:
         ref = _blob(data, "fzmod-default", threads=1)
         assert _blob(data, "fzmod-default", threads=16) == ref
 
-    def test_interpreter_parity(self, field):
-        # the threaded compiled container still matches compile=False
-        ref = repro.compress(field, "fzmod-default", 1e-3,
-                             compile=False).blob
+    def test_interpreter_parity(self, field, module_call_twin):
+        # the threaded fused container still matches the module-call steps
+        # (LorenzoPredictor.encode and the histogram module, unthreaded)
+        ref = module_call_twin(get_preset("fzmod-default")).compress(
+            field, 1e-3).blob
         assert _blob(field, "fzmod-default", threads=4) == ref
 
 

@@ -7,8 +7,15 @@ spiky, 1-D/2-D/3-D, float32/float64.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
+
+from repro.core.modules_std import InterpPredictor, LorenzoPredictor
+from repro.core.pipeline import Pipeline
+from repro.core.registry import DEFAULT_REGISTRY, ModuleRegistry
+from repro.types import Stage
 
 
 @pytest.fixture
@@ -63,3 +70,44 @@ def eb_abs_for(data: np.ndarray, rel: float) -> float:
     """Absolute bound for a relative target (test helper)."""
     rng_v = float(data.max() - data.min())
     return rel * rng_v if rng_v > 0 else rel
+
+
+# The plan compiler fuses preprocess/predictor/statistics only when their
+# types are exactly the standard ones (``type() is``).  A do-nothing
+# subclass keeps the registry name -- header and spec JSON are unchanged --
+# but fails that gate, so its pipeline runs the module-call steps: the
+# reference the fused steps are compared against.
+class _PlainLorenzo(LorenzoPredictor):
+    pass
+
+
+class _PlainInterp(InterpPredictor):
+    pass
+
+
+_PLAIN = {LorenzoPredictor: _PlainLorenzo, InterpPredictor: _PlainInterp}
+
+
+def _module_call_twin(pipe: Pipeline) -> Pipeline:
+    twin = copy.copy(pipe)
+    twin.predictor = _PLAIN[type(pipe.predictor)]()
+    return twin
+
+
+@pytest.fixture
+def module_call_twin():
+    """``twin(pipe)``: the same pipeline on module-call steps only."""
+    return _module_call_twin
+
+
+@pytest.fixture(scope="session")
+def module_call_registry() -> ModuleRegistry:
+    """The default registry with the plain predictors registered over the
+    standard ones: containers decoded against it take module-call steps."""
+    reg = ModuleRegistry()
+    for stage in Stage:
+        for name in DEFAULT_REGISTRY.names(stage):
+            reg.register(DEFAULT_REGISTRY.get(stage, name))
+    for plain in _PLAIN.values():
+        reg.register(plain(), replace=True)
+    return reg

@@ -338,20 +338,13 @@ class TestAnalyzeReport:
         assert "stragglers: none" in render_analysis(rep)
         assert json.dumps(rep)                 # report is JSON-serialisable
 
-    def test_interpreted_runs_are_listed_with_their_reason(self):
+    def test_no_interpreted_section(self):
+        """Every run is a plan run: the report has no section for the
+        others, whatever attributes an old trace carries."""
         recs = [rec("pipeline.compress", 0.0, 1.0, sid=1, compiled=False,
                     decline_reason="predictor 'interp' has no fused kernel"),
-                rec("pipeline.compress", 1.0, 2.0, sid=2, compiled=False,
-                    decline_reason="predictor 'interp' has no fused kernel"),
-                rec("pipeline.decompress", 2.0, 3.0, sid=3, compiled=False),
-                rec("pipeline.compress", 3.0, 4.0, sid=4, compiled=True)]
+                rec("pipeline.compress", 1.0, 2.0, sid=2, plan="p0")]
         rep = analyze(recs)
-        assert rep["interpreted"] == [
-            {"name": "pipeline.compress", "count": 2,
-             "decline_reason": "predictor 'interp' has no fused kernel"},
-            {"name": "pipeline.decompress", "count": 1,
-             "decline_reason": None}]
+        assert "interpreted" not in rep
         for out in (render_analysis(rep), render_analysis_markdown(rep)):
-            assert ("pipeline.compress x2: predictor 'interp' has no fused "
-                    "kernel") in out
-            assert "pipeline.decompress x1: compile=False requested" in out
+            assert "nterpreted" not in out

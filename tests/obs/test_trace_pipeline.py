@@ -81,66 +81,78 @@ class TestPipelineSpans:
         assert on == off
 
 
-class TestInterpretedRunsExplainThemselves:
-    """The interpreter's root spans say they were not compiled and, when
-    ``compile="auto"`` fell back, why; the interp kernel spans carry the
-    schedule they walked."""
+class TestTraceSaysWhichBodyRan:
+    """Root spans name the plan that ran; a stage span says ``fused=True``
+    when the fused pass stood in for the module, and nothing when the
+    module itself was called.  The interp kernel spans carry the schedule
+    they walked."""
 
-    def test_auto_fallback_records_the_decline_reason(self, field):
-        from repro.compile import decline_reason, decode_decline_reason
-        from repro.obs.analyze import analyze, render_analysis
+    @staticmethod
+    def _fused_flags(names=STAGES):
+        recs = {r.name: r for r in GLOBAL_TRACER.records()}
+        return {name: recs[name].attrs.get("fused") for name in names
+                if name in recs}
+
+    def test_root_spans_carry_the_plan_key(self, field):
+        from repro.compile import decode_plan_key, plan_key
         pipe = Pipeline.from_names(predictor="interp",
                                    statistics="histogram-topk")
-        blob = pipe.compress(field, 1e-3).blob
-        decompress(blob)
+        decompress(pipe.compress(field, 1e-3).blob)
         recs = {r.name: r for r in GLOBAL_TRACER.records()}
-        root = recs["pipeline.compress"].attrs
-        assert root["compiled"] is False
-        assert root["decline_reason"] == decline_reason(pipe) is not None
-        root = recs["pipeline.decompress"].attrs
-        assert root["compiled"] is False
-        assert root["decline_reason"] == decode_decline_reason(pipe)
+        assert recs["pipeline.compress"].attrs["plan"] == plan_key(pipe)
+        assert recs["pipeline.decompress"].attrs["plan"] == \
+            decode_plan_key(pipe)
+        for r in GLOBAL_TRACER.records():
+            assert "compiled" not in r.attrs
+            assert "decline_reason" not in r.attrs
         for name in ("kernel.interp.compress", "kernel.interp.decompress"):
             attrs = recs[name].attrs
             assert (attrs["levels"], attrs["batches"], attrs["dynamic"]) == (
                 4, 12, False)
-        text = render_analysis(analyze(GLOBAL_TRACER.records()))
-        assert f"pipeline.compress x1: {decline_reason(pipe)}" in text
-        assert f"pipeline.decompress x1: {decode_decline_reason(pipe)}" in text
 
-    def test_forced_interpreter_has_no_reason(self, field):
+    def test_fused_steps_say_so_and_module_calls_do_not(
+            self, field, module_call_twin, module_call_registry):
         pipe = Pipeline.from_names()
-        blob = pipe.compress(field, 1e-3, compile=False).blob
-        decompress(blob, compile=False)
-        for r in GLOBAL_TRACER.records():
-            if r.name in ("pipeline.compress", "pipeline.decompress"):
-                assert r.attrs["compiled"] is False
-                assert "decline_reason" not in r.attrs
+        blob = pipe.compress(field, 1e-3).blob
+        assert self._fused_flags() == {
+            "stage.preprocess": True, "stage.predictor": True,
+            "stage.statistics": True, "stage.encoder": None,
+            "stage.secondary": None}
+        GLOBAL_TRACER.clear()
+        assert module_call_twin(pipe).compress(field, 1e-3).blob == blob
+        assert set(self._fused_flags().values()) == {None}
+        GLOBAL_TRACER.clear()
+        decompress(blob)
+        assert self._fused_flags(("stage.predictor",)) == {
+            "stage.predictor": True}
+        GLOBAL_TRACER.clear()
+        decompress(blob, module_call_registry)
+        assert self._fused_flags(("stage.predictor", "stage.preprocess")) \
+            == {"stage.predictor": None, "stage.preprocess": None}
 
-    def test_decode_fallbacks_that_are_not_a_compiler_decline(self, field):
-        """No spec in the header, or a spec naming an unregistered module:
-        the interpreter still decodes by the header's module map and the
-        root span says which of the two it was."""
+    def test_decode_of_headers_without_a_usable_spec(self, field):
+        """No spec in the header: the plan is resolved from the header's
+        module map and decodes as before.  A spec naming an unregistered
+        module: the registry's own error, before any span opens."""
         from dataclasses import replace
 
         from repro.core.header import assemble, parse, split_sections
+        from repro.errors import ModuleNotFoundInRegistry
         header, body = parse(Pipeline.from_names().compress(field, 1e-3).blob)
         sections = dict(split_sections(header, body))
-        for spec, reason in [
-                (None, "no pipeline spec"),
-                ({**header.pipeline, "predictor": "nope"}, "'nope'")]:
-            head, body = assemble(replace(header, pipeline=spec), sections)
-            GLOBAL_TRACER.clear()
-            assert decompress(head + body).shape == field.shape
-            (root,) = [r for r in GLOBAL_TRACER.records()
-                       if r.name == "pipeline.decompress"]
-            assert reason in root.attrs["decline_reason"]
-
-    def test_compiled_runs_are_not_listed(self, field):
-        from repro.obs.analyze import analyze
-        pipe = Pipeline.from_names()
-        decompress(pipe.compress(field, 1e-3).blob)
-        assert analyze(GLOBAL_TRACER.records())["interpreted"] == []
+        head, body = assemble(replace(header, pipeline=None), sections)
+        GLOBAL_TRACER.clear()
+        assert decompress(head + body).shape == field.shape
+        (root,) = [r for r in GLOBAL_TRACER.records()
+                   if r.name == "pipeline.decompress"]
+        assert root.attrs["plan"]
+        head, body = assemble(
+            replace(header, pipeline={**header.pipeline, "predictor": "nope"}),
+            sections)
+        GLOBAL_TRACER.clear()
+        with pytest.raises(ModuleNotFoundInRegistry, match="'nope'"):
+            decompress(head + body)
+        assert GLOBAL_TRACER.records() == []
 
 
 class TestMergeDeterminism:

@@ -200,31 +200,42 @@ class TestDecompressBlobShapes:
 
 
 class TestCompileKwarg:
-    def test_facade_compile_modes_byte_identical(self, field):
-        blobs = {flag: repro.compress(field, "fzmod-default", 1e-3,
-                                      compile=flag).blob
-                 for flag in ("auto", True, False)}
-        assert blobs["auto"] == blobs[True] == blobs[False]
+    """``compile=`` selects nothing any more: the facade accepts the three
+    values it used to take (``bench/harness.py`` passes ``"auto"``) and
+    ignores them.  What the keyword used to switch between is checked
+    against the module-call twin instead."""
 
-    def test_facade_compile_require_propagates(self, field):
-        from repro.errors import PipelineError
-        with pytest.raises(PipelineError):
-            repro.compress(field, "fzmod-quality", 1e-3, compile=True)
+    def test_facade_compile_modes_byte_identical(self, field,
+                                                 module_call_twin):
+        ref = repro.compress(
+            field, module_call_twin(repro.api.resolve_pipeline(
+                "fzmod-default")), 1e-3).blob
+        for preset in ("fzmod-default", "fzmod-quality"):
+            blobs = {flag: repro.compress(field, preset, 1e-3,
+                                          compile=flag).blob
+                     for flag in ("auto", True, False)}
+            assert blobs["auto"] == blobs[True] == blobs[False]
+        assert repro.compress(field, "fzmod-default", 1e-3).blob == ref
 
-    def test_decompress_compile_modes_value_identical(self, field):
+    def test_decompress_compile_modes_value_identical(self, field, tmp_path,
+                                                      module_call_registry):
         cf = repro.compress(field, "fzmod-default", 1e-3)
         fields = {flag: repro.decompress(cf.blob, compile=flag)
                   for flag in ("auto", True, False)}
         assert (fields["auto"].tobytes() == fields[True].tobytes()
-                == fields[False].tobytes())
-
-    def test_decompress_compile_require_propagates(self, field, tmp_path):
-        from repro.errors import PipelineError
-        blob = repro.compress(field, "fzmod-quality", 1e-3).blob
-        with pytest.raises(PipelineError, match="compile-decoded"):
-            repro.decompress(blob, compile=True)
+                == fields[False].tobytes()
+                == repro.decompress(
+                    cf.blob, registry=module_call_registry).tobytes())
+        # formerly "declined": compile=True is as inert there as anywhere
         path = tmp_path / "q.fzms"
         repro.compress(field, "fzmod-quality", 1e-3, stream=True, out=path,
                        shard_mb=0.125)
-        with pytest.raises(PipelineError, match="compile-decoded"):
-            repro.decompress(path, compile=True)
+        assert repro.decompress(path, compile=True).shape == field.shape
+
+    def test_anything_else_is_a_config_error(self, field):
+        blob = repro.compress(field, "fzmod-default", 1e-3).blob
+        for junk in ("yes-please", None, 1, 0):
+            with pytest.raises(ConfigError, match="compile"):
+                repro.compress(field, "fzmod-default", 1e-3, compile=junk)
+            with pytest.raises(ConfigError, match="compile"):
+                repro.decompress(blob, compile=junk)

@@ -67,6 +67,28 @@ class TestOtherCommands:
                      "zstd-like"):
             assert name in out
 
+    @pytest.mark.parametrize("preset,front", [
+        ("fzmod-default", "fused"), ("fzmod-speed", "fused"),
+        ("fzmod-quality", "module call")])
+    def test_compile_prints_the_step_list(self, capsys, preset, front):
+        assert main(["compile", preset]) == 0
+        steps = {line.split()[1]: line for line in
+                 capsys.readouterr().out.splitlines()[1:]}
+        assert front in steps["predictor[%s]" % (
+            "interp" if preset == "fzmod-quality" else "lorenzo")]
+        if preset == "fzmod-quality":
+            for step in ("preprocess[rel-eb]", "statistics[histogram-topk]"):
+                assert steps[step].endswith("module call")
+        assert steps["encoder[%s]" % (
+            "bitshuffle" if preset == "fzmod-speed" else "huffman")]
+
+    def test_compress_has_no_compile_flag(self, tmp_path, raw_field, capsys):
+        path, data = raw_field
+        dims = ",".join(str(d) for d in data.shape)
+        with pytest.raises(SystemExit):
+            main(["compress", str(path), "--dims", dims, "--eb", "1e-3",
+                  "--no-compile", "-o", str(tmp_path / "x.fzmod")])
+
     def test_eval(self, capsys):
         rc = main(["eval", "--dataset", "hurr", "--field", "P",
                    "--scale", "0.05", "--eb", "1e-2",

@@ -22,6 +22,7 @@ from repro.baselines import get_compressor
 from repro.core import (decompress, fzmod_default, fzmod_quality,
                         fzmod_speed)
 from repro.core.header import assemble, parse, split_sections
+from repro.core.stf_pipeline import StfDefaultPipeline
 from repro.errors import CodecError, FZModError
 
 
@@ -32,13 +33,13 @@ def blob() -> bytes:
     return fzmod_default().compress(data, 1e-3).blob
 
 
-def _assert_resealed_codec_error(header, sections):
-    """Re-seal (valid CRCs) and demand ``CodecError`` at both entry points."""
+def _assert_resealed_codec_error(header, sections,
+                                 entries=(decompress, repro.decompress)):
+    """Re-seal (valid CRCs) and demand ``CodecError`` at every entry point."""
     head, body = assemble(header, sections)
-    with pytest.raises(CodecError):
-        decompress(head + body)
-    with pytest.raises(CodecError):
-        repro.decompress(head + body)
+    for entry in entries:
+        with pytest.raises(CodecError):
+            entry(head + body)
 
 
 class TestSingleByteCorruption:
@@ -258,7 +259,7 @@ class TestResealedInterpMeta:
         meta = {**header.stage_meta, "predictor": {}}
         _assert_resealed_codec_error(replace(header, stage_meta=meta), sections)
 
-    @pytest.mark.parametrize("keep", [0, 4, -4])
+    @pytest.mark.parametrize("keep", [0, 4, -4, 3, -1])
     def test_anchor_section_of_the_wrong_length(self, parts, keep):
         """Dropped, truncated or padded anchors: the Huffman stream then
         holds a symbol count other than the one the header implies, or the
@@ -269,6 +270,137 @@ class TestResealedInterpMeta:
                     "anchors": anchors[:keep] if keep >= 0
                     else anchors + anchors[keep:]}
         _assert_resealed_codec_error(header, sections)
+
+
+class TestResealedContainerMeta:
+    """A container re-sealed (valid CRCs) around lying *container-level*
+    metadata -- the outlier count, the predictor's stream length, the aux
+    channel table -- must end in ``CodecError`` at the one place that
+    reads them (``CompiledDecodePlan.decode_entropy``) and, for
+    ``fzmod-default`` containers, in ``StfDefaultPipeline.decompress``,
+    which reads the same fields by hand."""
+
+    @pytest.fixture(scope="class", params=["fzmod-default", "fzmod-quality"])
+    def parts(self, request):
+        rng = np.random.default_rng(7)
+        data = np.cumsum(rng.standard_normal((24, 20, 18)),
+                         axis=0).astype(np.float32)
+        blob = repro.compress(data, request.param, 1e-3).blob
+        header, body = parse(blob)
+        assert header.stage_meta["outliers"] == {"count": 0}
+        assert header.stage_meta["aux"] == {}
+        entries = (decompress, repro.decompress)
+        if request.param == "fzmod-default":
+            entries += (StfDefaultPipeline().decompress,)
+        return header, dict(split_sections(header, body)), entries
+
+    @staticmethod
+    def _with_meta(header, stage, **changes):
+        meta = {**header.stage_meta,
+                stage: {**header.stage_meta[stage], **changes}}
+        return replace(header, stage_meta=meta)
+
+    @pytest.mark.parametrize("count", ["x", None, [3], 2.5, -1, 1 << 40,
+                                       True, 1], ids=repr)
+    def test_lying_outlier_count(self, parts, count):
+        header, sections, entries = parts
+        _assert_resealed_codec_error(
+            self._with_meta(header, "outliers", count=count), sections,
+            entries)
+
+    @pytest.mark.parametrize("length", ["x", None, [3], 2.5, -1, True],
+                             ids=repr)
+    def test_lying_stream_length(self, parts, length):
+        header, sections, entries = parts
+        _assert_resealed_codec_error(
+            self._with_meta(header, "predictor", stream_length=length),
+            sections, entries[:2])
+
+    @pytest.mark.parametrize("aux", [
+        {"a": 1}, {"a": ["<f4"]}, {"a": ["<f4", [2]]}, {"a": ["nope", [2]]},
+        {"a": ["<f4", ["x"]]}, {"a": [None, [2]]}, {"a": ["O", [1]]},
+        {"a": ["<f4,<f4", [1]]}, {"a": ["<f4", [-2]]}, {"a": ["<f4", 2]},
+        {"a": ["<f4", [3]]}, {"a": ["<f4", [1 << 40]]}], ids=repr)
+    def test_lying_aux_table(self, parts, aux):
+        """``aux.a`` holds eight bytes: two ``<f4``, whatever the table
+        says."""
+        header, sections, entries = parts
+        meta = {**header.stage_meta, "aux": aux}
+        for extra in ({}, {"aux.a": bytes(8)}):
+            if aux == {"a": ["<f4", [2]]} and extra:
+                continue  # the one honest table
+            _assert_resealed_codec_error(replace(header, stage_meta=meta),
+                                         {**sections, **extra}, entries[:2])
+
+    def test_outlier_sections_that_contradict_the_count(self):
+        data = np.random.default_rng(5).standard_normal(4000) \
+            .astype(np.float32)
+        data[::400] *= 1e6
+        header, body = parse(fzmod_default().compress(data, 1e-6).blob)
+        sections = dict(split_sections(header, body))
+        count = header.stage_meta["outliers"]["count"]
+        assert count > 0
+        entries = (decompress, repro.decompress,
+                   StfDefaultPipeline().decompress)
+        for lie in (0, count + 1, 1 << 40):
+            _assert_resealed_codec_error(
+                self._with_meta(header, "outliers", count=lie), sections,
+                entries)
+        for name in ("outlier.idx", "outlier.val"):
+            for stump in (b"", b"\x00" * 5):
+                _assert_resealed_codec_error(
+                    header, {**sections, name: stump}, entries)
+
+    def test_outlier_count_does_not_size_an_allocation(self, parts):
+        import tracemalloc
+        header, sections, entries = parts
+        head, body = assemble(
+            self._with_meta(header, "outliers", count=1 << 40), sections)
+        blob = head + body
+        for entry in entries:
+            tracemalloc.start()
+            try:
+                with pytest.raises(CodecError):
+                    entry(blob)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * len(blob)
+
+
+    # -- StfDefaultPipeline.decompress hands the Huffman metadata to ----- #
+    # -- HuffmanEncoder.decode instead of reading it by hand ------------- #
+    stf_only = (StfDefaultPipeline().decompress,)
+
+    @pytest.fixture(scope="class")
+    def stf_parts(self, blob):
+        header, body = parse(blob)
+        return header, dict(split_sections(header, body))
+
+    @pytest.mark.parametrize("key,value", [
+        ("nchunks", "x"), ("nchunks", 1 << 40), ("nchunks", 5),
+        ("nchunks", True), ("count", None), ("count", 2.5),
+        ("max_len", "x"), ("max_len", None)])
+    def test_lying_huffman_value_through_stf(self, stf_parts, key, value):
+        header, sections = stf_parts
+        encoder = {**header.stage_meta["encoder"], key: value}
+        meta = {**header.stage_meta, "encoder": encoder}
+        _assert_resealed_codec_error(replace(header, stage_meta=meta),
+                                     sections, self.stf_only)
+
+    @pytest.mark.parametrize("name", ["enc.lengths", "enc.payload",
+                                      "enc.chunk_syms", "enc.chunk_bits"])
+    def test_missing_huffman_section_through_stf(self, stf_parts, name):
+        header, sections = stf_parts
+        _assert_resealed_codec_error(
+            header, {k: v for k, v in sections.items() if k != name},
+            self.stf_only)
+
+    def test_missing_encoder_meta_through_stf(self, stf_parts):
+        header, sections = stf_parts
+        meta = {k: v for k, v in header.stage_meta.items() if k != "encoder"}
+        _assert_resealed_codec_error(replace(header, stage_meta=meta),
+                                     sections, self.stf_only)
 
 
 class TestBaselineCorruption:
