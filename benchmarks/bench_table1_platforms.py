@@ -9,8 +9,9 @@ from __future__ import annotations
 import pytest
 from _common import emit
 
-from repro.perf import (H100, V100, RunStats, compression_cost,
-                        estimate_throughput, table1_rows)
+from repro.perf import (H100, V100, RunStats, TransferRequest,
+                        compression_cost, estimate_throughput,
+                        measured_bandwidth, simulate_transfers, table1_rows)
 
 
 def render_table1() -> str:
@@ -46,9 +47,6 @@ def test_table1_cost_model_scaling(benchmark):
 def test_table1_measured_bandwidth(benchmark):
     """The 'Measured Bandwidth' row: multi-gpu-bwtest with all four GPUs
     transferring, reproduced by the shared-link contention model."""
-    from repro.parallel import measured_bandwidth, simulate_transfers
-    from repro.parallel.link import TransferRequest
-
     def loaded_all_gpus():
         # four saturating transfers through the node's host link
         reqs = [TransferRequest(start=0.0, nbytes=1e9,

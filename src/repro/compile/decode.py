@@ -119,8 +119,7 @@ class CompiledDecodePlan(_BoundPlan):
         lines = [
             f"decode plan {self.key}  {self.spec.describe()}",
             f"  [0] secondary[{self._secondary.name}]       module call",
-            f"  [1] encoder[{self._encoder.name}]         module call "
-            "(segment-sweep decode, content-addressed caches)"]
+            f"  [1] encoder[{self._encoder.name}]         module call"]
         if self._fused:
             lines.append(
                 "  [2] reconstruct              fused outlier merge + "

@@ -1,16 +1,16 @@
 """Fused stage kernels for compiled execution plans.
 
-The interpreted pipeline runs preprocess -> prequantize -> Lorenzo ->
-outlier split -> histogram as five separate kernels, each reading and
-writing a full field-sized array.  :func:`fused_predict_quantize`
-collapses them into a single pass over each slab, mirroring the paper's
+Run as module calls, preprocess -> prequantize -> Lorenzo -> outlier
+split -> histogram are five separate kernels, each reading and writing
+a full field-sized array.  :func:`fused_predict_quantize` collapses
+them into a single pass over each slab, mirroring the paper's
 CUDASTF-fused pipelines (and cuSZ's coarse kernel, whose one launch
 covers pre-quantization, prediction and code emission):
 
 * the float->grid scale, round and ``int64`` cast write straight into
   pooled scratch (``out=`` contracts end-to-end, no intermediates);
 * the d-D Lorenzo operator runs as one subtract per axis between two
-  ping-ponged grid buffers instead of the interpreter's copy-then-
+  ping-ponged grid buffers instead of ``kernels.lorenzo``'s copy-then-
   subtract pair (halving the passes per axis);
 * the outlier mask is evaluated on the *rebased* codes through a
   ``uint64`` view (wrapped negatives are huge, so one unsigned compare
@@ -25,12 +25,11 @@ scale/cast collapse into one pass over a single pooled ``int64`` grid,
 with the final floats written directly into the caller's ``out=``
 buffer — no full-field temporaries between the decode stages.
 
-Every step is arithmetic-identical to the interpreted kernels in
-:mod:`repro.kernels.quantize`, :mod:`repro.kernels.lorenzo` and
-:mod:`repro.kernels.histogram` — codes, outliers and counts match them
-bit for bit (the compiled-vs-interpreted golden tests enforce this), so
-downstream encoders and the content-addressed encode caches see the
-same bytes either way.
+Every step is arithmetic-identical to the kernels the module-call steps
+run — :mod:`repro.kernels.quantize`, :mod:`repro.kernels.lorenzo` and
+:mod:`repro.kernels.histogram` — so codes, outliers and counts match
+them bit for bit (the fused-vs-module-call matrix in ``tests/compile/``
+enforces this) and the encoder sees the same bytes either way.
 
 Slab parallelism
 ----------------
@@ -85,8 +84,8 @@ def _inplace_prefix_sum(grid: np.ndarray) -> None:
     slower than a running ``np.add`` over whole hyperplane slices, each
     of which streams once at near-memcpy bandwidth.  Integer addition is
     exact and order-independent, so either sweep produces a bit-identical
-    grid — the compiled-vs-interpreted golden tests pin this against the
-    interpreter's all-``cumsum`` sweep in ``kernels.lorenzo``.
+    grid — the fused-vs-module-call matrix pins this against the
+    all-``cumsum`` sweep of ``kernels.lorenzo.lorenzo_inverse``.
     """
     ndim = grid.ndim
     if ndim == 0:
@@ -139,8 +138,8 @@ def scaled_magnitude_bound(lo: float, hi: float, eb_abs: float) -> float:
 
     Correctly-rounded division by a positive scalar is monotone, so the
     extreme scaled magnitudes come from the extreme data values; this
-    reproduces the interpreter's full-array overflow scan
-    (:func:`repro.kernels.quantize.prequantize`) from two scalars.
+    reproduces the full-array overflow scan of
+    :func:`repro.kernels.quantize.prequantize` from two scalars.
     """
     return max(abs(lo / (2.0 * eb_abs)), abs(hi / (2.0 * eb_abs)))
 
@@ -173,8 +172,9 @@ def fused_predict_quantize(data: np.ndarray, eb_abs: float, radius: int,
         docstring).
 
     Returns ``(codes, outliers, counts)`` with ``codes`` a fresh flat
-    ``uint16``/``uint32`` array, byte-identical to the interpreted
-    chain's, and ``counts`` ``None`` when not collected.
+    ``uint16``/``uint32`` array, byte-identical to what
+    ``kernels.lorenzo.compress`` emits, and ``counts`` ``None`` when not
+    collected.
     """
     if eb_abs <= 0 or not np.isfinite(eb_abs):
         raise CodecError(f"absolute error bound must be positive, got {eb_abs}")
@@ -212,12 +212,12 @@ def fused_predict_quantize(data: np.ndarray, eb_abs: float, radius: int,
             raise CodecError(
                 "error bound too tight: quantization index overflows int64")
         # rint straight into the int64 grid: the rounded value is integral,
-        # so the unsafe cast truncates to exactly the interpreter's
+        # so the unsafe cast truncates to exactly prequantize's
         # rint-then-astype result in one pass instead of two
         np.rint(scaled, out=grid_a, casting="unsafe")
 
         # -- Lorenzo: one backward-difference pass per axis, ping-ponged
-        # between the two grid buffers (the interpreter copies into a
+        # between the two grid buffers (lorenzo_forward copies into a
         # shift buffer and then subtracts — two passes per axis)
         src, dst = grid_a, grid_b
         ndim = len(shape)
@@ -413,7 +413,7 @@ def fused_decode_reconstruct(codes: np.ndarray, outliers: OutlierSet,
         cast; only the axis-0 inverse-Lorenzo hyperplane sweep stays
         sequential.  Value-identical for every width.
 
-    Every step is arithmetic-identical to the interpreted chain
+    Every step is arithmetic-identical to the module-call chain
     ``merge_outliers -> lorenzo_inverse -> dequantize`` in
     :mod:`repro.kernels.quantize` / :mod:`repro.kernels.lorenzo`, so the
     reconstruction is value-identical bit for bit.

@@ -309,6 +309,16 @@ class CompiledPlan(_BoundPlan):
             interp_levels=int(state.pred_meta.get("max_level", 0)))
         return CompressedField(blob=blob, stats=stats, header=state.header)
 
+    def _front_counts(self, data: np.ndarray, eb: ErrorBound) -> np.ndarray:
+        """Quant-code counts of ``data``: the steps before the encoder (the
+        histogram pass of shared-codebook sharding; the statistics step
+        exists whenever the encoder needs it)."""
+        state = _ExecState(data, eb)
+        for step in self.steps:
+            if step.stage in ("preprocess", "predictor", "statistics"):
+                step.run(state)
+        return np.asarray(state.hist.counts, dtype=np.int64)
+
 
 def compile_plan(pipeline) -> CompiledPlan:
     """Trace ``pipeline`` into a :class:`CompiledPlan` (uncached)."""
@@ -469,13 +479,13 @@ def _specialize(pipeline, key: str) -> CompiledPlan:
     steps = (_fused_steps(pipeline) if _fuses_encode(pipeline)
              else _module_call_steps(pipeline))
 
-    # -- encoder: pre-bound module call (shares the encode caches) ------
+    # -- encoder: pre-bound module call ----------------------------------
     def run_encoder(state: _ExecState) -> None:
         state.stream = encoder.encode(state.codes, num_bins, state.hist)
 
     steps.append(PlanStep(
         name=f"encoder[{encoder.name}]",
-        detail="module call (content-addressed codebook/encode caches)",
+        detail="module call",
         run=run_encoder, stage="encoder", span_name="stage.encoder",
         span_attrs={"module": encoder.name},
         bytes_of=lambda s: {

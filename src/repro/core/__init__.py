@@ -4,9 +4,7 @@ from .archive import Archive, ArchiveEntry, ArchiveWriter
 from .builder import PipelineBuilder
 from .chunked import TiledField, compress_tiled
 from .header import ContainerHeader, parse
-from .progressive import ProgressiveField, compress_progressive
 from .target import TargetResult, compress_to_target
-from .streamio import StreamingCompressor, StreamingDecompressor
 from .temporal import TemporalCompressor, TemporalDecompressor
 from .verify import VerificationReport, verify_pipeline
 from .module import (EncodedStream, EncoderModule, Module, PredictorArtifacts,
@@ -24,9 +22,7 @@ __all__ = [
     "Archive", "ArchiveEntry", "ArchiveWriter", "TargetResult",
     "compress_to_target", "TiledField", "compress_tiled",
     "TemporalCompressor", "TemporalDecompressor",
-    "ProgressiveField", "compress_progressive",
     "VerificationReport", "verify_pipeline",
-    "StreamingCompressor", "StreamingDecompressor",
     "PipelineBuilder", "ContainerHeader", "parse", "EncodedStream",
     "EncoderModule", "Module", "PredictorArtifacts", "PredictorModule",
     "PreprocessModule", "PreprocessResult", "SecondaryModule",

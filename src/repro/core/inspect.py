@@ -1,9 +1,9 @@
 """Container inspection (no decompression).
 
 ``describe(blob)`` classifies any bytes this library produces — pipeline
-or baseline containers, archives, tiled fields, temporal streams,
-progressive containers, streamed files — and returns a structured
-description; ``render(blob)`` pretty-prints it.  Backs ``fzmod inspect``.
+or baseline containers, multi-shard containers, archives, tiled fields,
+temporal streams — and returns a structured description;
+``render(blob)`` pretty-prints it.  Backs ``fzmod inspect``.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ from ..errors import HeaderError
 from .archive import ARCHIVE_MAGIC, Archive
 from .header import MAGIC as CONTAINER_MAGIC
 from .header import parse
-from .streamio import STREAM_MAGIC
 
 
 @dataclass
 class Description:
     """What a blob is and what's inside."""
 
-    kind: str                      # container | archive | stream
+    kind: str                      # container | multi-shard container | archive
     detail: dict = field(default_factory=dict)
     members: list[dict] = field(default_factory=list)
 
@@ -51,8 +50,6 @@ def _describe_archive(blob: bytes) -> Description:
         kind = "tiled-field archive"
     elif any(n.startswith("frame_") for n in names):
         kind = "temporal-stream archive"
-    elif any(n.startswith("level_") for n in names):
-        kind = "progressive archive"
     stats = ar.total_stats()
     d = Description(kind=kind,
                     detail={"fields": int(stats["fields"]),
@@ -93,16 +90,6 @@ def describe(blob: bytes) -> Description:
     from ..parallel.executor import SHARD_MAGIC
     if magic == SHARD_MAGIC:
         return _describe_sharded(blob)
-    if magic == STREAM_MAGIC:
-        import io
-
-        from .streamio import StreamingDecompressor
-        sd = StreamingDecompressor(io.BytesIO(blob))
-        return Description(
-            kind="stream",
-            detail={"slabs": sd.slab_count, "rows": sd.total_rows,
-                    "tail_shape": list(sd.tail_shape),
-                    "dtype": str(sd.dtype), "eb_abs": sd.eb_abs})
     raise HeaderError(f"unrecognised magic {magic!r}")
 
 

@@ -535,18 +535,13 @@ def _histogram_shard_local(pipeline: Pipeline, shard: np.ndarray,
                            eb_abs: float
                            ) -> tuple[np.ndarray, dict | None]:
     """Histogram-pass job: quant-code counts of one shard (no encoding)."""
-    shard = np.ascontiguousarray(shard)
     with GLOBAL_TRACER.capture() as spans:
         with span("shard.histogram", rows=int(shard.shape[0]),
                   bytes_in=int(shard.nbytes)) as sp:
-            pre = pipeline.preprocess.forward(shard,
-                                              ErrorBound(eb_abs, EbMode.ABS))
-            arts = pipeline.predictor.encode(pre.data, pre.eb_abs,
-                                             pipeline.radius)
-            hist = pipeline.statistics.collect(arts.codes, pipeline.num_bins)
-            sp.set(bytes_out=int(np.asarray(hist.counts).nbytes))
-    return (np.asarray(hist.counts, dtype=np.int64),
-            export_capture(spans))
+            counts = pipeline.compile()._front_counts(
+                np.ascontiguousarray(shard), ErrorBound(eb_abs, EbMode.ABS))
+            sp.set(bytes_out=int(counts.nbytes))
+    return counts, export_capture(spans)
 
 
 def _histogram_shard_shm(spec_json: dict, shm_name: str,

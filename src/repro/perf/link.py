@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigError
+from .platform import PlatformSpec
 
 
 @dataclass(frozen=True)
@@ -93,3 +94,13 @@ def loaded_bandwidth(link_peak: float, agg_bw: float, ngpus: int) -> float:
     if ngpus < 1:
         raise ConfigError("ngpus must be >= 1")
     return min(link_peak, agg_bw / ngpus)
+
+
+def measured_bandwidth(platform: PlatformSpec, ngpus: int | None = None
+                       ) -> float:
+    """Per-GPU loaded bandwidth — reproduces Table 1's 'Measured
+    Bandwidth' row when ``ngpus`` equals the node's GPU count."""
+    if ngpus is None:
+        ngpus = platform.node_gpus
+    return loaded_bandwidth(platform.gpu_link_peak, platform.host_agg_bw,
+                            ngpus)

@@ -195,6 +195,17 @@ _POOL: SlabPool | None = None
 _POOL_LOCK = threading.Lock()
 
 
+def _forget_pool_in_child() -> None:
+    # a forked child gets the executor without its threads, but its idle
+    # count still includes them: it would queue every slab and start none
+    global _POOL, _POOL_LOCK
+    _POOL = None
+    _POOL_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool_in_child)
+
+
 def shared_pool(workers: int | None = None) -> SlabPool:
     """The process-wide persistent :class:`SlabPool`, grown on demand.
 

@@ -8,6 +8,8 @@ privacy and the grow-on-demand shared pool.
 
 from __future__ import annotations
 
+import multiprocessing
+import queue
 import threading
 
 import pytest
@@ -156,3 +158,34 @@ class TestSharedPool:
         with th.thread_budget(6):
             assert th.active_threads() == 6
         assert th.active_threads() == 0
+
+
+def _child_run_slabs(results):
+    results.put(th.run_slabs(lambda k: k * k, [1, 2, 3], threads=3))
+
+
+class TestForkedChild:
+    def test_child_does_not_inherit_the_parents_pool(self):
+        """A forked worker must build its own pool: the parent's executor
+        arrives with no threads but an idle count that still includes them,
+        so it would queue the child's slabs and never start a thread."""
+        # three pool threads alive and idle at the fork (without the
+        # barrier one thread could serve all three tasks)
+        barrier = threading.Barrier(3)
+        th.run_slabs(lambda _: barrier.wait(30), [1, 2, 3], threads=3)
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=_child_run_slabs, args=(results,))
+        child.start()
+        try:
+            # drain before joining; a hung child never writes
+            result = results.get(timeout=30)
+        except queue.Empty:
+            result = None
+        finally:
+            child.join(5)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert result == [1, 4, 9], \
+            "forked child blocked on the inherited SlabPool"

@@ -1,7 +1,7 @@
 """Smoke tests: the fast examples must run end-to-end.
 
-The slower, sweep-heavy examples (climate_campaign, snapshot_node,
-fidelity_report, timeseries_roi, hacc_checkpoint) are exercised manually /
+The slower, sweep-heavy examples (climate_campaign, fidelity_report,
+timeseries_roi, hacc_checkpoint) are exercised manually /
 by CI at a longer budget; the three quick ones run here so a broken public
 API surfaces immediately.
 """

@@ -39,8 +39,6 @@ SECTIONS = [
     ("ablation_secondary", "Ablation — secondary encoder"),
     ("ablation_fusion", "Ablation — fused vs staged encoding"),
     ("ablation_radius", "Ablation — quant-code radius"),
-    ("node_scaling_h100", "Node scaling — H100"),
-    ("node_scaling_v100", "Node scaling — V100"),
     ("stf_engine_overhead", "STF engine overhead"),
 ]
 
