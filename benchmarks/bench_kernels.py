@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.kernels import (bitshuffle, delta, dictionary, fixedlen,
-                           histogram, huffman, interp, lorenzo, lz, quantize)
+                           histogram, huffman, interp, lorenzo, quantize)
 
 N = 1 << 20
 
@@ -155,10 +155,6 @@ class TestEncoderKernels:
 
     def test_delta(self, benchmark, codes):
         benchmark(delta.delta_forward, codes)
-
-    def test_lz_compress(self, benchmark, codes):
-        payload = codes.astype(np.uint16).tobytes()[:1 << 20]
-        benchmark(lz.compress, payload)
 
 
 class TestThroughputSanity:

@@ -69,15 +69,15 @@ def main() -> None:
     interp_fast = Pipeline.from_spec(PipelineSpec(
         predictor="interp", encoder="bitshuffle",
         name="interp+bitshuffle"))
-    lorenzo_packed = (PipelineBuilder("lorenzo+huffman+zstd")
+    lorenzo_packed = (PipelineBuilder("lorenzo+huffman+deflate")
                       .with_predictor("lorenzo")
                       .with_statistics("histogram")
                       .with_encoder("huffman")
-                      .with_secondary("zstd-like")
+                      .with_secondary("deflate")
                       .build())
     assert lorenzo_packed.spec == PipelineSpec(
-        statistics="histogram", secondary="zstd-like",
-        name="lorenzo+huffman+zstd")
+        statistics="histogram", secondary="deflate",
+        name="lorenzo+huffman+deflate")
     compare([interp_fast, lorenzo_packed], field, eb)
 
     # 3. custom module (registered by the @DEFAULT_REGISTRY.module

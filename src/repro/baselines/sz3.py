@@ -15,8 +15,9 @@ but with the quality advantages real SZ3 has over the GPU port:
 * a much larger quant-code alphabet (radius 32768 instead of 512), so
   almost nothing becomes an outlier even at tight bounds;
 * a longer Huffman length limit (20 bits) fitting that alphabet optimally;
-* a final generic lossless pass (zstd in the paper; the token-dedup +
-  Huffman codec here) over every payload, which squeezes the anchor values
+* a final generic lossless pass (zstd in the paper; stdlib DEFLATE here,
+  :mod:`repro.kernels.deflate`) over the Huffman payload and codebook, the
+  anchors and the zero-eliminated words, which squeezes the anchor values
   and residual structure the primary codec leaves behind.
 """
 
@@ -27,11 +28,66 @@ import numpy as np
 from ..core.header import ContainerHeader
 from ..errors import CodecError
 from ..kernels import bitshuffle as bs
-from ..kernels import delta, dictionary, huffman, interp, lz, quantize
+from ..kernels import deflate, delta, dictionary, huffman, interp, lorenzo
+from ..kernels import quantize
 from .base import Compressor
 
 _RADIUS = 1 << 15
 _MAX_LEN = 20
+
+#: per variant: the integer metadata and the sections its decoder reads
+_LAYOUT = {
+    "interp": (("radius", "count", "max_len", "nchunks", "max_level",
+                "outlier_count"),
+               ("payload", "lengths", "chunk_syms", "chunk_bits", "anchors")),
+    "lorenzo": (("count", "max_len", "nchunks", "outlier_count"),
+                ("payload", "lengths", "chunk_syms", "chunk_bits")),
+    "delta": (("count", "orig_len", "word_bytes"),
+              ("bitmap2", "bitmap1", "words")),
+}
+
+
+def _checked_meta(sections: dict[str, bytes], meta: dict,
+                  header: ContainerHeader) -> tuple[str, dict]:
+    """The variant and the metadata its decoder reads, checked against the
+    header and the section lengths: all of it comes from the container,
+    so none of it may size a read before this."""
+    variant = meta.get("variant")
+    if not isinstance(variant, str) or variant not in _LAYOUT:
+        raise CodecError(f"unknown sz3 variant {variant!r}")
+    keys, names = _LAYOUT[variant]
+    fields = {key: meta.get(key) for key in keys}
+    if any(type(value) is not int for value in fields.values()):
+        raise CodecError(f"sz3 {variant} needs integer {', '.join(keys)}")
+    if any(name not in sections for name in names):
+        raise CodecError(f"sz3 {variant} needs sections {', '.join(names)}")
+    count, n = fields["count"], header.element_count
+    # interp codes exclude the anchors; the other variants code every value
+    if not (0 <= count <= n if variant == "interp" else count == n):
+        raise CodecError(f"sz3 count {count} does not fit {n} elements")
+    if variant == "delta":
+        if (fields["word_bytes"] != 4
+                or fields["orig_len"] != bs.shuffled_size(count, 32)):
+            raise CodecError("sz3 delta word_bytes/orig_len out of range")
+        return variant, fields
+    if variant == "interp":
+        choices = meta.get("choices")
+        if (not isinstance(choices, list)
+                or any(type(c) is not int or c not in (0, 1)
+                       for c in choices)):
+            raise CodecError("sz3 interp choices must be a list of 0/1")
+        fields["choices"] = tuple(choices)
+    nchunks = fields["nchunks"]
+    # an empty code stream (a one-element field) has no chunks
+    if ((nchunks > 0) != (count > 0)
+            or any(len(sections[name]) != 8 * nchunks
+                   for name in ("chunk_syms", "chunk_bits"))):
+        raise CodecError("sz3 chunk tables do not hold nchunks entries")
+    if (not 1 <= fields["max_len"] <= _MAX_LEN
+            or not 0 <= fields["outlier_count"] <= count
+            or not 1 <= fields.get("radius", _RADIUS) <= _RADIUS):
+        raise CodecError("sz3 max_len/outlier_count/radius out of range")
+    return variant, fields
 
 
 class SZ3(Compressor):
@@ -43,60 +99,75 @@ class SZ3(Compressor):
     def __init__(self, max_level: int | None = None) -> None:
         self.max_level = max_level
 
+    # -- shared Huffman stage --------------------------------------------- #
+    @staticmethod
+    def _encode_codes(codes: np.ndarray, radius: int
+                      ) -> tuple[dict[str, bytes], dict]:
+        if codes.size == 0:
+            enc = huffman.encode_empty(2 * radius, max_len=_MAX_LEN)
+        else:
+            counts = np.bincount(codes, minlength=2 * radius)
+            book = huffman.build_codebook(counts, max_len=_MAX_LEN)
+            enc = huffman.encode(codes, book)
+        sections = {
+            "payload": deflate.compress(enc.payload),
+            "lengths": deflate.compress(enc.lengths.tobytes()),
+            "chunk_syms": enc.chunk_symbols.tobytes(),
+            "chunk_bits": enc.chunk_bits.tobytes(),
+        }
+        meta = {"count": enc.count, "max_len": enc.max_len,
+                "nchunks": int(enc.chunk_symbols.size)}
+        return sections, meta
+
+    @staticmethod
+    def _decode_codes(sections: dict[str, bytes], fields: dict,
+                      radius: int) -> np.ndarray:
+        lengths = np.frombuffer(deflate.decompress(sections["lengths"]),
+                                dtype=np.uint8)
+        if lengths.size != 2 * radius:
+            raise CodecError("sz3 codebook does not cover 2 * radius codes")
+        enc = huffman.HuffmanEncoded(
+            payload=deflate.decompress(sections["payload"]),
+            chunk_symbols=np.frombuffer(sections["chunk_syms"],
+                                        dtype=np.int64),
+            chunk_bits=np.frombuffer(sections["chunk_bits"], dtype=np.int64),
+            count=fields["count"], lengths=lengths, max_len=fields["max_len"])
+        return huffman.decode(enc).astype(np.uint16)
+
+    @staticmethod
+    def _outliers(sections: dict[str, bytes], fields: dict
+                  ) -> quantize.OutlierSet:
+        return quantize.unpack_outliers(
+            sections.get("outlier.idx", b""), sections.get("outlier.val", b""),
+            fields["outlier_count"])
+
     # -- interp variant ------------------------------------------------- #
     def _encode_interp(self, data: np.ndarray, eb_abs: float,
                        radius: int = _RADIUS) -> tuple[dict[str, bytes], dict]:
         res = interp.compress(data, eb_abs, radius=radius,
                               max_level=self.max_level, dynamic=True)
-        if res.codes.size == 0:
-            enc = huffman.encode_empty(2 * radius, max_len=_MAX_LEN)
-        else:
-            counts = np.bincount(res.codes, minlength=2 * radius)
-            book = huffman.build_codebook(counts, max_len=_MAX_LEN)
-            enc = huffman.encode(res.codes, book)
+        sections, enc_meta = self._encode_codes(res.codes, radius)
         idx, val, count = quantize.pack_outliers(res.outliers)
-        sections = {
-            "payload": lz.compress(enc.payload),
-            "lengths": lz.compress(enc.lengths.tobytes()),
-            "chunk_syms": enc.chunk_symbols.tobytes(),
-            "chunk_bits": enc.chunk_bits.tobytes(),
-            "anchors": lz.compress(res.anchors.tobytes()),
-            "outlier.idx": idx,
-            "outlier.val": val,
-        }
-        meta = {"variant": "interp", "radius": radius, "count": enc.count,
-                "max_len": enc.max_len,
-                "nchunks": int(enc.chunk_symbols.size),
+        sections.update({"anchors": deflate.compress(res.anchors.tobytes()),
+                         "outlier.idx": idx, "outlier.val": val})
+        meta = {"variant": "interp", "radius": radius, **enc_meta,
                 "max_level": res.max_level, "outlier_count": count,
                 "choices": list(res.choices),
                 "code_fraction": res.codes.nbytes / data.nbytes}
         return sections, meta
 
-    def _decode_interp(self, sections: dict[str, bytes], meta: dict,
+    def _decode_interp(self, sections: dict[str, bytes], fields: dict,
                        header: ContainerHeader) -> np.ndarray:
-        nchunks = int(meta["nchunks"])
-        enc = huffman.HuffmanEncoded(
-            payload=lz.decompress(sections["payload"]),
-            chunk_symbols=np.frombuffer(sections["chunk_syms"],
-                                        dtype=np.int64, count=nchunks),
-            chunk_bits=np.frombuffer(sections["chunk_bits"],
-                                     dtype=np.int64, count=nchunks),
-            count=int(meta["count"]),
-            lengths=np.frombuffer(lz.decompress(sections["lengths"]),
-                                  dtype=np.uint8),
-            max_len=int(meta["max_len"]))
-        codes = huffman.decode(enc).astype(np.uint16)
-        outliers = quantize.unpack_outliers(
-            sections.get("outlier.idx", b""), sections.get("outlier.val", b""),
-            int(meta["outlier_count"]))
-        anchors = np.frombuffer(lz.decompress(sections["anchors"]),
-                                dtype=header.np_dtype)
+        anchors = deflate.decompress(sections["anchors"])
+        if len(anchors) % header.np_dtype.itemsize:
+            raise CodecError("sz3 anchors are not whole field elements")
         res = interp.InterpResult(
-            codes=codes, outliers=outliers, anchors=anchors,
-            radius=int(meta.get("radius", _RADIUS)),
-            eb_abs=header.eb_abs, max_level=int(meta["max_level"]),
-            shape=header.shape, dtype=header.np_dtype,
-            choices=tuple(int(c) for c in meta.get("choices", ())))
+            codes=self._decode_codes(sections, fields, fields["radius"]),
+            outliers=self._outliers(sections, fields),
+            anchors=np.frombuffer(anchors, dtype=header.np_dtype),
+            radius=fields["radius"], eb_abs=header.eb_abs,
+            max_level=fields["max_level"], shape=header.shape,
+            dtype=header.np_dtype, choices=fields["choices"])
         out = interp.decompress(res)
         if out.shape != header.shape:
             raise CodecError("sz3 shape mismatch after decode")
@@ -105,50 +176,22 @@ class SZ3(Compressor):
     # -- lorenzo variant -------------------------------------------------- #
     def _encode_lorenzo(self, data: np.ndarray, eb_abs: float
                         ) -> tuple[dict[str, bytes], dict]:
-        from ..kernels import lorenzo
         res = lorenzo.compress(data, eb_abs, radius=_RADIUS)
         codes = res.codes.reshape(-1)
-        counts = np.bincount(codes, minlength=2 * _RADIUS)
-        book = huffman.build_codebook(counts, max_len=_MAX_LEN)
-        enc = huffman.encode(codes, book)
+        sections, enc_meta = self._encode_codes(codes, _RADIUS)
         idx, val, count = quantize.pack_outliers(res.outliers)
-        sections = {
-            "payload": lz.compress(enc.payload),
-            "lengths": lz.compress(enc.lengths.tobytes()),
-            "chunk_syms": enc.chunk_symbols.tobytes(),
-            "chunk_bits": enc.chunk_bits.tobytes(),
-            "outlier.idx": idx,
-            "outlier.val": val,
-        }
-        meta = {"variant": "lorenzo", "count": enc.count,
-                "max_len": enc.max_len,
-                "nchunks": int(enc.chunk_symbols.size),
-                "outlier_count": count,
+        sections.update({"outlier.idx": idx, "outlier.val": val})
+        meta = {"variant": "lorenzo", **enc_meta, "outlier_count": count,
                 "code_fraction": codes.nbytes / data.nbytes}
         return sections, meta
 
-    def _decode_lorenzo(self, sections: dict[str, bytes], meta: dict,
+    def _decode_lorenzo(self, sections: dict[str, bytes], fields: dict,
                         header: ContainerHeader) -> np.ndarray:
-        from ..kernels import lorenzo
-        nchunks = int(meta["nchunks"])
-        enc = huffman.HuffmanEncoded(
-            payload=lz.decompress(sections["payload"]),
-            chunk_symbols=np.frombuffer(sections["chunk_syms"],
-                                        dtype=np.int64, count=nchunks),
-            chunk_bits=np.frombuffer(sections["chunk_bits"],
-                                     dtype=np.int64, count=nchunks),
-            count=int(meta["count"]),
-            lengths=np.frombuffer(lz.decompress(sections["lengths"]),
-                                  dtype=np.uint8),
-            max_len=int(meta["max_len"]))
-        codes = huffman.decode(enc).astype(np.uint16)
-        outliers = quantize.unpack_outliers(
-            sections.get("outlier.idx", b""), sections.get("outlier.val", b""),
-            int(meta["outlier_count"]))
+        codes = self._decode_codes(sections, fields, _RADIUS)
         return lorenzo.decompress_parts(
-            codes=codes.reshape(header.shape), outliers=outliers,
-            radius=_RADIUS, eb_abs=header.eb_abs, shape=header.shape,
-            dtype=header.np_dtype)
+            codes=codes.reshape(header.shape),
+            outliers=self._outliers(sections, fields), radius=_RADIUS,
+            eb_abs=header.eb_abs, shape=header.shape, dtype=header.np_dtype)
 
     # -- delta variant ---------------------------------------------------- #
     def _encode_delta(self, data: np.ndarray, eb_abs: float
@@ -161,24 +204,23 @@ class SZ3(Compressor):
         z = dictionary.eliminate(shuffled, word_bytes=4)
         sections = {
             "bitmap2": z.bitmap2,
-            "bitmap1": lz.compress(z.bitmap1),
-            "words": lz.compress(z.words),
+            "bitmap1": deflate.compress(z.bitmap1),
+            "words": deflate.compress(z.words),
         }
         meta = {"variant": "delta", "count": int(zz.size),
                 "orig_len": z.orig_len, "word_bytes": z.word_bytes,
                 "code_fraction": z.nbytes() / data.nbytes}
         return sections, meta
 
-    def _decode_delta(self, sections: dict[str, bytes], meta: dict,
+    def _decode_delta(self, sections: dict[str, bytes], fields: dict,
                       header: ContainerHeader) -> np.ndarray:
         z = dictionary.ZeroEliminated(
             bitmap2=sections["bitmap2"],
-            bitmap1=lz.decompress(sections["bitmap1"]),
-            words=lz.decompress(sections["words"]),
-            orig_len=int(meta["orig_len"]),
-            word_bytes=int(meta["word_bytes"]))
+            bitmap1=deflate.decompress(sections["bitmap1"]),
+            words=deflate.decompress(sections["words"]),
+            orig_len=fields["orig_len"], word_bytes=fields["word_bytes"])
         shuffled = dictionary.restore(z)
-        zz = bs.unshuffle(shuffled, int(meta["count"]), width_bits=32)
+        zz = bs.unshuffle(shuffled, fields["count"], width_bits=32)
         grid = delta.delta_inverse(bs.unzigzag(zz.astype(np.uint64)))
         out = quantize.dequantize(grid, header.eb_abs, header.np_dtype)
         return out.reshape(header.shape)
@@ -197,11 +239,8 @@ class SZ3(Compressor):
 
     def _decode(self, sections: dict[str, bytes], meta: dict,
                 header: ContainerHeader) -> np.ndarray:
-        variant = meta.get("variant", "interp")
-        if variant == "interp":
-            return self._decode_interp(sections, meta, header)
-        if variant == "lorenzo":
-            return self._decode_lorenzo(sections, meta, header)
-        if variant == "delta":
-            return self._decode_delta(sections, meta, header)
-        raise CodecError(f"unknown sz3 variant {variant!r}")
+        variant, fields = _checked_meta(sections, meta, header)
+        decode = {"interp": self._decode_interp,
+                  "lorenzo": self._decode_lorenzo,
+                  "delta": self._decode_delta}[variant]
+        return decode(sections, fields, header)

@@ -41,11 +41,10 @@ import numpy as np
 
 from ..core.header import ContainerHeader, as_bytes_view, assemble
 from ..core.modules_std import (AbsEbPreprocess, BitshuffleEncoder,
-                                HuffmanEncoder, InterpPredictor,
-                                LorenzoPredictor, NoSecondary,
-                                RelEbPreprocess, RleSecondary,
-                                StandardHistogram, TopKHistogram,
-                                ZstdLikeSecondary)
+                                DeflateSecondary, HuffmanEncoder,
+                                InterpPredictor, LorenzoPredictor,
+                                NoSecondary, RelEbPreprocess,
+                                StandardHistogram, TopKHistogram)
 from ..core.pipeline import (CompressedField, CompressionStats,
                              _serialize_outliers)
 from ..kernels.histogram import HistogramResult
@@ -116,8 +115,7 @@ def _module_fingerprint(stage: Stage, module) -> tuple:
     """
     t = type(module)
     if t in (RelEbPreprocess, AbsEbPreprocess, LorenzoPredictor,
-             StandardHistogram, NoSecondary, RleSecondary,
-             ZstdLikeSecondary):
+             StandardHistogram, NoSecondary, DeflateSecondary):
         return (stage.value, module.name)
     if t is InterpPredictor:
         return (stage.value, module.name, module.max_level)

@@ -95,9 +95,9 @@ def sample_blocks(data: np.ndarray, fraction: float = 0.05,
 
 
 def default_candidates() -> list[Pipeline]:
-    """The stock candidate set: the three presets plus default+zstd."""
+    """The stock candidate set: the three presets plus default+deflate."""
     return [fzmod_default(), fzmod_speed(), fzmod_quality(),
-            fzmod_default(secondary="zstd-like")]
+            fzmod_default(secondary="deflate")]
 
 
 def autotune(data: np.ndarray, eb: ErrorBound | float,

@@ -8,7 +8,7 @@ the "rapid testing of multiple pipelines" workflow the paper advertises::
             .with_predictor("interp")
             .with_statistics("histogram-topk")
             .with_encoder("huffman")
-            .with_secondary("zstd-like")
+            .with_secondary("deflate")
             .with_radius(512)
             .build())
 """

@@ -8,31 +8,21 @@ space its related-work section draws on:
 * ``regression`` — SZ3-style per-block linear regression predictor;
 * ``fixedlen`` — cuSZp2-style per-block fixed-length encoder as a primary
   codec module (so a "cuSZp2-like" pipeline is composable inside the
-  framework);
-* ``bitcomp-like`` — a paged secondary lossless codec in the role cuSZ-i
-  uses NVIDIA Bitcomp for (per-page best-of stored/RLE/Huffman, random
-  access preserved at page granularity).
+  framework).
 """
 
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 
 from ..errors import CodecError, ConfigError
 from ..kernels import bitshuffle as bs
 from ..kernels import fixedlen as fl
-from ..kernels import huffman
-from ..kernels import lorenzo as klorenzo
-from ..kernels import lz77
 from ..kernels import quantize as q
-from ..kernels import rle
 from ..kernels.histogram import HistogramResult
 from ..types import EbMode, ErrorBound
 from .module import (EncodedStream, EncoderModule, PredictorArtifacts,
-                     PredictorModule, PreprocessModule, PreprocessResult,
-                     SecondaryModule)
+                     PredictorModule, PreprocessModule, PreprocessResult)
 
 
 # ---------------------------------------------------------------------- #
@@ -284,104 +274,3 @@ class FixedLenEncoder(EncoderModule):
         if out.size and (int(out.min()) < 0 or int(out.max()) >= num_bins):
             raise CodecError("fixedlen decode produced out-of-range code")
         return out.astype(np.uint16 if num_bins <= 65536 else np.uint32)
-
-
-# ---------------------------------------------------------------------- #
-# paged secondary (Bitcomp-role)                                          #
-# ---------------------------------------------------------------------- #
-class BitcompLikeSecondary(SecondaryModule):
-    """Paged lossless secondary codec (the NVIDIA-Bitcomp role in cuSZ-i).
-
-    The body is cut into fixed pages; each page independently picks the
-    smallest of {stored, RLE, LZ77, byte-Huffman}.  Page independence is the
-    property the hardware codec trades ratio for (parallel decode, random
-    access); here it also bounds worst-case expansion to the page table.
-    """
-
-    name = "bitcomp-like"
-
-    _STORED, _RLE, _HUFF, _LZ77 = 0, 1, 2, 3
-
-    def __init__(self, page: int = 1 << 14) -> None:
-        if page < 64:
-            raise ConfigError("page size must be >= 64 bytes")
-        self.page = page
-
-    def _encode_page(self, page: bytes) -> tuple[int, bytes]:
-        best_mode, best = self._STORED, page
-        r = rle.encode(page)
-        if len(r) < len(best):
-            best_mode, best = self._RLE, r
-        z = lz77.encode(page)
-        if len(z) < len(best):
-            best_mode, best = self._LZ77, z
-        buf = np.frombuffer(page, dtype=np.uint8)
-        counts = np.bincount(buf, minlength=256)
-        try:
-            book = huffman.build_codebook(counts)
-            enc = huffman.encode(buf, book)
-            blob = (struct.pack("<IQ", enc.count, len(enc.payload))
-                    + enc.lengths.tobytes()
-                    + struct.pack("<q", int(enc.chunk_bits[0]))
-                    + enc.payload)
-            if len(blob) < len(best):
-                best_mode, best = self._HUFF, blob
-        except CodecError:  # pragma: no cover - empty page guard
-            pass
-        return best_mode, best
-
-    def _decode_page(self, mode: int, blob: bytes) -> bytes:
-        if mode == self._STORED:
-            return blob
-        if mode == self._RLE:
-            return rle.decode(blob)
-        if mode == self._LZ77:
-            return lz77.decode(blob)
-        if mode == self._HUFF:
-            count, plen = struct.unpack_from("<IQ", blob, 0)
-            off = struct.calcsize("<IQ")
-            lengths = np.frombuffer(blob, dtype=np.uint8, count=256,
-                                    offset=off)
-            off += 256
-            (nbits,) = struct.unpack_from("<q", blob, off)
-            off += 8
-            enc = huffman.HuffmanEncoded(
-                payload=blob[off:off + plen],
-                chunk_symbols=np.asarray([count], dtype=np.int64),
-                chunk_bits=np.asarray([nbits], dtype=np.int64),
-                count=count, lengths=lengths,
-                max_len=huffman.DEFAULT_MAX_LEN)
-            return huffman.decode(enc).astype(np.uint8).tobytes()
-        raise CodecError(f"unknown page mode {mode}")
-
-    def encode(self, body: bytes) -> bytes:
-        pages = [body[i:i + self.page] for i in range(0, len(body), self.page)]
-        out = [struct.pack("<QII", len(body), self.page, len(pages))]
-        payloads = []
-        for page in pages:
-            mode, blob = self._encode_page(page)
-            out.append(struct.pack("<BI", mode, len(blob)))
-            payloads.append(blob)
-        return b"".join(out + payloads)
-
-    def decode(self, body: bytes) -> bytes:
-        if len(body) < struct.calcsize("<QII"):
-            raise CodecError("bitcomp-like container too short")
-        total, page, npages = struct.unpack_from("<QII", body, 0)
-        off = struct.calcsize("<QII")
-        table = []
-        for _ in range(npages):
-            mode, length = struct.unpack_from("<BI", body, off)
-            off += struct.calcsize("<BI")
-            table.append((mode, length))
-        out = []
-        for mode, length in table:
-            blob = body[off:off + length]
-            if len(blob) != length:
-                raise CodecError("bitcomp-like page truncated")
-            off += length
-            out.append(self._decode_page(mode, blob))
-        result = b"".join(out)
-        if len(result) != total:
-            raise CodecError("bitcomp-like length mismatch")
-        return result

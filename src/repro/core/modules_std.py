@@ -10,19 +10,16 @@ Encoders
     ``huffman`` (CPU canonical Huffman, needs a histogram) and
     ``bitshuffle`` (FZ-GPU zigzag + bit-plane shuffle + zero elimination).
 Secondary
-    ``zstd-like`` (token-dedup + Huffman, the offline zstd substitute),
-    ``rle`` and ``none``.
+    ``deflate`` (stdlib ``zlib`` in the paper's zstd role) and ``none``.
 """
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from ..errors import CodecError
-from ..kernels import (bitshuffle, dictionary, histogram as khist, huffman,
-                       interp, lorenzo, lz, quantize, rle)
+from ..kernels import (bitshuffle, deflate, dictionary, histogram as khist,
+                       huffman, interp, lorenzo)
 from ..kernels.histogram import HistogramResult
 from ..kernels.quantize import OutlierSet
 from ..types import EbMode, ErrorBound
@@ -305,38 +302,16 @@ class BitshuffleEncoder(EncoderModule):
 # ---------------------------------------------------------------------- #
 # secondary                                                               #
 # ---------------------------------------------------------------------- #
-class ZstdLikeSecondary(SecondaryModule):
-    """Generic lossless pass (offline stand-in for the paper's zstd)."""
+class DeflateSecondary(SecondaryModule):
+    """Generic lossless pass: stdlib DEFLATE in the paper's zstd role."""
 
-    name = "zstd-like"
-
-    def encode(self, body: bytes) -> bytes:
-        return lz.compress(body)
-
-    def decode(self, body: bytes) -> bytes:
-        return lz.decompress(body)
-
-
-class RleSecondary(SecondaryModule):
-    """Byte run-length secondary pass (cheap, weaker alternative)."""
-
-    name = "rle"
+    name = "deflate"
 
     def encode(self, body: bytes) -> bytes:
-        out = rle.encode(body)
-        # never let RLE expand past a 1-byte mode marker
-        if len(out) + 1 < len(body):
-            return b"\x01" + out
-        return b"\x00" + body
+        return deflate.compress(body)
 
     def decode(self, body: bytes) -> bytes:
-        if not body:
-            raise CodecError("empty RLE secondary body")
-        if body[0] == 0x01:
-            return rle.decode(body[1:])
-        if body[0] == 0x00:
-            return body[1:]
-        raise CodecError("bad RLE secondary marker")
+        return deflate.decompress(body)
 
 
 class NoSecondary(SecondaryModule):

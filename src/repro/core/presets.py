@@ -10,8 +10,8 @@
 Each preset is a frozen :class:`~repro.core.spec.PipelineSpec` in
 :data:`PRESET_SPECS`; the factory functions are thin delegates that
 customise the spec (secondary module, radius) and hand it to
-:meth:`Pipeline.from_spec` against the chosen registry.  The paper
-supports zstd as the secondary encoder; ``"zstd-like"`` here.
+:meth:`Pipeline.from_spec` against the chosen registry.  The paper's
+secondary encoder is zstd; here it is ``"deflate"`` (stdlib ``zlib``).
 """
 
 from __future__ import annotations

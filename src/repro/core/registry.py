@@ -12,12 +12,12 @@ from ..errors import ModuleNotFoundInRegistry, PipelineError
 from ..types import Stage
 from .module import Module
 from .modules_extra import (AbsAndRelPreprocess, AutoTransposePreprocess,
-                            BitcompLikeSecondary, FixedLenEncoder,
-                            PwRelPreprocess, RegressionPredictor)
-from .modules_std import (AbsEbPreprocess, BitshuffleEncoder, HuffmanEncoder,
-                          InterpPredictor, LorenzoPredictor, NoSecondary,
-                          RelEbPreprocess, RleSecondary, StandardHistogram,
-                          TopKHistogram, ZstdLikeSecondary)
+                            FixedLenEncoder, PwRelPreprocess,
+                            RegressionPredictor)
+from .modules_std import (AbsEbPreprocess, BitshuffleEncoder, DeflateSecondary,
+                          HuffmanEncoder, InterpPredictor, LorenzoPredictor,
+                          NoSecondary, RelEbPreprocess, StandardHistogram,
+                          TopKHistogram)
 
 
 class ModuleRegistry:
@@ -99,8 +99,7 @@ def _build_default() -> ModuleRegistry:
                 LorenzoPredictor(), InterpPredictor(), RegressionPredictor(),
                 StandardHistogram(), TopKHistogram(),
                 HuffmanEncoder(), BitshuffleEncoder(), FixedLenEncoder(),
-                ZstdLikeSecondary(), RleSecondary(), BitcompLikeSecondary(),
-                NoSecondary()):
+                DeflateSecondary(), NoSecondary()):
         reg.register(mod)
     return reg
 

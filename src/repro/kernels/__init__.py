@@ -19,15 +19,14 @@ module            models
 ``dictionary``    FZ-GPU dictionary / PFPL hierarchical zero elimination
 ``delta``         PFPL delta coding
 ``fixedlen``      cuSZp2 per-block fixed-length encoding
-``rle``           byte run-length coder (reference secondary module)
-``lz``            zstd-role secondary codec (token dedup + Huffman)
+``deflate``       stdlib DEFLATE, the zstd-role lossless backend
 ================  =====================================================
 """
 
-from . import (bitio, bitshuffle, delta, dictionary, fixedlen, histogram,
-               huffman, interp, lorenzo, lz, lz77, quantize, rle)
+from . import (bitio, bitshuffle, deflate, delta, dictionary, fixedlen,
+               histogram, huffman, interp, lorenzo, quantize)
 
 __all__ = [
-    "bitio", "bitshuffle", "delta", "dictionary", "fixedlen", "histogram",
-    "huffman", "interp", "lorenzo", "lz", "lz77", "quantize", "rle",
+    "bitio", "bitshuffle", "deflate", "delta", "dictionary", "fixedlen",
+    "histogram", "huffman", "interp", "lorenzo", "quantize",
 ]

@@ -10,9 +10,9 @@ from repro.core import (DEFAULT_REGISTRY, Pipeline, PipelineBuilder,
                         get_preset, register)
 from repro.core.header import ContainerHeader, assemble, parse, split_sections
 from repro.core.module import EncodedStream
-from repro.core.modules_std import (BitshuffleEncoder, HuffmanEncoder,
-                                    NoSecondary, RelEbPreprocess, RleSecondary,
-                                    ZstdLikeSecondary)
+from repro.core.modules_std import (BitshuffleEncoder, DeflateSecondary,
+                                    HuffmanEncoder, NoSecondary,
+                                    RelEbPreprocess)
 from repro.core.registry import ModuleRegistry
 from repro.errors import (CodecError, HeaderError, ModuleNotFoundInRegistry,
                           PipelineError)
@@ -32,8 +32,7 @@ class TestRegistry:
                                                      "histogram-topk"}
         assert {n for n, _ in cat["encoder"]} == {"huffman", "bitshuffle",
                                                   "fixedlen"}
-        assert {n for n, _ in cat["secondary"]} == {"zstd-like", "rle",
-                                                    "bitcomp-like", "none"}
+        assert {n for n, _ in cat["secondary"]} == {"deflate", "none"}
 
     def test_unknown_module(self):
         with pytest.raises(ModuleNotFoundInRegistry):
@@ -140,7 +139,7 @@ class TestEncoders:
 
     def test_secondary_roundtrips(self, rng):
         body = bytes(rng.integers(0, 256, 5000).tolist()) + b"\x00" * 3000
-        for sec in (ZstdLikeSecondary(), RleSecondary(), NoSecondary()):
+        for sec in (DeflateSecondary(), NoSecondary()):
             assert sec.decode(sec.encode(body)) == body
 
 
@@ -191,11 +190,11 @@ class TestBuilder:
         pipe = (PipelineBuilder("mine")
                 .with_preprocess("rel-eb").with_predictor("interp")
                 .with_statistics("histogram-topk").with_encoder("huffman")
-                .with_secondary("zstd-like").with_radius(256).build())
+                .with_secondary("deflate").with_radius(256).build())
         assert pipe.name == "mine"
         assert pipe.radius == 256
         assert pipe.predictor.name == "interp"
-        assert pipe.secondary.name == "zstd-like"
+        assert pipe.secondary.name == "deflate"
 
     def test_missing_predictor_rejected(self):
         with pytest.raises(PipelineError):
@@ -240,7 +239,7 @@ class TestPresets:
             get_preset("fzmod-turbo")
 
     def test_preset_with_secondary(self, smooth_2d):
-        pipe = get_preset("fzmod-default", secondary="zstd-like")
+        pipe = get_preset("fzmod-default", secondary="deflate")
         cf = pipe.compress(smooth_2d, 1e-3)
         recon = decompress(cf.blob)
         eb = eb_abs_for(smooth_2d, 1e-3)

@@ -17,7 +17,7 @@ from tests.conftest import eb_abs_for
 
 PREDICTORS = ("lorenzo", "interp", "regression")
 ENCODERS = ("huffman", "bitshuffle", "fixedlen")
-SECONDARIES = (None, "zstd-like", "rle", "bitcomp-like")
+SECONDARIES = (None, "deflate")
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +40,14 @@ class TestPredictorEncoderMatrix:
         assert verify_error_bound(field, recon, eb_abs_for(field, 1e-3)), \
             (predictor, encoder)
         assert cf.stats.cr > 1.0
+
+    def test_deflate_secondary_honours_bound(self, field, predictor, encoder):
+        pipe = (PipelineBuilder(f"{predictor}+{encoder}+deflate")
+                .with_predictor(predictor).with_encoder(encoder)
+                .with_secondary("deflate").build())
+        recon = decompress(pipe.compress(field, 1e-3).blob)
+        assert verify_error_bound(field, recon, eb_abs_for(field, 1e-3)), \
+            (predictor, encoder)
 
     def test_header_names_both_modules(self, field, predictor, encoder):
         pipe = (PipelineBuilder("m").with_predictor(predictor)

@@ -1,5 +1,5 @@
 """Tests for the extended module library (pwr-eb, regression, fixedlen
-encoder, bitcomp-like secondary) and container integrity."""
+encoder) and container integrity."""
 
 from __future__ import annotations
 
@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PipelineBuilder, decompress
-from repro.core.modules_extra import (BitcompLikeSecondary, FixedLenEncoder,
-                                      PwRelPreprocess, RegressionPredictor)
-from repro.errors import CodecError, ConfigError, HeaderError
+from repro.core.modules_extra import (FixedLenEncoder, PwRelPreprocess,
+                                      RegressionPredictor)
+from repro.errors import ConfigError, HeaderError
 from repro.types import EbMode, ErrorBound
 from tests.conftest import eb_abs_for
 
@@ -127,55 +127,6 @@ class TestFixedLenEncoderModule:
     def test_faster_than_huffman_shape(self, rng):
         """No histogram required — pairs with any predictor immediately."""
         assert FixedLenEncoder.needs_statistics is False
-
-
-class TestBitcompLikeSecondary:
-    def test_round_trip_mixed_pages(self, rng):
-        body = (b"\x00" * 40000
-                + bytes(rng.integers(0, 256, 20000).tolist())
-                + b"ab" * 10000)
-        mod = BitcompLikeSecondary()
-        packed = mod.encode(body)
-        assert mod.decode(packed) == body
-
-    def test_compresses_sparse_body(self):
-        body = b"\x00" * (1 << 18)
-        mod = BitcompLikeSecondary()
-        assert len(mod.encode(body)) < len(body) // 50
-
-    def test_random_body_bounded_expansion(self, rng):
-        body = bytes(rng.integers(0, 256, 1 << 16).tolist())
-        mod = BitcompLikeSecondary()
-        packed = mod.encode(body)
-        # worst case: stored pages + page table
-        assert len(packed) <= len(body) + 16 + 5 * (len(body) // mod.page + 1)
-        assert mod.decode(packed) == body
-
-    def test_empty_body(self):
-        mod = BitcompLikeSecondary()
-        assert mod.decode(mod.encode(b"")) == b""
-
-    def test_truncation_detected(self, rng):
-        body = bytes(rng.integers(0, 256, 40000).tolist())
-        mod = BitcompLikeSecondary()
-        packed = mod.encode(body)
-        with pytest.raises(CodecError):
-            mod.decode(packed[:-5])
-
-    def test_in_pipeline(self, smooth_2d):
-        pipe = (PipelineBuilder("bc").with_predictor("lorenzo")
-                .with_encoder("huffman").with_secondary("bitcomp-like")
-                .build())
-        cf = pipe.compress(smooth_2d, 1e-3)
-        recon = decompress(cf.blob)
-        eb = eb_abs_for(smooth_2d, 1e-3)
-        assert np.abs(smooth_2d - recon).max() <= eb * (1 + 1e-4)
-
-    @given(st.binary(min_size=0, max_size=3000))
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_property(self, body):
-        mod = BitcompLikeSecondary(page=256)
-        assert mod.decode(mod.encode(body)) == body
 
 
 class TestContainerIntegrity:

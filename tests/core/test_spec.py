@@ -50,7 +50,7 @@ class TestSpecValueObject:
 
     def test_json_round_trip(self):
         spec = PipelineSpec(predictor="interp", statistics="histogram-topk",
-                            secondary="zstd-like", radius=128, name="mine")
+                            secondary="deflate", radius=128, name="mine")
         assert PipelineSpec.from_json(spec.to_json()) == spec
 
     def test_from_json_rejects_garbage(self):
@@ -66,8 +66,8 @@ class TestSpecValueObject:
 
     def test_describe_mentions_every_stage(self):
         text = PipelineSpec(statistics="histogram",
-                            secondary="rle").describe()
-        for part in ("rel-eb", "lorenzo", "histogram", "huffman", "rle"):
+                            secondary="deflate").describe()
+        for part in ("rel-eb", "lorenzo", "histogram", "huffman", "deflate"):
             assert part in text
 
 
@@ -88,7 +88,7 @@ class TestConstructionDelegation:
         assert pipe.spec.secondary == "none"
 
     def test_spec_round_trips_through_from_spec(self):
-        pipe = fzmod_default(secondary="zstd-like", radius=256)
+        pipe = fzmod_default(secondary="deflate", radius=256)
         again = Pipeline.from_spec(pipe.spec)
         assert again.spec == pipe.spec
         assert again.module_names() == pipe.module_names()
@@ -103,7 +103,7 @@ class TestConstructionDelegation:
 
     def test_builder_from_spec_round_trip(self):
         spec = PipelineSpec(predictor="interp", encoder="huffman",
-                            secondary="rle", radius=32, name="x")
+                            secondary="deflate", radius=32, name="x")
         assert PipelineBuilder.from_spec(spec).spec() == spec
 
     def test_builder_still_validates(self):
@@ -118,9 +118,9 @@ class TestConstructionDelegation:
             assert pipe.spec.predictor == PRESET_SPECS[name].predictor
 
     def test_get_preset_spec_customises(self):
-        spec = get_preset_spec("fzmod-speed", secondary="zstd-like",
+        spec = get_preset_spec("fzmod-speed", secondary="deflate",
                                radius=128)
-        assert spec.secondary == "zstd-like" and spec.radius == 128
+        assert spec.secondary == "deflate" and spec.radius == 128
         # the stored preset table is untouched (specs are frozen values)
         assert PRESET_SPECS["fzmod-speed"].secondary is None
 
@@ -131,11 +131,11 @@ class TestConstructionDelegation:
 
 class TestHeaderSerialization:
     def test_spec_round_trips_through_container(self, smooth_2d):
-        pipe = fzmod_default(secondary="zstd-like")
+        pipe = fzmod_default(secondary="deflate")
         cf = pipe.compress(smooth_2d, 1e-3)
         header, _ = parse(cf.blob)
         assert header.pipeline_spec() == pipe.spec
-        assert header.pipeline_spec().secondary == "zstd-like"
+        assert header.pipeline_spec().secondary == "deflate"
 
     def test_header_without_spec_reports_none(self, smooth_2d):
         cf = fzmod_default().compress(smooth_2d, 1e-3)

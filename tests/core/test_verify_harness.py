@@ -21,7 +21,7 @@ class TestShippedPipelinesPass:
 
     def test_extended_modules_pass(self):
         pipe = (PipelineBuilder("ext").with_predictor("regression")
-                .with_encoder("fixedlen").with_secondary("bitcomp-like")
+                .with_encoder("fixedlen").with_secondary("deflate")
                 .build())
         report = verify_pipeline(pipe)
         assert report.passed, report.table()

@@ -200,7 +200,7 @@ class TestContainerFormat:
         assert info["pipeline"]["predictor"] == "lorenzo"
 
     def test_index_spec_round_trip(self, field):
-        pipe = fzmod_default(secondary="zstd-like")
+        pipe = fzmod_default(secondary="deflate")
         result = compress_sharded(field, pipe, 1e-3, shard_mb=0.02)
         index, shards = parse_sharded(result.blob)
         assert index.spec() == pipe.spec

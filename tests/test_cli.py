@@ -64,7 +64,7 @@ class TestOtherCommands:
         assert main(["modules"]) == 0
         out = capsys.readouterr().out
         for name in ("lorenzo", "interp", "huffman", "bitshuffle",
-                     "zstd-like"):
+                     "deflate"):
             assert name in out
 
     @pytest.mark.parametrize("preset,front", [

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +26,12 @@ from repro.core import (decompress, fzmod_default, fzmod_quality,
                         fzmod_speed)
 from repro.core.header import assemble, parse, split_sections
 from repro.core.stf_pipeline import StfDefaultPipeline
-from repro.errors import CodecError, FZModError
+from repro.errors import (CodecError, FZModError, HeaderError,
+                          ModuleNotFoundInRegistry)
+from repro.kernels import deflate
+
+#: stands for a key deleted from re-sealed metadata
+_MISSING = "<deleted>"
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +409,140 @@ class TestResealedContainerMeta:
         meta = {k: v for k, v in header.stage_meta.items() if k != "encoder"}
         _assert_resealed_codec_error(replace(header, stage_meta=meta),
                                      sections, self.stf_only)
+
+
+class TestResealedSecondary:
+    """An ``fzmod-default`` + ``deflate`` container re-sealed (valid CRCs)
+    around a hostile stored body must end in ``CodecError`` -- and a bomb
+    must be refused before it inflates."""
+
+    @pytest.fixture(scope="class")
+    def parts(self):
+        rng = np.random.default_rng(42)
+        data = np.cumsum(rng.standard_normal((32, 40)),
+                         axis=0).astype(np.float32)
+        blob = fzmod_default(secondary="deflate").compress(data, 1e-3).blob
+        header, stored = parse(blob)
+        assert header.modules["secondary"] == "deflate"
+        sections = dict(split_sections(header, deflate.decompress(stored)))
+        return blob, header, sections, stored
+
+    @staticmethod
+    def _resealed(header, sections, stored):
+        head, _ = assemble(replace(header), sections, stored_body=stored)
+        return head + stored
+
+    @pytest.mark.parametrize("hostile", [
+        lambda s: s[:0], lambda s: s[:7], lambda s: s[:17],
+        lambda s: struct.pack("<Q", struct.unpack_from("<Q", s)[0] - 1) + s[8:],
+        lambda s: struct.pack("<Q", struct.unpack_from("<Q", s)[0] + 1) + s[8:],
+        lambda s: s + b"\x00", lambda s: s[:8] + b"this is not zlib"],
+        ids=["empty", "7B", "17B", "declared-short", "declared-long",
+             "trailing", "not-zlib"])
+    def test_hostile_body(self, parts, hostile):
+        _, header, sections, stored = parts
+        bad = self._resealed(header, sections, hostile(stored))
+        for entry in (decompress, repro.decompress):
+            with pytest.raises((CodecError, HeaderError)):
+                entry(bad)
+
+    def test_bomb_does_not_inflate(self, parts):
+        """64 MiB of zeros deflated, declared as 1 KiB."""
+        import tracemalloc
+        blob, header, sections, _ = parts
+        packer = zlib.compressobj(deflate.LEVEL)
+        zeros = bytes(1 << 20)
+        bomb = (struct.pack("<Q", 1 << 10)
+                + b"".join(packer.compress(zeros) for _ in range(64))
+                + packer.flush())
+        bad = self._resealed(header, sections, bomb)
+        for entry in (decompress, repro.decompress):
+            entry(blob)  # plan and caches warm outside the measurement
+            tracemalloc.start()
+            try:
+                with pytest.raises(CodecError):
+                    entry(bad)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1 << 20
+
+    @pytest.mark.parametrize("name", ["zstd-like", "rle", "bitcomp-like"])
+    def test_removed_secondary_module(self, parts, name, tmp_path, capsys):
+        """A header naming a secondary this library no longer ships ends in
+        the registry's own error, and the CLI says so in one line."""
+        from repro.cli import main
+        _, header, sections, stored = parts
+        header = replace(header, modules={**header.modules, "secondary": name},
+                         pipeline={**header.pipeline, "secondary": name})
+        bad = self._resealed(header, sections, stored)
+        with pytest.raises(ModuleNotFoundInRegistry, match=name):
+            repro.decompress(bad)
+        path = tmp_path / "old.fzmod"
+        path.write_bytes(bad)
+        assert main(["decompress", str(path),
+                     "-o", str(tmp_path / "out.f32")]) != 0
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and name in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.f32").exists()
+
+
+class TestResealedSZ3:
+    """An ``sz3`` container re-sealed (valid CRCs) around lying baseline
+    metadata must end in ``CodecError`` -- not in ``KeyError``,
+    ``ValueError`` or a quiet decode -- before the metadata sizes a read."""
+
+    @pytest.fixture(scope="class")
+    def parts(self):
+        """variant -> (header, sections) of a container of that variant."""
+        from repro.baselines.sz3 import SZ3
+        rng = np.random.default_rng(7)
+        data = np.cumsum(rng.standard_normal((24, 20, 18)),
+                         axis=0).astype(np.float32)
+        out = {}
+        for variant in ("interp", "lorenzo", "delta"):
+            class OneVariant(SZ3):
+                def _encode(self, data, eb_abs, variant=variant):
+                    return getattr(self, f"_encode_{variant}")(data, eb_abs)
+
+            header, body = parse(OneVariant().compress(data, 1e-3).blob)
+            assert header.stage_meta["baseline"]["variant"] == variant
+            out[variant] = header, dict(split_sections(header, body))
+        return out
+
+    @staticmethod
+    def _assert_refused(parts, variant, key, value):
+        header, sections = parts[variant]
+        meta = {**header.stage_meta["baseline"], key: value}
+        meta = {k: v for k, v in meta.items() if v != _MISSING}
+        head, body = assemble(replace(header, stage_meta={"baseline": meta}),
+                              sections)
+        with pytest.raises((CodecError, HeaderError)):
+            get_compressor("sz3").decompress(head + body)
+
+    @pytest.mark.parametrize("key,value", [
+        ("nchunks", 10**6), ("nchunks", -1), ("nchunks", True),
+        ("count", "x"), ("max_len", _MISSING), ("max_len", "x"),
+        ("outlier_count", "x"), ("outlier_count", _MISSING),
+        ("variant", _MISSING)], ids=repr)
+    @pytest.mark.parametrize("variant", ["interp", "lorenzo"])
+    def test_lying_huffman_meta(self, parts, variant, key, value):
+        self._assert_refused(parts, variant, key, value)
+
+    @pytest.mark.parametrize("key,value", [
+        ("radius", _MISSING), ("radius", "x"), ("radius", 0),
+        ("radius", 1 << 16), ("max_level", _MISSING), ("max_level", "x"),
+        ("choices", "x"), ("choices", ["x"]), ("choices", _MISSING)],
+        ids=repr)
+    def test_lying_interp_meta(self, parts, key, value):
+        self._assert_refused(parts, "interp", key, value)
+
+    @pytest.mark.parametrize("key,value", [
+        ("word_bytes", _MISSING), ("orig_len", _MISSING), ("orig_len", "x"),
+        ("count", _MISSING), ("variant", _MISSING)], ids=repr)
+    def test_lying_delta_meta(self, parts, key, value):
+        self._assert_refused(parts, "delta", key, value)
 
 
 class TestBaselineCorruption:
