@@ -19,15 +19,21 @@ Two more pin fzmod-default and fzmod-quality (interp + histogram-topk +
 huffman) the same way: both were written at commit 8614a1e, the last one
 with a stage interpreter next to the plan executor, so they hold the one
 remaining executor to the bytes both of them wrote.
+
+The multi-shard (FZMS) layouts are pinned by sha256 digest instead of a
+blob: their field is built from integer arithmetic, so it is the same on
+every platform.
 """
 
 from __future__ import annotations
 
 import base64
+import hashlib
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import (decompress, fzmod_default, fzmod_quality,
                         fzmod_speed)
 from repro.metrics import verify_error_bound
@@ -186,6 +192,54 @@ GOLDEN_DATA = np.frombuffer(base64.b64decode(
     "A8CCA8/Aibaxvxv/L8A4YRhAzAuMwOZbgsBbGptAg7p3vMLCpj0C803ABgh7QDQrrkC7W1tA"
     "Zo+AwGOcUsCe1om/"
 ), dtype=np.float32).reshape(12, 16)
+
+
+def shard_field() -> np.ndarray:
+    """A 120x90 field from integer arithmetic only (exact in float32), so
+    the pinned FZMS digests do not depend on the platform's libm."""
+    y, x = np.mgrid[0:120, 0:90].astype(np.int64)
+    v = 3 * (x - 45) ** 2 + 2 * (y - 60) ** 2 + (x * 7 + y * 13) % 17
+    return v.astype(np.float32) / np.float32(64.0)
+
+
+#: sha256 of the multi-shard containers of :func:`shard_field` at eb=1e-3
+#: REL and shard_mb=0.01 (five shards), written at commit f4338d6 and
+#: identical there for workers 1, 2 and 3
+GOLDEN_SHARD_DIGESTS = {
+    ("fzmod-default", "per-shard"):
+        "bd90d90eeb1b73541cb05c3d344c0516b1baf5074aa1321e5741ba33f1d858c4",
+    ("fzmod-default", "shared"):
+        "b24552d3a1990279d0b19f9de5868caacc3c74ca4527d372b262254a0b9782e6",
+    ("fzmod-default", "stream"):
+        "fd04f69695261629d8168771bb287342d78e426c99b130f579f2bd9e6b6ecdcd",
+    ("fzmod-speed", "per-shard"):
+        "53fd3d59823d48536f1eebfade55daaef18e720f9795e0c25ed1cca0f9d31300",
+    ("fzmod-quality", "per-shard"):
+        "50da8c1c80b971cbe2aec7f20c751ad765eef468fd2f80867b7baa3236b5f038",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("preset,layout", sorted(GOLDEN_SHARD_DIGESTS))
+class TestGoldenShardContainers:
+    """FZMS v1 (per-shard codebook), v2 (shared) and v3 (stream layout)
+    bytes, pinned for every worker count."""
+
+    def test_todays_engine_writes_the_same_bytes(self, tmp_path, preset,
+                                                 layout, workers):
+        x = shard_field()
+        kw = dict(workers=workers, shard_mb=0.01)
+        if layout == "stream":
+            path = tmp_path / "f.fzms"
+            repro.compress(x, preset, 1e-3, stream=True, out=path,
+                           layout="stream", **kw)
+            blob = path.read_bytes()
+        else:
+            blob = repro.compress(x, preset, 1e-3, codebook=layout, **kw).blob
+        assert hashlib.sha256(blob).hexdigest() == \
+            GOLDEN_SHARD_DIGESTS[preset, layout]
+        recon = repro.decompress(blob, workers=workers)
+        assert verify_error_bound(x, recon, 1e-3 * float(np.ptp(x)))
 
 
 class TestGoldenContainer:
