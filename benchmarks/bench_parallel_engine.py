@@ -3,8 +3,8 @@
 The engine's contract is two-fold: (1) the multi-shard container is
 byte-identical for every worker count, and (2) on a multi-core node the
 throughput scales with workers until memory bandwidth saturates.  This
-bench compresses a >= 64 MB synthetic field at 1/2/4 workers on the
-process backend and records MB/s per point; the >= 2x-at-4-workers
+bench compresses a >= 64 MB synthetic field at 1/2/4 worker threads
+and records MB/s per point; the >= 2x-at-4-workers
 assertion only arms when the machine actually exposes >= 4 CPUs (a
 single-core container can validate determinism, not physics).
 
@@ -50,11 +50,9 @@ def _run_curve(data: np.ndarray,
     curve: dict[int, float] = {}
     blobs: dict[int, bytes] = {}
     for w in WORKER_POINTS:
-        backend = "inprocess" if w == 1 else "process"
         dt, result = timed_median(
-            lambda w=w, backend=backend: compress(
-                data, pipe, 1e-3, workers=w,
-                shard_mb=SHARD_MB, backend=backend),
+            lambda w=w: compress(data, pipe, 1e-3, workers=w,
+                                 shard_mb=SHARD_MB),
             timing)
         curve[w] = data.nbytes / 1e6 / dt
         blobs[w] = result.blob

@@ -142,14 +142,13 @@ def run_streaming_suite(*, quick: bool = False, workers: int = 2,
         with MemmapSource(raw, shape) as source:
             cf = compress(source, pipe, eb, mode=EbMode.REL, stream=True,
                           out=packed, workers=workers,
-                          shard_mb=shard_mb, backend="process")
+                          shard_mb=shard_mb)
         compress_s = time.perf_counter() - t0
         compress_delta = max(0, _rss_bytes() - rss0)
         section["compress"] = {
             "seconds": compress_s,
             "mb_s": field_bytes / 1e6 / compress_s,
             "shards": cf.shard_count,
-            "backend": cf.backend,
             "output_bytes": cf.nbytes,
             "cr": cf.stats.cr,
             "peak_rss_delta_bytes": compress_delta,
@@ -193,13 +192,12 @@ def run_streaming_suite(*, quick: bool = False, workers: int = 2,
         identical = True
         for w, codebook in cases:
             ref = compress(data, pipe, eb, mode=EbMode.REL, workers=w,
-                           shard_mb=0.25, backend="inprocess",
-                           codebook=codebook)
+                           shard_mb=0.25, codebook=codebook)
             spath = os.path.join(tmp, f"small-{w}-{codebook}.fzms")
             with MemmapSource(small, sshape) as source:
                 compress(source, pipe, eb, mode=EbMode.REL, stream=True,
                          out=spath, workers=w, shard_mb=0.25,
-                         backend="inprocess", codebook=codebook)
+                         codebook=codebook)
             with open(spath, "rb") as fh:
                 identical = identical and fh.read() == ref.blob
         section["identity"] = {

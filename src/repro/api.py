@@ -91,7 +91,6 @@ def compress(data_or_source, spec_or_preset, eb, *,
              threads: int | None = None,
              shard_mb: float | None = None,
              codebook: str | None = None,
-             backend: str | None = None,
              layout: str = "compat",
              registry: ModuleRegistry = DEFAULT_REGISTRY):
     """Compress a field (or out-of-core source) under an error bound.
@@ -102,18 +101,16 @@ def compress(data_or_source, spec_or_preset, eb, *,
       an ``np.memmap`` input — the out-of-core streaming engine;
       ``out`` must then be a destination path, and the result is a
       :class:`~repro.streaming.engine.StreamedCompressedField`.
-    * ``workers``, ``shard_mb``, ``codebook`` or ``backend`` set — the
-      shard-parallel engine
-      (:class:`~repro.parallel.executor.ShardedCompressedField`).
+    * ``workers``, ``shard_mb`` or ``codebook`` set — the shard-parallel
+      engine (:class:`~repro.parallel.executor.ShardedCompressedField`).
     * otherwise — the single-stream pipeline
       (:class:`~repro.core.pipeline.CompressedField`).
 
-    The single-stream path is the default for in-memory fields: its
-    compiled plan auto-threads large inputs across the cores (slab
-    parallelism, container bytes identical at every width) with no
-    per-shard container framing or IPC; the process pool is for explicit
-    ``workers=`` requests and out-of-core inputs.
-    ``threads`` pins the slab width explicitly (``None`` resolves
+    Every engine runs on threads in the calling process.  The
+    single-stream path is the default for in-memory fields: its compiled
+    plan auto-threads large inputs across the cores (slab parallelism,
+    container bytes identical at every width) with no per-shard container
+    framing.  ``threads`` pins the slab width explicitly (``None`` resolves
     ``FZMOD_THREADS``, then auto by input size).
 
     ``compile`` is accepted and ignored (see :func:`_check_inert_compile`).
@@ -131,15 +128,13 @@ def compress(data_or_source, spec_or_preset, eb, *,
         return compress_stream(data_or_source, pipeline, eb, mode,
                                out_path=os.fspath(out), workers=workers,
                                shard_mb=shard_mb, registry=registry,
-                               backend=backend, codebook=codebook,
-                               layout=layout)
+                               codebook=codebook, layout=layout)
     data = np.asarray(data_or_source)
-    if workers is not None or shard_mb is not None \
-            or codebook is not None or backend is not None:
+    if workers is not None or shard_mb is not None or codebook is not None:
         from .parallel.executor import compress_sharded
         result = compress_sharded(data, pipeline, eb, mode, workers=workers,
                                   shard_mb=shard_mb, registry=registry,
-                                  backend=backend, codebook=codebook)
+                                  codebook=codebook)
     else:
         result = pipeline.compress(data, eb, mode, threads=threads)
     if out is not None:

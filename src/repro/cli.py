@@ -104,8 +104,8 @@ def cmd_compress(args: argparse.Namespace) -> int:
           f"eb_abs={s.eb_abs:.3g}")
     if parallel:
         print(f"parallel engine: {cf.shard_count} shards, "
-              f"{cf.workers} worker(s), backend={cf.backend}, "
-              f"codebook={cf.codebook_mode}, {cf.wall_seconds:.3f}s wall")
+              f"{cf.workers} worker(s), codebook={cf.codebook_mode}, "
+              f"{cf.wall_seconds:.3f}s wall")
     return 0
 
 
@@ -131,7 +131,7 @@ def _compress_stream(args: argparse.Namespace) -> int:
           f"CR={s.cr:.2f}  bitrate={s.bit_rate:.3f} b/val  "
           f"eb_abs={s.eb_abs:.3g}")
     print(f"streaming engine: {cf.shard_count} shards, "
-          f"{cf.workers} worker(s), backend={cf.backend}, "
+          f"{cf.workers} worker(s), "
           f"layout={cf.layout}, codebook={cf.codebook_mode}, "
           f"{cf.wall_seconds:.3f}s wall -> {cf.path}")
     return 0

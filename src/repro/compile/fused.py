@@ -65,7 +65,7 @@ import numpy as np
 
 from ..errors import CodecError
 from ..kernels.quantize import OutlierSet
-from ..obs.spans import (GLOBAL_TRACER, absorb_capture, export_capture, span,
+from ..obs.spans import (GLOBAL_TRACER, absorb_capture, span,
                          telemetry_enabled)
 from ..runtime.memory import SANITIZER, default_pool
 from ..runtime.threads import run_slabs, slab_ranges, thread_arena
@@ -123,12 +123,12 @@ def _run_slab_tasks(task, ranges: list[tuple[int, int]], threads: int, *,
         with GLOBAL_TRACER.capture() as buf:
             with span(f"compile.slab.{phase}", slab=k, start=s, stop=e):
                 result = task(k, s, e)
-        return result, export_capture(buf)
+        return result, buf
 
     results = []
-    for k, (res, payload) in enumerate(
+    for k, (res, buf) in enumerate(
             run_slabs(traced, items, threads=threads)):
-        absorb_capture(payload, lane=f"slab:{k}")
+        absorb_capture(buf, lane=f"slab:{k}")
         results.append(res)
     return results
 

@@ -26,15 +26,13 @@ from .metrics import (GLOBAL_METRICS, METRIC_NAME_RE, Counter, Gauge,
 from .profile import (Profiler, active_profiler, maybe_start_from_env,
                       start_profiler, stop_profiler)
 from .spans import (GLOBAL_TRACER, NOOP_SPAN, SpanRecord, Tracer,
-                    absorb_capture, export_capture, set_telemetry, span,
-                    telemetry_enabled)
+                    absorb_capture, set_telemetry, span, telemetry_enabled)
 
 __all__ = [
     "GLOBAL_METRICS", "GLOBAL_TRACER", "METRIC_NAME_RE", "NOOP_SPAN",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "Profiler",
     "SpanRecord", "Tracer", "absorb_capture", "active_profiler", "analyze",
-    "build_forest", "chrome_trace", "critical_path", "export_capture",
-    "load_trace_path", "maybe_start_from_env", "overlap_metrics",
+    "build_forest", "chrome_trace", "critical_path", "load_trace_path", "maybe_start_from_env", "overlap_metrics",
     "prometheus_text", "records_from_chrome", "records_from_jsonl",
     "render_analysis", "render_analysis_markdown", "render_summary",
     "set_telemetry", "span", "span_jsonl_lines", "stage_table",

@@ -16,15 +16,12 @@ makes :func:`span` return a shared no-op singleton — no allocation, no
 clock read, no lock — so instrumented hot paths cost one module-global
 bool check plus one attribute-free context-manager enter/exit.
 
-Cross-process transport: shard workers run their job under
-``GLOBAL_TRACER.capture()`` which redirects that thread's finished spans
-into a local list; :func:`export_capture` wraps the list with the
-worker's perf_counter→wall-clock offset so it can travel through the
-process-pool result channel (everything is plain picklable data), and
-:func:`absorb_capture` rebases the timestamps into the parent process's
-clock frame and tags each span with a deterministic lane (the shard
-index — *not* the worker pid, so the merged span set is identical for
-any worker count, modulo timing).
+Worker lanes: shard and slab jobs run under ``GLOBAL_TRACER.capture()``,
+which redirects that thread's finished spans into a local list returned
+with the job's result; the coordinator hands the list to
+:func:`absorb_capture`, which tags each span with a deterministic lane
+(the shard or slab index — *not* the worker thread, so the merged span
+set is identical for any worker count, modulo timing) and emits it.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 _DEFAULT_MAX_SPANS = 65536
@@ -48,16 +45,15 @@ def _env_enabled() -> bool:
 
 @dataclass
 class SpanRecord:
-    """A finished span.  Plain picklable data: this is what crosses the
-    process-pool result channel and what every exporter consumes."""
+    """A finished span: plain data, what every exporter consumes."""
 
     name: str
-    start: float                 # perf_counter seconds, process-local frame
+    start: float                 # perf_counter seconds
     end: float
     span_id: int
     parent_id: int | None
     thread: str
-    lane: str | None = None      # None = main process; "shard:3", "stf:gpu:0"
+    lane: str | None = None      # None = caller; "shard:3", "stf:gpu:0"
     attrs: dict = field(default_factory=dict)
 
     @property
@@ -223,9 +219,9 @@ class Tracer:
     def capture(self) -> Iterator[list[SpanRecord]]:
         """Redirect this thread's finished spans into a local list.
 
-        Used by shard-worker entry points (both thread and process
-        backends) so each job's spans travel with its result instead of
-        interleaving into a shared buffer in nondeterministic order.
+        Used by shard and slab jobs so each job's spans travel with its
+        result instead of interleaving into a shared buffer in
+        nondeterministic order.
         """
         buf: list[SpanRecord] = []
         prev = self._tls.sink
@@ -264,44 +260,14 @@ def span(name: str, **attrs) -> _Span | _NoopSpan:
     return GLOBAL_TRACER.span(name, **attrs)
 
 
-# --------------------------------------------------------------------- #
-# cross-process transport                                               #
-# --------------------------------------------------------------------- #
-
-def _wall_offset() -> float:
-    """This process's perf_counter → wall-clock offset.
-
-    ``perf_counter`` has an arbitrary per-process epoch; shifting remote
-    spans by (their offset − ours) lands them in our clock frame.  The
-    offset is telemetry metadata only — it never reaches container bytes.
-    """
-    return time.time() - time.perf_counter()
-
-
-def export_capture(records: list[SpanRecord]) -> dict | None:
-    """Picklable payload for the process-pool result channel.
-
-    Returns ``None`` when there is nothing to ship (telemetry off), so
-    disabled runs pay one ``None`` per result tuple and nothing more.
-    """
-    if not records:
-        return None
-    return {"offset": _wall_offset(), "spans": records}
-
-
-def absorb_capture(payload: dict | None, lane: str | None = None,
+def absorb_capture(records: list[SpanRecord], lane: str | None = None,
                    tracer: Tracer | None = None) -> list[SpanRecord]:
-    """Rebase a worker's captured spans into this process's clock frame,
-    tag them with ``lane``, and emit them on ``tracer`` (GLOBAL_TRACER by
-    default).  Returns the rebased records."""
-    if not payload:
-        return []
+    """Emit spans captured on a worker thread on ``tracer``
+    (GLOBAL_TRACER by default), tagging those without a lane with
+    ``lane``.  Returns the records."""
     tracer = tracer or GLOBAL_TRACER
-    shift = payload["offset"] - _wall_offset()
-    out: list[SpanRecord] = []
-    for rec in payload["spans"]:
-        rebased = replace(rec, start=rec.start + shift, end=rec.end + shift,
-                          lane=rec.lane if rec.lane is not None else lane)
-        out.append(rebased)
-        tracer._emit(rebased)
-    return out
+    for rec in records:
+        if rec.lane is None:
+            rec.lane = lane
+        tracer._emit(rec)
+    return records

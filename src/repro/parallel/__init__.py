@@ -1,9 +1,8 @@
 """Parallel execution: the sharded compression engine.
 
 :mod:`repro.parallel.executor` shards a field, compresses shards
-concurrently on a worker pool (processes with shared-memory staging, or
-an in-process pool for small inputs), and assembles a multi-shard
-container that decodes in parallel from the blob alone.
+concurrently on a thread pool, and assembles a multi-shard container that
+decodes in parallel from the blob alone.
 
 Callers compress and decompress through :func:`repro.compress` /
 :func:`repro.decompress` (the :mod:`repro.api` facade), which dispatch

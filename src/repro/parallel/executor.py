@@ -10,26 +10,19 @@ alone.
 
 Design points
 -------------
-* **Specs travel, modules don't.**  Workers receive the pipeline's
-  :class:`~repro.core.spec.PipelineSpec` (names + radius, trivially
-  picklable) and rebuild the pipeline against their own registry; module
-  instances never cross the process boundary.
-* **Shared-memory staging.**  For process workers the input field is
-  placed in :mod:`multiprocessing.shared_memory` once; each worker maps
-  its slab zero-copy.  Decompression reverses the trick: workers write
-  their slab straight into a shared output buffer.
-* **In-process fallback.**  Small fields (pool overhead would dominate),
-  single-worker runs and custom registries (whose modules only exist in
-  this process) use a thread pool instead; NumPy kernels release the GIL
-  for most of their work, so even that overlaps.
+* **Threads.**  Shards run on a thread pool in the calling process: each
+  job gets a view of its slab and the caller's pipeline instance, and
+  decompression writes every slab straight into the output array.
+  NumPy kernels release the GIL for most of their work, so shards
+  overlap.
 * **Backpressure.**  Shard jobs are pumped through an
   :class:`~repro.runtime.stream.OrderedWorkQueue`: a bounded number of
   shards is in flight and results drain in submission order, so the
   assembled container is deterministic and memory stays bounded.
 * **Determinism.**  Shard geometry depends only on shape/dtype/shard
   size, and REL bounds are resolved against the *global* range before
-  sharding — the container is byte-identical for every worker count and
-  backend, and shard semantics match :func:`repro.core.compress_tiled`.
+  sharding — the container is byte-identical for every worker count, and
+  shard semantics match :func:`repro.core.compress_tiled`.
 
 Container layout (versions 1 and 2)::
 
@@ -63,27 +56,24 @@ from __future__ import annotations
 import copy
 import json
 import os
-import secrets
 import struct
 import time
 import zlib
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 
 import numpy as np
 
 from ..core.chunked import TileGrid
-from ..core.header import peek_header
+from ..core.header import ContainerHeader, peek_header
 from ..core.pipeline import CompressionStats, Pipeline, check_decode_out
 from ..core.registry import DEFAULT_REGISTRY, ModuleRegistry
 from ..core.spec import PipelineSpec
-from ..errors import (CodecError, ConfigError, HeaderError,
-                      ModuleNotFoundInRegistry)
+from ..errors import CodecError, ConfigError, HeaderError
 from ..kernels import huffman
-from ..obs.spans import GLOBAL_TRACER, absorb_capture, export_capture, span
+from ..obs.spans import GLOBAL_TRACER, SpanRecord, absorb_capture, span
 from ..runtime.stream import OrderedWorkQueue
-from ..types import EbMode, ErrorBound, Stage, check_field
+from ..types import SUPPORTED_DTYPES, EbMode, ErrorBound, check_field
 
 SHARD_MAGIC = b"FZMS"
 #: highest container version this reader accepts; per-shard-codebook
@@ -107,11 +97,11 @@ CODEBOOK_MODES = ("per-shard", "shared")
 #: default shard size (MiB of input data per shard)
 DEFAULT_SHARD_MB = 32.0
 
-#: below this input size the process pool never pays for itself
-_PROCESS_THRESHOLD_BYTES = 8 << 20
-
 #: in-flight shards per worker (the backpressure window)
 _IN_FLIGHT_PER_WORKER = 2
+
+#: the ``dtype`` strings a writer emits (the native float types)
+_INDEX_DTYPES = frozenset(d.str for d in SUPPORTED_DTYPES)
 
 
 def default_workers() -> int:
@@ -120,6 +110,15 @@ def default_workers() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         return max(1, os.cpu_count() or 1)
+
+
+def resolve_workers(workers: int | None) -> int:
+    """``None`` means :func:`default_workers`; below 1 is a ``ConfigError``."""
+    if workers is None:
+        return default_workers()
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
 # ---------------------------------------------------------------------- #
@@ -178,6 +177,13 @@ class ShardPlan:
 # ---------------------------------------------------------------------- #
 # multi-shard container                                                   #
 # ---------------------------------------------------------------------- #
+def _count(x) -> int:
+    """A row, offset or length read from an index: a plain ``int`` >= 0."""
+    if type(x) is not int or x < 0:
+        raise ValueError(f"expected a non-negative integer, got {x!r}")
+    return x
+
+
 @dataclass
 class ShardIndex:
     """Header of a multi-shard container.
@@ -224,16 +230,23 @@ class ShardIndex:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ShardIndex":
+        """Deserialise and validate an index.
+
+        ``bounds`` must tile ``[0, shape[0])`` in order, and ``table`` must
+        hold back-to-back shards from offset 0, one per bound: a reader
+        sizes its output from ``shape`` and fills it shard by shard, so
+        any gap or overlap would leave rows uninitialised.
+        """
         try:
-            return cls(
-                shape=tuple(int(x) for x in obj["shape"]),
+            index = cls(
+                shape=tuple(_count(x) for x in obj["shape"]),
                 dtype=str(obj["dtype"]),
                 eb_value=float(obj["eb_value"]),
                 eb_mode=str(obj["eb_mode"]),
                 eb_abs=float(obj["eb_abs"]),
                 pipeline=dict(obj["pipeline"]),
-                bounds=[(int(a), int(b)) for a, b in obj["bounds"]],
-                table=[(int(o), int(n)) for o, n in obj["table"]],
+                bounds=[(_count(a), _count(b)) for a, b in obj["bounds"]],
+                table=[(_count(o), _count(n)) for o, n in obj["table"]],
                 codebook_mode=str(obj.get("codebook_mode", "per-shard")),
                 codebook_lengths=(
                     [int(x) for x in obj["codebook_lengths"]]
@@ -241,6 +254,28 @@ class ShardIndex:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise HeaderError(f"malformed shard index: {exc}") from exc
+        if not index.shape or not index.bounds:
+            raise HeaderError("malformed shard index: 0-d shape or no shards")
+        if index.dtype not in _INDEX_DTYPES:
+            raise HeaderError(
+                f"malformed shard index: dtype {index.dtype!r} is not one of "
+                f"{sorted(_INDEX_DTYPES)}")
+        row = 0
+        for start, stop in index.bounds:
+            if start != row or stop <= start:
+                raise HeaderError(
+                    f"shard bounds do not tile rows [0, {index.shape[0]}): "
+                    f"shard {start}:{stop} follows row {row}")
+            row = stop
+        if row != index.shape[0]:
+            raise HeaderError(f"shard bounds end at row {row}, the field "
+                              f"has {index.shape[0]}")
+        if len(index.table) != len(index.bounds):
+            raise HeaderError("shard table / bounds length mismatch")
+        if index.table != build_table([n for _, n in index.table]):
+            raise HeaderError("shard table offsets are not back to back "
+                              "from 0")
+        return index
 
     def spec(self) -> PipelineSpec:
         """The canonical pipeline description the shards were written with."""
@@ -273,7 +308,6 @@ class ShardedCompressedField:
     shard_stats: tuple[CompressionStats, ...]
     index: ShardIndex
     workers: int
-    backend: str
     wall_seconds: float
     codebook_mode: str = "per-shard"
 
@@ -389,9 +423,29 @@ def parse_sharded(blob: bytes) -> tuple[ShardIndex, list[bytes]]:
         if offset + length > len(body):
             raise bad_table("shard table exceeds container size")
         shards.append(bytes(body[offset:offset + length]))
-    if len(shards) != len(index.bounds):
-        raise bad_table("shard table / bounds length mismatch")
     return index, shards
+
+
+def check_shard_headers(index: ShardIndex, heads, exc: type[Exception]
+                        ) -> list[ContainerHeader]:
+    """Peek each shard's own header and check it against the index.
+
+    ``heads`` yields, per shard, bytes that start with the shard's
+    container prefix and header.  Every shard must hold exactly its index
+    rows, in the index dtype, so a reader can size its output from the
+    index before any shard decodes.  Raises ``exc`` on a mismatch and
+    returns the parsed headers.
+    """
+    headers = []
+    for (start, stop), head in zip(index.bounds, heads):
+        header = peek_header(head)
+        expected = (stop - start, *index.shape[1:])
+        if tuple(header.shape) != expected or header.dtype != index.dtype:
+            raise exc(f"shard rows {start}:{stop} hold a "
+                      f"{tuple(header.shape)}/{header.dtype} field, the "
+                      f"index expects {expected}/{index.dtype}")
+        headers.append(header)
+    return headers
 
 
 def describe_sharded(blob: bytes) -> dict:
@@ -452,7 +506,7 @@ def combine_stats(shard_stats: list[CompressionStats],
 
 
 # ---------------------------------------------------------------------- #
-# worker entry points (top level: must be picklable for process pools)    #
+# shard jobs (run on the engine's thread pool)                            #
 # ---------------------------------------------------------------------- #
 def _with_fixed_codebook(pipeline: Pipeline, lengths: np.ndarray) -> Pipeline:
     """A shallow pipeline clone whose encoder uses a pinned codebook.
@@ -465,11 +519,10 @@ def _with_fixed_codebook(pipeline: Pipeline, lengths: np.ndarray) -> Pipeline:
     return clone
 
 
-def _compress_shard_local(pipeline: Pipeline, shard: np.ndarray,
-                          eb_abs: float
-                          ) -> tuple[bytes, CompressionStats, dict | None]:
-    # resolves through this process's plan cache: one trace per worker,
-    # not per shard
+def _compress_shard(pipeline: Pipeline, shard: np.ndarray, eb_abs: float
+                    ) -> tuple[bytes, CompressionStats, list[SpanRecord]]:
+    """Compress one slab; its spans travel with the result."""
+    # resolves through the plan cache: one trace per pipeline, not per shard
     plan = pipeline.compile()
     with GLOBAL_TRACER.capture() as spans:
         with span("shard.compress", rows=int(shard.shape[0]),
@@ -477,63 +530,11 @@ def _compress_shard_local(pipeline: Pipeline, shard: np.ndarray,
             cf = plan.compress(np.ascontiguousarray(shard),
                                ErrorBound(eb_abs, EbMode.ABS))
             sp.set(bytes_out=len(cf.blob))
-    return cf.blob, cf.stats, export_capture(spans)
+    return cf.blob, cf.stats, spans
 
 
-def _compress_shard_shm(spec_json: dict, shm_name: str,
-                        shape: tuple[int, ...], dtype: str,
-                        start: int, stop: int, eb_abs: float,
-                        lengths: bytes | None = None
-                        ) -> tuple[bytes, CompressionStats, dict | None]:
-    """Process-pool job: map the shared field, compress rows [start, stop).
-
-    ``lengths`` (serialised ``uint8`` code lengths) pins the shard to a
-    shared Huffman codebook instead of building one from its own stats.
-    """
-    spec = PipelineSpec.from_json(spec_json)
-    pipeline = Pipeline.from_spec(spec, DEFAULT_REGISTRY)
-    if lengths is not None:
-        pipeline = _with_fixed_codebook(
-            pipeline, np.frombuffer(lengths, dtype=np.uint8))
-    shm = shared_memory.SharedMemory(name=shm_name)
-    try:
-        field = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
-        # copy the slab out so no view pins the mapping after close()
-        shard = np.array(field[start:stop])
-    finally:
-        shm.close()
-    return _compress_shard_local(pipeline, shard, eb_abs)
-
-
-def _compress_shard_bytes(spec_json: dict, raw: bytes,
-                          shape: tuple[int, ...], dtype: str, eb_abs: float,
-                          lengths: bytes | None = None
-                          ) -> tuple[bytes, CompressionStats, dict | None]:
-    """Process-pool job for the streaming engine: compress one slab that
-    travelled as raw bytes (the source field never exists as one array in
-    any process, so there is no shared-memory segment to map)."""
-    spec = PipelineSpec.from_json(spec_json)
-    pipeline = Pipeline.from_spec(spec, DEFAULT_REGISTRY)
-    if lengths is not None:
-        pipeline = _with_fixed_codebook(
-            pipeline, np.frombuffer(lengths, dtype=np.uint8))
-    shard = np.frombuffer(raw, dtype=np.dtype(dtype)).reshape(shape)
-    return _compress_shard_local(pipeline, shard, eb_abs)
-
-
-def _histogram_shard_bytes(spec_json: dict, raw: bytes,
-                           shape: tuple[int, ...], dtype: str, eb_abs: float
-                           ) -> tuple[np.ndarray, dict | None]:
-    """Process-pool job: histogram one slab shipped as raw bytes."""
-    spec = PipelineSpec.from_json(spec_json)
-    pipeline = Pipeline.from_spec(spec, DEFAULT_REGISTRY)
-    shard = np.frombuffer(raw, dtype=np.dtype(dtype)).reshape(shape)
-    return _histogram_shard_local(pipeline, shard, eb_abs)
-
-
-def _histogram_shard_local(pipeline: Pipeline, shard: np.ndarray,
-                           eb_abs: float
-                           ) -> tuple[np.ndarray, dict | None]:
+def _histogram_shard(pipeline: Pipeline, shard: np.ndarray, eb_abs: float
+                     ) -> tuple[np.ndarray, list[SpanRecord]]:
     """Histogram-pass job: quant-code counts of one shard (no encoding)."""
     with GLOBAL_TRACER.capture() as spans:
         with span("shard.histogram", rows=int(shard.shape[0]),
@@ -541,139 +542,26 @@ def _histogram_shard_local(pipeline: Pipeline, shard: np.ndarray,
             counts = pipeline.compile()._front_counts(
                 np.ascontiguousarray(shard), ErrorBound(eb_abs, EbMode.ABS))
             sp.set(bytes_out=int(counts.nbytes))
-    return counts, export_capture(spans)
+    return counts, spans
 
 
-def _histogram_shard_shm(spec_json: dict, shm_name: str,
-                         shape: tuple[int, ...], dtype: str,
-                         start: int, stop: int, eb_abs: float
-                         ) -> tuple[np.ndarray, dict | None]:
-    """Process-pool job: histogram rows [start, stop) of the shared field."""
-    spec = PipelineSpec.from_json(spec_json)
-    pipeline = Pipeline.from_spec(spec, DEFAULT_REGISTRY)
-    shm = shared_memory.SharedMemory(name=shm_name)
-    try:
-        field = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
-        shard = np.array(field[start:stop])
-    finally:
-        shm.close()
-    return _histogram_shard_local(pipeline, shard, eb_abs)
-
-
-def _decode_shard(shard_blob: bytes, registry: ModuleRegistry,
-                  lengths: bytes | None, dest: np.ndarray | None
-                  ) -> tuple[np.ndarray, str]:
-    """Decode one shard container into ``dest`` (its slab of the output).
-
-    The plan resolves through this process's plan cache (one trace per
-    worker, not per shard) and its reconstruction writes straight into
-    ``dest`` — no per-shard staging copy.  Returns the slab and the
-    plan's key.
-    """
+def _decompress_shard(shard_blob: bytes, header: ContainerHeader,
+                      registry: ModuleRegistry, lengths: bytes | None,
+                      dest: np.ndarray) -> list[SpanRecord]:
+    """Decode one shard container straight into ``dest``, its slab of the
+    output (no per-shard staging copy)."""
     from ..compile import decode_plan_for_header
-    plan = decode_plan_for_header(peek_header(shard_blob), registry)
-    overrides = {"enc.lengths": lengths} if lengths is not None else None
-    header, arts = plan.decode_entropy(shard_blob,
-                                       section_overrides=overrides)
-    return plan.reconstruct(header, arts, out=dest), plan.key
-
-
-def _decompress_shard_shm(shard_blob: bytes, shm_name: str,
-                          shape: tuple[int, ...], dtype: str,
-                          start: int, stop: int,
-                          lengths: bytes | None = None) -> dict | None:
-    """Process-pool job: decode one shard into the shared output buffer."""
     with GLOBAL_TRACER.capture() as spans:
-        with span("shard.decompress", rows=int(stop - start),
+        with span("shard.decompress", rows=int(dest.shape[0]),
                   bytes_in=len(shard_blob)) as sp:
-            shm = shared_memory.SharedMemory(name=shm_name)
-            try:
-                field = np.ndarray(shape, dtype=np.dtype(dtype),
-                                   buffer=shm.buf)
-                slab, key = _decode_shard(shard_blob, DEFAULT_REGISTRY,
-                                          lengths, field[start:stop])
-                sp.set(plan=key, bytes_out=int(slab.nbytes))
-            finally:
-                shm.close()
-    return export_capture(spans)
-
-
-def _decompress_shard_local(shard_blob: bytes, registry: ModuleRegistry,
-                            lengths: bytes | None = None,
-                            dest: np.ndarray | None = None
-                            ) -> tuple[np.ndarray, dict | None]:
-    """Thread-pool job: decode one shard (into ``dest`` when given)."""
-    with GLOBAL_TRACER.capture() as spans:
-        with span("shard.decompress", bytes_in=len(shard_blob)) as sp:
-            out, key = _decode_shard(shard_blob, registry, lengths, dest)
-            sp.set(plan=key, bytes_out=int(out.nbytes))
-    return out, export_capture(spans)
-
-
-# ---------------------------------------------------------------------- #
-# backend selection                                                       #
-# ---------------------------------------------------------------------- #
-def _spec_resolvable(spec: PipelineSpec, registry: ModuleRegistry) -> bool:
-    """Can ``registry`` rebuild this spec?  (Process workers use the
-    default registry, so specs with process-local modules must stay
-    in-process.)
-
-    Only the *absence* of a module routes the job to the in-process
-    fallback; any other error from a registry lookup is a real bug and
-    propagates with its own context instead of silently degrading the
-    backend choice.
-    """
-    pairs = [(Stage.PREPROCESS, spec.preprocess),
-             (Stage.PREDICTOR, spec.predictor),
-             (Stage.ENCODER, spec.encoder)]
-    if spec.statistics is not None:
-        pairs.append((Stage.STATISTICS, spec.statistics))
-    if spec.secondary is not None:
-        pairs.append((Stage.SECONDARY, spec.secondary))
-    try:
-        for stage, name in pairs:
-            registry.get(stage, name)
-    except ModuleNotFoundInRegistry:
-        return False
-    return True
-
-
-def _choose_backend(backend: str | None, workers: int, nbytes: int,
-                    spec: PipelineSpec, registry: ModuleRegistry,
-                    shard_count: int) -> str:
-    if backend is not None:
-        if backend not in ("process", "inprocess"):
-            raise ConfigError(f"unknown executor backend {backend!r}; "
-                              "expected 'process' or 'inprocess'")
-        if backend == "process" and not _spec_resolvable(spec,
-                                                         DEFAULT_REGISTRY):
-            raise ConfigError(
-                "process backend requires every spec module to exist in the "
-                "default registry (module instances cannot be shipped to "
-                "worker processes)")
-        return backend
-    if (workers <= 1 or shard_count <= 1
-            or nbytes < _PROCESS_THRESHOLD_BYTES
-            or registry is not DEFAULT_REGISTRY
-            or not _spec_resolvable(spec, DEFAULT_REGISTRY)):
-        return "inprocess"
-    return "process"
-
-
-def _make_pool(backend: str, workers: int) -> Executor:
-    if backend == "process":
-        return ProcessPoolExecutor(max_workers=workers)
-    return ThreadPoolExecutor(max_workers=workers)
-
-
-def _shm_create(nbytes: int) -> shared_memory.SharedMemory:
-    # a random name avoids collisions across concurrent engines; Python
-    # would generate one anyway, but an explicit fzmod prefix eases
-    # debugging of leaked segments under /dev/shm
-    return shared_memory.SharedMemory(
-        # fzlint: disable-next-line=FZL004 -- the segment name exists only
-        # for the life of the pool and never reaches serialized bytes
-        name=f"fzmod_{secrets.token_hex(8)}", create=True, size=nbytes)
+            plan = decode_plan_for_header(header, registry)
+            overrides = {"enc.lengths": lengths} if lengths is not None \
+                else None
+            header, arts = plan.decode_entropy(shard_blob,
+                                               section_overrides=overrides)
+            plan.reconstruct(header, arts, out=dest)
+            sp.set(plan=plan.key, bytes_out=int(dest.nbytes))
+    return spans
 
 
 # ---------------------------------------------------------------------- #
@@ -690,8 +578,8 @@ def _build_shared_codebook(counts: np.ndarray, pipeline: Pipeline
 def _drain_histograms(queue: OrderedWorkQueue) -> np.ndarray:
     """Sum histogram results, absorbing each shard's spans in order."""
     total = None
-    for k, (counts, payload) in enumerate(queue.drain()):
-        absorb_capture(payload, lane=f"shard:{k}")
+    for k, (counts, spans) in enumerate(queue.drain()):
+        absorb_capture(spans, lane=f"shard:{k}")
         total = counts if total is None else total + counts
     return total
 
@@ -703,7 +591,6 @@ def compress_sharded(data: np.ndarray,
                      workers: int | None = None,
                      shard_mb: float | None = None,
                      registry: ModuleRegistry = DEFAULT_REGISTRY,
-                     backend: str | None = None,
                      codebook: str | None = None
                      ) -> ShardedCompressedField:
     """Compress ``data`` shard-parallel into a multi-shard container.
@@ -712,7 +599,7 @@ def compress_sharded(data: np.ndarray,
     :class:`PipelineSpec` (built against ``registry``).  REL bounds are
     resolved against the *global* value range before sharding, so the
     reconstruction contract equals the unsharded pipeline's.  The blob is
-    byte-identical for every ``workers`` value and backend.
+    byte-identical for every ``workers`` value.
 
     ``codebook="shared"`` (Huffman pipelines only) runs a two-pass
     engine: a parallel histogram pass over the shards, one global
@@ -739,86 +626,44 @@ def compress_sharded(data: np.ndarray,
     if not isinstance(eb, ErrorBound):
         eb = ErrorBound(float(eb), EbMode(mode))
     eb_abs = eb.absolute(float(data.min()), float(data.max()))
-    if workers is None:
-        workers = default_workers()
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    workers = resolve_workers(workers)
     plan = ShardPlan.for_field(data.shape, data.dtype,
                                DEFAULT_SHARD_MB if shard_mb is None
                                else shard_mb)
     bounds = plan.bounds
-    chosen = _choose_backend(backend, workers, data.nbytes, spec, registry,
-                             len(bounds))
     workers = min(workers, len(bounds))
 
     with span("engine.compress_sharded", shards=len(bounds),
-              workers=workers, backend=chosen,
-              bytes_in=int(data.nbytes)) as engine_sp:
+              workers=workers, bytes_in=int(data.nbytes)) as engine_sp:
         shard_blobs: list[bytes] = []
         shard_stats: list[CompressionStats] = []
         extra_seconds: dict[str, float] = {}
         shared_lengths: np.ndarray | None = None
         in_flight = _IN_FLIGHT_PER_WORKER * workers
-        if chosen == "process":
-            shm = _shm_create(data.nbytes)
-            try:
-                staged = np.ndarray(data.shape, dtype=data.dtype, buffer=shm.buf)
-                staged[...] = data
-                with _make_pool("process", workers) as pool:
-                    if codebook == "shared":
-                        t0 = time.perf_counter()
-                        with span("engine.codebook", shards=len(bounds),
-                                  bytes_in=int(data.nbytes)) as sp:
-                            queue = OrderedWorkQueue(pool,
-                                                     max_in_flight=in_flight)
-                            for start, stop in bounds:
-                                queue.submit(_histogram_shard_shm, spec.to_json(),
-                                             shm.name, data.shape, data.dtype.str,
-                                             start, stop, eb_abs)
-                            counts = _drain_histograms(queue)
-                            shared_lengths = _build_shared_codebook(counts,
-                                                                    pipeline)
-                            sp.set(bytes_out=int(shared_lengths.nbytes))
-                        extra_seconds["codebook"] = time.perf_counter() - t0
-                    lengths_blob = (None if shared_lengths is None
-                                    else shared_lengths.tobytes())
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            if codebook == "shared":
+                t0 = time.perf_counter()
+                with span("engine.codebook", shards=len(bounds),
+                          bytes_in=int(data.nbytes)) as sp:
                     queue = OrderedWorkQueue(pool, max_in_flight=in_flight)
                     for start, stop in bounds:
-                        queue.submit(_compress_shard_shm, spec.to_json(),
-                                     shm.name, data.shape, data.dtype.str,
-                                     start, stop, eb_abs, lengths_blob)
-                    for k, (blob, stats, payload) in enumerate(queue.drain()):
-                        absorb_capture(payload, lane=f"shard:{k}")
-                        shard_blobs.append(blob)
-                        shard_stats.append(stats)
-            finally:
-                shm.close()
-                shm.unlink()
-        else:
-            with _make_pool("inprocess", workers) as pool:
-                if codebook == "shared":
-                    t0 = time.perf_counter()
-                    with span("engine.codebook", shards=len(bounds),
-                              bytes_in=int(data.nbytes)) as sp:
-                        queue = OrderedWorkQueue(pool, max_in_flight=in_flight)
-                        for start, stop in bounds:
-                            queue.submit(_histogram_shard_local, pipeline,
-                                         data[start:stop], eb_abs)
-                        counts = _drain_histograms(queue)
-                        shared_lengths = _build_shared_codebook(counts, pipeline)
-                        sp.set(bytes_out=int(shared_lengths.nbytes))
-                    extra_seconds["codebook"] = time.perf_counter() - t0
-                enc_pipeline = (pipeline if shared_lengths is None
-                                else _with_fixed_codebook(pipeline,
-                                                          shared_lengths))
-                queue = OrderedWorkQueue(pool, max_in_flight=in_flight)
-                for start, stop in bounds:
-                    queue.submit(_compress_shard_local, enc_pipeline,
-                                 data[start:stop], eb_abs)
-                for k, (blob, stats, payload) in enumerate(queue.drain()):
-                    absorb_capture(payload, lane=f"shard:{k}")
-                    shard_blobs.append(blob)
-                    shard_stats.append(stats)
+                        queue.submit(_histogram_shard, pipeline,
+                                     data[start:stop], eb_abs)
+                    counts = _drain_histograms(queue)
+                    shared_lengths = _build_shared_codebook(counts, pipeline)
+                    sp.set(bytes_out=int(shared_lengths.nbytes))
+                extra_seconds["codebook"] = time.perf_counter() - t0
+            enc_pipeline = (pipeline if shared_lengths is None
+                            else _with_fixed_codebook(pipeline,
+                                                      shared_lengths))
+            queue = OrderedWorkQueue(pool, max_in_flight=in_flight)
+            for start, stop in bounds:
+                queue.submit(_compress_shard, enc_pipeline, data[start:stop],
+                             eb_abs)
+            for k, (blob, stats, spans) in enumerate(queue.drain()):
+                absorb_capture(spans, lane=f"shard:{k}")
+                shard_blobs.append(blob)
+                shard_stats.append(stats)
 
         index = ShardIndex(shape=data.shape, dtype=data.dtype.str,
                            eb_value=eb.value, eb_mode=eb.mode.value,
@@ -833,14 +678,12 @@ def compress_sharded(data: np.ndarray,
         engine_sp.set(bytes_out=len(blob))
     return ShardedCompressedField(
         blob=blob, stats=stats, shard_stats=tuple(shard_stats), index=index,
-        workers=workers, backend=chosen,
-        wall_seconds=time.perf_counter() - t_start,
+        workers=workers, wall_seconds=time.perf_counter() - t_start,
         codebook_mode=codebook)
 
 
 def decompress_sharded(blob: bytes, *, workers: int | None = None,
                        registry: ModuleRegistry = DEFAULT_REGISTRY,
-                       backend: str | None = None,
                        out: np.ndarray | None = None) -> np.ndarray:
     """Reconstruct a field from a multi-shard container, shard-parallel.
 
@@ -850,59 +693,28 @@ def decompress_sharded(blob: bytes, *, workers: int | None = None,
     (and is returned) when supplied.
     """
     index, shards = parse_sharded(blob)
+    version = _PREFIX.unpack_from(blob)[1]
+    headers = check_shard_headers(
+        index, shards,
+        CodecError if version >= STREAM_SHARD_VERSION else HeaderError)
     dtype = np.dtype(index.dtype)
-    if out is not None:
+    if out is None:
+        out = np.empty(index.shape, dtype=dtype)
+    else:
         check_decode_out(out, index.shape, dtype)
-    if workers is None:
-        workers = default_workers()
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    nbytes = int(np.prod(index.shape, dtype=np.int64)) * dtype.itemsize
-    chosen = _choose_backend(backend, workers, nbytes, index.spec(), registry,
-                             len(shards))
-    workers = min(workers, len(shards))
+    workers = min(resolve_workers(workers), len(shards))
     shared = index.shared_lengths()
     lengths_blob = None if shared is None else shared.tobytes()
 
     with span("engine.decompress_sharded", shards=len(shards),
-              workers=workers, backend=chosen,
-              bytes_in=len(blob), bytes_out=nbytes):
-        if chosen == "process":
-            shm = _shm_create(nbytes)
-            try:
-                with _make_pool("process", workers) as pool:
-                    queue = OrderedWorkQueue(
-                        pool, max_in_flight=_IN_FLIGHT_PER_WORKER * workers)
-                    for shard_blob, (start, stop) in zip(shards, index.bounds):
-                        queue.submit(_decompress_shard_shm, shard_blob, shm.name,
-                                     index.shape, index.dtype, start, stop,
-                                     lengths_blob)
-                    for k, payload in enumerate(queue.drain()):
-                        absorb_capture(payload, lane=f"shard:{k}")
-                staged = np.ndarray(index.shape, dtype=dtype, buffer=shm.buf)
-                if out is None:
-                    out = staged.copy()
-                else:
-                    out[...] = staged
-            finally:
-                shm.close()
-                shm.unlink()
-            return out
-
-        if out is None:
-            out = np.empty(index.shape, dtype=dtype)
-        with _make_pool("inprocess", workers) as pool:
+              workers=workers, bytes_in=len(blob), bytes_out=int(out.nbytes)):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             queue = OrderedWorkQueue(
                 pool, max_in_flight=_IN_FLIGHT_PER_WORKER * workers)
-            for shard_blob, (start, stop) in zip(shards, index.bounds):
-                queue.submit(_decompress_shard_local, shard_blob, registry,
+            for shard_blob, header, (start, stop) in zip(shards, headers,
+                                                         index.bounds):
+                queue.submit(_decompress_shard, shard_blob, header, registry,
                              lengths_blob, out[start:stop])
-            for k, ((start, stop), (shard, payload)) in enumerate(
-                    zip(index.bounds, queue.drain())):
-                absorb_capture(payload, lane=f"shard:{k}")
-                expected = (stop - start, *index.shape[1:])
-                if shard.shape != expected:
-                    raise HeaderError(
-                        f"shard rows {start}:{stop} decoded to shape "
-                        f"{shard.shape}, expected {expected}")
+            for k, spans in enumerate(queue.drain()):
+                absorb_capture(spans, lane=f"shard:{k}")
         return out

@@ -335,8 +335,8 @@ class BufferPool:
 
     Arrays handed out by :meth:`acquire` contain garbage (``np.empty``
     semantics) and must only be released back by the caller that acquired
-    them.  The pool is thread-safe; the in-process shard executor shares
-    one pool across its worker threads.
+    them.  The pool is thread-safe; the shard executor shares one pool
+    across its worker threads.
     """
 
     def __init__(self, space: MemorySpace = HOST_SPACE,

@@ -45,7 +45,7 @@ class OrderedWorkQueue:
     traceback; before re-raising, the queue *reaps* every other in-flight
     future (cancelling the ones that have not started and awaiting the
     rest), so no job is left running against resources the caller is
-    about to tear down — e.g. a shared-memory segment or an open source
+    about to tear down — e.g. a recycled slab buffer or an open source
     file.  The first failure in submission order wins deterministically;
     errors from younger jobs are swallowed (recorded on their futures
     only).  Once a job has failed the queue refuses further submissions.

@@ -3,9 +3,9 @@
 The compiled hot path is one fused NumPy pass per field; every large
 ufunc in it releases the GIL, so slab-level *threads* can saturate the
 cores while still emitting the identical single-stream FZMD container —
-unlike the process-pool sharded engine, which pays per-shard container
-framing and IPC for its parallelism.  This module provides the three
-pieces the compiled plans need:
+unlike the sharded engine, which pays per-shard container framing for
+its parallelism.  This module provides the three pieces the compiled
+plans need:
 
 * :func:`resolve_threads` — one place that turns ``threads=`` / the
   ``FZMOD_THREADS`` environment variable / "auto" into a worker count;

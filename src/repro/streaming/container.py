@@ -31,7 +31,8 @@ from ..errors import CodecError, ConfigError, HeaderError
 from ..parallel.executor import (SHARD_MAGIC, SHARD_VERSION,
                                  STREAM_SHARD_VERSION, TRAILER_MAGIC,
                                  ShardIndex, _PREFIX, _TRAILER, build_table,
-                                 load_index, pack_index, parse_trailer)
+                                 check_shard_headers, load_index, pack_index,
+                                 parse_trailer)
 
 #: chunk size for the compat layout's spill-to-final copy
 _COPY_CHUNK = 8 << 20
@@ -141,7 +142,9 @@ class ShardReader:
     the streaming layout (3) validates the trailing index, where every
     structural defect — missing trailer, bad end magic, index or shard
     ranges outside the file — raises :class:`~repro.errors.CodecError`
-    rather than a bare ``struct.error``.
+    rather than a bare ``struct.error``.  Each shard's own header is
+    checked against its index rows and dtype on open, so a reader may
+    size its output from the index.
     """
 
     def __init__(self, path: str) -> None:
@@ -182,8 +185,9 @@ class ShardReader:
                 if self._body_start + offset + length > body_end:
                     raise self._bad_table(
                         "shard table exceeds container size")
-            if len(self.index.table) != len(self.index.bounds):
-                raise self._bad_table("shard table / bounds length mismatch")
+            check_shard_headers(
+                self.index, map(self._shard_head, range(self.shard_count)),
+                self._bad_table)
         except BaseException:
             os.close(self._fd)
             self._fd = -1
@@ -192,6 +196,19 @@ class ShardReader:
     @property
     def shard_count(self) -> int:
         return len(self.index.bounds)
+
+    def _shard_head(self, k: int) -> bytes:
+        """Shard ``k``'s container prefix and header, clipped to the shard:
+        two small ``os.pread`` calls (``FZMD`` shares the ``FZMS`` prefix
+        layout, so ``_PREFIX`` reads its header length)."""
+        offset, length = self.index.table[k]
+        start = self._body_start + offset
+        head = os.pread(self._fd, min(length, _PREFIX.size), start)
+        if len(head) == _PREFIX.size:
+            hlen = _PREFIX.unpack(head)[2]
+            head += os.pread(self._fd, min(length - len(head), hlen),
+                             start + len(head))
+        return head
 
     def shard(self, k: int) -> bytes:
         """The complete container blob of shard ``k`` (thread-safe)."""

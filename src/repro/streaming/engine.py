@@ -3,15 +3,16 @@
 :func:`compress_stream` is the sharded engine's big sibling for fields
 that do not fit in RAM: slabs flow from a
 :class:`~repro.streaming.source.FieldSource` through a double-buffered
-:class:`~repro.streaming.prefetch.SlabPrefetcher`, into the same worker
-pool and :class:`~repro.runtime.stream.OrderedWorkQueue` the in-memory
-engine uses, and out through an incremental
+:class:`~repro.streaming.prefetch.SlabPrefetcher`, onto a thread pool
+through the same shard jobs and
+:class:`~repro.runtime.stream.OrderedWorkQueue` the in-memory engine
+uses, and out through an incremental
 :class:`~repro.streaming.container.ShardStreamWriter` — so at no point
 does the field, or the container, exist as one object.  Shard geometry,
 bound resolution, and codebook construction are shared with
 :func:`repro.parallel.executor.compress_sharded`, which is why the
 ``"compat"`` layout's output is byte-identical to the in-memory engine's for the
-same input, at every worker count and backend.
+same input, at every worker count.
 
 :func:`decompress_stream` reverses it with *real* stage overlap: every
 shard becomes a fetch -> entropy-decode -> scatter task chain in one
@@ -38,18 +39,15 @@ from ..compile import decode_plan_for
 from ..core.pipeline import CompressionStats, Pipeline
 from ..core.registry import DEFAULT_REGISTRY, ModuleRegistry
 from ..core.spec import PipelineSpec
-from ..errors import ConfigError, DataError, HeaderError
+from ..errors import ConfigError, DataError
 from ..obs.metrics import GLOBAL_METRICS
 from ..obs.spans import absorb_capture, span
 from ..parallel.executor import (CODEBOOK_MODES, DEFAULT_SHARD_MB,
                                  ShardIndex, ShardPlan,
                                  _IN_FLIGHT_PER_WORKER,
-                                 _build_shared_codebook, _choose_backend,
-                                 _compress_shard_bytes, _compress_shard_local,
-                                 _histogram_shard_bytes,
-                                 _histogram_shard_local, _make_pool,
-                                 _with_fixed_codebook, combine_stats,
-                                 default_workers)
+                                 _build_shared_codebook, _compress_shard,
+                                 _histogram_shard, _with_fixed_codebook,
+                                 combine_stats, resolve_workers)
 from ..runtime.memory import Allocator, BufferPool
 from ..runtime.stream import OrderedWorkQueue
 from ..stf.context import StfContext
@@ -72,7 +70,6 @@ class StreamedCompressedField:
     shard_stats: tuple[CompressionStats, ...]
     index: ShardIndex
     workers: int
-    backend: str
     layout: str
     codebook_mode: str
     wall_seconds: float
@@ -101,7 +98,6 @@ def compress_stream(source, pipeline: Pipeline | PipelineSpec,
                     workers: int | None = None,
                     shard_mb: float | None = None,
                     registry: ModuleRegistry = DEFAULT_REGISTRY,
-                    backend: str | None = None,
                     codebook: str | None = None,
                     layout: str = "compat",
                     prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
@@ -146,17 +142,12 @@ def compress_stream(source, pipeline: Pipeline | PipelineSpec,
     if not isinstance(eb, ErrorBound):
         eb = ErrorBound(float(eb), EbMode(mode))
     eb_abs = _resolve_eb(eb, src)
-    if workers is None:
-        workers = default_workers()
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    workers = resolve_workers(workers)
     dtype = np.dtype(src.dtype)
     plan = ShardPlan.for_field(src.shape, dtype,
                                DEFAULT_SHARD_MB if shard_mb is None
                                else shard_mb)
     bounds = plan.bounds
-    chosen = _choose_backend(backend, workers, src.nbytes, spec, registry,
-                             len(bounds))
     workers = min(workers, len(bounds))
     in_flight = _IN_FLIGHT_PER_WORKER * workers
     slab_bytes = plan.rows_per_shard * src.row_bytes
@@ -177,16 +168,16 @@ def compress_stream(source, pipeline: Pipeline | PipelineSpec,
     shared_lengths: np.ndarray | None = None
 
     with span("engine.compress_stream", shards=len(bounds), workers=workers,
-              backend=chosen, layout=layout,
-              bytes_in=int(src.nbytes)) as engine_sp:
+              layout=layout, bytes_in=int(src.nbytes)) as engine_sp:
         writer = ShardStreamWriter(out_path, index, layout=layout)
         try:
-            with _make_pool(chosen, workers) as exec_pool:
+            with ThreadPoolExecutor(max_workers=workers) as exec_pool:
 
-                def pump(submit_one, retire_one) -> None:
+                def pump(job, job_pipeline, retire_one) -> None:
                     """Prefetched slabs -> queue, retiring in order as
                     results surface (backpressure comes from the queue's
-                    in-flight bound and the prefetcher's depth)."""
+                    in-flight bound and the prefetcher's depth).  A slab's
+                    buffer is held until its shard retires."""
                     queue = OrderedWorkQueue(exec_pool,
                                              max_in_flight=in_flight)
                     held: deque[np.ndarray] = deque()
@@ -195,22 +186,14 @@ def compress_stream(source, pipeline: Pipeline | PipelineSpec,
                                         max_bytes=prefetch_bytes)
                     with pf:
                         for _k, _bnds, buf in pf:
-                            if chosen == "process":
-                                raw = buf.tobytes()
-                                shape = buf.shape
-                                pf.recycle(buf)
-                                submit_one(queue, raw, shape)
-                            else:
-                                held.append(buf)
-                                submit_one(queue, buf, buf.shape)
+                            held.append(buf)
+                            queue.submit(job, job_pipeline, buf, eb_abs)
                             for res in queue.completed():
                                 retire_one(res)
-                                if held:
-                                    pf.recycle(held.popleft())
+                                pf.recycle(held.popleft())
                         for res in queue.drain():
                             retire_one(res)
-                            if held:
-                                pf.recycle(held.popleft())
+                            pf.recycle(held.popleft())
 
                 if codebook == "shared":
                     t0 = time.perf_counter()
@@ -218,54 +201,33 @@ def compress_stream(source, pipeline: Pipeline | PipelineSpec,
                               bytes_in=int(src.nbytes)) as cb_sp:
                         totals: dict = {"counts": None, "k": 0}
 
-                        def submit_hist(queue, payload, shape):
-                            if chosen == "process":
-                                queue.submit(_histogram_shard_bytes,
-                                             spec.to_json(), payload, shape,
-                                             dtype.str, eb_abs)
-                            else:
-                                queue.submit(_histogram_shard_local,
-                                             pipeline, payload, eb_abs)
-
                         def retire_hist(res):
-                            counts, payload = res
-                            absorb_capture(payload,
-                                           lane=f"shard:{totals['k']}")
+                            counts, spans = res
+                            absorb_capture(spans, lane=f"shard:{totals['k']}")
                             totals["k"] += 1
                             totals["counts"] = (
                                 counts if totals["counts"] is None
                                 else totals["counts"] + counts)
 
-                        pump(submit_hist, retire_hist)
+                        pump(_histogram_shard, pipeline, retire_hist)
                         shared_lengths = _build_shared_codebook(
                             totals["counts"], pipeline)
                         cb_sp.set(bytes_out=int(shared_lengths.nbytes))
                     extra_seconds["codebook"] = time.perf_counter() - t0
 
-                lengths_blob = (None if shared_lengths is None
-                                else shared_lengths.tobytes())
                 enc_pipeline = (pipeline if shared_lengths is None
                                 else _with_fixed_codebook(pipeline,
                                                           shared_lengths))
                 retired = {"k": 0}
 
-                def submit_compress(queue, payload, shape):
-                    if chosen == "process":
-                        queue.submit(_compress_shard_bytes, spec.to_json(),
-                                     payload, shape, dtype.str, eb_abs,
-                                     lengths_blob)
-                    else:
-                        queue.submit(_compress_shard_local, enc_pipeline,
-                                     payload, eb_abs)
-
                 def retire_compress(res):
-                    blob, stats, payload = res
-                    absorb_capture(payload, lane=f"shard:{retired['k']}")
+                    blob, stats, spans = res
+                    absorb_capture(spans, lane=f"shard:{retired['k']}")
                     retired["k"] += 1
                     writer.append(blob)
                     shard_stats.append(stats)
 
-                pump(submit_compress, retire_compress)
+                pump(_compress_shard, enc_pipeline, retire_compress)
 
             if len(shard_stats) != len(bounds):
                 raise DataError(
@@ -289,7 +251,7 @@ def compress_stream(source, pipeline: Pipeline | PipelineSpec,
     return StreamedCompressedField(
         path=out_path, nbytes=writer.bytes_written, stats=stats,
         shard_stats=tuple(shard_stats), index=index, workers=workers,
-        backend=chosen, layout=layout, codebook_mode=codebook,
+        layout=layout, codebook_mode=codebook,
         wall_seconds=time.perf_counter() - t_start)
 
 
@@ -320,10 +282,7 @@ def decompress_stream(path: str, *, out: np.ndarray | None = None,
     ``out[start:stop]``.
     """
     t_start = time.perf_counter()
-    if workers is None:
-        workers = default_workers()
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    workers = resolve_workers(workers)
     with ShardReader(path) as reader:
         index = reader.index
         dtype = np.dtype(index.dtype)
@@ -367,8 +326,8 @@ def decompress_stream(path: str, *, out: np.ndarray | None = None,
 
                 def fetch(*_args, k=k):
                     # task spans carry the shard index in the *name*
-                    # (stream.<task>:<k>) so traces from any backend or
-                    # worker count diff cleanly line-for-line; analytics
+                    # (stream.<task>:<k>) so traces from any worker
+                    # count diff cleanly line-for-line; analytics
                     # aggregate on the base name before the colon
                     with span(f"stream.fetch:{k}", shard=k) as sp:
                         blob = state["blob", k] = reader.shard(k)
@@ -402,13 +361,8 @@ def decompress_stream(path: str, *, out: np.ndarray | None = None,
                               rows=stop - start,
                               bytes_in=int(arts.codes.nbytes),
                               bytes_out=(stop - start) * row_nbytes):
-                        expected = (stop - start, *index.shape[1:])
-                        if tuple(header.shape) != expected:
-                            raise HeaderError(
-                                f"shard rows {start}:{stop} decoded to "
-                                f"shape {tuple(header.shape)}, expected "
-                                f"{expected}")
-                        # reconstruct writes straight into the output
+                        # the reader checked this shard's header against
+                        # its rows; reconstruct writes straight into the output
                         # slab — no per-shard staging copy
                         plan.reconstruct(header, arts, out=out[start:stop])
                         # memmapped outputs: hand the freshly written

@@ -78,14 +78,6 @@ class TestValueIdentity:
         got = decompress_stream(str(path), workers=2)
         assert got.tobytes() == ref.tobytes()
 
-    def test_process_backend_matches(self, field, module_call_registry):
-        from repro.parallel.executor import decompress_sharded
-        pipe = get_preset("fzmod-default")
-        blob = pipe.compress(field, 1e-3, workers=2, shard_mb=0.125).blob
-        ref = decompress_sharded(blob, registry=module_call_registry)
-        got = decompress_sharded(blob, workers=2, backend="process")
-        assert got.tobytes() == ref.tobytes()
-
     def test_tight_bound_outlier_path(self, spiky_1d, module_call_registry):
         # spiky data under a tight bound exercises the outlier scatter
         pipe = get_preset("fzmod-default")

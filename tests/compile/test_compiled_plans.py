@@ -55,11 +55,8 @@ class TestByteIdentity:
         pipe = get_preset(preset)
         if codebook == "shared" and preset == "fzmod-speed":
             pytest.skip("shared codebook is a huffman-only mode")
-        # in-process: the process backend rebuilds from spec JSON, which
-        # names the standard modules, and is therefore always fused
         ref, got = (compress_sharded(field, p, 1e-3, workers=2,
-                                     shard_mb=0.125, codebook=codebook,
-                                     backend="inprocess")
+                                     shard_mb=0.125, codebook=codebook)
                     for p in (module_call_twin(pipe), pipe))
         assert got.blob == ref.blob
 
@@ -75,7 +72,7 @@ class TestByteIdentity:
             with ArraySource(field) as source:
                 compress_stream(source, p, 1e-3, EbMode.REL,
                                 out_path=str(path), workers=2,
-                                shard_mb=0.125, backend="inprocess")
+                                shard_mb=0.125)
             blobs.append(path.read_bytes())
         assert blobs[1] == blobs[0]
 

@@ -76,11 +76,9 @@ class TestSingleStreamMatrix:
 
 class TestEngineMatrix:
     def test_sharded_engine_under_fzmod_threads(self, field, monkeypatch):
-        ref = repro.compress(field, "fzmod-default", 1e-3, workers=2,
-                             backend="inprocess").blob
+        ref = repro.compress(field, "fzmod-default", 1e-3, workers=2).blob
         monkeypatch.setenv("FZMOD_THREADS", "3")
-        got = repro.compress(field, "fzmod-default", 1e-3, workers=2,
-                             backend="inprocess").blob
+        got = repro.compress(field, "fzmod-default", 1e-3, workers=2).blob
         assert got == ref
 
     def test_streaming_engine_under_fzmod_threads(self, field, tmp_path,

@@ -39,7 +39,7 @@ def test_single_container_output_is_owned(field, preset):
 
 def test_sharded_container_output_is_owned(field):
     cf = repro.compress(field, "fzmod-default", 1e-3, workers=2,
-                        shard_mb=0.01, backend="inprocess")
+                        shard_mb=0.01)
     _assert_owned(decompress(cf.blob), field)
 
 
@@ -95,7 +95,7 @@ def test_foreign_dtype_backward_is_coerced_to_header_dtype(field):
 def test_sharded_reassembly_of_view_returning_backward_is_owned(field):
     """Shard reassembly must also normalise zero-copy shard views."""
     cf = repro.compress(field, "fzmod-default", 1e-3, workers=2,
-                        shard_mb=0.01, backend="inprocess")
+                        shard_mb=0.01)
     reg = _doctored_registry(
         lambda data, meta: np.asfortranarray(data))
     out = decompress(cf.blob, reg)

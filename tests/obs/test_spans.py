@@ -7,8 +7,8 @@ import threading
 import pytest
 
 from repro.obs.spans import (GLOBAL_TRACER, NOOP_SPAN, Tracer,
-                             absorb_capture, export_capture, set_telemetry,
-                             span, telemetry_enabled)
+                             absorb_capture, set_telemetry, span,
+                             telemetry_enabled)
 
 
 @pytest.fixture(autouse=True)
@@ -114,9 +114,10 @@ class TestThreadSafety:
 
 
 class TestCaptureTransport:
-    def test_export_empty_capture_is_none(self):
-        assert export_capture([]) is None
-        assert absorb_capture(None, lane="shard:0") == []
+    def test_absorb_empty_capture(self):
+        sink = Tracer()
+        assert absorb_capture([], lane="shard:0", tracer=sink) == []
+        assert sink.records() == []
 
     def test_capture_redirects_this_thread_only(self):
         GLOBAL_TRACER.clear()
@@ -126,20 +127,19 @@ class TestCaptureTransport:
         assert [r.name for r in buf] == ["captured"]
         assert GLOBAL_TRACER.records() == []
 
-    def test_absorb_rebases_and_tags_lane(self):
+    def test_absorb_tags_lane_and_keeps_timing(self):
         with GLOBAL_TRACER.capture() as buf:
             with span("work", rows=5):
                 pass
-        payload = export_capture(buf)
-        assert set(payload) == {"offset", "spans"}
+        start, duration = buf[0].start, buf[0].duration
         sink = Tracer()
-        out = absorb_capture(payload, lane="shard:3", tracer=sink)
+        out = absorb_capture(buf, lane="shard:3", tracer=sink)
         assert len(out) == 1
         rec = sink.records()[0]
         assert rec.lane == "shard:3" and rec.name == "work"
         assert rec.attrs == {"rows": 5}
-        # same process: the clock-frame shift cancels, duration is exact
-        assert rec.duration == pytest.approx(buf[0].duration)
+        # one clock for every thread: nothing is rebased
+        assert rec.start == start and rec.duration == duration
 
     def test_absorb_keeps_existing_lane(self):
         with GLOBAL_TRACER.capture() as buf:
@@ -147,5 +147,14 @@ class TestCaptureTransport:
                 pass
         buf[0].lane = "stf:gpu0"
         sink = Tracer()
-        absorb_capture(export_capture(buf), lane="shard:0", tracer=sink)
+        absorb_capture(buf, lane="shard:0", tracer=sink)
         assert sink.records()[0].lane == "stf:gpu0"
+
+    def test_child_span_stays_inside_its_parent(self):
+        with GLOBAL_TRACER.capture() as buf:
+            with span("parent"):
+                with span("child"):
+                    pass
+        sink = Tracer()
+        child, parent = absorb_capture(buf, lane="shard:0", tracer=sink)
+        assert parent.start <= child.start <= child.end <= parent.end

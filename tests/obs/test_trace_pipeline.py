@@ -159,7 +159,7 @@ class TestMergeDeterminism:
     def _span_set(self, field, workers: int) -> TallyCounter:
         GLOBAL_TRACER.clear()
         compress_sharded(field, Pipeline.from_names(), 1e-3, EbMode.REL,
-                         workers=workers, shard_mb=0.25, backend="inprocess")
+                         workers=workers, shard_mb=0.25)
         return TallyCounter(
             (r.name, r.lane) for r in GLOBAL_TRACER.records())
 
@@ -169,7 +169,7 @@ class TestMergeDeterminism:
     def test_shard_lanes_are_shard_indexed(self, field):
         GLOBAL_TRACER.clear()
         sf = compress_sharded(field, Pipeline.from_names(), 1e-3, EbMode.REL,
-                              workers=3, shard_mb=0.25, backend="inprocess")
+                              workers=3, shard_mb=0.25)
         # FZMOD_THREADS > 1 adds slab:<k> lanes inside each shard
         lanes = {r.lane for r in GLOBAL_TRACER.records()
                  if r.lane and not r.lane.startswith("slab:")}

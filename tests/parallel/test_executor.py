@@ -1,12 +1,16 @@
 """The sharded parallel compression engine.
 
-The load-bearing guarantees: worker-count/backend determinism (byte
-identical containers), REL bounds resolved globally before sharding,
+The load-bearing guarantees: worker-count determinism (byte identical
+containers), REL bounds resolved globally before sharding,
 header-driven parallel decode from the blob alone, combined statistics
 that add up, and loud failure on corruption.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -70,15 +74,6 @@ class TestDeterminism:
                                   shard_mb=0.02).blob
                  for w in (1, 2, 4)]
         assert blobs[0] == blobs[1] == blobs[2]
-
-    def test_process_and_inprocess_backends_agree(self, field):
-        pipe = fzmod_default()
-        a = compress_sharded(field, pipe, 1e-3, workers=2, shard_mb=0.02,
-                             backend="inprocess")
-        b = compress_sharded(field, pipe, 1e-3, workers=2, shard_mb=0.02,
-                             backend="process")
-        assert a.blob == b.blob
-        assert a.backend == "inprocess" and b.backend == "process"
 
     def test_workers4_decodes_byte_identical_to_workers1(self, field):
         """The acceptance criterion, at test scale."""
@@ -157,8 +152,7 @@ class TestStatsAggregation:
 
     def test_stage_seconds_are_summed_cpu_seconds(self, field):
         result = compress_sharded(field, fzmod_default(), 1e-3,
-                                  shard_mb=0.02, workers=2,
-                                  backend="inprocess")
+                                  shard_mb=0.02, workers=2)
         for stage in ("preprocess", "predictor", "encoder"):
             assert result.stats.stage_seconds[stage] == pytest.approx(
                 sum(t.stage_seconds[stage] for t in result.shard_stats))
@@ -208,11 +202,6 @@ class TestContainerFormat:
 
 
 class TestBackendSelection:
-    def test_small_inputs_stay_in_process(self, field):
-        result = compress_sharded(field, fzmod_default(), 1e-3,
-                                  shard_mb=0.02, workers=4)
-        assert result.backend == "inprocess"  # field << process threshold
-
     def test_custom_registry_falls_back_in_process(self, field):
         reg = ModuleRegistry()
         for mod in (RelEbPreprocess(), LorenzoPredictor(),
@@ -227,45 +216,29 @@ class TestBackendSelection:
         spec = PipelineSpec(predictor="lorenzo-local")
         result = compress_sharded(field, spec, 1e-3, shard_mb=0.02,
                                   workers=4, registry=reg)
-        assert result.backend == "inprocess"
         out = decompress_sharded(result.blob, registry=reg)
         assert np.abs(out - field).max() <= 1e-3 * np.ptp(field) * 1.0001
-
-    def test_process_backend_demands_default_registry_modules(self, field):
-        reg = ModuleRegistry()
-        for mod in (RelEbPreprocess(), LorenzoPredictor(),
-                    StandardHistogram(), HuffmanEncoder(), NoSecondary()):
-            reg.register(mod)
-
-        class PrivateLorenzo(LorenzoPredictor):
-            """Process-local module."""
-            name = "lorenzo-private"
-
-        reg.register(PrivateLorenzo())
-        with pytest.raises(ConfigError):
-            compress_sharded(field, PipelineSpec(predictor="lorenzo-private"),
-                             1e-3, shard_mb=0.02, workers=2, registry=reg,
-                             backend="process")
-
-    def test_unknown_backend_rejected(self, field):
-        with pytest.raises(ConfigError):
-            compress_sharded(field, fzmod_default(), 1e-3, backend="mpi")
 
     def test_bad_worker_count_rejected(self, field):
         with pytest.raises(ConfigError):
             compress_sharded(field, fzmod_default(), 1e-3, workers=0)
 
 
-class TestProcessBackend:
-    """Exercise the shared-memory process path explicitly (even on one
-    CPU it must produce the same bytes, just slower)."""
+def test_shards_run_on_threads_in_this_process():
+    """A sharded round trip never imports ``multiprocessing`` (and so
+    stages nothing in shared memory)."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import repro\n"
+        "x = np.arange(120 * 90, dtype=np.float32).reshape(120, 90)\n"
+        "cf = repro.compress(x, 'fzmod-default', 1e-3, workers=2,"
+        " shard_mb=0.02)\n"
+        "assert cf.shard_count > 1\n"
+        "repro.decompress(cf.blob, workers=2)\n"
+        "assert not [m for m in sys.modules"
+        " if m.partition('.')[0] == 'multiprocessing']\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ,
+                        "PYTHONPATH": os.pathsep.join(sys.path)})
 
-    def test_process_round_trip(self, field):
-        pipe = fzmod_default()
-        result = compress_sharded(field, pipe, 1e-3, shard_mb=0.02,
-                                  workers=2, backend="process")
-        assert result.backend == "process"
-        out = decompress_sharded(result.blob, workers=2, backend="process")
-        serial = decompress_sharded(result.blob, workers=1,
-                                    backend="inprocess")
-        assert out.tobytes() == serial.tobytes()

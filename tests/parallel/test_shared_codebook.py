@@ -1,15 +1,13 @@
 """Shared-codebook sharding: determinism, compatibility, self-description.
 
 The contract: ``codebook="shared"`` containers are byte-identical across
-worker counts and backends, reconstruct exactly like per-shard
+worker counts, reconstruct exactly like per-shard
 containers, are smaller (one stored codebook instead of one per shard),
 and decode from the blob alone.  Per-shard mode keeps writing version-1
 containers bit-compatible with blobs from before this mode existed.
 """
 
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 import pytest
@@ -29,10 +27,9 @@ def field() -> np.ndarray:
             ).astype(np.float32)
 
 
-def _shared(field, workers, backend="inprocess"):
+def _shared(field, workers):
     return compress_sharded(field, fzmod_default(), 1e-3, EbMode.REL,
-                            workers=workers, shard_mb=0.01, backend=backend,
-                            codebook="shared")
+                            workers=workers, shard_mb=0.01, codebook="shared")
 
 
 class TestDeterminism:
@@ -41,17 +38,12 @@ class TestDeterminism:
         assert blobs[2] == blobs[1]
         assert blobs[4] == blobs[1]
 
-    def test_byte_identical_across_backends(self, field):
-        assert (_shared(field, 2, "process").blob
-                == _shared(field, 2, "inprocess").blob)
-
 
 class TestRoundTrip:
     def test_matches_per_shard_reconstruction(self, field):
         shared = _shared(field, 2)
         per_shard = compress_sharded(field, fzmod_default(), 1e-3, EbMode.REL,
-                                     workers=2, shard_mb=0.01,
-                                     backend="inprocess")
+                                     workers=2, shard_mb=0.01)
         a = decompress(shared.blob)
         b = decompress(per_shard.blob)
         assert np.array_equal(a, b)
@@ -66,8 +58,7 @@ class TestRoundTrip:
     def test_container_is_smaller(self, field):
         shared = _shared(field, 2)
         per_shard = compress_sharded(field, fzmod_default(), 1e-3, EbMode.REL,
-                                     workers=2, shard_mb=0.01,
-                                     backend="inprocess")
+                                     workers=2, shard_mb=0.01)
         assert shared.shard_count > 1
         assert shared.nbytes < per_shard.nbytes
 
@@ -94,7 +85,7 @@ class TestSelfDescription:
 
     def test_per_shard_still_writes_version_1(self, field):
         cf = compress_sharded(field, fzmod_default(), 1e-3, EbMode.REL,
-                              workers=2, shard_mb=0.01, backend="inprocess")
+                              workers=2, shard_mb=0.01)
         _, version, _, _ = _PREFIX.unpack_from(cf.blob, 0)
         assert version == 1                          # PR-1 compatible
         index, _ = parse_sharded(cf.blob)
@@ -111,7 +102,7 @@ class TestValidation:
         with pytest.raises(ConfigError, match="huffman"):
             compress_sharded(field, get_preset("fzmod-speed"), 1e-3,
                              EbMode.REL, workers=2, shard_mb=0.01,
-                             backend="inprocess", codebook="shared")
+                             codebook="shared")
 
     def test_unknown_mode_rejected(self, field):
         with pytest.raises(ConfigError, match="codebook"):

@@ -30,15 +30,13 @@ def field() -> np.ndarray:
 @pytest.fixture(scope="module")
 def v1_blob(field) -> bytes:
     return compress_sharded(field, fzmod_default(), 1e-3, EbMode.REL,
-                            workers=2, shard_mb=0.01,
-                            backend="inprocess").blob
+                            workers=2, shard_mb=0.01).blob
 
 
 @pytest.fixture(scope="module")
 def v2_blob(field) -> bytes:
     return compress_sharded(field, fzmod_default(), 1e-3, EbMode.REL,
-                            workers=2, shard_mb=0.01, backend="inprocess",
-                            codebook="shared").blob
+                            workers=2, shard_mb=0.01, codebook="shared").blob
 
 
 @pytest.fixture

@@ -37,7 +37,6 @@ def pipe() -> Pipeline:
 def _stream(field_or_source, pipe, path, **kw):
     kw.setdefault("workers", 2)
     kw.setdefault("shard_mb", 0.01)
-    kw.setdefault("backend", "inprocess")
     return compress_stream(field_or_source, pipe, 1e-3, EbMode.REL,
                           out_path=str(path), **kw)
 
@@ -50,7 +49,7 @@ class TestByteIdentity:
                                                     pipe, workers, codebook):
         ref = compress_sharded(field, pipe, 1e-3, EbMode.REL,
                                workers=workers, shard_mb=0.01,
-                               backend="inprocess", codebook=codebook)
+                               codebook=codebook)
         path = tmp_path / "stream.fzms"
         cf = _stream(field, pipe, path, workers=workers, codebook=codebook)
         assert path.read_bytes() == ref.blob
@@ -61,7 +60,7 @@ class TestByteIdentity:
         raw = tmp_path / "field.f32"
         raw.write_bytes(field.tobytes())
         ref = compress_sharded(field, pipe, 1e-3, EbMode.REL, workers=2,
-                               shard_mb=0.01, backend="inprocess")
+                               shard_mb=0.01)
         path = tmp_path / "stream.fzms"
         with MemmapSource(str(raw), field.shape) as source:
             _stream(source, pipe, path)
@@ -97,8 +96,7 @@ class TestRoundTrip:
                                           codebook):
         """v1 and v2 blobs flow through the streaming reader unchanged."""
         ref = compress_sharded(field, pipe, 1e-3, EbMode.REL, workers=2,
-                               shard_mb=0.01, backend="inprocess",
-                               codebook=codebook)
+                               shard_mb=0.01, codebook=codebook)
         path = tmp_path / "ref.fzms"
         path.write_bytes(ref.blob)
         assert np.array_equal(decompress_stream(str(path), workers=2),
@@ -123,9 +121,9 @@ class TestRoundTrip:
         src = SlabIterSource(chunks(), field.shape, field.dtype)
         path = tmp_path / "seq.fzms"
         compress_stream(src, pipe, 0.05, EbMode.ABS, out_path=str(path),
-                        workers=2, shard_mb=0.01, backend="inprocess")
+                        workers=2, shard_mb=0.01)
         ref = compress_sharded(field, pipe, 0.05, EbMode.ABS, workers=2,
-                               shard_mb=0.01, backend="inprocess")
+                               shard_mb=0.01)
         assert path.read_bytes() == ref.blob
 
 
@@ -141,7 +139,7 @@ class TestGuardRails:
         with pytest.raises(ConfigError, match="sequential-only"):
             compress_stream(src, pipe, 0.05, EbMode.ABS,
                             out_path=str(tmp_path / "x.fzms"),
-                            codebook="shared", backend="inprocess")
+                            codebook="shared")
 
     def test_unknown_codebook_mode(self, tmp_path, field, pipe):
         with pytest.raises(ConfigError, match="codebook"):
@@ -189,6 +187,6 @@ class TestOverlapPlumbing:
             shards = sorted(r.attrs["shard"] for r in matching)
             assert shards == list(range(cf.shard_count))
             # deterministic lane ids: the span name embeds the shard
-            # index, so traces diff cleanly across backends/runs
+            # index, so traces diff cleanly across runs
             for r in matching:
                 assert r.name == f"{name}:{r.attrs['shard']}"

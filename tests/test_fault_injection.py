@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import json
 import struct
 import zlib
 
@@ -29,6 +30,7 @@ from repro.core.stf_pipeline import StfDefaultPipeline
 from repro.errors import (CodecError, FZModError, HeaderError,
                           ModuleNotFoundInRegistry)
 from repro.kernels import deflate
+from repro.parallel.executor import describe_sharded
 
 #: stands for a key deleted from re-sealed metadata
 _MISSING = "<deleted>"
@@ -543,6 +545,118 @@ class TestResealedSZ3:
         ("count", _MISSING), ("variant", _MISSING)], ids=repr)
     def test_lying_delta_meta(self, parts, key, value):
         self._assert_refused(parts, "delta", key, value)
+
+
+def _reseal_shard_index(blob: bytes, edit) -> bytes:
+    """Apply ``edit`` to an FZMS container's JSON index; re-seal its CRC."""
+    magic, version, hlen, _ = struct.unpack_from("<4sHII", blob)
+    if version < 3:
+        obj = json.loads(blob[14:14 + hlen])
+        edit(obj)
+        hjson = json.dumps(obj, separators=(",", ":")).encode()
+        return (struct.pack("<4sHII", magic, version, len(hjson),
+                            zlib.crc32(hjson)) + hjson + blob[14 + hlen:])
+    ioff, ilen, _, tmagic = struct.unpack_from("<QII4s", blob, len(blob) - 20)
+    obj = json.loads(blob[ioff:ioff + ilen])
+    edit(obj)
+    hjson = json.dumps(obj, separators=(",", ":")).encode()
+    return blob[:ioff] + hjson + struct.pack("<QII4s", ioff, len(hjson),
+                                             zlib.crc32(hjson), tmagic)
+
+
+def _overlap(obj):
+    obj["bounds"][-1] = list(obj["bounds"][-2])
+
+
+def _shifted(obj):
+    obj["bounds"][0][1] -= 10
+    obj["bounds"][1][0] -= 10
+
+
+def _dropped(obj):
+    obj["bounds"].pop()
+    obj["table"].pop()
+
+
+def _repeated_table_entry(obj):
+    obj["table"][1] = list(obj["table"][0])
+
+
+def _bool_bound(obj):
+    obj["bounds"][0][0] = False
+
+
+def _wide_dtype(obj):
+    obj["dtype"] = "<f8"
+
+
+def _oversized(obj):
+    obj["shape"][0] = 10 ** 12
+
+
+class TestResealedShardIndex:
+    """A 3-shard ``fzmod-default`` FZMS container re-sealed (valid CRCs)
+    around an index that does not tile the field, or that disagrees with
+    its shards' own headers, must be refused before the output is sized --
+    not decoded into uninitialised rows.  v1/v2 blobs raise
+    ``HeaderError`` and v3 files ``CodecError``, as for their other
+    index defects."""
+
+    @pytest.fixture(scope="class")
+    def blobs(self, tmp_path_factory):
+        rng = np.random.default_rng(3)
+        x = np.cumsum(rng.standard_normal((120, 90)), axis=0).astype(np.float32)
+        kw = dict(workers=1, shard_mb=0.014)
+        path = tmp_path_factory.mktemp("fzms") / "v3.fzms"
+        repro.compress(x, "fzmod-default", 1e-3, stream=True, out=path,
+                       layout="stream", **kw)
+        out = {"v1": repro.compress(x, "fzmod-default", 1e-3, **kw).blob,
+               "v2": repro.compress(x, "fzmod-default", 1e-3,
+                                    codebook="shared", **kw).blob,
+               "v3": path.read_bytes()}
+        for version, blob in out.items():
+            assert blob[4] == int(version[1])
+            assert len(describe_sharded(blob)["shards"]) == 3
+        return out
+
+    @staticmethod
+    def _entries(version, bad, tmp_path):
+        """(decode callable, expected error) per entry point of a version."""
+        if version == "v3":
+            path = tmp_path / "bad.fzms"
+            path.write_bytes(bad)
+            return [(lambda w=w: repro.decompress(path, workers=w), CodecError)
+                    for w in (1, 2)]
+        return [(lambda w=w: repro.decompress(bad, workers=w), HeaderError)
+                for w in (1, 2)]
+
+    @pytest.mark.parametrize("edit", [
+        _overlap, _shifted, _dropped, _repeated_table_entry, _bool_bound,
+        _wide_dtype, _oversized],
+        ids=["overlap", "shifted", "dropped", "repeated-table-entry",
+             "bool-bound", "wide-dtype", "oversized-shape"])
+    @pytest.mark.parametrize("version", ["v1", "v2", "v3"])
+    def test_refused(self, blobs, version, edit, tmp_path):
+        bad = _reseal_shard_index(blobs[version], edit)
+        for entry, error in self._entries(version, bad, tmp_path):
+            with pytest.raises(error):
+                entry()
+
+    @pytest.mark.parametrize("version", ["v1", "v2", "v3"])
+    def test_oversized_shape_does_not_size_an_allocation(self, blobs, version,
+                                                         tmp_path):
+        import tracemalloc
+        bad = _reseal_shard_index(blobs[version], _oversized)
+        for entry, error in self._entries(version, bad, tmp_path):
+            repro.decompress(blobs[version])  # plan and caches warm
+            tracemalloc.start()
+            try:
+                with pytest.raises(error):
+                    entry()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * len(bad)
 
 
 class TestBaselineCorruption:
