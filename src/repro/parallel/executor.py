@@ -1,7 +1,7 @@
 """Sharded parallel compression engine.
 
 The paper's pitch is concurrent, heterogeneous execution of composable
-pipelines; this module is the OS-level realisation: a field is split into
+pipelines; this module is the shard-level realisation: a field is split into
 slab shards (reusing the tiling policy of :mod:`repro.core.chunked`),
 every shard is compressed as an independent container by a worker pool,
 and the results are assembled into a *multi-shard container* that
@@ -552,8 +552,7 @@ def _decompress_shard(shard_blob: bytes, header: ContainerHeader,
     output (no per-shard staging copy)."""
     from ..compile import decode_plan_for_header
     with GLOBAL_TRACER.capture() as spans:
-        with span("shard.decompress", rows=int(dest.shape[0]),
-                  bytes_in=len(shard_blob)) as sp:
+        with span("shard.decompress", bytes_in=len(shard_blob)) as sp:
             plan = decode_plan_for_header(header, registry)
             overrides = {"enc.lengths": lengths} if lengths is not None \
                 else None

@@ -28,6 +28,7 @@ Perfetto trace.
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -177,34 +178,37 @@ def compress_stream(source, pipeline: Pipeline | PipelineSpec,
                     """Prefetched slabs -> queue, retiring in order as
                     results surface (backpressure comes from the queue's
                     in-flight bound and the prefetcher's depth).  A slab's
-                    buffer is held until its shard retires."""
+                    buffer is held until its shard retires; the shard's
+                    spans land on lane ``shard:<k>``."""
                     queue = OrderedWorkQueue(exec_pool,
                                              max_in_flight=in_flight)
                     held: deque[np.ndarray] = deque()
+                    lanes = itertools.count()
                     pf = SlabPrefetcher(src, bounds, pool=buf_pool,
                                         depth=prefetch_depth,
                                         max_bytes=prefetch_bytes)
+
+                    def retire(res) -> None:
+                        absorb_capture(res[-1], lane=f"shard:{next(lanes)}")
+                        retire_one(*res[:-1])
+                        pf.recycle(held.popleft())
+
                     with pf:
                         for _k, _bnds, buf in pf:
                             held.append(buf)
                             queue.submit(job, job_pipeline, buf, eb_abs)
                             for res in queue.completed():
-                                retire_one(res)
-                                pf.recycle(held.popleft())
+                                retire(res)
                         for res in queue.drain():
-                            retire_one(res)
-                            pf.recycle(held.popleft())
+                            retire(res)
 
                 if codebook == "shared":
                     t0 = time.perf_counter()
                     with span("engine.codebook", shards=len(bounds),
                               bytes_in=int(src.nbytes)) as cb_sp:
-                        totals: dict = {"counts": None, "k": 0}
+                        totals: dict = {"counts": None}
 
-                        def retire_hist(res):
-                            counts, spans = res
-                            absorb_capture(spans, lane=f"shard:{totals['k']}")
-                            totals["k"] += 1
+                        def retire_hist(counts):
                             totals["counts"] = (
                                 counts if totals["counts"] is None
                                 else totals["counts"] + counts)
@@ -218,12 +222,8 @@ def compress_stream(source, pipeline: Pipeline | PipelineSpec,
                 enc_pipeline = (pipeline if shared_lengths is None
                                 else _with_fixed_codebook(pipeline,
                                                           shared_lengths))
-                retired = {"k": 0}
 
-                def retire_compress(res):
-                    blob, stats, spans = res
-                    absorb_capture(spans, lane=f"shard:{retired['k']}")
-                    retired["k"] += 1
+                def retire_compress(blob, stats):
                     writer.append(blob)
                     shard_stats.append(stats)
 
