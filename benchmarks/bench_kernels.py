@@ -77,6 +77,23 @@ HUFFMAN_HISTOGRAMS = {"24-live-unlimited": (1 << 17, 1.0, 24, False),
                       "626-live-limited": (1 << 19, 33.0, 626, True)}
 
 
+def _hard_stream(name: str) -> tuple[np.ndarray, huffman.Codebook]:
+    """Decode streams that take the walker's other paths.
+
+    ``all-3bit``: every code is 3 bits, so every lane is in step from its
+    first code.  ``exit-table``: ``110`` and then ``01`` over and over
+    under the book 00, 01, 10, 110, 111; a lead-in that starts on an even
+    bit reads ``10`` for ever, so no lane falls into step by itself and
+    all but a few go through the exit table.
+    """
+    if name == "all-3bit":
+        symbols = np.random.default_rng(1).integers(0, 8, N)
+        return symbols.astype(np.uint32), huffman.Codebook(np.full(8, 3))
+    symbols = np.ones(N, dtype=np.uint32)
+    symbols[0] = 3
+    return symbols, huffman.Codebook(np.array([2, 2, 2, 3, 3]))
+
+
 class TestPredictorKernels:
     def test_lorenzo_compress(self, benchmark, field3d):
         eb = float(np.ptp(field3d)) * 1e-4
@@ -133,6 +150,13 @@ class TestEncoderKernels:
         enc = huffman.encode(symbols, book, N // chunks)
         benchmark.extra_info["bits_per_symbol"] = round(
             float(enc.chunk_bits.sum()) / N, 2)
+        out = benchmark(huffman.decode, enc)
+        assert np.array_equal(out, symbols)
+
+    @pytest.mark.parametrize("stream", ["all-3bit", "exit-table"])
+    def test_huffman_decode_hard_stream(self, benchmark, stream):
+        symbols, book = _hard_stream(stream)
+        enc = huffman.encode(symbols, book)
         out = benchmark(huffman.decode, enc)
         assert np.array_equal(out, symbols)
 

@@ -8,8 +8,9 @@ they model.  This module provides the shared primitives:
   length codes into a byte stream (the core of the Huffman encoder: one
   shifted 64-bit word per code, OR-reduced per output word) and read a
   fixed-width window at *every* bit offset of a stream (what the
-  bit-serial reference Huffman decoder walks; the segment-sweep decoder
-  in :mod:`repro.kernels.huffman` builds its own segment-ordered tables).
+  bit-serial reference Huffman decoder walks; the lock-step decoder in
+  :mod:`repro.kernels.huffman` reads its windows from a 32-bit word at
+  every byte offset instead).
 * :func:`pack_fixed` / :func:`unpack_fixed` — pack ``n`` values of a uniform
   bit width (cuSZp2-style fixed-length blocks).
 

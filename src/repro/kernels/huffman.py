@@ -11,17 +11,21 @@ This models cuSZ's Huffman stage faithfully in structure:
   byte-aligned chunks (as cuSZ does for its GPU codec) so chunks can be
   decoded concurrently and memory stays bounded; a chunk is packed a
   cache-sized block of symbols at a time (:mod:`repro.kernels.bitio`).
-* **Segment-sweep decoder**: a chunk's bit range is cut into segments of
-  ``T`` bits (``T`` derived from the chunk's bit count), which become
-  lanes advanced in lock-step.  The code length at *every* bit offset
-  comes from eight shifted gathers through the ``max_len``-bit decode
-  table; one backward sweep of ``T`` gathers then tells, for every offset
-  a chain could enter a segment at, where it enters the next one, a
-  scalar walk over the segments picks the true entries, and a forward
-  walk of all segments from those entries (at most ``T`` gathers) visits
-  every code start.  Exact — no speculation, no re-synchronisation — and
-  the Python-level step count is about ``2 * T + segments``, not the
-  symbol count.  This is the NumPy analogue of cuSZ's many coarse lanes.
+* **Resynchronising lock-step decoder**: a chunk's bit range is cut into
+  segments of ``T`` bits (``T`` derived from the chunk's bit count), one
+  lane each, and all lanes step together: a step reads every lane's
+  window from a 32-bit word of the payload and makes one gather through
+  a ``symbol << 8 | length`` table sized by the book's longest code.
+  Where a segment is entered is not stored; a lane finds it.  It starts
+  128 bits early, on a multiple of the gcd of the code lengths, and a
+  parse started at the wrong bit falls into step with the true one
+  within a few codes.  Every entry is checked: a lane must enter where
+  the lane before it exits, and lane 0 enters at bit 0.  A lane that
+  does not is walked again from its predecessor's exit; a stream no
+  lead-in resynchronises goes through a bounded exit table.  Exact, the
+  container bytes are the encoder's alone, and the Python-level step
+  count is about ``T + 128``, not the symbol count: the NumPy analogue
+  of cuSZ's many coarse lanes.
 
 Encoding and decoding are exact inverses for arbitrary symbol streams.
 """
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -315,128 +320,307 @@ def encode(symbols: np.ndarray, book: Codebook,
         return enc
 
 
+#: Bits of lead-in a lane walks, keeping no rows, before its own segment.
+#: A parse started at the wrong bit falls into step with the true one
+#: within a few codes, so a lane that starts ``_LEAD_IN`` bits early almost
+#: always meets its segment on a true code start.  Every lane pays for
+#: it, so it is a constant: at the floor of ``_segment_bits`` it is a
+#: fifth of a lane's steps.
+_LEAD_IN = 128
+
+#: Lock-step steps between checks whether every lane is past its end.
+_CHECK_EVERY = 16
+
+#: Rounds of re-walking disagreeing lanes before the exit table.  One
+#: round repairs every lane of the bench fields that needs it; a stream
+#: that needs more is one no lead-in resynchronises, and the exit table
+#: bounds its cost.
+_REWALK_ROUNDS = 4
+
+
 def _segment_bits(nbits: int) -> int:
     """Segment length for a chunk of ``nbits``: the power of two nearest
-    ``sqrt(nbits) / 2``, within [64, 2048].
+    ``sqrt(nbits) / 2``, within [512, 2048].
 
-    A chunk costs about ``2 * T`` vectorised steps over ``nbits / T``
-    lanes plus a scalar walk over the lanes; the square root balances the
-    per-step call overhead against the per-lane one.
+    A chunk costs about ``T`` lock-step steps over ``nbits / T`` lanes;
+    the square root balances the per-step call overhead against the
+    per-lane work, and the floor of four lead-ins keeps the lead-in a
+    small share of a lane's walk.
     """
-    return 1 << min(max(round(math.log2(nbits) / 2) - 1, 6), 11)
+    return 1 << min(max(round(math.log2(nbits) / 2) - 1, 9), 11)
 
 
-def _index_dtype(cells: int) -> type[np.signedinteger]:
-    """Narrowest index dtype for a table of ``cells`` entries."""
-    return np.int32 if cells <= np.iinfo(np.int32).max else np.int64
+def _position_dtype(nbits: int) -> type[np.signedinteger]:
+    """Dtype of the walk's bit positions for a chunk of ``nbits``.
+
+    A lane takes at most ``T <= 2048`` steps of at most 48 bits past its
+    entry, so positions stay below ``nbits + 2**17``.
+    """
+    return np.int32 if nbits < (1 << 31) - (1 << 17) else np.int64
 
 
-def _decode_chunk(payload: bytes, nbits: int, nsyms: int,
-                  tsym: np.ndarray, tlen: np.ndarray, max_len: int
-                  ) -> tuple[np.ndarray, tuple[int, int, int]]:
-    """Segment-sweep decode of one chunk.
+@dataclass(frozen=True)
+class _StepTable:
+    """One gather per step: ``value[window]`` is ``symbol << 8 | length``
+    of the code the ``top``-bit window starts with.
 
-    The caller has checked ``nsyms <= nbits``, ``max_len <= 24`` and that
-    ``payload`` holds ``ceil(nbits / 8)`` bytes.  Returns the symbols and
-    ``(segments, segment_bits, walk_steps)``.
+    ``top`` is the longest code in the book and ``g`` the gcd of its code
+    lengths, so every true code start is a multiple of ``g``.  A window no code prefixes reads ``unknown | (top +
+    g)``: a lane on a false parse keeps moving, by a multiple of ``g``, and
+    a true code start that reads one is found among the decoded values.
+    """
+
+    value: np.ndarray
+    top: int
+    g: int
+    unknown: int
+
+    @classmethod
+    def of(cls, book: Codebook) -> "_StepTable":
+        lengths = book.lengths
+        live = np.unique(lengths[lengths > 0]).astype(np.int64)
+        if live.size == 0:
+            raise CodecError("corrupt Huffman stream: unknown code window")
+        top = int(live[-1])
+        g = int(np.gcd.reduce(live))
+        # the symbol field must leave room for the ``unknown`` marker
+        dtype = np.uint32 if lengths.size < 1 << 24 else np.uint64
+        unknown = (np.iinfo(dtype).max >> 8) << 8
+        order, ln, span = book._tiling(top)
+        value = np.full(1 << top, unknown | (top + g), dtype=dtype)
+        code = order.astype(dtype) << dtype(8)
+        code |= ln.astype(dtype)
+        value[:int(span.sum())] = np.repeat(code, span)
+        return cls(value, top, g, unknown)
+
+
+def _words(payload: bytes, nbits: int, udt: type[np.unsignedinteger]
+           ) -> np.ndarray:
+    """The payload as a big-endian 32-bit word at every byte offset, in
+    the top bits of a ``udt`` word (zero past the end)."""
+    nbytes = (nbits + 7) // 8
+    raw = np.zeros(nbytes + 3, dtype=np.uint8)
+    raw[:nbytes] = np.frombuffer(payload, dtype=np.uint8, count=nbytes)
+    words = np.ndarray((nbytes,), dtype=">u4", buffer=raw,
+                       strides=(1,)).astype(udt)
+    words <<= udt(8 * words.itemsize - 32)
+    return words
+
+
+class _Walked(NamedTuple):
+    """What :func:`_walk` saw, ``K`` rows of it, one column per lane."""
+
+    #: table values of the codes read, ``(K, lanes)``
+    val: np.ndarray
+    #: whether each of those codes starts before its lane's end
+    inside: np.ndarray
+    #: where each lane first got to or past its end
+    exits: np.ndarray
+    #: how many codes each lane read before that
+    count: np.ndarray
+    #: lock-step steps taken (``K``, when rows are kept)
+    steps: int
+
+
+def _walk(words: np.ndarray, tab: _StepTable, starts: np.ndarray,
+          ends: np.ndarray, rows: int = 0) -> _Walked:
+    """Walk lanes in lock-step from ``starts`` until each is at or past
+    its entry of ``ends``.
+
+    Row ``k`` holds step ``k`` of every lane, so a step is one gather over
+    contiguous memory; ``rows`` is the first guess at the steps, and with
+    ``rows=0`` no rows are kept (only the exits and counts are wanted).
+    A lane past its end keeps stepping: that is cheaper than masking it.
+    Positions are kept for one block of steps only.
+    """
+    lanes = starts.size
+    udt = words.dtype.type
+    pdt = np.dtype(udt).str.replace("u", "i")
+    cap = max(rows, _CHECK_EVERY)
+    val = np.empty((cap, lanes), dtype=tab.value.dtype)
+    inside = np.empty((cap, lanes), dtype=bool)
+    pos = np.empty((_CHECK_EVERY + 1, lanes), dtype=pdt)
+    pos[-1] = starts
+    ends = ends.astype(pdt)
+    exits = starts.astype(np.int64)
+    count = np.zeros(lanes, dtype=np.intp)
+    before = np.empty(lanes, dtype=np.uint8)
+    row_of = np.empty(lanes, dtype=np.intp)
+    column = np.arange(lanes)
+    byte = np.empty(lanes, dtype=pdt)
+    shift = np.empty(lanes, dtype=pdt)
+    window = np.empty(lanes, dtype=udt)
+    length = np.empty(lanes, dtype=udt)
+    drop = udt(8 * window.itemsize - tab.top)
+    k = 0
+    while (pos[-1] < ends).any():
+        row = k if rows else 0
+        if row + _CHECK_EVERY > cap:
+            # rows are the leading axis: growing is a realloc in place,
+            # and no view of the old buffers is used past this point
+            cap += cap // 4 + _CHECK_EVERY
+            val.resize((cap, lanes), refcheck=False)
+            inside.resize((cap, lanes), refcheck=False)
+        pos[0] = pos[-1]
+        for j in range(_CHECK_EVERY):
+            at = pos[j]
+            np.right_shift(at, 3, out=byte)
+            words.take(byte, out=window, mode="clip")
+            np.bitwise_and(at, 7, out=shift)
+            np.left_shift(window, shift.view(udt), out=window)
+            np.right_shift(window, drop, out=window)
+            found = val[row + j]
+            tab.value.take(window, out=found, mode="clip")
+            np.bitwise_and(found, 255, out=length)
+            np.add(at.view(udt), length, out=pos[j + 1].view(udt))
+        block = inside[row:row + _CHECK_EVERY]
+        np.less(pos[:-1], ends, out=block)
+        # a lane inside at the block's start exits at its first position
+        # not inside; one still inside gets the block's last position,
+        # which a later block moves on
+        np.sum(block.view(np.uint8), axis=0, out=before)
+        count += before
+        np.multiply(before, np.intp(lanes), out=row_of)
+        row_of += column
+        np.copyto(exits, pos.reshape(-1).take(row_of), where=block[0])
+        k += _CHECK_EVERY
+    if not rows:                        # let the scratch rows go
+        val, inside = val[:0].copy(), inside[:0].copy()
+    return _Walked(val[:k], inside[:k], exits, count, k)
+
+
+class _Walks:
+    """The walks of one chunk, and which one holds each lane's codes.
+
+    Lane ``s`` owns the bits ``[s * T, hi[s])``.  A walk of it starts at
+    its *entry*, a position in the segment, and its *exit* is the first
+    position at or past ``hi[s]``.  Lane 0 enters at bit 0, so when every
+    lane enters where the one before it exits, every walk is on the true
+    parse and its codes inside the segment are the chunk's.
+    """
+
+    def __init__(self, lanes: int) -> None:
+        self.entry = np.zeros(lanes, dtype=np.int64)
+        self.exit = np.zeros(lanes, dtype=np.int64)
+        self.owner = np.zeros(lanes, dtype=np.int64)
+        self.walks: list[tuple[np.ndarray, _Walked] | None] = []
+
+    def add(self, lanes: np.ndarray, entry: np.ndarray, walked: _Walked
+            ) -> None:
+        """Record a :func:`_walk` of ``lanes`` from ``entry``."""
+        self.entry[lanes] = entry
+        self.exit[lanes] = walked.exits
+        self.owner[lanes] = len(self.walks)
+        self.walks.append((lanes, walked))
+
+    def disagreeing(self) -> np.ndarray:
+        """Lanes that do not enter where the lane before them exits."""
+        return np.flatnonzero(self.entry[1:] != self.exit[:-1]) + 1
+
+    def values(self) -> np.ndarray:
+        """Every lane's in-segment values, in lane (stream) order; the
+        walks are let go one by one."""
+        walks, self.walks = self.walks, []
+        if len(walks) == 1:
+            _, walked = walks.pop()
+            return walked.val.T[walked.inside.T]
+        # each walk gives the codes of the lanes it still owns, lane by
+        # lane; cut them into runs of consecutive lanes and splice the runs
+        # (a walk owns at least its lowest lane: a repair round walks the
+        # lowest disagreeing lane from a settled exit, so it agrees for good)
+        runs = []
+        for i in range(len(walks)):
+            lanes, (val, inside, _, count, _) = walks[i]
+            walks[i] = None
+            mine = self.owner[lanes] == i
+            owned = lanes[mine]
+            inside &= mine
+            cut = np.flatnonzero(np.diff(owned) != 1) + 1
+            pieces = np.split(val.T[inside.T], np.cumsum(count[mine])[cut - 1])
+            runs += zip(owned[np.r_[0, cut]].tolist(), pieces)
+        runs.sort(key=lambda run: run[0])
+        return np.concatenate([piece for _, piece in runs])
+
+
+def _decode_chunk(payload: bytes, nbits: int, nsyms: int, tab: _StepTable
+                  ) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Lock-step forward walk of one chunk.
+
+    The caller has checked ``nsyms <= nbits`` and that ``payload`` holds
+    ``ceil(nbits / 8)`` bytes.  Returns the symbols and ``(segments,
+    segment_bits, walk_steps, rewalked_lanes, exit_table_lanes)``.
     """
     if nsyms == 0:
-        return np.zeros(0, dtype=np.uint32), (0, 0, 0)
+        return np.zeros(0, dtype=np.uint32), (0, 0, 0, 0, 0)
     T = _segment_bits(nbits)
     S = -(-nbits // T)
-    seg_bytes = T // 8
-    nbytes = (nbits + 7) // 8
-    # Tables are laid out (offset in segment, segment): one row holds the
-    # same offset of every segment, so a lock-step move of all segments is
-    # one gather over near-contiguous memory.
-    raw = np.zeros((S + 1) * seg_bytes, dtype=np.uint8)     # zero past the end
-    raw[:nbytes] = np.frombuffer(payload, dtype=np.uint8, count=nbytes)
-    raw = raw.reshape(S + 1, seg_bytes)
-    byte_at = np.empty((seg_bytes + 3, S), dtype=np.uint8)
-    byte_at[:seg_bytes] = raw[:S].T
-    byte_at[seg_bytes:] = raw[1:, :3].T     # look-ahead into the next segment
-    # word[j, s]: the 32 bits starting at byte j of segment s, big-endian
-    word = byte_at[:seg_bytes].astype(np.uint32)
-    for ahead in (1, 2, 3):
-        word <<= np.uint32(8)
-        word |= byte_at[ahead:seg_bytes + ahead]
-    del raw, byte_at
-    mask = np.uint32((1 << max_len) - 1)
+    udt = np.uint32 if _position_dtype(nbits) is np.int32 else np.uint64
+    words = _words(payload, nbits, udt)
+    lo = np.arange(S, dtype=np.int64) * T
+    hi = np.minimum(lo + T, nbits)
+    walks = _Walks(S)
+    # rows for the codes of an average lane, and a margin
+    rows = (nsyms * T // nbits) * 9 // 8 + _CHECK_EVERY
+    # Lead-in: a lane starts on a multiple of g (only there can it fall
+    # into step with the true parse) and walks to its segment.
+    starts = np.maximum(lo - _LEAD_IN, 0) // tab.g * tab.g
+    lead = _walk(words, tab, starts, lo)
+    walked = _walk(words, tab, lead.exits, hi, rows)
+    steps = lead.steps + walked.steps
+    walks.add(np.arange(S), lead.exits, walked)
+    del walked
 
-    # lens[o, s]: length of the code starting at bit o of segment s
-    lens = np.empty((seg_bytes, 8, S), dtype=np.uint8)
-    window = np.empty_like(word)
-    row = np.empty(word.shape, dtype=np.uint8)
-    for bit in range(8):
-        np.right_shift(word, np.uint32(32 - max_len - bit), out=window)
-        window &= mask
-        lens[:, bit, :] = tlen.take(window, out=row, mode="clip")
-    del window, row
-    lens = lens.reshape(T, S)
-    tail = nbits - (S - 1) * T      # offsets of the last segment in the chunk
-    lens[tail:, -1] = 1             # padding: any length but "unknown"
-    if int(lens.min()) == 0:
+    # Repair: walk every disagreeing lane again from its predecessor's
+    # exit.  That makes it agree; if its exit moves, the lane after it
+    # disagrees in the next round.
+    rewalked = 0
+    bad = walks.disagreeing()
+    for _ in range(_REWALK_ROUNDS):
+        if not bad.size:
+            break
+        entry = walks.exit[bad - 1]
+        walks.add(bad, entry, _walk(words, tab, entry, hi[bad], rows))
+        rewalked += bad.size
+        bad = walks.disagreeing()
+
+    table_lanes = 0
+    if bad.size:
+        # No lead-in resynchronises these lanes: from the first of them
+        # on, find every segment's exit from each offset it can be
+        # entered at (a code is at most ``top`` bits), follow the chain
+        # of true entries through that table, and walk the lanes whose
+        # entry it moves.
+        rest = np.arange(bad[0], S)
+        table_lanes = rest.size
+        offsets = np.arange(tab.top)
+        exits = _walk(words, tab, (lo[rest] + offsets[:, None]).ravel(),
+                      np.tile(hi[rest], tab.top)).exits
+        exits = (exits.reshape(tab.top, -1) - lo[rest]).T.tolist()
+        true = np.empty(rest.size, dtype=np.int64)
+        enter = int(walks.exit[rest[0] - 1])
+        for i, base in enumerate(lo[rest].tolist()):
+            true[i] = enter
+            if enter - base >= tab.top:
+                # only a code start that read an unknown window jumps
+                # further than ``top`` bits past the segment's start
+                raise CodecError("corrupt Huffman stream: unknown code window")
+            enter = base + exits[i][enter - base]
+        moved = true != walks.entry[rest]
+        if moved.any():
+            redo, entry = rest[moved], true[moved]
+            walks.add(redo, entry, _walk(words, tab, entry, hi[redo], rows))
+
+    del words
+    found = walks.values()
+    if found.size and int(found.max()) >= tab.unknown:
         raise CodecError("corrupt Huffman stream: unknown code window")
-
-    # nxt[o, s]: flat index of the code after the one at (o, s).  Rows T..
-    # mean "left the segment, at offset o - T of the next one" and loop on
-    # themselves, so a finished segment stands still.
-    idx = _index_dtype((T + max_len) * S)
-    left = T * S
-    nxt = np.zeros((T + max_len) * S, dtype=idx)
-    np.multiply(lens.reshape(-1), idx(S), out=nxt[:left], dtype=idx)
-    nxt += np.arange(nxt.size, dtype=idx)
-    nxt_at = nxt.reshape(T + max_len, S)
-    nxt_at[tail:T, -1] = left       # padding offsets leave at once
-
-    # Backward sweep: leave[o, s] is the offset at which a chain entering
-    # segment s at offset o enters segment s + 1.
-    leave = np.empty((T + max_len, S), dtype=np.uint8)
-    leave[T:] = np.arange(max_len, dtype=np.uint8)[:, None]
-    leave_flat = leave.reshape(-1)
-    for o in range(T - 1, -1, -1):
-        leave_flat.take(nxt_at[o], out=leave[o], mode="clip")
-    # a code is at most max_len bits, so a segment is entered below max_len
-    head = leave[:max_len].tolist()
-    del leave, leave_flat
-    entry = np.empty(S, dtype=idx)
-    enter = 0
-    for s in range(S):
-        entry[s] = enter
-        enter = head[enter][s]
-
-    # Forward walk of every segment from its true entry, in lock-step;
-    # every code is at least one bit, so T steps empty every segment.
-    trail = np.empty((T + 1, S), dtype=idx)
-    trail[0] = entry * idx(S) + np.arange(S, dtype=idx)
-    steps = 0
-    while int(trail[steps].min()) < left:
-        nxt.take(trail[steps], out=trail[steps + 1], mode="clip")
-        steps += 1
-    visited = trail[:steps].T       # segment-major: stream order
-    at = visited[visited < left]
-    del trail, visited, nxt, nxt_at
-    # ``at`` may end with one padding offset, reached by a code that ran
-    # to or past the chunk's end; it is never among the first nsyms of a
-    # well-formed chunk.
-    if at.size < nsyms:
-        raise CodecError("Huffman stream too short for symbol count")
-    at = at[:nsyms]
-    offset = at // idx(S)
-    segment = at - offset * idx(S)
-    last = int(segment[-1]) * T + int(offset[-1])
-    if last >= nbits:
-        raise CodecError("Huffman stream too short for symbol count")
-    if last + int(lens[offset[-1], segment[-1]]) != nbits:
+    if found.size != nsyms:
+        raise CodecError("Huffman chunk symbol count mismatch")
+    if walks.exit[-1] != nbits:
         raise CodecError("Huffman chunk bit-length mismatch")
-    byte = offset >> 3
-    byte *= idx(S)
-    byte += segment
-    window = word.reshape(-1)[byte]
-    offset &= 7
-    window >>= np.uint32(32 - max_len) - offset.astype(np.uint32)
-    window &= mask
-    return tsym[window], (S, T, steps)
+    found >>= found.dtype.type(8)
+    return (found.astype(np.uint32, copy=False),
+            (S, T, steps, rewalked, table_lanes))
 
 
 def _chunk_table(enc: HuffmanEncoded) -> list[tuple[int, int, int, int]]:
@@ -469,14 +653,15 @@ def decode(enc: HuffmanEncoded) -> np.ndarray:
     with span("kernel.huffman.decode", symbols=int(enc.count),
               bytes_in=len(enc.payload)) as sp:
         entries = _chunk_table(enc)
-        tsym, tlen = Codebook(lengths=enc.lengths,
-                              max_len=enc.max_len).decode_tables()
+        book = Codebook(lengths=enc.lengths, max_len=enc.max_len)
+        # sized by the longest code in the book, not the declared limit
+        tab = _StepTable.of(book) if enc.count else None
+        payload = memoryview(enc.payload)
 
         def decode_one(entry: tuple[int, int, int, int]
-                       ) -> tuple[np.ndarray, tuple[int, int, int]]:
+                       ) -> tuple[np.ndarray, tuple[int, ...]]:
             off, nbytes, nbits, nsyms = entry
-            return _decode_chunk(enc.payload[off:off + nbytes], nbits,
-                                 nsyms, tsym, tlen, enc.max_len)
+            return _decode_chunk(payload[off:off + nbytes], nbits, nsyms, tab)
 
         budget = active_threads()
         if budget > 1:
@@ -489,10 +674,14 @@ def decode(enc: HuffmanEncoded) -> np.ndarray:
             done = [decode_one(entry) for entry in entries]
         out = [symbols for symbols, _ in done]
         result = np.concatenate(out) if out else np.zeros(0, dtype=np.uint32)
+        stats = [shape for _, shape in done]
         segments, segment_bits, walk_steps = (
-            max((shape[i] for _, shape in done), default=0) for i in range(3))
+            max((shape[i] for shape in stats), default=0) for i in range(3))
+        rewalked, exit_table = (sum(shape[i] for shape in stats)
+                                for i in (3, 4))
         sp.set(bytes_out=int(result.nbytes), segments=segments,
-               segment_bits=segment_bits, walk_steps=walk_steps)
+               segment_bits=segment_bits, walk_steps=walk_steps,
+               rewalked_lanes=rewalked, exit_table_lanes=exit_table)
         return result
 
 

@@ -569,8 +569,8 @@ class TestSegmentSweepAgainstReference:
 
     @pytest.mark.parametrize("segments", [1, 2, 64])
     def test_chunk_an_exact_multiple_of_the_segment(self, segments):
-        nbits = 64 * segments
-        assert huffman._segment_bits(nbits) == 64
+        nbits = 512 * segments
+        assert huffman._segment_bits(nbits) == 512
         syms = np.zeros(nbits - 2, dtype=np.uint32)
         syms[-1] = 3                    # three bits, ending flush with nbits
         enc = huffman.encode(syms, self._two_length_book())
@@ -581,12 +581,12 @@ class TestSegmentSweepAgainstReference:
     @pytest.mark.parametrize("inside", [1, 2])
     def test_final_code_straddles_the_last_segment_boundary(self, inside):
         # the last segment holds nothing but the final code's last bits
-        nbits = 64 * 3 + inside
+        nbits = 512 * 3 + inside
         syms = np.zeros(nbits - 2, dtype=np.uint32)
         syms[-1] = 2                                    # three bits
         enc = huffman.encode(syms, self._two_length_book())
         assert int(enc.chunk_bits[0]) == nbits
-        assert huffman._segment_bits(nbits) == 64
+        assert huffman._segment_bits(nbits) == 512
         np.testing.assert_array_equal(huffman.decode(enc), syms)
         # the same bytes with the final code cut short, or one symbol more
         # than the bits hold, are refused
@@ -597,15 +597,14 @@ class TestSegmentSweepAgainstReference:
                     enc, chunk_bits=np.array([bits]),
                     chunk_symbols=np.array([nsyms]), count=nsyms))
 
-    def test_unknown_window_at_an_unvisited_offset_is_refused(self):
+    def test_unknown_window_off_the_true_parse_is_not_read(self):
         # codes 00, 01, 10; no code starts with 11
         book = huffman.Codebook(lengths=np.array([2, 2, 2]), max_len=8)
         good = huffman.encode(np.array([0, 1, 0, 1, 0], dtype=np.uint32), book)
         np.testing.assert_array_equal(huffman.decode(good), [0, 1, 0, 1, 0])
-        # 01 10 ...: offset 1 reads 11, though no code starts there
-        bad = huffman.encode(np.array([1, 2, 0, 0, 0], dtype=np.uint32), book)
-        with pytest.raises(CodecError, match="unknown code window"):
-            huffman.decode(bad)
+        # 01 10 ...: bit 1 reads 11, but every code starts on an even bit
+        odd = huffman.encode(np.array([1, 2, 0, 0, 0], dtype=np.uint32), book)
+        np.testing.assert_array_equal(huffman.decode(odd), [1, 2, 0, 0, 0])
         # the six padding bits of the last byte are outside the stream
         payload = bytearray(good.payload)
         payload[-1] |= 0x01
@@ -613,23 +612,36 @@ class TestSegmentSweepAgainstReference:
             huffman.decode(replace(good, payload=bytes(payload))),
             [0, 1, 0, 1, 0])
 
+    @pytest.mark.parametrize("code", [0, 700, 1999])
+    def test_unknown_window_at_a_true_code_start_is_refused(self, code):
+        book = huffman.Codebook(lengths=np.array([2, 2, 2]), max_len=8)
+        syms = np.random.default_rng(code).integers(0, 3, 2000)
+        enc = huffman.encode(syms.astype(np.uint32), book)
+        assert int(enc.chunk_bits[0]) == 4000 > 4 * huffman._segment_bits(4000)
+        bits = np.unpackbits(np.frombuffer(enc.payload, dtype=np.uint8))
+        bits[2 * code:2 * code + 2] = 1                 # 11 at a code start
+        bad = replace(enc, payload=np.packbits(bits).tobytes())
+        with pytest.raises(CodecError, match="unknown code window"):
+            huffman.decode(bad)
+
     def test_segment_length_follows_the_bit_count(self):
-        assert huffman._segment_bits(1) == 64
-        assert huffman._segment_bits(1 << 14) == 64       # sqrt / 2
-        assert huffman._segment_bits(1 << 20) == 512
+        assert huffman._segment_bits(1) == 512
+        assert huffman._segment_bits(1 << 14) == 512      # four lead-ins
+        assert huffman._segment_bits(1 << 20) == 512      # sqrt / 2
         assert huffman._segment_bits(1 << 22) == 1024
         assert huffman._segment_bits(1 << 24) == 2048
         assert huffman._segment_bits(1 << 40) == 2048
 
-    def test_wide_index_tables_decode_the_same(self, monkeypatch, rng):
-        # chunks past 2**31 table cells index with int64; run that path
-        # on a small chunk
-        assert huffman._index_dtype(2 ** 31 - 1) is np.int32
-        assert huffman._index_dtype(2 ** 31) is np.int64
-        syms = rng.integers(0, 300, 3000).astype(np.uint32)
-        enc = huffman.encode(syms, huffman.build_codebook(_hist(syms, 300)))
-        monkeypatch.setattr(huffman, "_index_dtype", lambda cells: np.int64)
-        np.testing.assert_array_equal(huffman.decode(enc), syms)
+    def test_position_dtype_widens_at_its_limit(self, monkeypatch):
+        # chunks near 2**31 bits walk int64 positions; run that path,
+        # re-walks and exit table included, on small chunks
+        limit = (1 << 31) - (1 << 17)
+        assert huffman._position_dtype(limit - 1) is np.int32
+        assert huffman._position_dtype(limit) is np.int64
+        monkeypatch.setattr(huffman, "_position_dtype", lambda nbits: np.int64)
+        for syms, enc in (_encoded_stream(), _misaligned_run_stream(),
+                          _unsynchronisable_stream(5000)):
+            np.testing.assert_array_equal(huffman.decode(enc), syms)
 
     def test_decode_span_reports_the_iteration_shape(self, rng):
         syms = rng.integers(0, 64, 10000).astype(np.uint32)
@@ -648,5 +660,125 @@ class TestSegmentSweepAgainstReference:
         assert attrs["segment_bits"] == max(widths)
         assert attrs["segments"] == max(
             -(-int(b) // t) for b, t in zip(enc.chunk_bits, widths))
-        # every code is at least one bit: a segment empties within T steps
-        assert 0 < attrs["walk_steps"] <= attrs["segment_bits"]
+        # every code is at least one bit: a lane reaches its segment
+        # within the lead-in's steps and empties it within T more
+        assert 0 < attrs["walk_steps"] <= (attrs["segment_bits"]
+                                           + huffman._LEAD_IN)
+
+
+#: 00, 01, 10, 110, 111: a parse one bit off inside a run of 01 codes reads
+#: 10 10 10 ... and stays off for as long as the run lasts
+_RUN_BOOK = huffman.Codebook(lengths=np.array([2, 2, 2, 3, 3]), max_len=8)
+
+
+def _misaligned_run_stream() -> tuple[np.ndarray, huffman.HuffmanEncoded]:
+    """Random codes with a run of ``01`` codes over the start of segment 2
+    that begins on an odd bit, so the lead-in of lane 2 (which starts on
+    an even bit) is out of step when it reaches the segment."""
+    T = 512
+    assert huffman._segment_bits(3000) == T
+    rng = np.random.default_rng(11)
+    lengths = _RUN_BOOK.lengths.astype(int)
+    syms = []
+    while sum(lengths[syms]) < 2 * T - huffman._LEAD_IN - 40:
+        syms.append(int(rng.integers(0, 5)))
+    if sum(lengths[syms]) % 2 == 0:
+        syms.append(3)                                  # three bits
+    while sum(lengths[syms]) < 2 * T + 40:
+        syms.append(1)
+    syms += rng.integers(0, 5, 600).tolist()
+    syms = np.asarray(syms, dtype=np.uint32)
+    return syms, huffman.encode(syms, _RUN_BOOK)
+
+
+def _unsynchronisable_stream(n: int) -> tuple[np.ndarray, huffman.HuffmanEncoded]:
+    """``110`` and then ``01`` n times: every lead-in starts on an even bit
+    and reads ``10`` from there on, so no lane falls into step by itself."""
+    syms = np.ones(n + 1, dtype=np.uint32)
+    syms[0] = 3
+    return syms, huffman.encode(syms, _RUN_BOOK)
+
+
+def _assert_lies_are_refused(enc: huffman.HuffmanEncoded, seed: int) -> None:
+    """Flipped payload bits and re-sealed chunk tables decode as the
+    reference does, or end in ``CodecError``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        flipped = bytearray(enc.payload)
+        flipped[int(rng.integers(len(flipped)))] ^= 1 << int(rng.integers(8))
+        _reference_or_codec_error(replace(enc, payload=bytes(flipped)))
+    for delta in (-8, -1, 1, 8):
+        _reference_or_codec_error(replace(enc, chunk_bits=enc.chunk_bits + delta))
+    for delta in (-1, 1):
+        _reference_or_codec_error(replace(
+            enc, chunk_symbols=enc.chunk_symbols + delta,
+            count=enc.count + delta))
+
+
+class TestResynchronisingWalk:
+    """Every path of the lock-step walker against the bit-serial
+    reference: lanes that fall into step in their lead-in, lanes walked
+    again from their predecessor's exit, and the exit table."""
+
+    @staticmethod
+    def _decode(enc: huffman.HuffmanEncoded) -> tuple[np.ndarray, dict]:
+        return _with_span_attrs("kernel.huffman.decode",
+                                lambda: huffman.decode(enc))
+
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_fixed_length_books_are_never_walked_again(self, width):
+        # every code start is a multiple of g = width, and so is every
+        # lane's start: each lead-in is in step from its first code
+        book = huffman.Codebook(lengths=np.full(1 << width, width), max_len=8)
+        syms = np.random.default_rng(width).integers(
+            0, 1 << width, 20000).astype(np.uint32)
+        enc = huffman.encode(syms, book)
+        out, attrs = self._decode(enc)
+        np.testing.assert_array_equal(out, syms)
+        np.testing.assert_array_equal(out, huffman.decode_serial_reference(enc))
+        assert attrs["segments"] > 1
+        assert attrs["rewalked_lanes"] == attrs["exit_table_lanes"] == 0
+        _assert_lies_are_refused(enc, width)
+
+    def test_misaligned_run_across_a_boundary_is_walked_again(self):
+        syms, enc = _misaligned_run_stream()
+        out, attrs = self._decode(enc)
+        np.testing.assert_array_equal(out, syms)
+        np.testing.assert_array_equal(out, huffman.decode_serial_reference(enc))
+        assert attrs["rewalked_lanes"] > 0
+        assert attrs["exit_table_lanes"] == 0
+        _assert_lies_are_refused(enc, 2)
+
+    def test_stream_no_lead_in_resynchronises_uses_the_exit_table(self):
+        syms, enc = _unsynchronisable_stream(20000)
+        out, attrs = self._decode(enc)
+        np.testing.assert_array_equal(out, syms)
+        np.testing.assert_array_equal(out, huffman.decode_serial_reference(enc))
+        assert attrs["rewalked_lanes"] > 0
+        assert attrs["exit_table_lanes"] > 0
+        _assert_lies_are_refused(enc, 3)
+
+    def test_decode_span_sums_the_repairs_over_chunks(self):
+        syms, enc = _unsynchronisable_stream(20000)
+        _, one = self._decode(enc)
+        twice = replace(enc, payload=enc.payload * 2, count=2 * enc.count,
+                        chunk_symbols=np.tile(enc.chunk_symbols, 2),
+                        chunk_bits=np.tile(enc.chunk_bits, 2))
+        out, both = self._decode(twice)
+        np.testing.assert_array_equal(out, np.tile(syms, 2))
+        for key in ("rewalked_lanes", "exit_table_lanes"):
+            assert both[key] == 2 * one[key]
+        for key in ("segments", "segment_bits", "walk_steps"):
+            assert both[key] == one[key]
+
+    @pytest.mark.parametrize("bins", [(1 << 24) - 1, 1 << 24])
+    def test_symbols_next_to_the_unknown_marker_decode(self, bins):
+        # 2**24 - 1 in the symbol field of a 32-bit table value marks an
+        # unknown window, so a book that wide has 64-bit values
+        lengths = np.zeros(bins, dtype=np.uint8)
+        lengths[[0, 5, lengths.size - 2, lengths.size - 1]] = 2
+        book = huffman.Codebook(lengths=lengths, max_len=8)
+        syms = np.random.default_rng(4).choice(
+            np.flatnonzero(lengths), 3000).astype(np.uint32)
+        enc = huffman.encode(syms, book)
+        np.testing.assert_array_equal(huffman.decode(enc), syms)

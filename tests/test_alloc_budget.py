@@ -1,0 +1,63 @@
+"""Allocation ceilings for decode.
+
+A wall-clock figure moves with the machine; what a call allocates does
+not.  Each test runs its call once to warm caches and pools, then asserts
+the ``tracemalloc`` peak of a second run against a ceiling: the peak this
+code measured, plus 10 %.  A change that makes decode allocate more fails
+here, on any machine.  Lower a ceiling when a change lowers the peak.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import repro
+from repro.data import get_dataset
+from repro.kernels import huffman
+
+#: measured peak in bytes, and the 10 % over it a change may not exceed
+CEILINGS = {
+    "huffman.decode": int(10_757_086 * 1.1),
+    "fzmod-default": int(1_219_556 * 1.1),
+    "fzmod-quality": int(2_572_893 * 1.1),
+}
+
+
+def _peak(call) -> int:
+    """The ``tracemalloc`` peak of ``call()`` after one warm-up run."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_huffman_decode_of_a_one_million_symbol_chunk():
+    # quantisation codes around the middle bin, about 2.5 bits a code as
+    # on the bench's 3-D fields
+    rng = np.random.default_rng(0)
+    syms = (np.rint(rng.laplace(0.0, 1.2, huffman.DEFAULT_CHUNK))
+            .clip(-32, 31).astype(np.int64) + 32).astype(np.uint32)
+    enc = huffman.encode(syms, huffman.build_codebook(np.bincount(syms)))
+    assert enc.chunk_bits.size == 1
+    assert _peak(lambda: huffman.decode(enc)) <= CEILINGS["huffman.decode"]
+
+
+@pytest.fixture(scope="module")
+def field() -> np.ndarray:
+    """A small field shaped like the bench's: two hurricane-like base
+    fields mixed at 45 degrees."""
+    spec = get_dataset("hurr")
+    a, b = (spec.load(scale=0.15, seed=seed) for seed in (1000, 2000))
+    return (np.cos(np.pi / 4) * a + np.sin(np.pi / 4) * b).astype(np.float32)
+
+
+@pytest.mark.parametrize("preset", ["fzmod-default", "fzmod-quality"])
+def test_decompress_of_a_small_field(field, preset):
+    blob = repro.compress(field, preset, 1e-3)
+    assert _peak(lambda: repro.decompress(blob)) <= CEILINGS[preset]

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -144,6 +145,26 @@ class TestResealedHuffmanMeta:
         header, sections = parts
         _assert_resealed_codec_error(
             header, {**sections, name: resize(bytes(sections[name]))})
+
+    @pytest.mark.parametrize("max_len", [20, 24])
+    def test_declared_max_len_does_not_size_the_tables(self, blob, parts,
+                                                       max_len):
+        # a limit above the longest code is a valid container: it decodes
+        # as written, with tables the size of the book's longest code
+        header, sections = parts
+        encoder = {**header.stage_meta["encoder"], "max_len": max_len}
+        meta = {**header.stage_meta, "encoder": encoder}
+        head, body = assemble(replace(header, stage_meta=meta), sections)
+        resealed = head + body
+        repro.decompress(resealed)                      # warm-up
+        tracemalloc.start()
+        try:
+            out = repro.decompress(resealed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(out, repro.decompress(blob))
+        assert peak <= 16 * len(blob)
 
 
 class TestResealedBitshuffleMeta:
