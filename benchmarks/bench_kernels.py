@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compile.fused import fused_predict_quantize
 from repro.kernels import (bitshuffle, delta, dictionary, fixedlen,
                            histogram, huffman, interp, lorenzo, quantize)
 
@@ -113,6 +114,20 @@ class TestPredictorKernels:
         res = interp.compress(interp_field, eb)
         out = benchmark(interp.decompress, res)
         assert out.dtype == interp_field.dtype
+
+    # the compiled plans' write pass: prequantize + Lorenzo + outlier
+    # split, and with counts the histogram too, in one blocked pass
+    @pytest.mark.parametrize("collect_counts", [False, True],
+                             ids=["codes", "counts"])
+    def test_fused_predict_quantize(self, benchmark, field3d, collect_counts):
+        eb = float(np.ptp(field3d)) * 1e-4
+        radius = quantize.DEFAULT_RADIUS
+        codes, _, counts = benchmark(
+            fused_predict_quantize, field3d, eb, radius, 2 * radius,
+            collect_counts=collect_counts)
+        assert np.array_equal(codes, lorenzo.compress(field3d, eb)
+                              .codes.reshape(-1))
+        assert (counts is not None) == collect_counts
 
     def test_prequantize(self, benchmark, field3d):
         benchmark(quantize.prequantize, field3d, 0.01)

@@ -3,20 +3,21 @@
 Run as module calls, preprocess -> prequantize -> Lorenzo -> outlier
 split -> histogram are five separate kernels, each reading and writing
 a full field-sized array.  :func:`fused_predict_quantize` collapses
-them into a single pass over each slab, mirroring the paper's
+them into one pass over cache-sized blocks, mirroring the paper's
 CUDASTF-fused pipelines (and cuSZ's coarse kernel, whose one launch
-covers pre-quantization, prediction and code emission):
+covers pre-quantization, prediction and code emission, with the tile
+held on chip):
 
-* the float->grid scale, round and ``int64`` cast write straight into
-  pooled scratch (``out=`` contracts end-to-end, no intermediates);
+* the float->grid scale, round and cast write straight into block
+  scratch (``out=`` contracts end-to-end, no intermediates);
 * the d-D Lorenzo operator runs as one subtract per axis between two
   ping-ponged grid buffers instead of ``kernels.lorenzo``'s copy-then-
   subtract pair (halving the passes per axis);
-* the outlier mask is evaluated on the *rebased* codes through a
-  ``uint64`` view (wrapped negatives are huge, so one unsigned compare
+* the outlier mask is evaluated on the *rebased* codes through an
+  unsigned view (wrapped negatives are huge, so one unsigned compare
   replaces the two signed compares plus the boolean temporary);
-* the histogram bins the rebased ``int64`` codes in the same pass, so
-  the dense ``uint16`` code cast is the only full-size array the stage
+* the histogram bins the rebased codes in the same pass, so the dense
+  ``uint16`` code array is the only field-sized array the stage
   materialises — exactly the one the encoder needs.
 
 :func:`fused_decode_reconstruct` is the read-side mirror: outlier
@@ -31,28 +32,37 @@ run — :mod:`repro.kernels.quantize`, :mod:`repro.kernels.lorenzo` and
 them bit for bit (the fused-vs-module-call matrix in ``tests/compile/``
 enforces this) and the encoder sees the same bytes either way.
 
-Slab parallelism
-----------------
-Both fused passes accept ``threads=``: the field is partitioned into
-contiguous axis-0 slab ranges (:func:`repro.runtime.threads.
-slab_ranges`) and each slab runs on the shared
-:class:`~repro.runtime.threads.SlabPool`.  NumPy releases the GIL on
-every large ufunc, so the slabs genuinely overlap.  Byte-identity with
-``threads=1`` holds for every thread count by construction:
+One write body: blocks, width and the ghost row
+-----------------------------------------------
+The write pass has a single body.  It walks a contiguous axis-0 row
+range in blocks of ``max(1, _BLOCK_ELEMS // plane)`` rows, so its
+scratch (one ``float64`` and two grid buffers, one block plus one row
+each) stays cache-resident whatever the field size:
 
-* the Lorenzo axis-0 difference reads the *previous* slab's last input
-  plane as a read-only ghost plane (recomputed locally from the shared
-  input — no cross-slab writes);
-* per-slab scratch comes from per-thread arenas
-  (:func:`~repro.runtime.threads.thread_arena`), never shared;
-* per-slab ``bincount`` partials are summed in fixed slab order
-  (integer adds — exact), outlier lists are concatenated in slab order
-  (each slab's ``flatnonzero`` is ascending, offsets are disjoint and
-  increasing, so the concatenation equals the global scan), and dense
-  codes are cast into disjoint slices of one shared output array;
-* on the read side only the axis-0 inverse-Lorenzo hyperplane sweep is
-  inherently sequential — it runs between two slab fan-outs, exactly
-  where the single-threaded sweep runs it (axis 0 is last).
+* *blocks* — block ``[s, e)`` recomputes the read-only ghost row
+  ``s-1`` from the input, so the axis-0 difference needs nothing from
+  the previous block; every later axis acts within rows.  Outliers come
+  back ascending per block at offset ``s * plane`` and concatenate in
+  block order, which is the global scan order;
+* *width* — the grids are ``int32`` when ``(scaled_bound + 1) * 2**ndim
+  + radius < 2**31`` (a rounded value is at most ``scaled_bound + 1``
+  and a d-D delta sums ``2**ndim`` of them), ``int64`` otherwise.  The
+  ``float64`` divide stays in both: it is what keeps the rounding
+  identical;
+* *threads* — ``threads=1`` walks ``[0, n0)`` with scratch from the
+  global pool; ``threads > 1`` hands each :func:`repro.runtime.threads.
+  slab_ranges` range to the shared :class:`~repro.runtime.threads.
+  SlabPool`, where the same walk draws scratch from its thread's arena
+  (:func:`~repro.runtime.threads.thread_arena`).  NumPy releases the
+  GIL on every large ufunc, so the slabs genuinely overlap.  Per-slab
+  ``bincount`` partials are summed in slab order (integer adds —
+  exact) and every slab casts its codes into a disjoint slice of one
+  shared array, so the output is byte-identical for every width.
+
+On the read side the field is split into the same slab ranges; only the
+axis-0 inverse-Lorenzo hyperplane sweep is inherently sequential — it
+runs between two slab fan-outs, exactly where the single-threaded sweep
+runs it (axis 0 is last).
 
 Each slab task captures its spans and the coordinator re-emits them on
 a deterministic ``slab:<k>`` lane, so ``fzmod analyze`` overlap metrics
@@ -74,6 +84,13 @@ from ..runtime.threads import run_slabs, slab_ranges, thread_arena
 #: ``np.cumsum`` — the running-add loop's per-iteration ufunc dispatch
 #: only pays off once each fused add covers a decent stretch of memory
 _SCAN_LOOP_MIN_SLICE = 1024
+
+#: elements per block of the write pass: its scratch (8 B + 2 x 4 B per
+#: element on ``int32`` grids) stays in L2.  Against the whole-field
+#: pass on the 3.9 MB bench fields (2 cores, 4 MiB L2) it measured 1.85x
+#: without counts and 1.48x with them; 2**16 and 2**19 were slower, 2**18
+#: was 1.93x without counts but 1.40x with them
+_BLOCK_ELEMS = 1 << 17
 
 
 def _inplace_prefix_sum(grid: np.ndarray) -> None:
@@ -164,9 +181,9 @@ def fused_predict_quantize(data: np.ndarray, eb_abs: float, radius: int,
     scaled_bound:
         precomputed ``max|data/(2*eb)|`` (from
         :func:`scaled_magnitude_bound` when the preprocessor already
-        scanned the range); ``None`` scans the scaled buffer instead.
+        scanned the range); ``None`` derives it from the data's range.
     threads:
-        slab-parallel width; ``> 1`` runs one contiguous axis-0 slab
+        slab-parallel width; ``> 1`` walks one contiguous axis-0 slab
         per task on the shared :class:`~repro.runtime.threads.SlabPool`
         (byte-identical output for every value — see the module
         docstring).
@@ -182,197 +199,115 @@ def fused_predict_quantize(data: np.ndarray, eb_abs: float, radius: int,
         raise CodecError(f"radius out of range: {radius}")
     if SANITIZER.enabled:
         SANITIZER.check_live("fused_predict_quantize", data)
-    threads = max(1, int(threads))
-    if threads > 1 and data.ndim >= 1 and data.size:
-        ranges = slab_ranges(data.shape[0], threads)
-        if len(ranges) > 1:
-            return _predict_quantize_slabs(
-                data, eb_abs, radius, num_bins,
-                collect_counts=collect_counts, scaled_bound=scaled_bound,
-                ranges=ranges, threads=threads)
-    pool = default_pool()
-    shape = data.shape
-    if pool is None:
-        scaled = np.empty(shape, dtype=np.float64)
-        grid_a = np.empty(shape, dtype=np.int64)
-        grid_b = np.empty(shape, dtype=np.int64)
-    else:
-        scaled = pool.acquire(shape, np.float64)
-        grid_a = pool.acquire(shape, np.int64)
-        grid_b = pool.acquire(shape, np.int64)
-    try:
-        # -- prequantize: scale, overflow check, round, cast (in scratch)
-        # dtype= forces the float64 loop for float32 inputs, matching
-        # kernels.quantize.prequantize's half-point rounding exactly
-        np.divide(data, 2.0 * eb_abs, out=scaled, dtype=np.float64)
-        if scaled_bound is None:
-            scaled_bound = max(abs(float(scaled.min())),
-                               abs(float(scaled.max())))
-        if scaled.size and scaled_bound >= 2**62:
-            raise CodecError(
-                "error bound too tight: quantization index overflows int64")
-        # rint straight into the int64 grid: the rounded value is integral,
-        # so the unsafe cast truncates to exactly prequantize's
-        # rint-then-astype result in one pass instead of two
-        np.rint(scaled, out=grid_a, casting="unsafe")
-
-        # -- Lorenzo: one backward-difference pass per axis, ping-ponged
-        # between the two grid buffers (lorenzo_forward copies into a
-        # shift buffer and then subtracts — two passes per axis)
-        src, dst = grid_a, grid_b
-        ndim = len(shape)
-        for axis in range(ndim):
-            lo_s = [slice(None)] * ndim
-            hi_s = [slice(None)] * ndim
-            first = [slice(None)] * ndim
-            lo_s[axis] = slice(None, -1)
-            hi_s[axis] = slice(1, None)
-            first[axis] = slice(0, 1)
-            np.subtract(src[tuple(hi_s)], src[tuple(lo_s)],
-                        out=dst[tuple(hi_s)])
-            dst[tuple(first)] = src[tuple(first)]
-            src, dst = dst, src
-
-        # -- outlier split + histogram on the rebased int64 codes
-        flat = src.reshape(-1)
-        np.add(flat, radius, out=flat)
-        # one unsigned compare flags both tails: deltas >= radius rebase
-        # past 2*radius, deltas < -radius rebase negative and wrap huge
-        unsigned = flat.view(np.uint64)
-        bound = np.uint64(2 * radius)
-        if np.uint64(unsigned.max()) < bound:
-            # one reduction proves the slab outlier-free (the common case
-            # for smooth fields) and skips the mask + gather entirely
-            idx = np.empty(0, dtype=np.int64)
-            values = np.empty(0, dtype=np.int64)
-        else:
-            idx = np.flatnonzero(unsigned >= bound)
-            values = flat[idx]
-            np.subtract(values, radius, out=values)
-            idx = idx.astype(np.int64)
-        outliers = OutlierSet(indices=idx, values=values)
-        flat[idx] = radius
-        counts = None
-        if collect_counts:
-            counts = np.bincount(flat, minlength=num_bins).astype(np.int64)
-        dtype = np.uint16 if 2 * radius <= 65536 else np.uint32
-        codes = flat.astype(dtype)
-    finally:
-        if pool is not None:
-            pool.release(scaled)
-            pool.release(grid_a)
-            pool.release(grid_b)
-    return codes, outliers, counts
-
-
-def _predict_quantize_slabs(data: np.ndarray, eb_abs: float, radius: int,
-                            num_bins: int, *, collect_counts: bool,
-                            scaled_bound: float | None,
-                            ranges: list[tuple[int, int]], threads: int
-                            ) -> tuple[np.ndarray, OutlierSet,
-                                       np.ndarray | None]:
-    """Slab-parallel body of :func:`fused_predict_quantize`.
-
-    Each slab recomputes its ghost plane (the previous slab's last input
-    row) locally from the read-only input, so the axis-0 Lorenzo
-    difference needs no cross-slab ordering; everything a slab writes is
-    either private arena scratch or a disjoint slice of the shared
-    ``codes`` output.  Merging is deterministic by slab index, so the
-    result is byte-identical to the sequential pass.
-    """
     shape = data.shape
     ndim = len(shape)
     size = int(data.size)
-    plane = size // shape[0]
-    if scaled_bound is not None and scaled_bound >= 2**62:
+    if scaled_bound is None:
+        scaled_bound = (scaled_magnitude_bound(float(data.min()),
+                                               float(data.max()), eb_abs)
+                        if size else 0.0)
+    if size and scaled_bound >= 2**62:
         raise CodecError(
             "error bound too tight: quantization index overflows int64")
-    dtype = np.uint16 if 2 * radius <= 65536 else np.uint32
-    codes = np.empty(size, dtype=dtype)
-    pooling = default_pool() is not None
+    # |rint| <= bound + 1 and a d-D Lorenzo delta sums 2**d of them, so
+    # the rebased deltas provably fit int32 below this line
+    if (scaled_bound + 1) * 2**ndim + radius < 2**31:
+        grid_dtype, view_dtype = np.int32, np.uint32
+    else:
+        grid_dtype, view_dtype = np.int64, np.uint64
+    n0 = shape[0] if size else 0
+    plane = size // n0 if size else 1
+    rows = max(1, _BLOCK_ELEMS // plane)
+    codes = np.empty(size, dtype=np.uint16 if 2 * radius <= 65536
+                     else np.uint32)
+    bound = view_dtype(2 * radius)
+    scale = 2.0 * eb_abs
 
-    def slab_task(k: int, s: int, e: int):
-        ghost = 1 if s > 0 else 0
-        lshape = (e - s + ghost,) + shape[1:]
-        arena = thread_arena() if pooling else None
-        if arena is None:
-            scaled = np.empty(lshape, dtype=np.float64)
-            grid_a = np.empty(lshape, dtype=np.int64)
-            grid_b = np.empty(lshape, dtype=np.int64)
-        else:
-            scaled = arena.acquire(lshape, np.float64)
-            grid_a = arena.acquire(lshape, np.int64)
-            grid_b = arena.acquire(lshape, np.int64)
+    def walk(s0: int, e0: int, pool) -> tuple[list, list, np.ndarray | None]:
+        """Blocks of ``rows`` rows over ``[s0, e0)``; scratch from ``pool``."""
+        cap = (min(rows, e0 - s0) + 1) * plane
+        alloc = np.empty if pool is None else pool.acquire
+        bufs = [alloc(cap, np.float64), alloc(cap, grid_dtype),
+                alloc(cap, grid_dtype)]
+        idx_parts, val_parts = [], []
+        counts = np.zeros(num_bins, dtype=np.int64) if collect_counts \
+            else None
         try:
-            np.divide(data[s - ghost:e], 2.0 * eb_abs, out=scaled,
-                      dtype=np.float64)
-            if scaled_bound is None:
-                # per-slab bound check: the max over slabs is the global
-                # max, so raising here reproduces the sequential check
-                local = max(abs(float(scaled.min())),
-                            abs(float(scaled.max())))
-                if local >= 2**62:
-                    raise CodecError("error bound too tight: quantization "
-                                     "index overflows int64")
-            np.rint(scaled, out=grid_a, casting="unsafe")
-            # axis-0 Lorenzo over the ghost-extended rows: local row i
-            # is global row s-ghost+i, so dst[1:] lands the correct
-            # global difference on every owned row
-            src, dst = grid_a, grid_b
-            np.subtract(src[1:], src[:-1], out=dst[1:])
-            if ghost == 0:
-                dst[0:1] = src[0:1]
-            src, dst = dst, src
-            # later axes act within rows — owned views only
-            vsrc, vdst = src[ghost:], dst[ghost:]
-            for axis in range(1, ndim):
-                lo_s = [slice(None)] * ndim
-                hi_s = [slice(None)] * ndim
-                first = [slice(None)] * ndim
-                lo_s[axis] = slice(None, -1)
-                hi_s[axis] = slice(1, None)
-                first[axis] = slice(0, 1)
-                np.subtract(vsrc[tuple(hi_s)], vsrc[tuple(lo_s)],
-                            out=vdst[tuple(hi_s)])
-                vdst[tuple(first)] = vsrc[tuple(first)]
-                vsrc, vdst = vdst, vsrc
-            flat = vsrc.reshape(-1)
-            np.add(flat, radius, out=flat)
-            unsigned = flat.view(np.uint64)
-            bound = np.uint64(2 * radius)
-            if np.uint64(unsigned.max()) < bound:
-                idx = np.empty(0, dtype=np.int64)
-                values = np.empty(0, dtype=np.int64)
-            else:
-                idx = np.flatnonzero(unsigned >= bound)
-                values = flat[idx]
-                np.subtract(values, radius, out=values)
-                idx = idx.astype(np.int64)
-                flat[idx] = radius
-                # global index = local index + slab's flat offset; each
-                # slab's flatnonzero is ascending and offsets increase
-                # with k, so slab-order concatenation equals the
-                # sequential global scan
-                np.add(idx, np.int64(s * plane), out=idx)
-            counts = (np.bincount(flat, minlength=num_bins).astype(np.int64)
-                      if collect_counts else None)
-            np.copyto(codes[s * plane:e * plane], flat, casting="unsafe")
-            return idx, values, counts
+            for s in range(s0, e0, rows):
+                e = min(s + rows, e0)
+                # the ghost row s-1 is recomputed from the read-only
+                # input, so a block needs nothing from its predecessor
+                ghost = 1 if s > 0 else 0
+                bshape = (e - s + ghost,) + shape[1:]
+                n = bshape[0] * plane
+                scaled = bufs[0][:n].reshape(bshape)
+                src = bufs[1][:n].reshape(bshape)
+                dst = bufs[2][:n].reshape(bshape)
+                # dtype= forces the float64 loop for float32 inputs,
+                # matching kernels.quantize.prequantize's rounding; the
+                # rounded value is integral, so the unsafe cast is exact
+                np.divide(data[s - ghost:e], scale, out=scaled,
+                          dtype=np.float64)
+                np.rint(scaled, out=src, casting="unsafe")
+                # axis 0 over the ghost-extended rows: local row i is
+                # global row s-ghost+i, so dst[1:] holds every owned
+                # row's difference
+                np.subtract(src[1:], src[:-1], out=dst[1:])
+                if not ghost:
+                    dst[0] = src[0]
+                src, dst = dst[ghost:], src[ghost:]
+                # later axes act within rows: one ping-ponged subtract
+                for axis in range(1, ndim):
+                    hi = (slice(None),) * axis + (slice(1, None),)
+                    lo = (slice(None),) * axis + (slice(None, -1),)
+                    first = (slice(None),) * axis + (slice(0, 1),)
+                    np.subtract(src[hi], src[lo], out=dst[hi])
+                    dst[first] = src[first]
+                    src, dst = dst, src
+                flat = src.reshape(-1)
+                np.add(flat, radius, out=flat)
+                # one unsigned compare flags both tails: deltas >= radius
+                # rebase past 2*radius, deltas < -radius wrap huge
+                unsigned = flat.view(view_dtype)
+                if unsigned.max() >= bound:
+                    idx = np.flatnonzero(unsigned >= bound)
+                    values = flat[idx].astype(np.int64, copy=False)
+                    np.subtract(values, radius, out=values)
+                    flat[idx] = radius
+                    # ascending within the block, and block offsets
+                    # increase, so concatenation is the global scan
+                    np.add(idx, s * plane, out=idx)
+                    idx_parts.append(idx)
+                    val_parts.append(values)
+                if counts is not None:
+                    np.add(counts, np.bincount(flat, minlength=num_bins),
+                           out=counts)
+                np.copyto(codes[s * plane:e * plane], flat,
+                          casting="unsafe")
         finally:
-            if arena is not None:
-                arena.release(scaled)
-                arena.release(grid_a)
-                arena.release(grid_b)
+            if pool is not None:
+                for buf in bufs:
+                    pool.release(buf)
+        return idx_parts, val_parts, counts
 
-    results = _run_slab_tasks(slab_task, ranges, threads, phase="predict")
-    idx = np.concatenate([r[0] for r in results])
-    values = np.concatenate([r[1] for r in results])
-    outliers = OutlierSet(indices=idx, values=values)
+    threads = max(1, int(threads))
+    ranges = slab_ranges(n0, threads)
+    if len(ranges) > 1:
+        pooling = default_pool() is not None
+        results = _run_slab_tasks(
+            lambda k, s, e: walk(s, e, thread_arena() if pooling else None),
+            ranges, threads, phase="predict")
+    else:
+        results = [walk(0, n0, default_pool())]
+    none = [np.empty(0, dtype=np.int64)]
+    outliers = OutlierSet(
+        indices=np.concatenate(none + [a for r in results for a in r[0]]),
+        values=np.concatenate(none + [a for r in results for a in r[1]]))
     counts = None
     if collect_counts:
         counts = results[0][2]
-        for _, _, part in results[1:]:
-            np.add(counts, part, out=counts)
+        for r in results[1:]:
+            np.add(counts, r[2], out=counts)
     return codes, outliers, counts
 
 

@@ -86,6 +86,10 @@ def decode(enc: FixedLenEncoded) -> np.ndarray:
     padded = enc.count + ((-enc.count) % block)
     if widths.size != padded // block:
         raise CodecError("width table length mismatch")
+    if widths.size and int(widths.max()) > 32:
+        # encode never writes these: the values are uint32
+        raise CodecError(
+            f"fixed-length block width {int(widths.max())} exceeds 32 bits")
     bytes_per = (widths.astype(np.int64) * block + 7) // 8
     offsets = np.concatenate(([0], np.cumsum(bytes_per)))
     payload = np.frombuffer(enc.payload, dtype=np.uint8)

@@ -78,6 +78,16 @@ class TestRoundTrip:
         with pytest.raises(CodecError):
             fl.decode(bad)
 
+    @pytest.mark.parametrize("width", [33, 64, 255])
+    def test_width_above_32_refused(self, width):
+        # a width byte encode never writes must not decode to garbage
+        nbytes = (width * fl.BLOCK_VALUES + 7) // 8
+        bad = fl.FixedLenEncoded(widths=bytes([width]),
+                                 payload=b"\x5a" * nbytes,
+                                 count=fl.BLOCK_VALUES)
+        with pytest.raises(CodecError, match="exceeds 32 bits"):
+            fl.decode(bad)
+
     @given(st.lists(st.integers(0, 2**32 - 1), min_size=0, max_size=400),
            st.sampled_from([8, 32, 64]))
     @settings(max_examples=60, deadline=None)

@@ -120,6 +120,18 @@ class TestPackedOutliers:
         back = q.unpack_outliers(i, v, 0)
         assert back.count == 0
 
+    def test_resealed_width_above_32_refused(self):
+        # a hand-edited index width byte (33) must raise, not unpack
+        out = q.OutlierSet(indices=np.arange(32, dtype=np.int64),
+                           values=np.full(32, 7, dtype=np.int64))
+        i, v, n = q.pack_outliers(out)
+        # one all-zero-delta block: a "<QI" header, one width byte (0),
+        # no payload; widen it to 33 bits and supply that payload
+        assert i[12] == 0 and len(i) == 13
+        bad = i[:12] + bytes([33]) + b"\x5a" * (33 * 32 // 8)
+        with pytest.raises(CodecError, match="exceeds 32 bits"):
+            q.unpack_outliers(bad, v, n)
+
     def test_dense_outliers_are_compact(self):
         """Every element an outlier must cost far less than 16 B each."""
         n = 10_000

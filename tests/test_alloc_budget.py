@@ -1,10 +1,14 @@
-"""Allocation ceilings for decode.
+"""Allocation ceilings for compress and decode.
 
 A wall-clock figure moves with the machine; what a call allocates does
 not.  Each test runs its call once to warm caches and pools, then asserts
 the ``tracemalloc`` peak of a second run against a ceiling: the peak this
-code measured, plus 10 %.  A change that makes decode allocate more fails
+code measured, plus 10 %.  A change that makes a call allocate more fails
 here, on any machine.  Lower a ceiling when a change lowers the peak.
+
+The compress ceilings are taken with the buffer pool off, on a field the
+size of the bench's 3-D fields (3.9 MB): a warm pool would hand its
+scratch back without an allocation and hide it from the peak.
 """
 
 from __future__ import annotations
@@ -17,12 +21,20 @@ import pytest
 import repro
 from repro.data import get_dataset
 from repro.kernels import huffman
+from repro.runtime.memory import set_pooling
 
 #: measured peak in bytes, and the 10 % over it a change may not exceed
 CEILINGS = {
     "huffman.decode": int(10_757_086 * 1.1),
     "fzmod-default": int(1_219_556 * 1.1),
     "fzmod-quality": int(2_572_893 * 1.1),
+}
+
+#: compress peaks with the pool off on the 3.9 MB field, plus 10 %
+COMPRESS_CEILINGS = {
+    "fzmod-default": int(5_224_584 * 1.1),
+    "fzmod-speed": int(15_729_811 * 1.1),
+    "fzmod-quality": int(26_536_589 * 1.1),
 }
 
 
@@ -61,3 +73,24 @@ def field() -> np.ndarray:
 def test_decompress_of_a_small_field(field, preset):
     blob = repro.compress(field, preset, 1e-3)
     assert _peak(lambda: repro.decompress(blob)) <= CEILINGS[preset]
+
+
+@pytest.fixture(scope="module")
+def bench_field() -> np.ndarray:
+    """The small field's mix at the bench's 3-D scale: 34 x 170 x 170."""
+    spec = get_dataset("hurr")
+    a, b = (spec.load(scale=0.34, seed=seed) for seed in (1000, 2000))
+    return (np.cos(np.pi / 4) * a + np.sin(np.pi / 4) * b).astype(np.float32)
+
+
+@pytest.mark.parametrize("preset", sorted(COMPRESS_CEILINGS))
+def test_compress_of_a_bench_sized_field_unpooled(bench_field, preset):
+    set_pooling(False)
+    try:
+        # pinned serial: under FZMOD_THREADS each slab holds its own
+        # block scratch, and the ceiling is the serial pass's
+        peak = _peak(lambda: repro.compress(bench_field, preset, 1e-3,
+                                              threads=1))
+    finally:
+        set_pooling(True)
+    assert peak <= COMPRESS_CEILINGS[preset]
