@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compile.fused import fused_predict_quantize
+from repro.compile.fused import (fused_decode_reconstruct,
+                                 fused_predict_quantize)
 from repro.kernels import (bitshuffle, delta, dictionary, fixedlen,
                            histogram, huffman, interp, lorenzo, quantize)
 
@@ -128,6 +129,15 @@ class TestPredictorKernels:
         assert np.array_equal(codes, lorenzo.compress(field3d, eb)
                               .codes.reshape(-1))
         assert (counts is not None) == collect_counts
+
+    # the compiled plans' read pass: rebase, outlier scatter, inverse
+    # Lorenzo sweep and dequantise over one int32 grid
+    def test_fused_decode_reconstruct(self, benchmark, field3d):
+        eb = float(np.ptp(field3d)) * 1e-4
+        res = lorenzo.compress(field3d, eb)
+        out = benchmark(fused_decode_reconstruct, res.codes, res.outliers,
+                        res.radius, eb, field3d.shape, field3d.dtype)
+        assert np.array_equal(out, lorenzo.decompress(res))
 
     def test_prequantize(self, benchmark, field3d):
         benchmark(quantize.prequantize, field3d, 0.01)

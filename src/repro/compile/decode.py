@@ -18,9 +18,10 @@ What is fused, what is a module call
 For the standard ``abs-eb``/``rel-eb`` preprocessors with the
 ``lorenzo`` predictor the reconstruction half is a single pooled pass
 (:func:`repro.compile.fused.fused_decode_reconstruct`): outlier merge,
-per-axis ``np.cumsum`` inverse Lorenzo and the dequantise scale/cast
-all run on one pooled ``int64`` grid, with the floats written straight
-into the caller's ``out=`` buffer.  Any other preprocess or predictor
+per-axis prefix-sum inverse Lorenzo and the dequantise scale/cast all
+run on one pooled grid — ``int32`` wherever a range proof over the
+decoded deltas and the swept result shows it exact, ``int64`` otherwise
+— with the floats written straight into the caller's ``out=`` buffer.  Any other preprocess or predictor
 module (anything whose ``backward`` may transform values, the ``interp``
 predictor, a subclass) runs as ``predictor.decode`` +
 ``preprocess.backward`` module calls.  Encoder and secondary modules are

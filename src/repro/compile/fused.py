@@ -22,9 +22,9 @@ held on chip):
 
 :func:`fused_decode_reconstruct` is the read-side mirror: outlier
 merge, the d-D inverse-Lorenzo prefix-sum sweep and the dequantise
-scale/cast collapse into one pass over a single pooled ``int64`` grid,
-with the final floats written directly into the caller's ``out=``
-buffer — no full-field temporaries between the decode stages.
+scale/cast collapse into one pass over a single pooled grid, with the
+final floats written directly into the caller's ``out=`` buffer — no
+full-field temporaries between the decode stages.
 
 Every step is arithmetic-identical to the kernels the module-call steps
 run — :mod:`repro.kernels.quantize`, :mod:`repro.kernels.lorenzo` and
@@ -59,10 +59,28 @@ each) stays cache-resident whatever the field size:
   exact) and every slab casts its codes into a disjoint slice of one
   shared array, so the output is byte-identical for every width.
 
-On the read side the field is split into the same slab ranges; only the
-axis-0 inverse-Lorenzo hyperplane sweep is inherently sequential — it
-runs between two slab fan-outs, exactly where the single-threaded sweep
-runs it (axis 0 is last).
+One read body: an ``int32`` grid the result proves exact
+------------------------------------------------------------
+The read pass sweeps an ``int32`` grid and trusts no header field for
+that.  With ``d`` the deltas (rebased codes, outliers scattered in), the
+exact sweep ``T`` and the ``int32`` result ``r``, adds wrap, so
+``r == T (mod 2**32)``.  Two checks prove ``r == T``:
+
+* check 0, before the sweep: ``|d| < 2**31`` (outlier values, and codes
+  wider than 16 bits, are scanned; a failure goes straight to ``int64``);
+* check 1, after it: ``max|r| <= (2**31 - 1) >> ndim`` (one ``min`` and
+  one ``max``; a failure redoes the sweep on an ``int64`` grid).
+
+Proof: the d-D Lorenzo difference of ``r`` sums ``2**ndim`` terms, so it
+lies inside ``(-2**31, 2**31)`` as ``d`` does; the two are congruent mod
+``2**32``, hence equal, and the inverse of that difference is unique.
+
+``threads > 1`` splits the same body over the axis-0 slab ranges: each
+slab rebases, scatters its outlier range and sweeps every axis of its
+own rows; the carry across the seams (each slab adds the final row of
+the slab before it) is the one sequential step; then comes the proof,
+and the dequantise cast runs per slab again.  Integer adds are exact
+modulo the grid width in any order, so every width gives the same grid.
 
 Each slab task captures its spans and the coordinator re-emits them on
 a deterministic ``slab:<k>`` lane, so ``fzmod analyze`` overlap metrics
@@ -75,6 +93,7 @@ import numpy as np
 
 from ..errors import CodecError
 from ..kernels.quantize import OutlierSet
+from ..obs.metrics import GLOBAL_METRICS
 from ..obs.spans import (GLOBAL_TRACER, absorb_capture, span,
                          telemetry_enabled)
 from ..runtime.memory import SANITIZER, default_pool
@@ -318,14 +337,13 @@ def fused_decode_reconstruct(codes: np.ndarray, outliers: OutlierSet,
                              threads: int = 1) -> np.ndarray:
     """One pass from quant codes (+ outliers) back to the field.
 
-    The read-side mirror of :func:`fused_predict_quantize`: the decoded
-    codes are widened, rebased and cast into pooled ``int64`` scratch in
-    a single pass, the outlier scatter folds into the same grid, the d-D
-    inverse Lorenzo runs as one in-place prefix-sum sweep per axis
-    (``np.cumsum`` on the contiguous last axis, a running hyperplane add
-    on the earlier ones — see :func:`_inplace_prefix_sum`), and the
+    The read-side mirror of :func:`fused_predict_quantize`: the codes
+    are rebased into one pooled grid, the outliers scattered into it,
+    the d-D inverse Lorenzo runs as :func:`_inplace_prefix_sum`, and the
     dequantise scale/cast lands directly in ``out`` — the only
-    field-sized array the caller sees.
+    field-sized array the caller sees.  The grid is ``int32`` where the
+    range proof of the module docstring holds, ``int64`` otherwise; each
+    call counts its width on ``compile.fused_decode_grid``.
 
     Parameters
     ----------
@@ -343,10 +361,10 @@ def fused_decode_reconstruct(codes: np.ndarray, outliers: OutlierSet,
         C-contiguous); allocated fresh when ``None``.  Returned either
         way.
     threads:
-        slab-parallel width for the widen/rebase/scatter pass, the
-        per-slab prefix-sum sweeps over axes >= 1 and the dequantise
-        cast; only the axis-0 inverse-Lorenzo hyperplane sweep stays
-        sequential.  Value-identical for every width.
+        slab-parallel width for the rebase/scatter pass, the per-slab
+        sweeps and the dequantise cast; only the carry across slab
+        seams along axis 0 stays sequential.  Value-identical for every
+        width.
 
     Every step is arithmetic-identical to the module-call chain
     ``merge_outliers -> lorenzo_inverse -> dequantize`` in
@@ -380,109 +398,86 @@ def fused_decode_reconstruct(codes: np.ndarray, outliers: OutlierSet,
                 f"needs {shape}/{dtype}")
         if not out.flags.writeable:
             raise CodecError("out= buffer is not writable")
+    idx, values, count = outliers.indices, outliers.values, outliers.count
+    if count and int(idx.max()) >= size:
+        raise CodecError("outlier index out of bounds")
+    # a 0-d field sweeps as one element (a 1-D proof is the stricter)
+    grid_shape = shape or (1,)
+    n0 = grid_shape[0]
+    plane = size // n0 if n0 else 0
+    ranges = [(0, n0)]
     threads = max(1, int(threads))
     if threads > 1 and len(shape) >= 2 and size:
-        ranges = slab_ranges(shape[0], threads)
-        # the in-slab outlier scatter routes indices by binary search,
-        # which needs them ascending — true for every container this
-        # codec writes (forward scan order); anything else falls back
-        if len(ranges) > 1 and (
-                not outliers.count
-                or bool((np.diff(outliers.indices) >= 0).all())):
-            return _decode_reconstruct_slabs(codes, outliers, radius,
-                                             eb_abs, shape, out,
-                                             ranges=ranges, threads=threads)
+        # the in-slab scatter routes indices by binary search, which
+        # needs them ascending and non-negative — true for every
+        # container this codec writes; anything else stays on one slab
+        split = slab_ranges(n0, threads)
+        if len(split) > 1 and (not count or (
+                int(idx[0]) >= 0 and bool((np.diff(idx) >= 0).all()))):
+            ranges = split
+    single = len(ranges) == 1
+    codes, dst = codes.reshape(grid_shape), out.reshape(grid_shape)
     pool = default_pool()
-    grid = (np.empty(shape, dtype=np.int64) if pool is None
-            else pool.acquire(shape, np.int64))
-    try:
-        # -- outlier merge: widen + rebase + scatter, all inside the grid
-        # (the np.int64 scalar forces int64 promotion; a bare python int
-        # would run the subtract in the codes' uint dtype and wrap)
-        np.subtract(codes.reshape(shape), np.int64(radius), out=grid,
-                    casting="unsafe")
-        if outliers.count:
-            flat = grid.reshape(-1)
-            if int(outliers.indices.max()) >= flat.size:
-                raise CodecError("outlier index out of bounds")
-            flat[outliers.indices] = outliers.values
-        # -- inverse Lorenzo: one in-place inclusive scan per axis (the
-        # transpose order of the forward diffs), no ping-pong needed
-        _inplace_prefix_sum(grid)
-        # -- dequantise: scale/cast straight into the caller's buffer
-        np.multiply(grid, 2.0 * eb_abs, out=out, casting="unsafe")
-    finally:
-        if pool is not None:
-            pool.release(grid)
-    return out
+    bound = (2**31 - 1) >> len(grid_shape)
 
-
-def _decode_reconstruct_slabs(codes: np.ndarray, outliers: OutlierSet,
-                              radius: int, eb_abs: float,
-                              shape: tuple[int, ...], out: np.ndarray, *,
-                              ranges: list[tuple[int, int]],
-                              threads: int) -> np.ndarray:
-    """Slab-parallel body of :func:`fused_decode_reconstruct`.
-
-    Phase 1 (parallel): widen/rebase the codes, scatter each slab's
-    outlier range (located by binary search over the ascending global
-    indices) and run the prefix-sum sweeps over axes >= 1 — all of
-    which act within rows, so slabs are independent.  Phase 2
-    (sequential): the axis-0 hyperplane sweep, which the sequential
-    sweep also runs last.  Phase 3 (parallel): dequantise each slab
-    straight into ``out``.  Integer adds are exact, so every phase is
-    value-identical to the single-threaded sweep.
-    """
-    ndim = len(shape)
-    size = int(np.prod(shape))
-    plane = size // shape[0]
-    idx = outliers.indices
-    scatter = bool(outliers.count)
-    if scatter and int(idx.max()) >= size:
-        raise CodecError("outlier index out of bounds")
-    codes_shaped = codes.reshape(shape)
-    pool = default_pool()
-    grid = (np.empty(shape, dtype=np.int64) if pool is None
-            else pool.acquire(shape, np.int64))
-    try:
-        def slab_scan(k: int, s: int, e: int) -> None:
-            sub = grid[s:e]
-            np.subtract(codes_shaped[s:e], np.int64(radius), out=sub,
-                        casting="unsafe")
-            if scatter:
-                lo = int(np.searchsorted(idx, s * plane, side="left"))
-                hi = int(np.searchsorted(idx, e * plane, side="left"))
-                if hi > lo:
-                    sub.reshape(-1)[idx[lo:hi] - s * plane] = \
-                        outliers.values[lo:hi]
-            np.cumsum(sub, axis=ndim - 1, out=sub)
-            for axis in range(ndim - 2, 0, -1):
-                n = sub.shape[axis]
-                if n <= 1:
-                    continue
-                if sub.size // n < _SCAN_LOOP_MIN_SLICE:
-                    np.cumsum(sub, axis=axis, out=sub)
-                    continue
-                planes = np.moveaxis(sub, axis, 0)
-                for i in range(1, n):
-                    np.add(planes[i], planes[i - 1], out=planes[i])
-
-        _run_slab_tasks(slab_scan, ranges, threads, phase="scan")
-        # -- axis-0 inverse Lorenzo: the one inherently sequential sweep
-        # (same cumsum-vs-running-add selection as _inplace_prefix_sum)
-        n0 = shape[0]
-        if size // n0 < _SCAN_LOOP_MIN_SLICE:
-            np.cumsum(grid, axis=0, out=grid)
+    def fan(task, phase: str) -> None:
+        if single:
+            task(0, 0, n0)
         else:
-            for i in range(1, n0):
-                np.add(grid[i], grid[i - 1], out=grid[i])
+            _run_slab_tasks(task, ranges, threads, phase=phase)
 
-        def slab_dequantize(k: int, s: int, e: int) -> None:
-            np.multiply(grid[s:e], 2.0 * eb_abs, out=out[s:e],
-                        casting="unsafe")
+    def attempt(grid_dtype) -> bool:
+        """Sweep on a ``grid_dtype`` grid and write ``out``; ``False``
+        when an ``int32`` sweep fails the range proof (``out`` untouched)."""
+        grid = (np.empty(grid_shape, dtype=grid_dtype) if pool is None
+                else pool.acquire(grid_shape, grid_dtype))
+        try:
+            def scan(k: int, s: int, e: int) -> None:
+                sub = grid[s:e]
+                # the typed scalar keeps the rebase in the grid's width (a
+                # bare python int would run it in the codes' uint and wrap)
+                np.subtract(codes[s:e], grid_dtype(radius), out=sub,
+                            casting="unsafe")
+                lo, hi = (0, count) if single else (
+                    int(np.searchsorted(idx, s * plane, side="left")),
+                    int(np.searchsorted(idx, e * plane, side="left")))
+                if hi > lo:
+                    where = idx[lo:hi] - s * plane if s else idx[lo:hi]
+                    sub.reshape(-1)[where] = values[lo:hi]
+                _inplace_prefix_sum(sub)
 
-        _run_slab_tasks(slab_dequantize, ranges, threads, phase="dequantize")
-    finally:
-        if pool is not None:
-            pool.release(grid)
+            fan(scan, "scan")
+            # -- axis 0 across the seams: each slab swept its own rows, so
+            # it still owes the final row of the slab before it
+            for s, e in ranges[1:]:
+                np.add(grid[s:e], grid[s - 1], out=grid[s:e])
+            # -- check 1 (module docstring): the int32 sweep is exact
+            if grid_dtype is np.int32 and size and not (
+                    -bound <= grid.min() and grid.max() <= bound):
+                return False
+
+            def dequantize(k: int, s: int, e: int) -> None:
+                np.multiply(grid[s:e], 2.0 * eb_abs, out=dst[s:e],
+                            casting="unsafe")
+
+            fan(dequantize, "dequantize")
+            return True
+        finally:
+            if pool is not None:
+                pool.release(grid)
+
+    # -- check 0: the deltas fit int32.  Codes of at most 16 bits always
+    # do (|code - radius| <= 2**30); outlier values and wider codes are
+    # scanned
+    narrow = not count or (-2**31 < int(values.min())
+                           and int(values.max()) < 2**31)
+    if narrow and size and codes.dtype.itemsize > 2:
+        narrow = (-2**31 < float(codes.min()) - radius
+                  and float(codes.max()) - radius < 2**31)
+    if narrow and attempt(np.int32):
+        width = "int32"
+    else:
+        width = "int64_retry" if narrow else "int64"
+        attempt(np.int64)
+    GLOBAL_METRICS.counter("compile.fused_decode_grid", width=width).inc()
     return out

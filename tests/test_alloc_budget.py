@@ -6,9 +6,12 @@ the ``tracemalloc`` peak of a second run against a ceiling: the peak this
 code measured, plus 10 %.  A change that makes a call allocate more fails
 here, on any machine.  Lower a ceiling when a change lowers the peak.
 
-The compress ceilings are taken with the buffer pool off, on a field the
-size of the bench's 3-D fields (3.9 MB): a warm pool would hand its
-scratch back without an allocation and hide it from the peak.
+The compress and decompress ceilings are taken with the buffer pool off
+and ``threads=1``, on a field the size of the bench's 3-D fields
+(3.9 MB): a warm pool would hand its scratch back without an allocation
+and hide it from the peak.  Decompress of ``fzmod-default`` and
+``fzmod-speed`` holds the output, the fused read pass's ``int32`` grid
+and the decoded codes.
 """
 
 from __future__ import annotations
@@ -35,6 +38,13 @@ COMPRESS_CEILINGS = {
     "fzmod-default": int(5_224_584 * 1.1),
     "fzmod-speed": int(15_729_811 * 1.1),
     "fzmod-quality": int(26_536_589 * 1.1),
+}
+
+#: decompress peaks with the pool off on the 3.9 MB field, plus 10 %
+DECOMPRESS_CEILINGS = {
+    "fzmod-default": int(10_443_401 * 1.1),
+    "fzmod-speed": int(9_970_689 * 1.1),
+    "fzmod-quality": int(29_773_362 * 1.1),
 }
 
 
@@ -94,3 +104,14 @@ def test_compress_of_a_bench_sized_field_unpooled(bench_field, preset):
     finally:
         set_pooling(True)
     assert peak <= COMPRESS_CEILINGS[preset]
+
+
+@pytest.mark.parametrize("preset", sorted(DECOMPRESS_CEILINGS))
+def test_decompress_of_a_bench_sized_field_unpooled(bench_field, preset):
+    blob = repro.compress(bench_field, preset, 1e-3, threads=1).blob
+    set_pooling(False)
+    try:
+        peak = _peak(lambda: repro.decompress(blob, threads=1))
+    finally:
+        set_pooling(True)
+    assert peak <= DECOMPRESS_CEILINGS[preset]

@@ -434,6 +434,32 @@ class TestResealedContainerMeta:
                                      sections, self.stf_only)
 
 
+class TestResealedPreprocessRange:
+    """A rel-mode container re-sealed (valid CRCs) around a lying or
+    missing ``preprocess`` ``min``/``max`` decodes to exactly what the
+    untouched container decodes to: the fused read pass picks its grid
+    width from a proof over the decoded deltas, never from the header's
+    range.  At ``1e-10`` every delta is an outlier and the sweep needs
+    ``int64``; a narrow range claimed over it must not wrap the field."""
+
+    @pytest.mark.parametrize("lie", [
+        {"min": 0.0, "max": 1e-6}, {"min": -1.0, "max": 1.0}, {}],
+        ids=["narrow", "unit", "removed"])
+    @pytest.mark.parametrize("rel", [1e-3, 1e-10])
+    def test_range_does_not_steer_the_decode(self, lie, rel):
+        rng = np.random.default_rng(3)
+        data = np.cumsum(rng.standard_normal((24, 30)), axis=0)
+        blob = repro.compress(data, "fzmod-default", rel).blob
+        header, body = parse(blob)
+        assert header.stage_meta["preprocess"]["mode"] == "rel"
+        ref = repro.decompress(blob)
+        meta = {**header.stage_meta, "preprocess": {"mode": "rel", **lie}}
+        head, body = assemble(replace(header, stage_meta=meta),
+                              dict(split_sections(header, body)))
+        for entry in (decompress, repro.decompress):
+            assert entry(head + body).tobytes() == ref.tobytes()
+
+
 class TestResealedSecondary:
     """An ``fzmod-default`` + ``deflate`` container re-sealed (valid CRCs)
     around a hostile stored body must end in ``CodecError`` -- and a bomb
