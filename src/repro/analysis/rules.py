@@ -694,12 +694,6 @@ class StreamingHygiene(Rule):
                         "whole receiver; slabs are copied once, into "
                         "pooled buffers, by the prefetcher only")
                 elif node.func.attr == "read" and not node.args:
-                    # STF access tokens expose .read()/.write() as
-                    # dependency markers; by convention they are named
-                    # tok_* / *_tokens, and those never touch files
-                    root = node_root_name(node.func)
-                    if root and "tok" in root.lower():
-                        continue
                     yield ctx.finding(
                         self, node,
                         "argless .read() slurps an entire stream into "

@@ -180,7 +180,7 @@ def decompress(blob_or_path, *, out: np.ndarray | None = None,
         if magic == SHARD_MAGIC:
             from .streaming.engine import decompress_stream
             return decompress_stream(path, out=out, workers=workers,
-                                     registry=registry, window=None)
+                                     registry=registry)
         blob = Path(path).read_bytes()
     if isinstance(blob, (bytearray, memoryview)):
         blob = bytes(blob)

@@ -313,9 +313,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     GLOBAL_TRACER.clear()
     try:
         if args.stream:
-            # streaming round trip: the decompress task graph is where
-            # shard k's outlier scatter overlaps shard k+1's Huffman
-            # decode — each pool thread is its own Perfetto row
+            # streaming round trip: the decode window is where shard k's
+            # outlier scatter (calling thread) overlaps shard k+1's
+            # Huffman decode (pool) — each thread is its own Perfetto row
             import tempfile
             from .streaming import as_source
             workers = args.workers or 4
@@ -647,10 +647,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also trace decompression of the result")
     sp.add_argument("--stream", action="store_true",
                     help="trace a streaming round trip instead: the "
-                         "decompress task graph's stream.huffman_decode "
-                         "and stream.outlier_scatter spans overlap "
-                         "across shards (one Perfetto row per pool "
-                         "thread)")
+                         "decode window's stream.huffman_decode and "
+                         "stream.outlier_scatter spans overlap across "
+                         "shards (one Perfetto row per thread)")
     sp.add_argument("-o", "--output", default="trace.json",
                     help="Chrome trace-event JSON path (default trace.json)")
     sp.add_argument("--jsonl", help="also write a JSONL span log here")

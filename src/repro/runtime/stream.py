@@ -1,38 +1,22 @@
-"""CUDA-style streams and events on simulated timelines.
+"""Bounded, order-preserving work queue over a real executor.
 
-A :class:`Stream` is an in-order execution queue bound to one device; work
-submitted to different streams may overlap.  ``Event``s mark points on a
-stream that other streams can wait on — the standard CUDA synchronisation
-vocabulary, reproduced here so the non-STF pipelines can also express
-overlap explicitly (the STF engine infers it instead).
-
-Execution is eager (the Python callable runs immediately); only the
-*timeline* is simulated: each submission books an interval on the stream's
-device, ordered after everything previously submitted to the stream and
-after any awaited events.
-
-:class:`OrderedWorkQueue` is the *real*-concurrency sibling: an ordered
-submit/drain front-end over any :class:`concurrent.futures.Executor` with
-a bounded number of in-flight items.  The sharded parallel engine pumps
-shard jobs through it — submission blocks once the bound is reached
-(backpressure, so a huge field never materialises every shard's working
-set at once) and results drain in submission order regardless of worker
-completion order.
+:class:`OrderedWorkQueue` is the one scheduler every engine runs on: an
+ordered submit/drain front-end over any
+:class:`concurrent.futures.Executor` with a bounded number of in-flight
+items.  The sharded engine and the streaming compress and decompress
+engines pump shard jobs through it — submission blocks once the bound
+is reached (backpressure, so a huge field never materialises every
+shard's working set at once) and results drain in submission order
+regardless of worker completion order.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from concurrent.futures import Executor, Future
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from ..errors import DeviceError
-from .clock import SimClock
-from .device import Device
-
-_stream_ids = itertools.count()
 
 
 class OrderedWorkQueue:
@@ -124,53 +108,3 @@ class OrderedWorkQueue:
         """Drain into a list."""
         return list(self.drain())
 
-
-@dataclass(frozen=True)
-class Event:
-    """A completion marker at a simulated timestamp."""
-
-    timestamp: float
-    label: str = ""
-
-
-class Stream:
-    """An in-order work queue on one device."""
-
-    def __init__(self, device: Device, clock: SimClock,
-                 name: str | None = None) -> None:
-        self.device = device
-        self.clock = clock
-        self.name = name or f"{device.name}/stream{next(_stream_ids)}"
-        self._cursor = 0.0  # completion time of the last submitted item
-
-    def submit(self, fn: Callable[..., Any], *args: Any,
-               duration: float = 0.0, label: str = "",
-               wait_for: tuple[Event, ...] = (), **kwargs: Any) -> tuple[Any, Event]:
-        """Run ``fn(*args, **kwargs)`` now; book ``duration`` seconds on the
-        device timeline after the stream cursor and all awaited events.
-
-        Returns ``(result, completion_event)``.
-        """
-        if duration < 0:
-            raise DeviceError("negative duration")
-        not_before = max([self._cursor, *(e.timestamp for e in wait_for)],
-                         default=self._cursor)
-        result = fn(*args, **kwargs)
-        iv = self.clock.reserve(self.device.name,
-                                duration + self.device.launch_overhead,
-                                not_before=not_before,
-                                label=label or getattr(fn, "__name__", "op"))
-        self._cursor = iv.end
-        return result, Event(timestamp=iv.end, label=label)
-
-    def record_event(self, label: str = "") -> Event:
-        """CUDA ``cudaEventRecord`` analogue: marks the current cursor."""
-        return Event(timestamp=self._cursor, label=label)
-
-    def wait_event(self, event: Event) -> None:
-        """CUDA ``cudaStreamWaitEvent``: future work orders after ``event``."""
-        self._cursor = max(self._cursor, event.timestamp)
-
-    def synchronize(self) -> float:
-        """Return the simulated time at which this stream drains."""
-        return self._cursor

@@ -11,8 +11,8 @@ The subsystem couples three pieces (see ``docs/PERFORMANCE.md``,
 * the engines — :func:`repro.streaming.engine.compress_stream`
   (bounded-memory parallel compression, byte-compatible with the
   in-memory sharded engine) and
-  :func:`repro.streaming.engine.decompress_stream` (STF-scheduled decode
-  with real decode/scatter stage overlap).
+  :func:`repro.streaming.engine.decompress_stream` (a bounded ordered
+  decode window with real decode/scatter stage overlap).
 
 Callers use :func:`repro.compress` with ``stream=True`` (or a
 source/memmap input) and :func:`repro.decompress` with a container path

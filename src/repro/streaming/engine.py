@@ -14,16 +14,13 @@ bound resolution, and codebook construction are shared with
 ``"compat"`` layout's output is byte-identical to the in-memory engine's for the
 same input, at every worker count.
 
-:func:`decompress_stream` reverses it with *real* stage overlap: every
-shard becomes a fetch -> entropy-decode -> scatter task chain in one
-:class:`~repro.stf.StfContext`, executed by
-:meth:`~repro.stf.scheduler.Scheduler.run_pool` on a shared thread
-pool.  A sliding dependency window keeps at most ``window`` shards in
-flight (the memory ceiling) while letting the Huffman decode of shard
-``k+1`` run concurrently with the outlier scatter of shard ``k`` — the
-paper's §3.3.1 overlap, observable as wall-clock-overlapping
-``stream.huffman_decode`` / ``stream.outlier_scatter`` spans in the
-Perfetto trace.
+:func:`decompress_stream` reverses it on the same queue, as a bounded
+ordered window of ``workers + 1`` shards: pool threads fetch and
+entropy-decode shards while the calling thread reconstructs the oldest
+into the output, so the Huffman decode of shard ``k+1`` overlaps the
+outlier scatter of shard ``k`` — the paper's §3.3.1 overlap, observable
+as wall-clock-overlapping ``stream.huffman_decode`` /
+``stream.outlier_scatter`` spans in the Perfetto trace.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..compile import decode_plan_for
-from ..core.pipeline import CompressionStats, Pipeline
+from ..core.pipeline import CompressionStats, Pipeline, check_decode_out
 from ..core.registry import DEFAULT_REGISTRY, ModuleRegistry
 from ..core.spec import PipelineSpec
 from ..errors import ConfigError, DataError
@@ -51,7 +48,6 @@ from ..parallel.executor import (CODEBOOK_MODES, DEFAULT_SHARD_MB,
                                  combine_stats, resolve_workers)
 from ..runtime.memory import Allocator, BufferPool
 from ..runtime.stream import OrderedWorkQueue
-from ..stf.context import StfContext
 from ..types import EbMode, ErrorBound
 from .container import ShardReader, ShardStreamWriter
 from .prefetch import SlabPrefetcher
@@ -256,30 +252,29 @@ def compress_stream(source, pipeline: Pipeline | PipelineSpec,
 
 
 # ---------------------------------------------------------------------- #
-# streaming decompression with real stage overlap                         #
+# streaming decompression: a bounded ordered decode window                #
 # ---------------------------------------------------------------------- #
 def decompress_stream(path: str, *, out: np.ndarray | None = None,
                       workers: int | None = None,
-                      registry: ModuleRegistry = DEFAULT_REGISTRY,
-                      window: int | None = None) -> np.ndarray:
+                      registry: ModuleRegistry = DEFAULT_REGISTRY
+                      ) -> np.ndarray:
     """Reconstruct a field from a multi-shard container on disk.
 
     Reads the index (trailing for version 3, leading for 1/2), then
-    runs one STF task graph over the shards — per shard: fetch the blob
-    (``os.pread``), entropy-decode it (``stream.huffman_decode``), and
-    scatter the reconstruction into ``out`` (``stream.outlier_scatter``)
-    — on a shared thread pool via ``Scheduler.run_pool``.  Shard ``k``'s
-    scatter and shard ``k+1``'s decode have no dependency edge, so with
-    two or more workers they genuinely overlap.
+    pumps the shards through an :class:`OrderedWorkQueue` on a
+    ``workers``-thread pool.  Each job fetches one shard's blob
+    (``os.pread``, ``stream.fetch``) and runs the decode plan's entropy
+    half on it (``stream.huffman_decode``).  Results retire in shard
+    order on the calling thread, which runs the plan's reconstruction
+    half straight into ``out[start:stop]`` (``stream.outlier_scatter``)
+    while the pool decodes the shards behind it.
 
-    ``out`` may be a writable ``np.memmap`` for out-of-core output; a
-    sliding window of ``window`` shards (default ``workers + 1``) bounds
-    what is in flight, so peak resident memory is
-    ``O(window x shard)``, not ``O(field)``.
-
-    The decode task runs the decode plan's entropy half and the scatter
-    task its reconstruction half, which writes straight into
-    ``out[start:stop]``.
+    The window is ``workers + 1`` shards: ``workers`` decoding plus the
+    one being reconstructed, so peak resident memory is
+    ``O(window x shard)``, not ``O(field)``.  ``out`` may be a writable
+    ``np.memmap`` for out-of-core output; its pages are handed back to
+    the page cache shard by shard, and it is flushed for durability
+    before return.  ``out`` is checked by :func:`check_decode_out`.
     """
     t_start = time.perf_counter()
     workers = resolve_workers(workers)
@@ -289,99 +284,54 @@ def decompress_stream(path: str, *, out: np.ndarray | None = None,
         if out is None:
             out = np.empty(index.shape, dtype=dtype)
         else:
-            if tuple(out.shape) != tuple(index.shape):
-                raise ConfigError(
-                    f"out has shape {tuple(out.shape)}, container holds "
-                    f"{tuple(index.shape)}")
-            if out.dtype != dtype:
-                raise ConfigError(
-                    f"out has dtype {out.dtype}, container holds {dtype}")
-            if not out.flags.writeable:
-                raise ConfigError("out must be writable")
+            check_decode_out(out, index.shape, dtype)
         n = reader.shard_count
         workers = min(workers, max(1, n))
         shared = index.shared_lengths()
         overrides = (None if shared is None
                      else {"enc.lengths": shared.tobytes()})
-        win = window if window is not None else workers + 1
-        if win < 1:
-            raise ConfigError(f"window must be >= 1, got {win}")
-        # one plan resolution for the whole stream (the tasks run on a
-        # thread pool, so the plan object is shared, not a shipped key)
+        # one plan resolution for the whole stream, shared by the pool
         plan = decode_plan_for(Pipeline.from_spec(index.spec(), registry))
-
         row_nbytes = int(np.prod(index.shape[1:], dtype=np.int64)
                          ) * dtype.itemsize
-        blob_bytes = sum(length for _, length in index.table)
+
+        def decode(k: int):
+            # span names carry the shard (stream.<step>:<k>) so traces diff
+            # cleanly across worker counts; analytics strip the ":<k>"
+            with span(f"stream.fetch:{k}", shard=k) as sp:
+                blob = reader.shard(k)
+                sp.set(bytes_in=len(blob), bytes_out=len(blob))
+            with span(f"stream.huffman_decode:{k}", shard=k,
+                      bytes_in=len(blob), plan=plan.key) as sp:
+                header, arts = plan.decode_entropy(
+                    blob, section_overrides=overrides)
+                sp.set(bytes_out=int(arts.codes.nbytes))
+            return k, header, arts
+
+        def reconstruct(k: int, header, arts) -> None:
+            start, stop = index.bounds[k]
+            with span(f"stream.outlier_scatter:{k}", shard=k,
+                      rows=stop - start, bytes_in=int(arts.codes.nbytes),
+                      bytes_out=(stop - start) * row_nbytes):
+                # the reader checked this shard's header against its rows;
+                # reconstruct writes straight into the output slab
+                plan.reconstruct(header, arts, out=out[start:stop])
+                # a memmapped output's residency tracks the window
+                drop_mapped_pages(out, start * row_nbytes, stop * row_nbytes)
+
         with span("engine.decompress_stream", shards=n, workers=workers,
-                  window=win, bytes_in=blob_bytes, bytes_out=int(out.nbytes)):
-            ctx = StfContext()
-            state: dict = {}
-            token = np.zeros(1, dtype=np.uint8)
-            scatter_tokens = []
-            for k, (start, stop) in enumerate(index.bounds):
-                tok_fetch = ctx.logical_data_empty(f"fetched{k}")
-                tok_decode = ctx.logical_data_empty(f"decoded{k}")
-                tok_scatter = ctx.logical_data_empty(f"scattered{k}")
-
-                def fetch(*_args, k=k):
-                    # task spans carry the shard index in the *name*
-                    # (stream.<task>:<k>) so traces from any worker
-                    # count diff cleanly line-for-line; analytics
-                    # aggregate on the base name before the colon
-                    with span(f"stream.fetch:{k}", shard=k) as sp:
-                        blob = state["blob", k] = reader.shard(k)
-                        sp.set(bytes_in=len(blob), bytes_out=len(blob))
-                    return (token,)
-
-                # the sliding window: shard k's fetch waits for shard
-                # (k - win)'s scatter, bounding in-flight shards to win
-                fetch_deps = ([scatter_tokens[k - win].read()]
-                              if k >= win else [])
-                ctx.task(f"fetch{k}", fetch,
-                         fetch_deps + [tok_fetch.write()], device="cpu0")
-
-                def decode(*_args, k=k):
-                    blob = state.pop(("blob", k))
-                    with span(f"stream.huffman_decode:{k}", shard=k,
-                              bytes_in=len(blob), plan=plan.key) as sp:
-                        header, arts = plan.decode_entropy(
-                            blob, section_overrides=overrides)
-                        sp.set(bytes_out=int(arts.codes.nbytes))
-                    state["arts", k] = (header, arts)
-                    return (token,)
-
-                ctx.task(f"decode{k}", decode,
-                         [tok_fetch.read(), tok_decode.write()],
-                         device="gpu0")
-
-                def scatter(*_args, k=k, start=start, stop=stop):
-                    header, arts = state.pop(("arts", k))
-                    with span(f"stream.outlier_scatter:{k}", shard=k,
-                              rows=stop - start,
-                              bytes_in=int(arts.codes.nbytes),
-                              bytes_out=(stop - start) * row_nbytes):
-                        # the reader checked this shard's header against
-                        # its rows; reconstruct writes straight into the output
-                        # slab — no per-shard staging copy
-                        plan.reconstruct(header, arts, out=out[start:stop])
-                        # memmapped outputs: hand the freshly written
-                        # pages to the page cache so residency tracks
-                        # the window, not the bytes written so far
-                        drop_mapped_pages(out, start * row_nbytes,
-                                          stop * row_nbytes)
-                    return (token,)
-
-                ctx.task(f"scatter{k}", scatter,
-                         [tok_decode.read(), tok_scatter.write()],
-                         device="cpu0")
-                scatter_tokens.append(tok_scatter)
-
-            with ThreadPoolExecutor(
-                    max_workers=workers,
-                    thread_name_prefix="stream-dec") as pool:
-                ctx.run(mode="pool", pool=pool,
-                        max_in_flight=max(2, 2 * workers))
+                  window=workers + 1,
+                  bytes_in=sum(length for _, length in index.table),
+                  bytes_out=int(out.nbytes)):
+            with ThreadPoolExecutor(max_workers=workers,
+                                    thread_name_prefix="stream-dec") as pool:
+                queue = OrderedWorkQueue(pool, max_in_flight=workers)
+                for k in range(n):
+                    queue.submit(decode, k)
+                    for res in queue.completed():
+                        reconstruct(*res)
+                for res in queue.drain():
+                    reconstruct(*res)
         if hasattr(out, "flush"):
             out.flush()
     GLOBAL_METRICS.counter("stream.decompress_calls").inc()

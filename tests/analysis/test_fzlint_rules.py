@@ -481,17 +481,21 @@ def sneak(path, shape):
     return np.memmap(path, dtype="f4", mode="r", shape=shape)
 """
 
+BAD_STREAMING_TOKEN_NAME = """
+def fetch(tok_fetch):
+    return tok_fetch.read()           # a token-like name is still a slurp
+"""
+
 GOOD_STREAMING = """
 import numpy as np
 
-def pump(source, pool, bounds, fh, tok_fetch):
+def pump(source, pool, bounds, fh):
     for start, stop in bounds:
         view = source.slab(start, stop)       # slab handle, not a copy
         buf = pool.acquire(view.shape, view.dtype)
         buf[...] = view                       # one slab into a pooled buffer
         chunk = fh.read(8 << 20)              # bounded read
-        dep = tok_fetch.read()                # STF access token, not a file
-        yield buf, chunk, dep
+        yield buf, chunk
         pool.release(buf)                     # recycled once the consumer is done
 """
 
@@ -521,6 +525,12 @@ def test_fzl010_reserves_file_mapping_to_source_py(lint):
 
 def test_fzl010_allows_mapping_inside_source_py(lint):
     assert lint({"streaming/source.py": GOOD_STREAMING_SOURCE}).findings == []
+
+
+def test_fzl010_argless_read_has_no_name_exemption(lint):
+    result = lint({"streaming/engine.py": BAD_STREAMING_TOKEN_NAME})
+    assert rules_fired(result) == {"FZL010"}
+    assert "argless .read()" in result.findings[0].message
 
 
 def test_fzl010_silent_on_slab_discipline(lint):

@@ -1,5 +1,5 @@
 """Tests for the simulated heterogeneous runtime (clock, devices, memory,
-streams, transfers)."""
+transfers)."""
 
 from __future__ import annotations
 
@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from repro.errors import DeviceError
-from repro.runtime import (Allocator, Buffer, Device, DeviceRegistry, Event,
-                           MemorySpace, SimClock, Stream, TransferStats,
-                           copy_to, default_node, transfer_seconds)
+from repro.runtime import (Allocator, Buffer, Device, MemorySpace, SimClock,
+                           TransferStats, copy_to, default_node,
+                           transfer_seconds)
 from repro.types import DeviceKind
 
 
@@ -153,44 +153,3 @@ class TestTransfer:
         a = MemorySpace(reg.get("cpu0"))
         b = MemorySpace(reg.get("gpu0"))
         assert transfer_seconds(10e9, a, b) == pytest.approx(1.0)
-
-
-class TestStream:
-    def test_in_order_execution(self):
-        reg = default_node()
-        clock = SimClock()
-        s = Stream(reg.get("gpu0"), clock)
-        _, e1 = s.submit(lambda: 1, duration=1.0)
-        _, e2 = s.submit(lambda: 2, duration=1.0)
-        assert e2.timestamp > e1.timestamp
-
-    def test_cross_stream_event_wait(self):
-        reg = default_node()
-        clock = SimClock()
-        s1 = Stream(reg.get("gpu0"), clock, name="s1")
-        s2 = Stream(reg.get("cpu0"), clock, name="s2")
-        _, e1 = s1.submit(lambda: None, duration=5.0)
-        _, e2 = s2.submit(lambda: None, duration=1.0, wait_for=(e1,))
-        assert e2.timestamp >= e1.timestamp + 1.0
-
-    def test_results_returned(self):
-        reg = default_node()
-        s = Stream(reg.get("cpu0"), SimClock())
-        result, _ = s.submit(lambda a, b: a + b, 2, 3)
-        assert result == 5
-
-    def test_record_and_wait_event(self):
-        reg = default_node()
-        clock = SimClock()
-        s1 = Stream(reg.get("gpu0"), clock)
-        s2 = Stream(reg.get("cpu0"), clock)
-        s1.submit(lambda: None, duration=2.0)
-        ev = s1.record_event("done")
-        s2.wait_event(ev)
-        assert s2.synchronize() >= 2.0
-
-    def test_negative_duration_rejected(self):
-        reg = default_node()
-        s = Stream(reg.get("gpu0"), SimClock())
-        with pytest.raises(DeviceError):
-            s.submit(lambda: None, duration=-1.0)

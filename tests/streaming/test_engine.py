@@ -8,15 +8,20 @@ into a caller-supplied (possibly memory-mapped) output array.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core import decompress
 from repro.core.pipeline import Pipeline
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DataError, HeaderError
 from repro.obs import GLOBAL_TRACER, set_telemetry
-from repro.parallel.executor import compress_sharded
-from repro.streaming import MemmapSource, SlabIterSource
+from repro.parallel.executor import compress_sharded, decompress_sharded
+from repro.streaming import MemmapSource, ShardReader, SlabIterSource
 from repro.streaming.engine import compress_stream, decompress_stream
 from repro.types import EbMode
 
@@ -153,17 +158,15 @@ class TestGuardRails:
                                                   pipe):
         path = tmp_path / "f.fzms"
         _stream(field, pipe, path)
-        with pytest.raises(ConfigError, match="shape"):
+        with pytest.raises(DataError, match="shape"):
             decompress_stream(str(path), out=np.empty((1, 2, 3), "f4"))
-        with pytest.raises(ConfigError, match="dtype"):
+        with pytest.raises(DataError, match="float64"):
             decompress_stream(str(path),
                               out=np.empty(field.shape, np.float64))
         frozen = np.empty(field.shape, field.dtype)
         frozen.flags.writeable = False
         with pytest.raises(ConfigError, match="writable"):
             decompress_stream(str(path), out=frozen)
-        with pytest.raises(ConfigError, match="window"):
-            decompress_stream(str(path), window=0)
 
 
 class TestOverlapPlumbing:
@@ -190,3 +193,60 @@ class TestOverlapPlumbing:
             # index, so traces diff cleanly across runs
             for r in matching:
                 assert r.name == f"{name}:{r.attrs['shard']}"
+
+
+class TestDecodeWindow:
+    """The decode window is ``workers + 1`` shards on an ordered queue."""
+
+    @pytest.mark.parametrize("layout", ["compat", "stream"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_matches_decompress_sharded_past_the_window(self, tmp_path,
+                                                        field, pipe,
+                                                        workers, layout):
+        path = tmp_path / "f.fzms"
+        # 3-row shards: 8 of them, more than the widest window (4)
+        cf = _stream(field, pipe, path, shard_mb=3 * 20 * 16 * 4 / (1 << 20),
+                     layout=layout)
+        assert cf.shard_count > workers + 1
+        ref = decompress_sharded(path.read_bytes(), workers=workers)
+        out = decompress_stream(str(path), workers=workers)
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_corrupt_shard_raises_and_joins_the_pool(self, tmp_path, field,
+                                                     pipe, workers):
+        path = tmp_path / "f.fzms"
+        # 5-row shards: 5 of them; flip one payload byte of shard 2
+        cf = _stream(field, pipe, path, shard_mb=5 * 20 * 16 * 4 / (1 << 20),
+                     layout="stream")
+        assert cf.shard_count == 5
+        with ShardReader(str(path)) as reader:
+            shard2 = reader.shard(2)
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(shard2) + len(shard2) - 3] ^= 0x40
+        path.write_bytes(bytes(raw))
+        threads_before = threading.active_count()
+        with pytest.raises(HeaderError, match="CRC mismatch"):
+            decompress_stream(str(path), workers=workers)
+        assert threading.active_count() == threads_before
+
+
+def test_stream_round_trip_imports_no_stf(tmp_path):
+    """A facade streaming round trip loads neither ``repro.stf`` nor
+    ``networkx``: the decode window runs on the ordered work queue."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import repro\n"
+        "x = np.arange(120 * 90, dtype=np.float32).reshape(120, 90)\n"
+        "cf = repro.compress(x, 'fzmod-default', 1e-3, stream=True,"
+        " out=sys.argv[1], shard_mb=0.02)\n"
+        "assert cf.shard_count > 1\n"
+        "repro.decompress(sys.argv[1])\n"
+        "loaded = [m for m in sys.modules"
+        " if m.partition('.')[0] == 'networkx'"
+        " or m == 'repro.stf' or m.startswith('repro.stf.')]\n"
+        "assert not loaded, loaded\n")
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "f.fzms")],
+                   check=True, env={**os.environ,
+                                    "PYTHONPATH": os.pathsep.join(sys.path)})

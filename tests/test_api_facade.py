@@ -133,6 +133,19 @@ class TestDecompressDispatch:
         with pytest.raises(ConfigError, match="writable array"):
             repro.decompress(cf.blob, out="not-an-array")
 
+    @pytest.mark.parametrize("bad_out", [((2, 2), np.float32),
+                                         ((32, 24, 24), np.float64)])
+    def test_out_mismatch_same_error_for_path_and_blob(self, field, tmp_path,
+                                                       bad_out):
+        """Every engine checks ``out=`` through ``check_decode_out``, so
+        a streamed path and the same bytes in memory fail alike."""
+        path = tmp_path / "f.fzms"
+        repro.compress(field, "fzmod-default", 1e-3, stream=True, out=path,
+                       shard_mb=0.125)
+        for source in (path, path.read_bytes()):
+            with pytest.raises(DataError, match="container holds"):
+                repro.decompress(source, out=np.empty(*bad_out))
+
     def test_garbage_input_rejected(self):
         with pytest.raises(ConfigError, match="container bytes"):
             repro.decompress(12345)
