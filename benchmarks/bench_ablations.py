@@ -121,49 +121,6 @@ class TestRadiusAblation:
         assert counts[64] >= counts[512] >= counts[4096]
 
 
-class TestSchedulingAblation:
-    def test_declaration_vs_critical_path(self, benchmark, smooth_field):
-        """§5 future work item 1 (STF runtime optimisation): replaying the
-        same recorded execution under critical-path priority instead of
-        declaration order."""
-        from repro.core.stf_pipeline import StfDefaultPipeline
-
-        stf = StfDefaultPipeline(mode="serial")
-        benchmark.pedantic(stf.compress, args=(smooth_field, 1e-3),
-                           rounds=1, iterations=1)
-        # note: StfDefaultPipeline holds no scheduler handle; rebuild a
-        # comparable contended flow through the public engine instead
-        import numpy as np
-        from repro.stf import StfContext
-
-        def flow():
-            ctx = StfContext()
-            x = ctx.logical_data(smooth_field, "x")
-            for i in range(3):
-                o = ctx.logical_data_empty(f"s{i}")
-                ctx.task(f"short{i}", lambda v: (v + 1,),
-                         [x.read(), o.write()], device="gpu0", duration=2e-4)
-            l1 = ctx.logical_data_empty("l1")
-            l2 = ctx.logical_data_empty("l2")
-            ctx.task("long-head", lambda v: (v * 2,), [x.read(), l1.write()],
-                     device="gpu0", duration=1e-3)
-            ctx.task("long-tail", lambda v: (v * 2,),
-                     [l1.read(), l2.write()], device="cpu0", duration=1e-3)
-            return ctx
-
-        a = flow()
-        rep_decl = a.run(mode="serial", sim_order="declaration")
-        rep_cp = a.last_scheduler.report(order="critical-path")
-        lines = ["Ablation: simulated-schedule replay policy "
-                 "(contended GPU, long chain declared last)",
-                 f"declaration order  {rep_decl.makespan * 1e3:8.3f} ms",
-                 f"critical-path      {rep_cp.makespan * 1e3:8.3f} ms",
-                 f"improvement        "
-                 f"{rep_decl.makespan / rep_cp.makespan:8.2f}x"]
-        emit("ablation_scheduling", "\n".join(lines))
-        assert rep_cp.makespan <= rep_decl.makespan + 1e-12
-
-
 class TestCalibrationSensitivity:
     def test_fig1_ordering_robustness(self, benchmark):
         """How far can every calibration constant move before a Figure-1

@@ -6,11 +6,11 @@ Computing Framework for Customizable Scientific Data Compression Pipelines"*
 
 * :mod:`repro.core` — the modular pipeline framework (preprocess /
   predictor / statistics / encoder / secondary stages, registry, presets,
-  container format, STF-backed pipeline, auto-tuner);
+  container format, auto-tuner);
 * :mod:`repro.kernels` — the data-parallel kernel library every compressor
   is built from;
-* :mod:`repro.stf` — the CUDASTF-analogue asynchronous task engine;
-* :mod:`repro.runtime` — the simulated heterogeneous device runtime;
+* :mod:`repro.runtime` — the host runtime: scratch pool, the ordered
+  work queue the engines schedule shards on, and slab threads;
 * :mod:`repro.baselines` — cuSZp2, FZ-GPU, PFPL and SZ3 from scratch;
 * :mod:`repro.data` — SDRBench-style synthetic datasets;
 * :mod:`repro.metrics` / :mod:`repro.perf` — evaluation metrics and the

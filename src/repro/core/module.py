@@ -9,7 +9,8 @@ registering the instance (see :mod:`repro.core.registry`), which is the
 framework's extensibility story.
 
 Modules must be stateless between calls (everything flows through the
-artifacts), which is what lets the STF pipeline wrap any module as a task.
+artifacts), which is what lets the compiled plan call any module as a
+step and lets shard and slab threads share one instance.
 """
 
 from __future__ import annotations

@@ -35,17 +35,9 @@ class HeaderError(FZModError):
 
 
 class DeviceError(FZModError):
-    """An operation referenced an unknown device or an invalid memory
-    space (e.g. launching a GPU kernel on a host-only buffer)."""
-
-
-class TransferError(FZModError):
-    """A host/device transfer was requested between incompatible spaces."""
-
-
-class StfError(FZModError):
-    """The sequential-task-flow engine rejected a task graph (cycle, access
-    to a destroyed logical datum, use of a finalized context, ...)."""
+    """A runtime resource was misused (an ordered work queue given a
+    bound below one or fed after a failed job, an allocator released
+    below zero)."""
 
 
 class DataError(FZModError):

@@ -197,7 +197,8 @@ def decompress(result: LorenzoResult, *,
 def decompress_parts(codes: np.ndarray, outliers: q.OutlierSet, radius: int,
                      eb_abs: float, shape: tuple[int, ...], dtype: np.dtype,
                      *, out: np.ndarray | None = None) -> np.ndarray:
-    """Positional-artifact variant of :func:`decompress` used by STF tasks."""
+    """Positional-artifact variant of :func:`decompress`, for the Lorenzo
+    predictor module's decode and the SZ3 baseline."""
     return decompress(LorenzoResult(codes=codes, outliers=outliers, radius=radius,
                                     eb_abs=eb_abs, shape=tuple(shape),
                                     dtype=np.dtype(dtype)), out=out)

@@ -13,9 +13,10 @@ Two flavours are provided:
 * :func:`split_outliers` / :func:`merge_outliers` — bound quant-code
   magnitudes to a radius ``R`` so downstream entropy coders see a small
   alphabet (``2R`` symbols); values falling outside become sparse
-  *outliers* carried in a side channel.  In the paper's STF demo the
-  outlier scatter runs concurrently with Huffman decode, so outliers are a
-  first-class artifact here.
+  *outliers* carried in a side channel.  The streaming decompress
+  scatters one shard's outliers while the next shard's Huffman stream
+  decodes (the paper's §3.3.1 overlap), so outliers are a first-class
+  artifact here.
 """
 
 from __future__ import annotations
@@ -276,15 +277,3 @@ def unpack_outliers(idx_payload: bytes, val_payload: bytes, count: int
     if values.size != count:
         raise CodecError("outlier value count mismatch")
     return OutlierSet(indices=indices, values=values)
-
-
-def scatter_outliers_into(recon_flat: np.ndarray, outliers: OutlierSet,
-                          radius: int = DEFAULT_RADIUS) -> None:
-    """In-place outlier scatter used by the STF decompression demo.
-
-    Adds the *difference* between the true residual and the sentinel (zero)
-    residual onto an already-reconstructed integer field; this is the task
-    that runs concurrently with Huffman decode in §3.3.1.
-    """
-    if outliers.count:
-        recon_flat[outliers.indices] += outliers.values

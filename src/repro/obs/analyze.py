@@ -13,7 +13,7 @@ span forest and computes:
   through, across every lane — the sequence of work that actually
   bounded the wall time.  Its coverage (critical seconds / wall
   seconds) is the headline health number: < 1 means untraced gaps;
-* **overlap efficiency** for the streaming/STF task graph: the union of
+* **overlap efficiency** for the streaming decode window: the union of
   busy time across lanes divided by wall time, minus one — > 0 proves
   scatter(k) genuinely overlapped decode(k+1) rather than serialising,
   plus an explicit count of overlapping scatter/decode shard pairs;

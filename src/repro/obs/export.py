@@ -2,14 +2,13 @@
 
 All three read the same inputs — :class:`~repro.obs.spans.SpanRecord`
 lists and the :class:`~repro.obs.metrics.MetricsRegistry` — so the
-default engine, the sharded engine, and the STF engine (whose
-``ExecutionReport`` is re-expressed as spans by
-:func:`repro.stf.tracing.report_spans`) all flow through one code path.
+default engine, the sharded engine and the streaming engine all flow
+through one code path.
 
 Chrome trace-event output is the JSON object form
 (``{"traceEvents": [...]}``) with "X" complete events, which Perfetto
 and ``chrome://tracing`` both load.  Lanes map to trace *processes*:
-pid 0 is the main process, each shard/STF lane gets its own pid, so
+pid 0 is the main process, each shard/slab lane gets its own pid, so
 shard workers appear as separate swimlanes.
 """
 
@@ -67,7 +66,7 @@ def write_span_jsonl(records: Iterable[SpanRecord], fp: TextIO) -> int:
 def chrome_trace(records: Iterable[SpanRecord]) -> dict:
     """Build a Chrome trace-event document from finished spans.
 
-    * one trace *process* (pid) per lane — pid 0 = main, shard/STF lanes
+    * one trace *process* (pid) per lane — pid 0 = main, shard/slab lanes
       in sorted-name order after it;
     * one trace *thread* (tid) per distinct thread name within a lane;
     * "X" complete events with ``ts``/``dur`` in microseconds relative

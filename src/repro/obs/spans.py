@@ -53,7 +53,7 @@ class SpanRecord:
     span_id: int
     parent_id: int | None
     thread: str
-    lane: str | None = None      # None = caller; "shard:3", "stf:gpu:0"
+    lane: str | None = None      # None = caller; "shard:3", "slab:1"
     attrs: dict = field(default_factory=dict)
 
     @property

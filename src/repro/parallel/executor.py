@@ -46,9 +46,17 @@ back to back, then the JSON index and a fixed trailer::
 
 A writer can append shards as they complete and seal the file with one
 trailing write; a reader seeks to the end, validates the trailer and
-CRC, and then has random access to every shard.  Truncation anywhere
-surfaces as a clean :class:`~repro.errors.CodecError` before any codec
-runs.
+CRC, and then has random access to every shard.
+
+Corruption fails before any codec runs, with one error class per fault
+on a given layout:
+
+* a flipped byte inside a shard fails that member's ``FZMD`` body CRC
+  and raises :class:`~repro.errors.HeaderError`, on every version;
+* a truncated or malformed v3 trailer or index raises
+  :class:`~repro.errors.CodecError`;
+* a v1/v2 header whose CRC fails, or whose shard table overruns the
+  container (truncation), raises :class:`~repro.errors.HeaderError`.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
-"""Memory spaces and buffers for the simulated runtime.
+"""Host scratch memory: the allocator, the buffer pool and the sanitizer.
 
-A :class:`Buffer` wraps a NumPy array together with the :class:`MemorySpace`
-it notionally lives in.  Kernels assert that their operands are resident on
-the right device — exactly the discipline CUDA code needs — and the
-:class:`Allocator` tracks live/peak bytes per space so tests and benchmarks
-can check the memory behaviour of a pipeline (e.g. that the STF executor
-frees intermediates eagerly).
+The :class:`Allocator` tracks live and peak bytes of host scratch, so
+tests and ``fzmod inspect`` can check the memory behaviour of a pipeline;
+the :class:`BufferPool` recycles same-shaped scratch arrays against it
+without inflating the peak; the :class:`Sanitizer` is the runtime mirror
+of the fzlint dataflow contracts.
 """
 
 from __future__ import annotations
@@ -19,102 +18,31 @@ import numpy as np
 
 from ..errors import DeviceError, SanitizerError
 from ..obs.metrics import GLOBAL_METRICS, MetricsRegistry
-from ..types import DeviceKind
-from .device import Device
-
-
-@dataclass(frozen=True)
-class MemorySpace:
-    """The address space of one device."""
-
-    device: Device
-
-    @property
-    def name(self) -> str:
-        return self.device.name
 
 
 @dataclass
 class Allocator:
-    """Per-space accounting of live and peak allocation."""
+    """Live and peak bytes of host scratch, keyed ``"host"``."""
 
     live: dict[str, int] = field(default_factory=dict)
     peak: dict[str, int] = field(default_factory=dict)
 
-    def on_alloc(self, space: MemorySpace, nbytes: int) -> None:
-        """Record an allocation in a space (updates live and peak)."""
-        cur = self.live.get(space.name, 0) + nbytes
-        self.live[space.name] = cur
-        self.peak[space.name] = max(self.peak.get(space.name, 0), cur)
+    def on_alloc(self, nbytes: int) -> None:
+        """Record an allocation (updates live and peak)."""
+        cur = self.live.get("host", 0) + nbytes
+        self.live["host"] = cur
+        self.peak["host"] = max(self.peak.get("host", 0), cur)
 
-    def on_free(self, space: MemorySpace, nbytes: int) -> None:
-        """Record a release in a space."""
-        cur = self.live.get(space.name, 0) - nbytes
+    def on_free(self, nbytes: int) -> None:
+        """Record a release."""
+        cur = self.live.get("host", 0) - nbytes
         if cur < 0:
-            raise DeviceError(f"allocator underflow on {space.name}")
-        self.live[space.name] = cur
+            raise DeviceError("allocator underflow on host")
+        self.live["host"] = cur
 
 
 #: Process-wide allocator used when none is supplied explicitly.
 GLOBAL_ALLOCATOR = Allocator()
-
-
-class Buffer:
-    """A device-resident array.
-
-    Parameters
-    ----------
-    array:
-        the payload (any NumPy array; ``bytes`` payloads are wrapped as
-        ``uint8`` arrays by :meth:`from_bytes`).
-    space:
-        where the data notionally lives.
-    allocator:
-        accounting sink (defaults to the module-global allocator).
-    """
-
-    __slots__ = ("array", "space", "_allocator", "_freed")
-
-    def __init__(self, array: np.ndarray, space: MemorySpace,
-                 allocator: Allocator | None = None) -> None:
-        self.array = np.asarray(array)
-        self.space = space
-        self._allocator = allocator if allocator is not None else GLOBAL_ALLOCATOR
-        self._freed = False
-        self._allocator.on_alloc(space, self.nbytes)
-
-    @classmethod
-    def from_bytes(cls, payload: bytes, space: MemorySpace,
-                   allocator: Allocator | None = None) -> "Buffer":
-        return cls(np.frombuffer(payload, dtype=np.uint8), space, allocator)
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.array.nbytes)
-
-    @property
-    def device(self) -> Device:
-        return self.space.device
-
-    def require_on(self, device: Device) -> np.ndarray:
-        """Assert residency and return the raw array (kernel entry check)."""
-        if self._freed:
-            raise DeviceError("use of a freed buffer")
-        if self.space.device.name != device.name:
-            raise DeviceError(
-                f"buffer resides on {self.space.name}, kernel launched on "
-                f"{device.name}; insert a transfer first")
-        return self.array
-
-    def free(self) -> None:
-        """Release the accounting for this buffer (idempotent)."""
-        if not self._freed:
-            self._allocator.on_free(self.space, self.nbytes)
-            self._freed = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Buffer({self.array.dtype}[{self.array.size}] "
-                f"on {self.space.name})")
 
 
 # ---------------------------------------------------------------------- #
@@ -307,14 +235,8 @@ def set_sanitizing(enabled: bool | None) -> None:
 # buffer pool                                                             #
 # ---------------------------------------------------------------------- #
 
-#: the host CPU space scratch kernels allocate from by default
-HOST_SPACE = MemorySpace(Device(name="host", kind=DeviceKind.CPU,
-                                mem_bandwidth=200e9, link_bandwidth=200e9,
-                                launch_overhead=0.0))
-
-
 class BufferPool:
-    """Recycles NumPy scratch arrays by ``(space, dtype, shape)``.
+    """Recycles NumPy scratch arrays by ``(dtype, shape)``.
 
     Kernels on the hot path (prequantize, Lorenzo diffs/scans, delta
     coding) need same-shaped integer/float scratch on every call; a fresh
@@ -339,11 +261,9 @@ class BufferPool:
     across its worker threads.
     """
 
-    def __init__(self, space: MemorySpace = HOST_SPACE,
-                 allocator: Allocator | None = None, *,
+    def __init__(self, allocator: Allocator | None = None, *,
                  max_per_key: int = 4, max_bytes: int = 256 << 20,
                  metrics: MetricsRegistry | None = None) -> None:
-        self.space = space
         self.allocator = allocator if allocator is not None else GLOBAL_ALLOCATOR
         self.max_per_key = int(max_per_key)
         self.max_bytes = int(max_bytes)
@@ -374,7 +294,7 @@ class BufferPool:
                 return arr
             self._misses.inc()
         arr = np.empty(shape, dtype=dtype)
-        self.allocator.on_alloc(self.space, arr.nbytes)
+        self.allocator.on_alloc(arr.nbytes)
         return arr
 
     def release(self, arr: np.ndarray) -> None:
@@ -392,7 +312,7 @@ class BufferPool:
                 self._free_bytes += arr.nbytes
                 return
             self._drops.inc()
-        self.allocator.on_free(self.space, arr.nbytes)
+        self.allocator.on_free(arr.nbytes)
         SANITIZER.on_release(arr, pooled=False)
 
     def clear(self) -> None:
@@ -404,7 +324,7 @@ class BufferPool:
             self._free_bytes = 0
         SANITIZER.forget(idle)
         if freed:
-            self.allocator.on_free(self.space, freed)
+            self.allocator.on_free(freed)
 
     # counters are registry-backed; these views keep the historical API
     @property

@@ -41,7 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from ..obs.metrics import MetricsRegistry
-from .memory import HOST_SPACE, Allocator, BufferPool, MemorySpace
+from .memory import Allocator, BufferPool
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -251,7 +251,7 @@ ARENA_MAX_BYTES = 128 << 20
 _ARENA = threading.local()
 
 
-def thread_arena(space: MemorySpace = HOST_SPACE) -> BufferPool:
+def thread_arena() -> BufferPool:
     """This thread's private scratch :class:`BufferPool`.
 
     Slab workers acquire their ping-pong grids here instead of from the
@@ -263,8 +263,8 @@ def thread_arena(space: MemorySpace = HOST_SPACE) -> BufferPool:
     warm slab runs reuse their scratch across calls.
     """
     pool = getattr(_ARENA, "pool", None)
-    if pool is None or pool.space is not space:
-        pool = BufferPool(space, Allocator(), metrics=MetricsRegistry(),
+    if pool is None:
+        pool = BufferPool(Allocator(), metrics=MetricsRegistry(),
                           max_bytes=ARENA_MAX_BYTES)
         # fzlint: disable-next-line=FZL017 -- _ARENA is threading.local, so
         # this store is private to the calling thread by construction

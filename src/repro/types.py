@@ -43,13 +43,6 @@ class Stage(str, enum.Enum):
     SECONDARY = "secondary"
 
 
-class DeviceKind(str, enum.Enum):
-    """Kind of simulated execution resource."""
-
-    CPU = "cpu"
-    GPU = "gpu"
-
-
 @dataclass(frozen=True)
 class ErrorBound:
     """A fully-specified error bound.

@@ -140,13 +140,6 @@ class TestPackedOutliers:
         i, v, _ = q.pack_outliers(out)
         assert len(i) + len(v) < 3 * n
 
-    def test_scatter_adds_values(self):
-        out = q.OutlierSet(indices=np.array([1, 3], dtype=np.int64),
-                           values=np.array([50, -7], dtype=np.int64))
-        arr = np.zeros(5, dtype=np.int64)
-        q.scatter_outliers_into(arr, out)
-        np.testing.assert_array_equal(arr, [0, 50, 0, -7, 0])
-
     def test_wide_values_use_64bit_path(self):
         """Values beyond 32-bit zigzag range must round-trip (flag=1)."""
         idx = np.array([3, 10, 11], dtype=np.int64)

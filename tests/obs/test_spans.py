@@ -145,10 +145,10 @@ class TestCaptureTransport:
         with GLOBAL_TRACER.capture() as buf:
             with span("w"):
                 pass
-        buf[0].lane = "stf:gpu0"
+        buf[0].lane = "slab:1"
         sink = Tracer()
         absorb_capture(buf, lane="shard:0", tracer=sink)
-        assert sink.records()[0].lane == "stf:gpu0"
+        assert sink.records()[0].lane == "slab:1"
 
     def test_child_span_stays_inside_its_parent(self):
         with GLOBAL_TRACER.capture() as buf:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import Pipeline, decompress
-from repro.obs.export import chrome_trace
 from repro.obs.profile import Profiler
 from repro.obs.spans import GLOBAL_TRACER, set_telemetry
 from repro.parallel.executor import compress_sharded
@@ -174,27 +173,6 @@ class TestMergeDeterminism:
         lanes = {r.lane for r in GLOBAL_TRACER.records()
                  if r.lane and not r.lane.startswith("slab:")}
         assert lanes == {f"shard:{k}" for k in range(sf.shard_count)}
-
-
-class TestStfBridge:
-    def test_report_spans_feed_the_chrome_exporter(self):
-        from repro.runtime.clock import SimClock
-        from repro.runtime.transfer import TransferStats
-        from repro.stf.scheduler import ExecutionReport
-        from repro.stf.tracing import report_spans
-
-        clock = SimClock()
-        clock.reserve("gpu0", 0.5, label="quant")
-        clock.reserve("cpu0", 0.2, label="hist")
-        report = ExecutionReport(tasks=[], clock=clock,
-                                 stats=TransferStats())
-        spans = report_spans(report)
-        assert [s.lane for s in spans] == ["stf:gpu0", "stf:cpu0"]
-        assert all(s.name == "stf.interval" for s in spans)
-        doc = chrome_trace(spans)
-        lanes = {ev["args"]["name"] for ev in doc["traceEvents"]
-                 if ev["ph"] == "M" and ev["name"] == "process_name"}
-        assert {"stf:cpu0", "stf:gpu0"} <= lanes
 
 
 class TestTraceCli:

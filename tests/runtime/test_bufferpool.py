@@ -11,14 +11,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.runtime.memory import (HOST_SPACE, Allocator, BufferPool,
-                                  default_pool, pooling_enabled, set_pooling)
+from repro.runtime.memory import (Allocator, BufferPool, default_pool,
+                                  pooling_enabled, set_pooling)
 
 
 @pytest.fixture
 def pool():
     alloc = Allocator()
-    return BufferPool(HOST_SPACE, alloc), alloc
+    return BufferPool(alloc), alloc
 
 
 NB = 1000 * 8  # bytes of a (1000,) int64 scratch array
@@ -69,7 +69,7 @@ class TestAccounting:
 
     def test_release_beyond_byte_budget_frees(self):
         alloc = Allocator()
-        p = BufferPool(HOST_SPACE, alloc, max_bytes=NB)
+        p = BufferPool(alloc, max_bytes=NB)
         a = p.acquire(1000, np.int64)
         b = p.acquire(1000, np.int64)
         p.release(a)

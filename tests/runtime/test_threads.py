@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro.runtime import threads as th
-from repro.runtime.memory import HOST_SPACE
+from repro.runtime.memory import GLOBAL_ALLOCATOR
 
 
 class TestResolveThreads:
@@ -134,7 +134,7 @@ class TestThreadArena:
         worker.start()
         worker.join()
         assert pools["main"] is not pools["worker"]
-        assert pools["main"].space is HOST_SPACE
+        assert pools["main"].allocator is not GLOBAL_ALLOCATOR
 
     def test_same_thread_reuses_its_arena(self):
         assert th.thread_arena() is th.thread_arena()

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import decompress
 from repro.core.pipeline import Pipeline
-from repro.errors import ConfigError, DataError, HeaderError
+from repro.errors import CodecError, ConfigError, DataError, HeaderError
 from repro.obs import GLOBAL_TRACER, set_telemetry
 from repro.parallel.executor import compress_sharded, decompress_sharded
 from repro.streaming import MemmapSource, ShardReader, SlabIterSource
@@ -215,37 +215,59 @@ class TestDecodeWindow:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_corrupt_shard_raises_and_joins_the_pool(self, tmp_path, field,
                                                      pipe, workers):
-        path = tmp_path / "f.fzms"
-        # 5-row shards: 5 of them; flip one payload byte of shard 2
-        cf = _stream(field, pipe, path, shard_mb=5 * 20 * 16 * 4 / (1 << 20),
-                     layout="stream")
-        assert cf.shard_count == 5
-        with ShardReader(str(path)) as reader:
-            shard2 = reader.shard(2)
-        raw = bytearray(path.read_bytes())
-        raw[raw.index(shard2) + len(shard2) - 3] ^= 0x40
-        path.write_bytes(bytes(raw))
-        threads_before = threading.active_count()
-        with pytest.raises(HeaderError, match="CRC mismatch"):
-            decompress_stream(str(path), workers=workers)
-        assert threading.active_count() == threads_before
+        """One error class per fault on every layout (v1 per-shard and v2
+        shared codebook, both ``compat``; v3 ``stream``), through both
+        decode engines: a flipped payload byte fails the member's FZMD
+        body CRC (``HeaderError``); a truncated file overruns the v1/v2
+        shard table (``HeaderError``) or loses the v3 trailer
+        (``CodecError``).  No pool thread outlives the failure."""
+        flip = (HeaderError, "body CRC mismatch")
+        for layout, codebook, cut in [
+                ("compat", "per-shard", (HeaderError, "exceeds container")),
+                ("compat", "shared", (HeaderError, "exceeds container")),
+                ("stream", None, (CodecError, "end magic"))]:
+            path = tmp_path / f"{layout}-{codebook}.fzms"
+            # 5-row shards: 5 of them; the faults land in shard 2
+            cf = _stream(field, pipe, path,
+                         shard_mb=5 * 20 * 16 * 4 / (1 << 20),
+                         layout=layout, codebook=codebook)
+            assert cf.shard_count == 5
+            with ShardReader(str(path)) as reader:
+                shard2 = reader.shard(2)
+            good = path.read_bytes()
+            at = good.index(shard2)
+            flipped = bytearray(good)
+            flipped[at + len(shard2) - 3] ^= 0x40
+            for blob, (exc, match) in [(bytes(flipped), flip),
+                                       (good[:at + len(shard2) // 2], cut)]:
+                bad = tmp_path / "bad.fzms"
+                bad.write_bytes(blob)
+                threads_before = threading.active_count()
+                with pytest.raises(exc, match=match):
+                    decompress_stream(str(bad), workers=workers)
+                with pytest.raises(exc, match=match):
+                    decompress_sharded(blob, workers=workers)
+                assert threading.active_count() == threads_before
 
 
 def test_stream_round_trip_imports_no_stf(tmp_path):
-    """A facade streaming round trip loads neither ``repro.stf`` nor
-    ``networkx``: the decode window runs on the ordered work queue."""
+    """No ``repro`` module loads ``networkx``, and there is no ``repro.stf``
+    left to load: a fresh interpreter imports every ``repro`` submodule,
+    runs a facade streaming round trip, and still has neither."""
     code = (
-        "import sys\n"
+        "import pkgutil, sys\n"
         "import numpy as np\n"
         "import repro\n"
+        "for m in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    if not m.name.endswith('.__main__'):\n"
+        "        __import__(m.name)\n"
         "x = np.arange(120 * 90, dtype=np.float32).reshape(120, 90)\n"
         "cf = repro.compress(x, 'fzmod-default', 1e-3, stream=True,"
         " out=sys.argv[1], shard_mb=0.02)\n"
         "assert cf.shard_count > 1\n"
         "repro.decompress(sys.argv[1])\n"
         "loaded = [m for m in sys.modules"
-        " if m.partition('.')[0] == 'networkx'"
-        " or m == 'repro.stf' or m.startswith('repro.stf.')]\n"
+        " if m.partition('.')[0] == 'networkx' or m.startswith('repro.stf')]\n"
         "assert not loaded, loaded\n")
     subprocess.run([sys.executable, "-c", code, str(tmp_path / "f.fzms")],
                    check=True, env={**os.environ,

@@ -2,7 +2,7 @@
 
 The slower, sweep-heavy examples (climate_campaign, fidelity_report,
 timeseries_roi, hacc_checkpoint) are exercised manually /
-by CI at a longer budget; the three quick ones run here so a broken public
+by CI at a longer budget; the two quick ones run here so a broken public
 API surfaces immediately.
 """
 
@@ -16,8 +16,7 @@ import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
-FAST_EXAMPLES = ["quickstart.py", "custom_pipeline.py",
-                 "stf_async_pipeline.py"]
+FAST_EXAMPLES = ["quickstart.py", "custom_pipeline.py"]
 
 
 @pytest.mark.parametrize("script", FAST_EXAMPLES)

@@ -27,7 +27,6 @@ from repro.baselines import get_compressor
 from repro.core import (decompress, fzmod_default, fzmod_quality,
                         fzmod_speed)
 from repro.core.header import assemble, parse, split_sections
-from repro.core.stf_pipeline import StfDefaultPipeline
 from repro.errors import (CodecError, FZModError, HeaderError,
                           ModuleNotFoundInRegistry)
 from repro.kernels import deflate
@@ -307,9 +306,7 @@ class TestResealedContainerMeta:
     """A container re-sealed (valid CRCs) around lying *container-level*
     metadata -- the outlier count, the predictor's stream length, the aux
     channel table -- must end in ``CodecError`` at the one place that
-    reads them (``CompiledDecodePlan.decode_entropy``) and, for
-    ``fzmod-default`` containers, in ``StfDefaultPipeline.decompress``,
-    which reads the same fields by hand."""
+    reads them (``CompiledDecodePlan.decode_entropy``)."""
 
     @pytest.fixture(scope="class", params=["fzmod-default", "fzmod-quality"])
     def parts(self, request):
@@ -320,10 +317,8 @@ class TestResealedContainerMeta:
         header, body = parse(blob)
         assert header.stage_meta["outliers"] == {"count": 0}
         assert header.stage_meta["aux"] == {}
-        entries = (decompress, repro.decompress)
-        if request.param == "fzmod-default":
-            entries += (StfDefaultPipeline().decompress,)
-        return header, dict(split_sections(header, body)), entries
+        return (header, dict(split_sections(header, body)),
+                (decompress, repro.decompress))
 
     @staticmethod
     def _with_meta(header, stage, **changes):
@@ -345,7 +340,7 @@ class TestResealedContainerMeta:
         header, sections, entries = parts
         _assert_resealed_codec_error(
             self._with_meta(header, "predictor", stream_length=length),
-            sections, entries[:2])
+            sections, entries)
 
     @pytest.mark.parametrize("aux", [
         {"a": 1}, {"a": ["<f4"]}, {"a": ["<f4", [2]]}, {"a": ["nope", [2]]},
@@ -361,7 +356,7 @@ class TestResealedContainerMeta:
             if aux == {"a": ["<f4", [2]]} and extra:
                 continue  # the one honest table
             _assert_resealed_codec_error(replace(header, stage_meta=meta),
-                                         {**sections, **extra}, entries[:2])
+                                         {**sections, **extra}, entries)
 
     def test_outlier_sections_that_contradict_the_count(self):
         data = np.random.default_rng(5).standard_normal(4000) \
@@ -371,8 +366,7 @@ class TestResealedContainerMeta:
         sections = dict(split_sections(header, body))
         count = header.stage_meta["outliers"]["count"]
         assert count > 0
-        entries = (decompress, repro.decompress,
-                   StfDefaultPipeline().decompress)
+        entries = (decompress, repro.decompress)
         for lie in (0, count + 1, 1 << 40):
             _assert_resealed_codec_error(
                 self._with_meta(header, "outliers", count=lie), sections,
@@ -397,41 +391,6 @@ class TestResealedContainerMeta:
             finally:
                 tracemalloc.stop()
             assert peak < 16 * len(blob)
-
-
-    # -- StfDefaultPipeline.decompress hands the Huffman metadata to ----- #
-    # -- HuffmanEncoder.decode instead of reading it by hand ------------- #
-    stf_only = (StfDefaultPipeline().decompress,)
-
-    @pytest.fixture(scope="class")
-    def stf_parts(self, blob):
-        header, body = parse(blob)
-        return header, dict(split_sections(header, body))
-
-    @pytest.mark.parametrize("key,value", [
-        ("nchunks", "x"), ("nchunks", 1 << 40), ("nchunks", 5),
-        ("nchunks", True), ("count", None), ("count", 2.5),
-        ("max_len", "x"), ("max_len", None)])
-    def test_lying_huffman_value_through_stf(self, stf_parts, key, value):
-        header, sections = stf_parts
-        encoder = {**header.stage_meta["encoder"], key: value}
-        meta = {**header.stage_meta, "encoder": encoder}
-        _assert_resealed_codec_error(replace(header, stage_meta=meta),
-                                     sections, self.stf_only)
-
-    @pytest.mark.parametrize("name", ["enc.lengths", "enc.payload",
-                                      "enc.chunk_syms", "enc.chunk_bits"])
-    def test_missing_huffman_section_through_stf(self, stf_parts, name):
-        header, sections = stf_parts
-        _assert_resealed_codec_error(
-            header, {k: v for k, v in sections.items() if k != name},
-            self.stf_only)
-
-    def test_missing_encoder_meta_through_stf(self, stf_parts):
-        header, sections = stf_parts
-        meta = {k: v for k, v in header.stage_meta.items() if k != "encoder"}
-        _assert_resealed_codec_error(replace(header, stage_meta=meta),
-                                     sections, self.stf_only)
 
 
 class TestResealedPreprocessRange:
@@ -737,12 +696,11 @@ class TestBaselineCorruption:
 
 class TestCrossContainerConfusion:
     def test_speed_blob_decodes_via_generic_path_only(self, rng):
-        """Pipelines route by header; a wrong manual route must not
-        silently produce garbage."""
+        """Pipelines route by header: a speed blob handed to another
+        preset's ``decompress`` decodes exactly as the generic path does,
+        never as garbage."""
         data = rng.standard_normal(500).astype(np.float32)
         blob = fzmod_speed().compress(data, 1e-2).blob
         out = decompress(blob)  # generic path: fine
         assert out.shape == data.shape
-        from repro.core.stf_pipeline import StfDefaultPipeline
-        with pytest.raises(FZModError):
-            StfDefaultPipeline().decompress(blob)  # wrong pipeline: loud
+        np.testing.assert_array_equal(fzmod_default().decompress(blob), out)

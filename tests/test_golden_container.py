@@ -20,6 +20,13 @@ huffman) the same way: both were written at commit 8614a1e, the last one
 with a stage interpreter next to the plan executor, so they hold the one
 remaining executor to the bytes both of them wrote.
 
+A fifth was written at commit 9811c60 by ``StfDefaultPipeline``, the
+hand-written task-graph pipeline deleted after it, at eb=1e-4 on the
+same field (67 outliers).  Its header carries the stage -> name map but
+no spec field, so ``repro.decompress`` reads it through the module-map
+branch of ``decode_plan_for_header``; the values it returns are pinned
+by digest.
+
 The multi-shard (FZMS) layouts are pinned by sha256 digest instead of a
 blob: their field is built from integer arithmetic, so it is the same on
 every platform.
@@ -175,6 +182,50 @@ GOLDEN_QUALITY_BLOB = base64.b64decode(
     "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAInAYPg=="
 )
 
+GOLDEN_STF_BLOB = base64.b64decode(
+    "RlpNRAEAEwIAAH1ZRiJ7InNoYXBlIjpbMTIsMTZdLCJkdHlwZSI6IjxmNCIsImViX3ZhbHVl"
+    "IjowLjAwMDEsImViX21vZGUiOiJyZWwiLCJlYl9hYnMiOjAuMDAxMTkxMTk1MjAxODczNzc5"
+    "MywicmFkaXVzIjo1MTIsIm1vZHVsZXMiOnsicHJlcHJvY2VzcyI6InJlbC1lYiIsInByZWRp"
+    "Y3RvciI6ImxvcmVuem8iLCJzdGF0aXN0aWNzIjoiaGlzdG9ncmFtIiwiZW5jb2RlciI6Imh1"
+    "ZmZtYW4iLCJzZWNvbmRhcnkiOiJub25lIn0sInN0YWdlX21ldGEiOnsicHJlZGljdG9yIjp7"
+    "fSwicHJlcHJvY2VzcyI6e30sImVuY29kZXIiOnsiY291bnQiOjE5MiwibWF4X2xlbiI6MTYs"
+    "Im5jaHVua3MiOjF9LCJvdXRsaWVycyI6eyJjb3VudCI6Njd9fSwic2VjdGlvbnMiOltbImVu"
+    "Yy5wYXlsb2FkIiwwLDEyOV0sWyJlbmMubGVuZ3RocyIsMTI5LDEwMjRdLFsiZW5jLmNodW5r"
+    "X3N5bXMiLDExNTMsOF0sWyJlbmMuY2h1bmtfYml0cyIsMTE2MSw4XSxbIm91dGxpZXIuaWR4"
+    "IiwxMTY5LDU1XSxbIm91dGxpZXIudmFsIiwxMjI0LDE2MF1dLCJib2R5X2NyYyI6Mzk4MjYz"
+    "MTU5MH3Wu3AXkbUsGJKWnN8YuHF99F+9wlmOQ/TZTsgvk3sgk2uwUgphvUu3rtJPKDhrZIKf"
+    "i/nSeDBrokVlCIKrlvZFvmHjkqOPL76G545FwX/tUVNnq17dhZ+Eou0hwVf5YvJnHWzdDq/8"
+    "aM2pWnv7ltl+aA+YX3z4CZWI45OhdWU/9eoAAAAAAAAHAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
+    "AAAAAAAAAAAIAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAIAAAAAAAAAAAAAAgAAAAAAAAAAAAA"
+    "AAAAAAAAAAAAAAAIAAAAAAAAAAAAAAAIAAAAAAAAAAAAAAAAAAAAAAAIAAgAAAAAAAAAAAAI"
+    "AAAAAAAACAAAAAAAAAAACAAAAAAAAAAAAAAAAAgICAAAAAAAAAAAAAAACAAAAAAAAAAIAAAA"
+    "AAAIAAAAAAAACAgAAAAAAAYAAAAAAAAAAAAAAAAAAAgACAAAAAAAAAAAAAgAAAgAAAAAAAAA"
+    "AAgAAAAAAAAAAAAACAAAAAAIAAAAAAAAAAAAAAAAAAAABwAAAAAICAAAAAAAAAAABwAAAAAA"
+    "AAgAAAAAAAAIAAgIAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAIAAAAAAgAAAgAAAAAAAAACAAA"
+    "AAAAAAAABwAAAAAAAAgAAAAAAAAAAAAACAAAAAAAAAgAAAAAAAAAAAgACAAAAAAABwAAAAAA"
+    "AAAAAAAACAAACAAAAAAABwAAAAAAAAAIAAAACAAAAAAAAAAAAAAAAAAAAAAIAAAIAAAAAAAA"
+    "AAAAAAAAAAAAAAAAAAAAAAAAAAAACAgAAAAIAAAAAAAAAAAAAAAIAAgAAAAACAAAAAAIAAEA"
+    "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAgAAAAAAAAAAAAAAAAACAAAAAAA"
+    "AAAAAAAICAAAAAAAAAAAAAAAAAAAAAAAAAgAAAAAAAAACAAAAAAAAAAIAAgAAAAIAAAICAAA"
+    "AAAAAAcAAAAAAAAAAAAHAAAAAAgAAAAACAAAAAAAAAAAAAAAAAAAAAAAAAAIAAAAAAAAAAAA"
+    "AAAAAAAAAAAAAAAAAAAAAAAAAAAACAAAAAAABwAAAAAAAAAAAAAAAAAAAAAAAAAACAgAAAAA"
+    "AAAAAAAACAAAAAAAAAAIAAAIAAAACAAAAAAAAAgAAAAAAAAAAAAAAAAAAAAIAAAAAAAAAAAA"
+    "AAAAAAAAAAAAAAAIAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAIAAAIAAAAAAAIAAAAAAAAAAAI"
+    "AAAAAAgAAAAAAAAAAAAABwAAAAAICAAIAAAIAAAAAAAAAAAIAAAAAAgAAAAAAAAAAAAAAAAA"
+    "CAAAAAgAAAAAAAAAAAAIAAAAAAAICAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAACAAA"
+    "AAAAAAAAAAAIAAAAAAAAAAAAAAAACAAAAAAAAAAIAAAAAAAIAAAAAAcAAAAABwAAAAAAAAAA"
+    "AAAAAAAAAAcAAAAAAAAAAAAAAAAAAAAAwAAAAAAAAAAHBAAAAAAAAEMAAAAAAAAAAwAAAAQE"
+    "AkBCggAQEDIBYBABAEEUAAAxAUEAEAYCkHQgURAWgQUhCAAAAAAAAAAAQwAAAAAAAAADAAAA"
+    "DAwMbPkmXgXlUvn5TSRqoDYkdvd4Q5cQeBVdShYmRJZ2XCeVz2d3UXUwQKW6iRhqW3SupHQE"
+    "WpUkUKWtXsViWIprmiSgVpRlUbhcZmUaQNSoUFRKdNUkQTUVTvagQrV1SGXvleb7ToAAAAAA"
+    "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
+)
+
+#: sha256 of the float32 bytes ``StfDefaultPipeline.decompress`` returned
+#: for :data:`GOLDEN_STF_BLOB` when it wrote it
+GOLDEN_STF_OUTPUT_DIGEST = (
+    "c9beb0e71872c4133d06c38d164c2cbb08174724c37ea0fe6bbf62f57c8e9c0f")
+
 GOLDEN_DATA = np.frombuffer(base64.b64decode(
     "InAYPkNxrb6XEK2+iYviPEcXA8Bpkj0/1eqDPi6lD7yGyOE9QD0VvxC2mj/bKWw/mjOwPydk"
     "174pTYe/6lX/vt0Ziz8iZ6M+YIVIPMtnRzwuZpO/VqXPP3VZ4r6eBb8+OjqiP63wHcDnLEs/"
@@ -297,3 +348,17 @@ class TestGoldenHuffmanContainers:
 
     def test_todays_encoder_writes_the_same_bytes(self, preset, golden):
         assert preset().compress(GOLDEN_DATA, 1e-3).blob == golden
+
+
+class TestGoldenStfContainer:
+    def test_decodes_through_the_module_map(self):
+        from repro.core import parse
+        header, _ = parse(GOLDEN_STF_BLOB)
+        assert header.pipeline_spec() is None
+        assert header.stage_meta["outliers"] == {"count": 67}
+        recon = repro.decompress(GOLDEN_STF_BLOB)
+        assert recon.shape == (12, 16) and recon.dtype == np.float32
+        assert hashlib.sha256(recon.tobytes()).hexdigest() == \
+            GOLDEN_STF_OUTPUT_DIGEST
+        rng_v = float(GOLDEN_DATA.max() - GOLDEN_DATA.min())
+        assert verify_error_bound(GOLDEN_DATA, recon, 1e-4 * rng_v)

@@ -114,7 +114,7 @@ class TestBoundComposition:
 class TestThreadSafety:
     def test_concurrent_compression_is_safe_and_deterministic(self):
         """Module instances are shared; pipelines must be usable from
-        several threads at once (the STF executors rely on this)."""
+        several threads at once (shard and slab threads rely on this)."""
         from concurrent.futures import ThreadPoolExecutor
         data = _field(11, 2)
         pipe = fzmod_default()

@@ -7,8 +7,8 @@ Run after the bench suite::
     python tools/make_report.py          # writes RESULTS.md
 
 Collects every table under ``benchmarks/results/`` in the paper's order
-(tables, figures, STF demo, ablations, engine/node extras) so the whole
-reproduction is reviewable in one file.
+(tables, figures, the measured §3.3.1 overlap, ablations, extras) so the
+whole reproduction is reviewable in one file.
 """
 
 from __future__ import annotations
@@ -33,13 +33,12 @@ SECTIONS = [
     ("fig4_rate_distortion_hacc", "Figure 4 — rate-distortion (HACC)"),
     ("fig4_rate_distortion_hurr", "Figure 4 — rate-distortion (HURR)"),
     ("fig4_rate_distortion_nyx", "Figure 4 — rate-distortion (Nyx)"),
-    ("stf_overlap_compress", "§3.3.1 — STF compression schedule"),
-    ("stf_overlap_decompress", "§3.3.1 — STF decompression overlap"),
+    ("streaming", "§3.3.1 — scatter/decode overlap, measured on the "
+                  "streaming engine"),
     ("ablation_histogram", "Ablation — histogram module"),
     ("ablation_secondary", "Ablation — secondary encoder"),
     ("ablation_fusion", "Ablation — fused vs staged encoding"),
     ("ablation_radius", "Ablation — quant-code radius"),
-    ("stf_engine_overhead", "STF engine overhead"),
 ]
 
 
