@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -226,6 +227,145 @@ class TestBatchSchedule:
         assert schedule == interp._schedule(shape, max_level)
 
 
+def _assert_matches_reference(data, eb, max_level, dynamic=False):
+    radius = q.DEFAULT_RADIUS
+    res = interp.compress(data, eb, radius, max_level=max_level,
+                          dynamic=dynamic)
+    codes, outliers, anchors, choices = _reference_compress(
+        data, eb, radius, max_level, dynamic)
+    np.testing.assert_array_equal(res.codes, codes)
+    np.testing.assert_array_equal(res.outliers.indices, outliers.indices)
+    np.testing.assert_array_equal(res.outliers.values, outliers.values)
+    assert res.anchors.tobytes() == anchors.tobytes()
+    assert res.choices == choices
+    want = _reference_decompress(res).tobytes()
+    assert interp.decompress(res).tobytes() == want
+    out = np.empty(data.shape, dtype=data.dtype)
+    assert interp.decompress(res, out=out).tobytes() == want
+
+
+class TestSlabWalk:
+    """The fine levels run slab by slab along axis 0; the seams between
+    slabs must not show in the codes, the outliers or the reconstruction."""
+
+    @staticmethod
+    def _field(rng, shape):
+        return np.cumsum(rng.standard_normal(shape), axis=0).astype(np.float32)
+
+    @pytest.mark.parametrize("shape,slab_elems,height", [
+        ((37, 12, 10), 480, 4),      # 37 rows: the last slab has 1 row
+        ((23, 9, 14), 3 * 126, 3),   # odd height: slabs start on odd rows
+        ((47, 33), 5 * 33, 5),       # 2-D
+    ])
+    def test_rows_not_a_multiple_of_the_slab_height(
+            self, rng, monkeypatch, shape, slab_elems, height):
+        monkeypatch.setattr(interp, "_SLAB_ELEMS", slab_elems)
+        finest = interp._slab_starts(shape, 1, True)
+        assert finest.step == height and shape[0] % height
+        data = self._field(rng, shape)
+        _assert_matches_reference(data, eb_abs_for(data, 1e-3),
+                                  interp.default_max_level(len(shape)))
+
+    def test_rows_fewer_than_one_slab(self, rng):
+        shape = (3, 20, 20)
+        finest = interp._slab_starts(shape, 1, True)
+        assert (finest.step, len(finest)) == (3, 1)
+        data = self._field(rng, shape)
+        _assert_matches_reference(data, eb_abs_for(data, 1e-3), 4)
+
+    @pytest.mark.parametrize("shape", [(9, 17, 13), (13, 70)])
+    def test_plane_larger_than_a_slab_gives_one_row_slabs(
+            self, rng, monkeypatch, shape):
+        monkeypatch.setattr(interp, "_SLAB_ELEMS", 64)
+        assert math.prod(shape[1:]) > interp._SLAB_ELEMS
+        assert interp._slab_starts(shape, 1, True).step == 1
+        data = self._field(rng, shape)
+        for rel in (1e-2, 1e-5):
+            _assert_matches_reference(data, eb_abs_for(data, rel),
+                                      interp.default_max_level(len(shape)))
+
+    def test_default_slab_size_on_a_slabbed_field(self, rng):
+        """At the shipped ``_SLAB_ELEMS`` the finest level of a
+        128 x 128-plane field runs in more than one slab."""
+        shape = (11, 128, 128)
+        finest = interp._slab_starts(shape, 1, True)
+        assert len(finest) > 1 and shape[0] % finest.step
+        data = self._field(rng, shape)
+        _assert_matches_reference(data, eb_abs_for(data, 1e-4), 4)
+
+    def test_1d_and_dynamic_run_as_one_slab(self, rng, monkeypatch):
+        monkeypatch.setattr(interp, "_SLAB_ELEMS", 8)
+        assert len(interp._slab_starts((300,), 1, False)) == 1
+        assert len(interp._slab_starts((21, 10, 12), 1, False)) == 1
+        data = self._field(rng, (300,))
+        _assert_matches_reference(data, eb_abs_for(data, 1e-3), 8)
+        data = rng.standard_normal((21, 10, 12)).astype(np.float32)
+        _assert_matches_reference(data, eb_abs_for(data, 1e-4), 4,
+                                  dynamic=True)
+
+    def test_pieces_tile_each_batch_and_the_stream(self, monkeypatch):
+        """Every slab piece is a run of its batch's codes: the pieces of a
+        batch are contiguous, in order, and cover the stream once."""
+        monkeypatch.setattr(interp, "_SLAB_ELEMS", 100)
+        shape = (19, 11, 9)
+        batches = interp._schedule(shape, 4)
+        recon = np.zeros(shape)
+        stream = np.arange(recon.size - recon[::16, ::16, ::16].size)
+        seen = np.zeros(shape, dtype=np.int64)
+        ends = {}
+        for b, _axis, _known, _lo, targets, codes, pred, *_ in interp._walk(
+                recon, stream, batches, True):
+            assert codes.shape == pred.shape == recon[targets].shape
+            first = int(codes.reshape(-1)[0])
+            assert ends.get(b, first) == first
+            ends[b] = int(codes.reshape(-1)[-1]) + 1
+            seen[targets] += 1
+        assert max(ends.values()) == stream.size
+        assert seen.sum() == stream.size and seen.max() == 1
+
+
+class TestPredictWorkaround:
+    """``_predict`` forms ``-fl + 9.0*l`` as ``9.0*l - fl``: NumPy 2.4.6's
+    ``np.negative`` returns wrong values for a large-stride input with a
+    strided ``out=``, e.g. ``np.negative(np.arange(64.)[::8][:5],
+    out=np.zeros(64)[::2][:5])`` gives ``-0, -1, -2, ...``.  The
+    workaround must stay bit for bit the scalar stencil on the strided
+    slab views the walk hands out."""
+
+    @staticmethod
+    def _scalar(known, axis, k, rest, n_even, linear_only):
+        def at(i):
+            return float(known[rest[:axis] + (i,) + rest[axis:]])
+        if not linear_only and 1 <= k <= n_even - 3:
+            return (-at(k - 1) + 9.0 * at(k) + 9.0 * at(k + 1)
+                    - at(k + 2)) / 16.0
+        if k <= n_even - 2:
+            return (at(k) + at(k + 1)) * 0.5
+        return at(k)
+
+    @pytest.mark.parametrize("linear_only", [False, True])
+    def test_matches_scalar_stencil_on_slab_views(self, monkeypatch,
+                                                  linear_only):
+        monkeypatch.setattr(interp, "_SLAB_ELEMS", 64)
+        shape = (27, 24, 22)
+        recon = np.random.default_rng(5).standard_normal(shape) * 1e3
+        stream = np.empty(recon.size, dtype=np.int64)
+        batches = interp._schedule(shape, 4)
+        checked = 0
+        for _b, axis, known, lo, _t, _codes, pred, _tmp, work in interp._walk(
+                recon, stream, batches, True):
+            pred.fill(np.nan)
+            interp._predict(known, axis, lo, pred, work, linear_only)
+            n_even = known.shape[axis]
+            for ix in np.ndindex(pred.shape):
+                rest = ix[:axis] + ix[axis + 1:]
+                want = self._scalar(known, axis, lo + ix[axis], rest, n_even,
+                                    linear_only)
+                assert pred[ix].tobytes() == np.float64(want).tobytes()
+            checked += pred.size
+        assert checked == recon.size - recon[::16, ::16, ::16].size
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("rel", [1e-2, 1e-3, 1e-5])
     def test_error_bound_2d(self, smooth_2d, rel):
@@ -387,6 +527,34 @@ class TestValidation:
         assert res.max_level != level
         with pytest.raises(CodecError, match="anchor count"):
             interp.decompress(dataclasses.replace(res, max_level=level))
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda s: np.empty(s, dtype=np.float64), "float64"),
+        (lambda s: np.empty(s, dtype=np.int16), "int16"),
+        (lambda s: np.empty((s[0] + 1,) + s[1:], dtype=np.float32), "shape"),
+        (lambda s: np.empty(s, dtype=np.float32).T.copy().T,
+         "C-contiguous"),
+        (lambda s: np.empty((s[0], s[1] * 2), dtype=np.float32)[:, ::2],
+         "C-contiguous"),
+    ], ids=["float64", "int16", "shape", "fortran", "strided"])
+    def test_bad_out_refused_before_decoding(self, smooth_2d, make, match):
+        """``out=`` is checked before anything else: a broken stream behind
+        it is never reached."""
+        res = interp.compress(smooth_2d, eb_abs_for(smooth_2d, 1e-3))
+        out = make(smooth_2d.shape)
+        before = out.copy()
+        for r in (res, dataclasses.replace(res, codes=res.codes[:-5])):
+            with pytest.raises(CodecError, match=match):
+                interp.decompress(r, out=out)
+        assert out.tobytes() == before.tobytes()
+
+    def test_read_only_out_refused_before_decoding(self, smooth_2d):
+        res = interp.compress(smooth_2d, eb_abs_for(smooth_2d, 1e-3))
+        out = np.zeros(smooth_2d.shape, dtype=smooth_2d.dtype)
+        out.flags.writeable = False
+        for r in (res, dataclasses.replace(res, codes=res.codes[:-5])):
+            with pytest.raises(CodecError, match="not writable"):
+                interp.decompress(r, out=out)
 
     def test_choices_must_cover_the_schedule(self, noisy_2d):
         res = interp.compress(noisy_2d, 0.1, dynamic=True)

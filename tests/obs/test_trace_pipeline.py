@@ -104,10 +104,27 @@ class TestTraceSaysWhichBodyRan:
         for r in GLOBAL_TRACER.records():
             assert "compiled" not in r.attrs
             assert "decline_reason" not in r.attrs
+        from repro.kernels import interp
+        finest = interp._slab_starts(field.shape, 1, True)
         for name in ("kernel.interp.compress", "kernel.interp.decompress"):
             attrs = recs[name].attrs
             assert (attrs["levels"], attrs["batches"], attrs["dynamic"]) == (
                 4, 12, False)
+            assert (attrs["slab_rows"], attrs["slabs"]) == (
+                finest.step, len(finest))
+
+    def test_interp_spans_count_the_finest_slabs(self, field, monkeypatch):
+        from repro.kernels import interp
+        monkeypatch.setattr(interp, "_SLAB_ELEMS", 5 * 48 * 48)
+        res = interp.compress(field, 1e-3)
+        interp.decompress(res)
+        interp.compress(field, 1e-3, dynamic=True)
+        got = [(r.name, r.attrs["slab_rows"], r.attrs["slabs"])
+               for r in GLOBAL_TRACER.records()
+               if r.name.startswith("kernel.interp.")]
+        assert got == [("kernel.interp.compress", 5, 10),
+                       ("kernel.interp.decompress", 5, 10),
+                       ("kernel.interp.compress", 48, 1)]
 
     def test_fused_steps_say_so_and_module_calls_do_not(
             self, field, module_call_twin, module_call_registry):

@@ -37,14 +37,14 @@ CEILINGS = {
 COMPRESS_CEILINGS = {
     "fzmod-default": int(5_224_584 * 1.1),
     "fzmod-speed": int(15_729_811 * 1.1),
-    "fzmod-quality": int(26_536_589 * 1.1),
+    "fzmod-quality": int(19_465_405 * 1.1),
 }
 
 #: decompress peaks with the pool off on the 3.9 MB field, plus 10 %
 DECOMPRESS_CEILINGS = {
     "fzmod-default": int(10_443_401 * 1.1),
     "fzmod-speed": int(9_970_689 * 1.1),
-    "fzmod-quality": int(29_773_362 * 1.1),
+    "fzmod-quality": int(22_702_146 * 1.1),
 }
 
 
