@@ -12,6 +12,7 @@ import pytest
 
 from repro.compile.fused import (fused_decode_reconstruct,
                                  fused_predict_quantize)
+from repro.core.modules_std import BitshuffleEncoder
 from repro.kernels import (bitshuffle, delta, dictionary, fixedlen,
                            histogram, huffman, interp, lorenzo, quantize)
 
@@ -197,6 +198,19 @@ class TestEncoderKernels:
     def test_zero_elimination(self, benchmark, codes):
         payload = bitshuffle.shuffle(codes.astype(np.uint16), 16)
         benchmark(dictionary.eliminate, payload)
+
+    def test_bitshuffle_encoder_encode(self, benchmark, codes):
+        """``fzmod-speed``'s whole tail, chunk by chunk: recentre, zigzag,
+        shuffle and zero-word elimination."""
+        benchmark(BitshuffleEncoder().encode, codes.astype(np.uint16), 1024,
+                  None)
+
+    def test_bitshuffle_encoder_decode(self, benchmark, codes):
+        values = codes.astype(np.uint16)
+        enc = BitshuffleEncoder()
+        stream = enc.encode(values, 1024, None)
+        out = benchmark(enc.decode, stream, values.size, 1024)
+        assert np.array_equal(out, values)
 
     def test_fixedlen_encode(self, benchmark, codes):
         zz = bitshuffle.zigzag(codes.astype(np.int64) - 512)

@@ -11,8 +11,6 @@ they model.  This module provides the shared primitives:
   bit-serial reference Huffman decoder walks; the lock-step decoder in
   :mod:`repro.kernels.huffman` reads its windows from a 32-bit word at
   every byte offset instead).
-* :func:`pack_fixed` / :func:`unpack_fixed` — pack ``n`` values of a uniform
-  bit width (cuSZp2-style fixed-length blocks).
 
 All functions operate on little-endian *bit order within a byte being MSB
 first* (``np.packbits`` convention), which keeps round-trips exact.
@@ -109,19 +107,6 @@ def pack_varlen(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     return pack_blocks(codes.size, 32, fetch)
 
 
-def bits_to_bytes(bits: np.ndarray) -> bytes:
-    """Pack a 0/1 ``uint8`` bit array (MSB-first) into bytes."""
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
-
-
-def bytes_to_bits(payload: bytes, total_bits: int) -> np.ndarray:
-    """Unpack bytes to a 0/1 ``uint8`` array of exactly ``total_bits``."""
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-    if bits.size < total_bits:
-        raise CodecError(f"payload holds {bits.size} bits, need {total_bits}")
-    return bits[:total_bits]
-
-
 def unpack_windows(payload: bytes, total_bits: int, width: int) -> np.ndarray:
     """Read a ``width``-bit big-endian window starting at *every* bit offset.
 
@@ -151,46 +136,3 @@ def unpack_windows(payload: bytes, total_bits: int, width: int) -> np.ndarray:
     win = (word >> (np.uint64(32 - width) - bit0.astype(np.uint64))) \
         & np.uint64((1 << width) - 1)
     return win.astype(np.uint32)
-
-
-def pack_fixed(values: np.ndarray, width: int) -> bytes:
-    """Pack ``values`` (non-negative ints ``< 2**width``) at a fixed width.
-
-    ``width`` may be 0, in which case the payload is empty (all values are
-    implicitly zero) — this is the common case for cuSZp2's all-predictable
-    blocks.
-    """
-    values = np.asarray(values)
-    if width == 0:
-        if values.size and int(values.max(initial=0)) != 0:
-            raise CodecError("width 0 requires all-zero values")
-        return b""
-    if width < 0 or width > 32:
-        raise CodecError("fixed width must be in [0, 32]")
-    v = values.astype(np.uint32)
-    if v.size and int(v.max()) >> width:
-        raise CodecError(f"value does not fit in {width} bits")
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
-    bits = ((v[:, None] >> shifts[None, :]) & np.uint32(1)).astype(np.uint8)
-    return np.packbits(bits.reshape(-1)).tobytes()
-
-
-def unpack_fixed(payload: bytes, count: int, width: int) -> np.ndarray:
-    """Inverse of :func:`pack_fixed`: read ``count`` ``width``-bit values."""
-    if width == 0:
-        return np.zeros(count, dtype=np.uint32)
-    total_bits = count * width
-    bits = bytes_to_bits(payload, total_bits).reshape(count, width).astype(np.uint32)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
-    return (bits << shifts[None, :]).sum(axis=1, dtype=np.uint32)
-
-
-def required_width(values: np.ndarray) -> int:
-    """Smallest bit width able to represent every value of ``values``."""
-    values = np.asarray(values)
-    if values.size == 0:
-        return 0
-    m = int(values.max(initial=0))
-    if m < 0 or int(values.min(initial=0)) < 0:
-        raise CodecError("required_width expects non-negative values")
-    return int(m).bit_length()

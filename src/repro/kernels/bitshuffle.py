@@ -116,11 +116,13 @@ def shuffled_size(count: int, width_bits: int = 16,
     return -(-count // block) * block * (width_bits // 8)
 
 
-def _flip(words: np.ndarray) -> None:
+def _flip(words: np.ndarray, scratch: np.ndarray | None = None) -> None:
     """Flip every ``uint64`` of ``words``, read as an 8x8 bit matrix, about
     its anti-diagonal, in place.  An involution: shuffle and unshuffle
-    share it."""
-    scratch = np.empty(min(words.size, _FLIP_WORDS), dtype=np.uint64)
+    share it.  ``scratch``, when given, holds at least
+    ``min(words.size, _FLIP_WORDS)`` words."""
+    if scratch is None:
+        scratch = np.empty(min(words.size, _FLIP_WORDS), dtype=np.uint64)
     for start in range(0, words.size, _FLIP_WORDS):
         x = words[start:start + _FLIP_WORDS]
         t = scratch[:x.size]
@@ -132,6 +134,53 @@ def _flip(words: np.ndarray) -> None:
             x ^= t
             t >>= shift
             x ^= t
+
+
+def _planes(v: np.ndarray, block: int, planes: np.ndarray,
+            scratch: np.ndarray | None = None) -> np.ndarray:
+    """The shuffle of the low byte planes of ``v``, as a view of
+    ``planes``.
+
+    ``planes`` is a C-contiguous ``uint8`` array of ``rows`` rows, each a
+    whole number of blocks and at least ``v.size`` long.  It is
+    overwritten with the ``rows`` least significant byte planes of ``v``,
+    most significant first and zero past ``v.size``, then flipped
+    (``scratch`` goes to :func:`_flip`).  The view is shaped ``(blocks,
+    rows, 8, block // 8)``; with a row per byte of the shuffle width, it
+    is the byte stream :func:`shuffle` emits, read in C order.
+    """
+    rows, padded = planes.shape
+    for row in range(rows):
+        np.right_shift(v, 8 * (rows - 1 - row), out=planes[row, :v.size],
+                       casting="unsafe")
+    planes[:, v.size:] = 0
+    _flip(planes.reshape(-1).view("<u8"), scratch)
+    # a flipped word holds one byte of each of 8 planes: gather every
+    # plane's bytes of a block into one row
+    return planes.reshape(rows, padded // block, block // 8, 8
+                          ).transpose(1, 0, 3, 2)
+
+
+def _values(shuffled: np.ndarray, planes: np.ndarray, values: np.ndarray,
+            scratch: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of :func:`_planes`: ``values`` from the low byte planes
+    ``shuffled`` holds, a ``(blocks, rows, 8, block // 8)`` view of
+    shuffled bytes.  ``values`` is unsigned, at least ``rows`` bytes wide
+    and has the padded count; ``planes`` is a C-contiguous ``uint8``
+    scratch of ``shuffled.size`` bytes.  Returns ``values``."""
+    nblocks, rows, _, row_bytes = shuffled.shape
+    # One plane at a time: eight long strided copies run twice as fast as
+    # one transposing copy whose inner loop is the 8 bytes of a word.
+    planes = planes.reshape(rows, nblocks, row_bytes, 8)
+    for bit in range(8):
+        planes[..., bit] = shuffled[:, :, bit].transpose(1, 0, 2)
+    _flip(planes.reshape(-1).view("<u8"), scratch)
+    planes = planes.reshape(rows, -1)
+    np.copyto(values, planes[0])
+    for row in planes[1:]:
+        values <<= 8
+        values |= row
+    return values
 
 
 def shuffle(values: np.ndarray, width_bits: int = 16,
@@ -151,15 +200,7 @@ def shuffle(values: np.ndarray, width_bits: int = 16,
               bytes_in=int(v.nbytes), bytes_out=padded * lanes):
         # a fresh buffer: the flip never runs on the caller's array
         planes = np.empty((lanes, padded), dtype=np.uint8)
-        for lane in range(lanes):
-            np.right_shift(v, 8 * (lanes - 1 - lane),
-                           out=planes[lane, :v.size], casting="unsafe")
-        planes[:, v.size:] = 0
-        _flip(planes.reshape(-1).view("<u8"))
-        # a flipped word holds one byte of each of 8 planes: gather every
-        # plane's bytes of a block into one row
-        return planes.reshape(lanes, padded // block, block // 8, 8
-                              ).transpose(1, 0, 3, 2).tobytes()
+        return _planes(v, block, planes).tobytes()
 
 
 def unshuffle(payload: bytes, count: int, width_bits: int = 16,
@@ -177,17 +218,8 @@ def unshuffle(payload: bytes, count: int, width_bits: int = 16,
     with span("kernel.bitshuffle.unshuffle", values=int(count),
               width=width_bits, blocks=nblocks, bytes_in=expect,
               bytes_out=int(count) * lanes):
-        rows = raw.reshape(nblocks, lanes, 8, block // 8)
-        # a fresh buffer again (``payload`` may be read-only).  One plane
-        # at a time: eight long strided copies run twice as fast as one
-        # transposing copy whose inner loop is the 8 bytes of a word.
-        planes = np.empty((lanes, nblocks, block // 8, 8), dtype=np.uint8)
-        for bit in range(8):
-            planes[..., bit] = rows[:, :, bit].transpose(1, 0, 2)
-        _flip(planes.reshape(-1).view("<u8"))
-        planes = planes.reshape(lanes, -1)
-        values = planes[0].astype(dt)
-        for lane in planes[1:]:
-            values <<= 8
-            values |= lane
-        return values[:count]
+        # fresh buffers again (``payload`` may be read-only)
+        planes = np.empty(expect, dtype=np.uint8)
+        values = np.empty(expect // lanes, dtype=dt)
+        return _values(raw.reshape(nblocks, lanes, 8, block // 8), planes,
+                       values)[:count]

@@ -189,10 +189,10 @@ def _predict(known: np.ndarray, axis: int, lo: int, pred: np.ndarray,
     point at flat position ``x`` sit at ``x - S``, ``x + S`` and
     ``x + 2S``, with ``S`` the flat step along ``axis``.  Positions whose
     taps straddle a row of the leading axes compute values nobody reads;
-    only the interior is copied into ``pred``.  ``work`` is three flat
-    float64 scratch buffers, each at least as long as ``g``; ``pred`` may
-    be carved from the last, which holds ``9.0 * g`` until the first
-    write to ``pred``.
+    only the interior is copied into ``pred``.  The first three buffers
+    of ``work`` are flat float64 scratch, each at least as long as ``g``;
+    ``pred`` may be carved from the third, which holds ``9.0 * g`` until
+    the first write to ``pred``.
     """
     n_even = known.shape[axis]
     hi = lo + pred.shape[axis]
@@ -200,7 +200,7 @@ def _predict(known: np.ndarray, axis: int, lo: int, pred: np.ndarray,
     lead = (slice(None),) * axis
     gshape = known.shape[:axis] + (g1 - g0,) + known.shape[axis + 1:]
     size = math.prod(gshape)
-    flat_buf, cubic_buf, nine_buf = work
+    flat_buf, cubic_buf, nine_buf = work[:3]
     flat = flat_buf[:size]
     g = flat.reshape(gshape)
     np.copyto(g, known[lead + (slice(g0, g1),)])
@@ -240,7 +240,7 @@ def _predict(known: np.ndarray, axis: int, lo: int, pred: np.ndarray,
 
 
 def _walk(recon: np.ndarray, stream: np.ndarray, batches: list,
-          slabbed: bool):
+          slabbed: bool, spare: bool = False):
     """Per slab piece of a batch: ``(batch number, axis, known view, lo,
     targets index, codes, pred, tmp, work)``.
 
@@ -255,7 +255,9 @@ def _walk(recon: np.ndarray, stream: np.ndarray, batches: list,
     scratch buffers, sized once for the largest piece and the largest
     range of ``known`` a piece reads; ``pred`` is carved from the last
     and ``tmp`` (free once ``pred`` is written) from the second, both
-    C-contiguous and shaped like the piece.
+    C-contiguous and shaped like the piece.  ``spare`` adds a fourth
+    buffer of the same size to ``work``, which :func:`_predict` leaves
+    alone.
     """
     shape = recon.shape
     levels: dict[int, list] = {}  # s -> the level's batches, coarse first
@@ -291,7 +293,8 @@ def _walk(recon: np.ndarray, stream: np.ndarray, batches: list,
                               math.prod(kshape) // kshape[axis] * (g1 - g0))
                 pieces.append((b, axis, known, lo, piece, base + r0 * row,
                                base + r1 * row, pshape))
-    work = tuple(np.empty(biggest, dtype=np.float64) for _ in range(3))
+    work = tuple(np.empty(biggest, dtype=np.float64)
+                 for _ in range(4 if spare else 3))
     for b, axis, known, lo, targets, start, end, pshape in pieces:
         yield (b, axis, recon[known], lo, targets,
                stream[start:end].reshape(pshape),
@@ -343,11 +346,11 @@ def compress(data: np.ndarray, eb_abs: float, radius: int = q.DEFAULT_RADIUS,
         stream = np.empty(data.size - anchors.size, dtype=np.int64)
         choices: list[int] = []
         for _, axis, known, lo, targets, codes, pred, tmp, work in _walk(
-                recon, stream, batches, slabbed):
+                recon, stream, batches, slabbed, spare=dynamic):
             true = data[targets]
             _predict(known, axis, lo, pred, work)
             if dynamic:
-                lin = np.empty_like(pred)
+                lin = work[3][:pred.size].reshape(pred.shape)
                 _predict(known, axis, lo, lin, work, linear_only=True)
                 # pick the stencil whose quantised residuals are smaller in
                 # total magnitude (a cheap proxy for entropy)

@@ -177,52 +177,3 @@ class TestUnpackWindows:
         for p in [0, total // 2, total - 1]:
             expect = int("".join(map(str, padded[p:p + width])), 2)
             assert int(win[p]) == expect
-
-
-class TestFixedWidth:
-    def test_round_trip(self, rng):
-        values = rng.integers(0, 2**11, 1000).astype(np.uint32)
-        payload = bitio.pack_fixed(values, 11)
-        out = bitio.unpack_fixed(payload, values.size, 11)
-        np.testing.assert_array_equal(out, values)
-
-    def test_zero_width_all_zero(self):
-        assert bitio.pack_fixed(np.zeros(10, dtype=np.uint32), 0) == b""
-        np.testing.assert_array_equal(
-            bitio.unpack_fixed(b"", 10, 0), np.zeros(10, dtype=np.uint32))
-
-    def test_zero_width_rejects_nonzero(self):
-        with pytest.raises(CodecError):
-            bitio.pack_fixed(np.array([1], dtype=np.uint32), 0)
-
-    def test_overflow_rejected(self):
-        with pytest.raises(CodecError):
-            bitio.pack_fixed(np.array([8], dtype=np.uint32), 3)
-
-    @given(st.lists(st.integers(0, 2**20 - 1), min_size=1, max_size=300),
-           st.integers(20, 32))
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip_property(self, values, width):
-        v = np.asarray(values, dtype=np.uint32)
-        out = bitio.unpack_fixed(bitio.pack_fixed(v, width), v.size, width)
-        np.testing.assert_array_equal(out, v)
-
-
-class TestRequiredWidth:
-    @pytest.mark.parametrize("value,width", [(0, 0), (1, 1), (2, 2), (3, 2),
-                                             (255, 8), (256, 9), (2**31, 32)])
-    def test_known_values(self, value, width):
-        assert bitio.required_width(np.array([value])) == width
-
-    def test_empty(self):
-        assert bitio.required_width(np.zeros(0, dtype=np.int64)) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(CodecError):
-            bitio.required_width(np.array([-1]))
-
-    def test_fits_pack_fixed(self, rng):
-        values = rng.integers(0, 5000, 100).astype(np.uint32)
-        w = bitio.required_width(values)
-        out = bitio.unpack_fixed(bitio.pack_fixed(values, w), values.size, w)
-        np.testing.assert_array_equal(out, values)

@@ -1,4 +1,5 @@
-"""Tests for zigzag mapping and bit-plane shuffling."""
+"""Tests for zigzag mapping, bit-plane shuffling and the bitshuffle
+encoder's chunked tail."""
 
 from __future__ import annotations
 
@@ -7,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.modules_std import _TAIL_VALUES, BitshuffleEncoder
 from repro.errors import CodecError
 from repro.kernels import bitshuffle as bs
+from repro.kernels import dictionary
+from repro.obs.spans import GLOBAL_TRACER, set_telemetry
 
 
 class TestZigzag:
@@ -263,3 +267,144 @@ class TestZigzagWidths:
         zz = bs.zigzag(v)
         bs.unzigzag(zz)
         assert v.tolist() == [-3, 4] and zz.tolist() == [5, 8]
+
+
+# ---------------------------------------------------------------------- #
+# the encoder's chunked tail against the whole-field kernels              #
+# ---------------------------------------------------------------------- #
+TAIL = _TAIL_VALUES
+#: alphabet size per shuffle width
+NUM_BINS = {16: 1024, 32: 1 << 20}
+COUNTS = [0, 1, 4095, 4096, TAIL - 1, TAIL + 1, 3 * TAIL + 100]
+
+
+def _whole_field(codes: np.ndarray, num_bins: int, width: int,
+                 word_bytes: int = dictionary.WORD_BYTES
+                 ) -> dictionary.ZeroEliminated:
+    """The sections as whole-field passes compute them."""
+    zz = bs.zigzag(codes.astype(np.int64) - num_bins // 2)
+    return dictionary.eliminate(bs.shuffle(zz.astype(DTYPES[width]), width),
+                                word_bytes=word_bytes, two_level=False)
+
+
+def _check_chunked(codes: np.ndarray, num_bins: int, width: int,
+                   word_bytes: int = dictionary.WORD_BYTES) -> None:
+    enc = BitshuffleEncoder(word_bytes)
+    stream = enc.encode(codes, num_bins, None)
+    z = _whole_field(codes, num_bins, width, word_bytes)
+    assert stream.sections == {"enc.bitmap2": z.bitmap2,
+                               "enc.bitmap1": z.bitmap1, "enc.words": z.words}
+    assert stream.meta == {"count": codes.size, "orig_len": z.orig_len,
+                           "word_bytes": word_bytes, "width": width}
+    out = enc.decode(stream, codes.size, num_bins)
+    assert out.dtype == DTYPES[width]
+    np.testing.assert_array_equal(out, codes)
+
+
+@pytest.mark.parametrize("count", COUNTS)
+@pytest.mark.parametrize("width", WIDTHS)
+class TestChunkedEncoderMatchesWholeField:
+    """Chunk seams, partial blocks and the last chunk's padding: the
+    encoder's sections equal ``eliminate(shuffle(zigzag(codes - centre)))``
+    and its decode inverts them."""
+
+    def test_random_codes(self, width, count, rng):
+        num_bins = NUM_BINS[width]
+        _check_chunked(rng.integers(0, num_bins, count).astype(DTYPES[width]),
+                       num_bins, width)
+
+    def test_codes_that_zigzag_to_zero(self, width, count):
+        num_bins = NUM_BINS[width]
+        _check_chunked(np.full(count, num_bins // 2, DTYPES[width]),
+                       num_bins, width)
+
+    def test_all_zero_codes(self, width, count):
+        _check_chunked(np.zeros(count, DTYPES[width]), NUM_BINS[width], width)
+
+    def test_codes_at_both_alphabet_edges(self, width, count, rng):
+        num_bins = NUM_BINS[width]
+        codes = rng.choice(np.array([0, num_bins - 1], DTYPES[width]), count)
+        _check_chunked(codes, num_bins, width)
+
+
+class TestChunkedEncoderEdges:
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_chunks_of_different_live_planes(self, width, rng):
+        """Small residuals leave the top byte planes zero, and those are
+        skipped per chunk: a chunk with one wide code among chunks of
+        narrow ones, and the reverse."""
+        num_bins = NUM_BINS[width]
+        codes = (num_bins // 2 + rng.integers(-3, 4, 3 * TAIL + 100)
+                 ).astype(DTYPES[width])
+        codes[TAIL + 17] = num_bins - 1
+        _check_chunked(codes, num_bins, width)
+        codes = rng.integers(0, num_bins, 3 * TAIL + 100).astype(DTYPES[width])
+        codes[TAIL:2 * TAIL] = num_bins // 2
+        _check_chunked(codes, num_bins, width)
+
+    @pytest.mark.parametrize("word_bytes", [1, 3, 24, 64, 5000, 1 << 20])
+    def test_words_that_do_not_divide_a_block(self, word_bytes, rng):
+        """Chunks grow to a whole number of words; a last word past the
+        stream is zero-padded, as ``eliminate`` pads it."""
+        codes = rng.integers(0, 1024, TAIL + 4097).astype(np.uint16)
+        codes[:5000] = 512
+        _check_chunked(codes, 1024, 16, word_bytes)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64,
+                                       np.uint32, np.uint64])
+    def test_codes_of_other_dtypes(self, dtype, rng):
+        codes = rng.integers(0, 1024, 2 * TAIL + 5)
+        _check_chunked(codes.astype(dtype), 1024, 16)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("side", ["above", "below"])
+    def test_code_that_overflows_the_shuffle_in_the_last_chunk(
+            self, width, side):
+        num_bins = NUM_BINS[width]
+        half, centre = 1 << (width - 1), num_bins // 2
+        codes = np.full(3 * TAIL + 100, centre, np.int64)
+        codes[-1] = centre + half if side == "above" else centre - half - 1
+        with pytest.raises(CodecError):
+            BitshuffleEncoder().encode(codes, num_bins, None)
+        codes[-1] -= 1 if side == "above" else -1   # the edge that fits
+        BitshuffleEncoder().encode(codes, num_bins, None)
+
+    def test_unsigned_codes_of_every_width_are_range_checked(self):
+        """A uint64 code above 2**63 is not a negative residual."""
+        codes = np.full(10, 512, np.uint64)
+        codes[-1] = 2**64 - 1
+        with pytest.raises(CodecError):
+            BitshuffleEncoder().encode(codes, 1024, None)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_out_of_range_code_in_the_last_chunk(self, width):
+        """In range for the shuffle, not for the alphabet: decode refuses
+        it, in the last chunk after the others decoded."""
+        num_bins = NUM_BINS[width]
+        codes = np.full(3 * TAIL + 100, num_bins // 2, np.int64)
+        codes[-1] = num_bins
+        enc = BitshuffleEncoder()
+        stream = enc.encode(codes, num_bins, None)
+        with pytest.raises(CodecError):
+            enc.decode(stream, codes.size, num_bins)
+
+    def test_one_span_per_call(self, rng):
+        codes = rng.integers(0, 1024, 3 * TAIL + 100).astype(np.uint16)
+        enc = BitshuffleEncoder()
+        prev = set_telemetry(True)
+        try:
+            with GLOBAL_TRACER.capture() as spans:
+                enc.decode(enc.encode(codes, 1024, None), codes.size, 1024)
+        finally:
+            set_telemetry(prev)
+        by_name = {s.name: s for s in spans}
+        assert [s.name for s in spans] == ["kernel.bitshuffle.encode",
+                                           "kernel.bitshuffle.decode"]
+        z = _whole_field(codes, 1024, 16)
+        for name in by_name:
+            attrs = by_name[name].attrs
+            assert attrs["values"] == codes.size and attrs["width"] == 16
+            assert attrs["blocks"] == -(-codes.size // bs.BLOCK_VALUES)
+            assert attrs["chunks"] == 4
+            assert attrs["words"] == z.orig_len // 32
+            assert attrs["kept"] == len(z.words) // 32

@@ -68,6 +68,22 @@ class TestEliminateRestore:
         with pytest.raises(CodecError):
             d.restore(bad)
 
+    @pytest.mark.parametrize("word_bytes", [9, 1 << 30, 1 << 40])
+    def test_a_word_wider_than_the_stream_sizes_nothing(self, word_bytes):
+        """Eight bytes in one zero word: ``word_bytes`` comes from a
+        container (the ``fzgpu``/``pfpl`` metadata), and the word past the
+        stream is only its padding, so it sizes no allocation."""
+        import tracemalloc
+        z = d.ZeroEliminated(bitmap2=b"", bitmap1=b"\x00", words=b"",
+                             orig_len=8, word_bytes=word_bytes)
+        tracemalloc.start()
+        try:
+            assert d.restore(z) == bytes(8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
     @given(st.binary(min_size=0, max_size=5000), st.sampled_from([1, 4, 32]),
            st.booleans())
     @settings(max_examples=60, deadline=None)

@@ -9,9 +9,12 @@ here, on any machine.  Lower a ceiling when a change lowers the peak.
 The compress and decompress ceilings are taken with the buffer pool off
 and ``threads=1``, on a field the size of the bench's 3-D fields
 (3.9 MB): a warm pool would hand its scratch back without an allocation
-and hide it from the peak.  Decompress of ``fzmod-default`` and
-``fzmod-speed`` holds the output, the fused read pass's ``int32`` grid
-and the decoded codes.
+and hide it from the peak.  Compress of ``fzmod-speed`` peaks at 1.1x
+the field: the bitshuffle tail adds one chunk of scratch and the kept
+words to the codes, not field-sized passes.  Decompress of
+``fzmod-default`` and ``fzmod-speed`` holds the output, the fused read
+pass's ``int32`` grid and the decoded codes; the bitshuffle decode adds
+one chunk of scratch and a flag per word.
 """
 
 from __future__ import annotations
@@ -36,14 +39,14 @@ CEILINGS = {
 #: compress peaks with the pool off on the 3.9 MB field, plus 10 %
 COMPRESS_CEILINGS = {
     "fzmod-default": int(5_224_584 * 1.1),
-    "fzmod-speed": int(15_729_811 * 1.1),
+    "fzmod-speed": int(4_381_704 * 1.1),
     "fzmod-quality": int(19_465_405 * 1.1),
 }
 
 #: decompress peaks with the pool off on the 3.9 MB field, plus 10 %
 DECOMPRESS_CEILINGS = {
     "fzmod-default": int(10_443_401 * 1.1),
-    "fzmod-speed": int(9_970_689 * 1.1),
+    "fzmod-speed": int(9_970_409 * 1.1),
     "fzmod-quality": int(22_702_146 * 1.1),
 }
 

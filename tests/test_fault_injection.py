@@ -240,6 +240,51 @@ class TestResealedBitshuffleMeta:
         header, sections = parts
         _assert_resealed_codec_error(header, {**sections, "enc.bitmap2": bitmap2})
 
+    @staticmethod
+    def _flip_flag(bitmap1: bytes, value: int) -> bytes:
+        """``bitmap1`` with its first word flag of the other value set to
+        ``value``: one kept word more (1) or fewer (0)."""
+        flags = np.unpackbits(np.frombuffer(bitmap1, dtype=np.uint8))
+        flags[np.flatnonzero(flags != value)[0]] = value
+        return np.packbits(flags).tobytes()
+
+    @pytest.mark.parametrize("name,resize", [
+        ("enc.words", lambda b: b + bytes(32)),
+        ("enc.words", lambda b: b[:-32]),
+        ("enc.words", lambda b: b + b"\x01"),
+        ("enc.bitmap1", lambda b: TestResealedBitshuffleMeta._flip_flag(b, 1)),
+        ("enc.bitmap1", lambda b: TestResealedBitshuffleMeta._flip_flag(b, 0)),
+        ("enc.bitmap1", lambda b: b + b"\x00"),
+        ("enc.bitmap1", lambda b: b[:-1])],
+        ids=["word-more", "word-fewer", "byte-more", "flag-more",
+             "flag-fewer", "bitmap-byte-more", "bitmap-byte-fewer"])
+    def test_words_or_bitmap_that_disagree_fail_before_any_chunk(
+            self, parts, name, resize):
+        """Kept words and word flags are counted against each other before
+        the chunk loop starts: no chunk is decoded (no
+        ``kernel.bitshuffle.decode`` span opens), and nothing is allocated
+        past the element count's own ``shuffled_size``."""
+        from repro.obs.spans import GLOBAL_TRACER, set_telemetry
+        header, sections = parts
+        head, body = assemble(header, {**sections,
+                                       name: resize(bytes(sections[name]))})
+        blob = head + body
+        prev = set_telemetry(True)
+        try:
+            for entry in (decompress, repro.decompress):
+                tracemalloc.start()
+                try:
+                    with GLOBAL_TRACER.capture() as spans:
+                        with pytest.raises(CodecError):
+                            entry(blob)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert "kernel.bitshuffle.decode" not in {s.name for s in spans}
+                assert peak < 16 * len(blob)
+        finally:
+            set_telemetry(prev)
+
     def test_orig_len_does_not_size_an_allocation(self, parts):
         """1 MiB of zero bitmap, no words, ``orig_len`` = 256 MiB: the flat
         bitmap has exactly the length that stream implies, so the only
