@@ -15,8 +15,34 @@ import numpy as np
 
 from ..core.header import ContainerHeader, assemble, parse, split_sections
 from ..core.pipeline import CompressedField, CompressionStats
-from ..errors import HeaderError
+from ..errors import CodecError, HeaderError
 from ..types import EbMode, ErrorBound, check_field
+
+
+def _checked_ints(meta: dict, who: str, **ranges: tuple[int, int]
+                 ) -> dict[str, int]:
+    """The named ``meta`` fields, each a plain (non-``bool``) ``int`` in
+    its inclusive ``(lo, hi)`` range, or :class:`CodecError`.
+
+    Baseline metadata comes straight from the container, so none of it
+    may reach a division, a reshape or an allocation unchecked.
+    """
+    fields = {}
+    for key, (lo, hi) in ranges.items():
+        value = meta.get(key)
+        if type(value) is not int or not lo <= value <= hi:
+            raise CodecError(f"{who} meta {key}={value!r} is not an int "
+                             f"in [{lo}, {hi}]")
+        fields[key] = value
+    return fields
+
+
+def _checked_sections(sections: dict[str, bytes], who: str,
+                     *names: str) -> None:
+    """:class:`CodecError` unless every named section is present."""
+    missing = [name for name in names if name not in sections]
+    if missing:
+        raise CodecError(f"{who} container lacks sections {missing}")
 
 
 class Compressor(abc.ABC):

@@ -17,7 +17,11 @@ from ..errors import CodecError
 from ..kernels import bitshuffle as bs
 from ..kernels import fixedlen as fl
 from ..kernels import lorenzo, quantize
-from .base import Compressor
+from .base import Compressor, _checked_ints, _checked_sections
+
+#: the widest block a container may declare: the decoder's scratch is
+#: one block per width-table entry (the default block is 32 values)
+_MAX_BLOCK = 1 << 20
 
 
 class CuSZp2(Compressor):
@@ -43,10 +47,13 @@ class CuSZp2(Compressor):
 
     def _decode(self, sections: dict[str, bytes], meta: dict,
                 header: ContainerHeader) -> np.ndarray:
+        _checked_sections(sections, self.name, "widths", "payload")
+        n = header.element_count
+        fields = _checked_ints(meta, self.name, count=(n, n),
+                              block=(1, _MAX_BLOCK))
         enc = fl.FixedLenEncoded(widths=sections["widths"],
                                  payload=sections["payload"],
-                                 count=int(meta["count"]),
-                                 block=int(meta["block"]))
+                                 count=n, block=fields["block"])
         zz = fl.decode(enc).astype(np.uint64)
         deltas = bs.unzigzag(zz)
         grid = lorenzo.offset1d_inverse(deltas)

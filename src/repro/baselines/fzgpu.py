@@ -18,7 +18,10 @@ from ..core.header import ContainerHeader
 from ..errors import CodecError
 from ..kernels import bitshuffle as bs
 from ..kernels import dictionary, lorenzo, quantize
-from .base import Compressor
+from .base import Compressor, _checked_ints, _checked_sections
+
+#: the widest shuffle block a container may declare (the default is 1024)
+_MAX_BLOCK = 1 << 20
 
 
 class FZGPU(Compressor):
@@ -47,13 +50,27 @@ class FZGPU(Compressor):
 
     def _decode(self, sections: dict[str, bytes], meta: dict,
                 header: ContainerHeader) -> np.ndarray:
-        z = dictionary.ZeroEliminated(
-            bitmap2=sections["bitmap2"], bitmap1=sections["bitmap1"],
-            words=sections["words"], orig_len=int(meta["orig_len"]),
-            word_bytes=int(meta["word_bytes"]))
-        shuffled = dictionary.restore(z)
-        zz = bs.unshuffle(shuffled, int(meta["count"]), width_bits=32,
-                          block=int(meta["block"]))
+        zz = _unshuffled_codes(sections, meta, header, self.name)
         deltas = bs.unzigzag(zz.astype(np.uint64)).reshape(header.shape)
         grid = lorenzo.lorenzo_inverse(deltas)
         return quantize.dequantize(grid, header.eb_abs, header.np_dtype)
+
+
+def _unshuffled_codes(sections: dict[str, bytes], meta: dict,
+                     header: ContainerHeader, who: str) -> np.ndarray:
+    """The zigzagged 32-bit codes of a shuffle + zero-elimination
+    container (``fzgpu``, ``pfpl``): its sections and integer metadata
+    are checked against the header before any of them sizes a read."""
+    _checked_sections(sections, who, "bitmap2", "bitmap1", "words")
+    n = header.element_count
+    fields = _checked_ints(meta, who, count=(n, n), block=(8, _MAX_BLOCK),
+                          word_bytes=(1, 1 << 16), orig_len=(0, 1 << 62))
+    # a block that is not a multiple of 8 is refused here too
+    if fields["orig_len"] != bs.shuffled_size(n, 32, fields["block"]):
+        raise CodecError(f"{who} orig_len does not match count and block")
+    z = dictionary.ZeroEliminated(
+        bitmap2=sections["bitmap2"], bitmap1=sections["bitmap1"],
+        words=sections["words"], orig_len=fields["orig_len"],
+        word_bytes=fields["word_bytes"])
+    return bs.unshuffle(dictionary.restore(z), n, width_bits=32,
+                        block=fields["block"])

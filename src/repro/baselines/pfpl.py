@@ -21,6 +21,7 @@ from ..errors import CodecError
 from ..kernels import bitshuffle as bs
 from ..kernels import delta, dictionary, quantize
 from .base import Compressor
+from .fzgpu import _unshuffled_codes
 
 
 class PFPL(Compressor):
@@ -49,13 +50,7 @@ class PFPL(Compressor):
 
     def _decode(self, sections: dict[str, bytes], meta: dict,
                 header: ContainerHeader) -> np.ndarray:
-        z = dictionary.ZeroEliminated(
-            bitmap2=sections["bitmap2"], bitmap1=sections["bitmap1"],
-            words=sections["words"], orig_len=int(meta["orig_len"]),
-            word_bytes=int(meta["word_bytes"]))
-        shuffled = dictionary.restore(z)
-        zz = bs.unshuffle(shuffled, int(meta["count"]), width_bits=32,
-                          block=int(meta["block"]))
+        zz = _unshuffled_codes(sections, meta, header, self.name)
         deltas = bs.unzigzag(zz.astype(np.uint64))
         grid = delta.delta_inverse(deltas)
         out = quantize.dequantize(grid, header.eb_abs, header.np_dtype)

@@ -34,6 +34,9 @@ from .base import Compressor
 
 _RADIUS = 1 << 15
 _MAX_LEN = 20
+#: interp-variant marker of the storage-dtype walk; a container without
+#: it was written by the float64 walk and decodes on it
+_WALK = "storage"
 
 #: per variant: the integer metadata and the sections its decoder reads
 _LAYOUT = {
@@ -45,6 +48,22 @@ _LAYOUT = {
     "delta": (("count", "orig_len", "word_bytes"),
               ("bitmap2", "bitmap1", "words")),
 }
+
+
+def _checked_patch_sections(sections: dict[str, bytes],
+                            header: ContainerHeader) -> tuple:
+    """The interp variant's patches: ``patch.idx`` (``<i8`` field
+    indices) and ``patch.val`` (field-dtype values), both or neither, of
+    one count.  The kernel checks the indices themselves."""
+    idx, val = sections.get("patch.idx"), sections.get("patch.val")
+    if idx is None and val is None:
+        return None, None
+    size = header.np_dtype.itemsize
+    if (idx is None or val is None or len(idx) % 8 or len(val) % size
+            or len(idx) // 8 != len(val) // size):
+        raise CodecError("sz3 patch.idx and patch.val do not pair up")
+    return (np.frombuffer(idx, dtype="<i8"),
+            np.frombuffer(val, dtype=header.np_dtype))
 
 
 def _checked_meta(sections: dict[str, bytes], meta: dict,
@@ -77,6 +96,11 @@ def _checked_meta(sections: dict[str, bytes], meta: dict,
                        for c in choices)):
             raise CodecError("sz3 interp choices must be a list of 0/1")
         fields["choices"] = tuple(choices)
+        walk = meta.get("walk")
+        if "walk" in meta and walk != _WALK:
+            raise CodecError(f"unknown sz3 interp walk marker {walk!r}")
+        fields["walk"] = walk
+        fields["patches"] = _checked_patch_sections(sections, header)
     nchunks = fields["nchunks"]
     # an empty code stream (a one-element field) has no chunks
     if ((nchunks > 0) != (count > 0)
@@ -150,10 +174,16 @@ class SZ3(Compressor):
         idx, val, count = quantize.pack_outliers(res.outliers)
         sections.update({"anchors": deflate.compress(res.anchors.tobytes()),
                          "outlier.idx": idx, "outlier.val": val})
+        if res.patch_index.size:
+            sections.update({
+                "patch.idx": res.patch_index.astype("<i8").tobytes(),
+                "patch.val": res.patch_value.tobytes()})
         meta = {"variant": "interp", "radius": radius, **enc_meta,
                 "max_level": res.max_level, "outlier_count": count,
                 "choices": list(res.choices),
                 "code_fraction": res.codes.nbytes / data.nbytes}
+        if res.walk_dtype == res.dtype:
+            meta["walk"] = _WALK
         return sections, meta
 
     def _decode_interp(self, sections: dict[str, bytes], fields: dict,
@@ -161,13 +191,16 @@ class SZ3(Compressor):
         anchors = deflate.decompress(sections["anchors"])
         if len(anchors) % header.np_dtype.itemsize:
             raise CodecError("sz3 anchors are not whole field elements")
+        patch_index, patch_value = fields["patches"]
         res = interp.InterpResult(
             codes=self._decode_codes(sections, fields, fields["radius"]),
             outliers=self._outliers(sections, fields),
             anchors=np.frombuffer(anchors, dtype=header.np_dtype),
             radius=fields["radius"], eb_abs=header.eb_abs,
             max_level=fields["max_level"], shape=header.shape,
-            dtype=header.np_dtype, choices=fields["choices"])
+            dtype=header.np_dtype, choices=fields["choices"],
+            patch_index=patch_index, patch_value=patch_value,
+            walk_dtype=None if fields["walk"] else np.float64)
         out = interp.decompress(res)
         if out.shape != header.shape:
             raise CodecError("sz3 shape mismatch after decode")

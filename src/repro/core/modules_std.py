@@ -86,6 +86,11 @@ class LorenzoPredictor(PredictorModule):
             radius=radius, eb_abs=eb_abs, shape=shape, dtype=dtype)
 
 
+#: predictor-meta marker of the storage-dtype G-Interp walk; a container
+#: without it was written by the float64 walk and decodes on it
+_WALK = "storage"
+
+
 class InterpPredictor(PredictorModule):
     """G-Interp multilevel spline interpolation predictor (cuSZ-i)."""
 
@@ -97,23 +102,38 @@ class InterpPredictor(PredictorModule):
     def encode(self, data: np.ndarray, eb_abs: float, radius: int
                ) -> PredictorArtifacts:
         res = interp.compress(data, eb_abs, radius, max_level=self.max_level)
+        meta: dict = {"max_level": res.max_level}
+        if res.walk_dtype == res.dtype:
+            meta["walk"] = _WALK
+        aux = {}
+        if res.patch_index.size:
+            aux = {"patch_index": res.patch_index,
+                   "patch_value": res.patch_value}
         return PredictorArtifacts(codes=res.codes, outliers=res.outliers,
-                                  anchors=res.anchors,
-                                  meta={"max_level": res.max_level})
+                                  anchors=res.anchors, aux=aux, meta=meta)
 
     def decode(self, artifacts: PredictorArtifacts, shape: tuple[int, ...],
                dtype: np.dtype, eb_abs: float, radius: int) -> np.ndarray:
         if artifacts.anchors is None:
             raise CodecError("interp artifacts missing anchors")
-        # ``max_level`` goes through as stored: the kernel checks it, the
-        # anchor count and the stream length (CodecError) before any of
-        # them sizes an array
+        walk = artifacts.meta.get("walk")
+        if "walk" in artifacts.meta and walk != _WALK:
+            raise CodecError(f"unknown interp walk marker {walk!r}")
+        aux = artifacts.aux
+        if set(aux) - {"patch_index", "patch_value"}:
+            raise CodecError(f"unknown interp aux channels {sorted(aux)}")
+        # ``max_level`` and the patches go through as stored: the kernel
+        # checks them, the anchor count and the stream length (CodecError)
+        # before any of them sizes an array
         res = interp.InterpResult(
             codes=artifacts.codes, outliers=artifacts.outliers,
             anchors=artifacts.anchors.astype(dtype, copy=False),
             radius=radius, eb_abs=eb_abs,
             max_level=artifacts.meta.get("max_level"),
-            shape=shape, dtype=np.dtype(dtype))
+            shape=shape, dtype=np.dtype(dtype),
+            patch_index=aux.get("patch_index"),
+            patch_value=aux.get("patch_value"),
+            walk_dtype=None if walk else np.float64)
         return interp.decompress(res)
 
 

@@ -37,6 +37,24 @@ preallocated stream.  The coarsest levels fit in one slab; dynamic
 mode (whose choices are whole-batch sums) and 1-D fields run every level
 as one slab.
 
+The walk runs in the field's storage dtype, as cuSZ-i computes in
+``float`` and SZ3 runs its predictor in the field's own type: a
+``float32`` field keeps a ``float32`` reconstruction and ``float32``
+scratch, a ``float64`` one ``float64``.  Each slab piece range-checks its
+rounded codes against ``radius``, writes ``code + radius`` straight into
+the preallocated dense ``uint16`` stream (the sentinel ``radius`` at
+outliers, whose codes travel with their stream index) and commits
+``pred + code * 2eb`` in the walk dtype, the decoder's own arithmetic.
+Rounding in that dtype can put a committed value a hair past the bound,
+so each piece then compares it with the input — in ``float64``, exact on
+two ``float32`` values — and keeps every miss as a *patch*: its flat
+field index and raw value, which the decoder writes over the finished
+walk.  Finer levels predict from the committed value on both sides.
+Results written before the storage-dtype walk (``walk_dtype`` float64)
+still decode: the same walk then runs in ``float64`` and is cast at the
+end.  A ``float32`` field whose stencil overflows ``float32`` (values
+near the dtype's limit) is compressed on that ``float64`` walk too.
+
 Compared with Lorenzo this predictor is markedly more accurate on smooth
 fields (higher CR / better rate-distortion) at the cost of ``O(levels·dims)``
 kernel passes instead of one — which is precisely the FZMod-Quality vs
@@ -60,7 +78,7 @@ from . import quantize as q
 _DEFAULT_MAX_LEVEL = {1: 8, 2: 5, 3: 4}
 
 #: level-grid points per slab: a slab is ``max(1, _SLAB_ELEMS // points
-#: per axis-0 row)`` rows of the level's grid, so its float64 rows and the
+#: per axis-0 row)`` rows of the level's grid, so its rows and the
 #: scratch stay in L2.  On the 3.9 MB bench field (2 cores, 2 MiB L2 each;
 #: medians of 11 rounds) the kernel took 34.3 / 23.3 ms (compress /
 #: decompress) against 41.5 / 31.8 ms for whole-field levels; 2**14-2**17
@@ -85,7 +103,12 @@ class InterpResult:
     ``choices`` is empty for the static (always-cubic) predictor; in
     dynamic mode it records, per (level, axis) batch, which stencil won
     (0 = cubic-with-fallbacks, 1 = linear) — the decoder must replay the
-    exact same choices.
+    exact same choices.  ``patch_index`` (sorted flat field indices) and
+    ``patch_value`` (the raw values there, in the field's dtype) are the
+    points whose committed value missed the bound; ``None`` means none.
+    ``walk_dtype`` is the dtype the walk runs in: ``None`` for the
+    field's own, ``float64`` for results written before the
+    storage-dtype walk.
     """
 
     codes: np.ndarray          # dense unsigned quant codes, 1-D stream
@@ -97,6 +120,9 @@ class InterpResult:
     shape: tuple[int, ...]
     dtype: np.dtype
     choices: tuple[int, ...] = ()
+    patch_index: np.ndarray | None = None
+    patch_value: np.ndarray | None = None
+    walk_dtype: np.dtype | None = None
 
 
 def _anchor_slices(shape: tuple[int, ...], stride: int) -> tuple[slice, ...]:
@@ -190,7 +216,8 @@ def _predict(known: np.ndarray, axis: int, lo: int, pred: np.ndarray,
     ``x + 2S``, with ``S`` the flat step along ``axis``.  Positions whose
     taps straddle a row of the leading axes compute values nobody reads;
     only the interior is copied into ``pred``.  The first three buffers
-    of ``work`` are flat float64 scratch, each at least as long as ``g``;
+    of ``work`` are flat scratch of ``known``'s dtype, each at least as
+    long as ``g``;
     ``pred`` may be carved from the third, which holds ``9.0 * g`` until
     the first write to ``pred``.
     """
@@ -240,9 +267,9 @@ def _predict(known: np.ndarray, axis: int, lo: int, pred: np.ndarray,
 
 
 def _walk(recon: np.ndarray, stream: np.ndarray, batches: list,
-          slabbed: bool, spare: bool = False):
+          slabbed: bool, extra: tuple = ()):
     """Per slab piece of a batch: ``(batch number, axis, known view, lo,
-    targets index, codes, pred, tmp, work)``.
+    targets index, start, codes, pred, tmp, work)``.
 
     Levels run coarse to fine, each slab by slab along axis 0 (see
     :func:`_slab_starts`), and each slab runs the level's batches in
@@ -251,13 +278,14 @@ def _walk(recon: np.ndarray, stream: np.ndarray, batches: list,
     ``known`` view (``lo`` is the first of them), an axis-1 or axis-2
     batch's rows ``[ja, jb)`` of both views (``lo`` is 0).  ``targets``
     indexes the piece in the field and ``codes`` is its contiguous run of
-    the flat ``stream``.  ``work`` is :func:`_predict`'s three float64
-    scratch buffers, sized once for the largest piece and the largest
-    range of ``known`` a piece reads; ``pred`` is carved from the last
-    and ``tmp`` (free once ``pred`` is written) from the second, both
-    C-contiguous and shaped like the piece.  ``spare`` adds a fourth
-    buffer of the same size to ``work``, which :func:`_predict` leaves
-    alone.
+    the flat ``stream``, which starts at ``start``.  ``work`` is
+    :func:`_predict`'s three scratch buffers of ``recon``'s dtype, sized
+    once for the largest piece and the largest range of ``known`` a piece
+    reads; ``pred`` is carved from the last and ``tmp`` (free once
+    ``pred`` is written) from the second, both C-contiguous and shaped
+    like the piece, and the first is free once ``pred`` is written.
+    ``extra`` appends one buffer of the same length per dtype it lists,
+    which :func:`_predict` leaves alone.
     """
     shape = recon.shape
     levels: dict[int, list] = {}  # s -> the level's batches, coarse first
@@ -293,20 +321,55 @@ def _walk(recon: np.ndarray, stream: np.ndarray, batches: list,
                               math.prod(kshape) // kshape[axis] * (g1 - g0))
                 pieces.append((b, axis, known, lo, piece, base + r0 * row,
                                base + r1 * row, pshape))
-    work = tuple(np.empty(biggest, dtype=np.float64)
-                 for _ in range(4 if spare else 3))
+    work = tuple(np.empty(biggest, dtype=dt)
+                 for dt in (recon.dtype,) * 3 + tuple(extra))
     for b, axis, known, lo, targets, start, end, pshape in pieces:
-        yield (b, axis, recon[known], lo, targets,
+        yield (b, axis, recon[known], lo, targets, start,
                stream[start:end].reshape(pshape),
                work[2][:end - start].reshape(pshape),
                work[1][:end - start].reshape(pshape), work)
 
 
-def _scaled_residual(true: np.ndarray, pred: np.ndarray, twoeb: float,
+class _StencilOverflow(Exception):
+    """The walk dtype cannot hold a prediction (it overflowed to inf/NaN)."""
+
+
+def _walk_dtype(dtype: np.dtype) -> np.dtype:
+    """The storage dtype when it is a float the walk runs in, else float64."""
+    return dtype if dtype in (np.float32, np.float64) else np.dtype(np.float64)
+
+
+def _code_dtypes(radius: int, walk: np.dtype) -> tuple[type, np.dtype]:
+    """The dense code dtype for ``radius`` (as :func:`quantize.split_outliers`
+    picks it) and the dtype, at least ``walk``, in which ``code ± radius``
+    is exact."""
+    if 2 * radius <= 65536:
+        return np.uint16, walk
+    return np.uint32, np.dtype(np.float64)
+
+
+def _scaled_residual(true: np.ndarray, pred: np.ndarray, twoeb,
                      out: np.ndarray) -> np.ndarray:
-    """``(true - pred) / twoeb`` into ``out`` (float64)."""
+    """``(true - pred) / twoeb`` into ``out`` (the walk dtype)."""
     np.subtract(true, pred, out=out)
     return np.divide(out, twoeb, out=out)
+
+
+def _field_index(targets: tuple[slice, ...], hits: tuple[np.ndarray, ...],
+                 shape: tuple[int, ...]) -> np.ndarray:
+    """Flat C-order field indices of the piece positions ``hits``."""
+    coords = tuple(t.start + i * t.step for t, i in zip(targets, hits))
+    return np.ravel_multi_index(coords, shape).astype(np.int64)
+
+
+def _sorted_pairs(index: list, value: list, dtype) -> tuple[np.ndarray,
+                                                            np.ndarray]:
+    """Concatenate per-piece ``(index, value)`` runs, sorted by index."""
+    if not index:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype)
+    idx = np.concatenate(index)
+    order = np.argsort(idx, kind="stable")
+    return idx[order], np.concatenate(value)[order]
 
 
 def compress(data: np.ndarray, eb_abs: float, radius: int = q.DEFAULT_RADIUS,
@@ -318,35 +381,59 @@ def compress(data: np.ndarray, eb_abs: float, radius: int = q.DEFAULT_RADIUS,
     linear, whichever quantises smaller residuals on that batch) — the
     dynamic-spline-interpolation idea of Zhao et al. [30] that SZ3 uses.
     The per-batch choices are recorded in the result and replayed by the
-    decoder.
+    decoder.  The walk runs in the field's dtype (see the module notes);
+    every committed value that misses ``eb_abs`` becomes a patch.
     """
     if eb_abs <= 0 or not np.isfinite(eb_abs):
         raise CodecError(f"absolute error bound must be positive, got {eb_abs}")
     data = np.asarray(data)
-    shape = data.shape
     if max_level is None:
         max_level = default_max_level(data.ndim)
     max_level = _check_max_level(max_level)
-    twoeb = 2.0 * eb_abs
+    walk = _walk_dtype(data.dtype)
+    # an overflow is caught where it shows, as a code that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return _compress(data, eb_abs, radius, max_level, dynamic, walk)
+        except _StencilOverflow:
+            if walk == np.float64:
+                raise CodecError(
+                    "interp prediction overflows float64") from None
+            return _compress(data, eb_abs, radius, max_level, dynamic,
+                             np.dtype(np.float64))
+
+
+def _compress(data: np.ndarray, eb_abs: float, radius: int, max_level: int,
+              dynamic: bool, walk: np.dtype) -> InterpResult:
+    shape = data.shape
+    twoeb = walk.type(2.0 * eb_abs)
+    code_dtype, bias_dtype = _code_dtypes(radius, walk)
     batches = _schedule(shape, max_level)
     slabbed = data.ndim >= 2 and not dynamic
     finest = _slab_starts(shape, 1, slabbed)
+    # the bound check runs in float64; a float64 walk reuses its own
+    # product buffer for it, a float32 one needs a float64 buffer
+    extra = (walk,) * dynamic + ((np.float64,) if walk != np.float64 else ())
 
     with span("kernel.interp.compress", elements=int(data.size),
               bytes_in=int(data.nbytes), levels=max_level,
               batches=len(batches), dynamic=bool(dynamic),
               slab_rows=finest.step, slabs=len(finest)) as kernel_sp:
-        # the input is read through its own views: float32 widens exactly
-        # inside the ufuncs, so there is no whole-field float64 copy
-        recon = np.zeros(shape, dtype=np.float64)
+        # the input is read through its own views: there is no
+        # whole-field copy of it in the walk dtype
+        recon = np.zeros(shape, dtype=walk)
         asl = _anchor_slices(shape, 1 << max_level)
         recon[asl] = data[asl]
         anchors = data[asl].reshape(-1).copy()
 
-        stream = np.empty(data.size - anchors.size, dtype=np.int64)
+        dense = np.empty(data.size - anchors.size, dtype=code_dtype)
         choices: list[int] = []
-        for _, axis, known, lo, targets, codes, pred, tmp, work in _walk(
-                recon, stream, batches, slabbed, spare=dynamic):
+        out_idx: list[np.ndarray] = []
+        out_val: list[np.ndarray] = []
+        patch_idx: list[np.ndarray] = []
+        patch_val: list[np.ndarray] = []
+        for _, axis, known, lo, targets, start, codes, pred, tmp, work in _walk(
+                recon, dense, batches, slabbed, extra):
             true = data[targets]
             _predict(known, axis, lo, pred, work)
             if dynamic:
@@ -357,36 +444,100 @@ def compress(data: np.ndarray, eb_abs: float, radius: int = q.DEFAULT_RADIUS,
                 cost = []
                 for cand in (pred, lin):
                     np.rint(_scaled_residual(true, cand, twoeb, tmp), out=tmp)
-                    cost.append(float(np.abs(tmp, out=tmp).sum()))
+                    cost.append(float(np.abs(tmp, out=tmp).sum(
+                        dtype=np.float64)))
                 choices.append(int(cost[1] < cost[0]))
                 if choices[-1]:
                     pred = lin
-            scaled = _scaled_residual(true, pred, twoeb, tmp)
-            if max(float(scaled.max()), -float(scaled.min())) >= 2**62:
-                raise CodecError("error bound too tight: interp code overflows int64")
-            np.copyto(codes, np.rint(scaled, out=scaled), casting="unsafe")
-            np.add(pred, np.multiply(codes, twoeb, out=tmp), out=recon[targets])
+            scaled = np.rint(_scaled_residual(true, pred, twoeb, tmp), out=tmp)
+            top = max(float(scaled.max()), -float(scaled.min()))
+            if not top < 2**62:
+                if math.isfinite(top):
+                    raise CodecError(
+                        "error bound too tight: interp code overflows int64")
+                raise _StencilOverflow
+            # rint leaves -0.0; the decoder rebuilds every code from an
+            # integer, so the sum below must see +0.0 on both sides
+            np.add(scaled, 0.0, out=scaled)
+            # commit in the walk dtype, the decoder's exact arithmetic
+            prod = work[0][:pred.size].reshape(pred.shape)
+            made = recon[targets]
+            np.add(pred, np.multiply(scaled, twoeb, out=prod), out=made)
+            if top >= radius:
+                flat = scaled.reshape(-1)
+                hit = np.flatnonzero((flat >= radius) | (flat < -radius))
+                if hit.size:
+                    out_idx.append(hit + start)
+                    out_val.append(flat[hit].astype(np.int64))
+                    flat[hit] = 0.0
+            np.add(scaled, radius, out=codes, dtype=bias_dtype,
+                   casting="unsafe")
+            # the bound, where the value is made: in float64 on the value
+            # the decoder emits, which is exact for float32 fields
+            if made.dtype != data.dtype:
+                made = made.astype(data.dtype)
+            err = (work[-1] if walk != np.float64 else work[0])[:pred.size]
+            err = err.reshape(pred.shape)
+            np.subtract(true, made, out=err, dtype=np.float64)
+            np.abs(err, out=err)
+            if float(err.max()) > eb_abs:
+                hits = np.nonzero(err > eb_abs)
+                patch_idx.append(_field_index(targets, hits, shape))
+                patch_val.append(true[hits])
 
-        dense, outliers = q.split_outliers(stream, radius, in_place=True)
-        kernel_sp.set(bytes_out=int(dense.nbytes + anchors.nbytes))
+        outliers = q.OutlierSet(*_sorted_pairs(out_idx, out_val, np.int64))
+        pidx, pval = _sorted_pairs(patch_idx, patch_val, data.dtype)
+        kernel_sp.set(bytes_out=int(dense.nbytes + anchors.nbytes
+                                    + pidx.nbytes + pval.nbytes),
+                      outliers=outliers.count, patches=int(pidx.size))
         return InterpResult(codes=dense, outliers=outliers, anchors=anchors,
-                            radius=radius, eb_abs=float(eb_abs), max_level=max_level,
-                            shape=shape, dtype=data.dtype,
-                            choices=tuple(choices))
+                            radius=radius, eb_abs=float(eb_abs),
+                            max_level=max_level, shape=shape,
+                            dtype=data.dtype, choices=tuple(choices),
+                            patch_index=pidx, patch_value=pval,
+                            walk_dtype=walk)
+
+
+def _check_increasing(idx: np.ndarray, n: int, what: str) -> None:
+    """:class:`CodecError` unless ``idx`` is a 1-D integer array of
+    strictly increasing positions in ``[0, n)``."""
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise CodecError(f"interp {what} indices must be a 1-D integer "
+                         f"array, got {idx.dtype}")
+    if idx.size and (int(idx[0]) < 0 or int(idx[-1]) >= n
+                     or bool((idx[1:] <= idx[:-1]).any())):
+        raise CodecError(f"interp {what} indices must be increasing "
+                         f"positions in [0, {n})")
+
+
+def _checked_patches(result: InterpResult, size: int, dtype: np.dtype
+                     ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The patch arrays, refused unless they pair up one strictly
+    increasing field index with one value of the field's dtype."""
+    idx, val = result.patch_index, result.patch_value
+    if idx is None and val is None:
+        return None
+    if idx is None or val is None or val.shape != idx.shape:
+        raise CodecError("interp patch indices and values do not pair up")
+    if val.dtype != dtype:
+        raise CodecError(f"interp patch values must be {dtype}, "
+                         f"got {val.dtype}")
+    _check_increasing(idx, size, "patch")
+    return (idx, val) if idx.size else None
 
 
 def decompress(result: InterpResult, *,
                out: np.ndarray | None = None) -> np.ndarray:
     """Reconstruct the field from interpolation artifacts.
 
-    Replays the exact slab walk of :func:`compress`, consuming the code
-    stream in order; float64 arithmetic matches the compressor so the
-    reconstruction is bit-identical to the compressor's internal state.
-    ``out``, ``max_level``, the anchor count, the stream length and the
-    number of ``choices`` are checked against ``shape`` before anything
-    is sized or written — they may come straight from container metadata.
-    ``out`` (when given: C-contiguous, writable, of the field's shape and
-    dtype) receives the final dtype cast in place and is returned.
+    Replays the exact slab walk of :func:`compress` in the same dtype and
+    arithmetic, so the walk is bit-identical to the compressor's internal
+    state, then writes the patches over it.  ``out``, ``max_level``, the
+    anchor count, the stream length, the number of ``choices``, the
+    outlier indices and the patches are checked against ``shape`` before
+    anything is sized or written — they may come straight from container
+    metadata.  ``out`` (when given: C-contiguous, writable, of the
+    field's shape and dtype) receives the reconstruction and is returned.
     """
     shape = tuple(result.shape)
     dtype = np.dtype(result.dtype)
@@ -399,9 +550,14 @@ def decompress(result: InterpResult, *,
             raise CodecError("out= buffer is not writable")
         if not out.flags.c_contiguous:
             raise CodecError("out= buffer is not C-contiguous")
+    walk = (_walk_dtype(dtype) if result.walk_dtype is None
+            else np.dtype(result.walk_dtype))
+    if walk not in (np.float32, np.float64):
+        raise CodecError(f"interp walk dtype must be float32 or float64, "
+                         f"got {walk}")
     max_level = _check_max_level(result.max_level)
     stride = 1 << max_level
-    twoeb = 2.0 * result.eb_abs
+    twoeb = walk.type(2.0 * result.eb_abs)
     anchor_shape = tuple(len(range(0, n, stride)) for n in shape)
     if result.anchors.size != math.prod(anchor_shape):
         raise CodecError(
@@ -417,23 +573,42 @@ def decompress(result: InterpResult, *,
     if len(choices) != len(batches):
         raise CodecError(f"interp choices mismatch: {len(batches)} batches, "
                          f"{len(choices)} choices")
+    outliers = result.outliers
+    _check_increasing(outliers.indices, needed, "outlier")
+    patches = _checked_patches(result, math.prod(shape), dtype)
+    _, bias_dtype = _code_dtypes(result.radius, walk)
     slabbed = len(shape) >= 2 and not result.choices
     finest = _slab_starts(shape, 1, slabbed)
     with span("kernel.interp.decompress", elements=math.prod(shape),
               bytes_in=int(result.codes.nbytes + result.anchors.nbytes),
               levels=max_level, batches=len(batches),
               dynamic=bool(result.choices), slab_rows=finest.step,
-              slabs=len(finest)):
-        stream = q.merge_outliers(result.codes, result.outliers, result.radius).reshape(-1)
-
-        recon = np.zeros(shape, dtype=np.float64)
+              slabs=len(finest), outliers=outliers.count,
+              patches=0 if patches is None else int(patches[0].size)):
+        if walk != dtype:
+            recon = np.empty(shape, dtype=walk)
+        elif out is None:
+            recon = out = np.empty(shape, dtype=dtype)
+        else:
+            recon = out
         recon[_anchor_slices(shape, stride)] = result.anchors.reshape(anchor_shape)
 
-        for b, axis, known, lo, targets, codes, pred, tmp, work in _walk(
-                recon, stream, batches, slabbed):
+        oidx, oval = outliers.indices, outliers.values
+        for b, axis, known, lo, targets, start, codes, pred, tmp, work in _walk(
+                recon, result.codes.reshape(-1), batches, slabbed):
             _predict(known, axis, lo, pred, work, linear_only=choices[b] == 1)
-            np.add(pred, np.multiply(codes, twoeb, out=tmp), out=recon[targets])
+            np.subtract(codes, result.radius, out=tmp, dtype=bias_dtype,
+                        casting="unsafe")
+            if oidx.size:
+                i0, i1 = np.searchsorted(oidx, (start, start + pred.size))
+                if i1 > i0:
+                    tmp.reshape(-1)[oidx[i0:i1] - start] = oval[i0:i1]
+            prod = work[0][:pred.size].reshape(pred.shape)
+            np.add(pred, np.multiply(tmp, twoeb, out=prod), out=recon[targets])
         if out is None:
-            return recon.astype(dtype, copy=False)
-        np.copyto(out, recon, casting="unsafe")
+            out = recon.astype(dtype)
+        elif recon is not out:
+            np.copyto(out, recon, casting="unsafe")
+        if patches is not None:
+            out.reshape(-1)[patches[0]] = patches[1]
         return out

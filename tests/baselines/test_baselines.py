@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import base64
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.baselines import (ALL_COMPRESSOR_NAMES, BASELINE_NAMES, CuSZp2,
                              FZGPU, PFPL, SZ3, get_compressor)
+from repro.core import parse
 from repro.errors import ConfigError, HeaderError
+from repro.kernels import interp
 from repro.metrics import psnr, verify_error_bound
 from repro.types import EbMode, ErrorBound
 from tests.conftest import eb_abs_for
@@ -138,3 +144,80 @@ class TestTable3Orderings:
         sz3 = get_compressor("sz3").compress(smooth_field, eb)
         cus = get_compressor("cuszp2").compress(smooth_field, eb)
         assert sz3.stats.output_bytes < cus.stats.output_bytes
+
+
+#: an ``sz3`` interp-variant container (radius 512) of the golden 12 x 16
+#: field at eb=1e-3 REL, written by the float64 walk at commit de90049,
+#: and the sha256 of the float32 bytes it decoded to there
+GOLDEN_SZ3_INTERP_BLOB = base64.b64decode(
+    "RlpNRAEA+AEAAEbCvYx7InNoYXBlIjpbMTIsMTZdLCJkdHlwZSI6IjxmNCIsImViX3ZhbHVl"
+    "IjowLjAwMSwiZWJfbW9kZSI6InJlbCIsImViX2FicyI6MC4wMTE5MTE5NTIwMTg3Mzc3OTMs"
+    "InJhZGl1cyI6MCwibW9kdWxlcyI6eyJiYXNlbGluZSI6InN6MyJ9LCJzdGFnZV9tZXRhIjp7"
+    "ImJhc2VsaW5lIjp7InZhcmlhbnQiOiJpbnRlcnAiLCJyYWRpdXMiOjUxMiwiY291bnQiOjE5"
+    "MSwibWF4X2xlbiI6MjAsIm5jaHVua3MiOjEsIm1heF9sZXZlbCI6NSwib3V0bGllcl9jb3Vu"
+    "dCI6MCwiY2hvaWNlcyI6WzAsMCwwLDAsMCwxLDEsMV0sImNvZGVfZnJhY3Rpb24iOjAuNDk3"
+    "Mzk1ODMzMzMzMzMzM319LCJzZWN0aW9ucyI6W1sicGF5bG9hZCIsMCwxOTFdLFsibGVuZ3Ro"
+    "cyIsMTkxLDEzNV0sWyJjaHVua19zeW1zIiwzMjYsOF0sWyJjaHVua19iaXRzIiwzMzQsOF0s"
+    "WyJhbmNob3JzIiwzNDIsMjBdLFsib3V0bGllci5pZHgiLDM2MiwwXSxbIm91dGxpZXIudmFs"
+    "IiwzNjIsMF1dLCJib2R5X2NyYyI6MjY1OTcwNDM2MX2sAAAAAAAAAHicAawAU//cCyi6XRE8"
+    "wBTBg/nu3X6bB+/kBY2hMRS/v5d5EAL3RKrt1WdhPn3MbTNksVBMkFDcsv4qme0nCN4t/EoP"
+    "kCzVhHjHoZWlByAYaTJHA3s9T74fHVJTcGUd9jJNqca2AhCHhXBvg/fY8OdvQrFkmYJ5HgcD"
+    "4L6ZHrikLPcc0lIi3NwDFGgN46M6+Oc65/ip2r3Ue0UO3Ir4fH/zm2/Mq4un61pfBGu5Nnm1"
+    "Ju1UCtVVJAAEAAAAAAAAeJzlT1sOgCAM29fa+59Y9mCiYIKfxoWEbmtLEfl68S2RHPtnOWvJ"
+    "mUbeqAOljHkOHGLKTPehD2rrcywyDonUG8INGD60EthB5WtGsNP8gLg0UMNqr2Ks6FOSmopm"
+    "UDR56D8K2nXgl+QQXX75YicXmnerwgruyrGB/1UH/ocES78AAAAAAAAAYAUAAAAAAAAEAAAA"
+    "AAAAAHicUyqQsAMAAkoA6Q=="
+)
+GOLDEN_SZ3_INTERP_DIGEST = (
+    "b755f1e23991565872d80d43aa412394b90ada7e8f3812edf86f8b556c5d0783")
+
+
+class _InterpOnly(SZ3):
+    """SZ3 restricted to its interp variant."""
+
+    def _encode(self, data, eb_abs):
+        return self._encode_interp(data, eb_abs)
+
+
+class TestSZ3StorageWalk:
+    """The interp variant walks in the storage dtype, marks it, and ships
+    every miss of the bound as a ``patch.idx`` / ``patch.val`` pair."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_marker_and_exact_bound(self, rng, dtype):
+        data = np.cumsum(rng.standard_normal((40, 50)), axis=0).astype(dtype)
+        comp = _InterpOnly()
+        blob = comp.compress(data, 1e-3).blob
+        header, _ = parse(blob)
+        assert header.stage_meta["baseline"]["walk"] == "storage"
+        recon = comp.decompress(blob)
+        assert recon.dtype == dtype
+        assert np.abs(data.astype(np.float64) - recon).max() <= header.eb_abs
+
+    def test_patches_travel_in_their_sections(self, monkeypatch):
+        """A patch the kernel hands over is carried by the container and
+        written back by the decoder."""
+        real = interp.compress
+
+        def with_patch(*args, **kwargs):
+            res = real(*args, **kwargs)
+            idx = np.array([7], dtype=np.int64)
+            return dataclasses.replace(
+                res, patch_index=idx,
+                patch_value=np.asarray(args[0]).reshape(-1)[idx] + 1)
+
+        monkeypatch.setattr(interp, "compress", with_patch)
+        data = np.cumsum(np.ones((20, 30)), axis=1).astype(np.float32)
+        comp = _InterpOnly()
+        blob = comp.compress(data, 1e-3).blob
+        header, body = parse(blob)
+        assert {"patch.idx", "patch.val"} <= {name for name, *_ in
+                                               header.sections}
+        assert comp.decompress(blob).reshape(-1)[7] == data.reshape(-1)[7] + 1
+
+    def test_old_container_decodes_on_the_float64_walk(self):
+        header, _ = parse(GOLDEN_SZ3_INTERP_BLOB)
+        assert "walk" not in header.stage_meta["baseline"]
+        recon = SZ3().decompress(GOLDEN_SZ3_INTERP_BLOB)
+        assert hashlib.sha256(recon.tobytes()).hexdigest() == \
+            GOLDEN_SZ3_INTERP_DIGEST

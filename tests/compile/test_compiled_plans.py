@@ -106,11 +106,12 @@ def _front_details(plan) -> list[str]:
 class TestCompileModes:
     def test_quality_compiles_to_module_call_steps(self):
         from tests.test_golden_container import (GOLDEN_DATA,
-                                                 GOLDEN_QUALITY_BLOB)
+                                                 GOLDEN_QUALITY_STORAGE_BLOB)
         pipe = get_preset("fzmod-quality")
         plan = plan_for(pipe)
         assert _front_details(plan) == ["module call"] * 3
-        assert plan.compress(GOLDEN_DATA, 1e-3).blob == GOLDEN_QUALITY_BLOB
+        assert plan.compress(GOLDEN_DATA, 1e-3).blob == \
+            GOLDEN_QUALITY_STORAGE_BLOB
 
     @pytest.mark.parametrize("preset", FUSED)
     def test_gate_is_the_module_type(self, preset, module_call_twin):

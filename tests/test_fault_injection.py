@@ -319,15 +319,79 @@ class TestResealedInterpMeta:
         data = np.cumsum(rng.standard_normal((24, 20, 18)),
                          axis=0).astype(np.float32)
         header, body = parse(fzmod_quality().compress(data, 1e-3).blob)
-        assert header.stage_meta["predictor"] == {"max_level": 4}
+        assert header.stage_meta["predictor"] == {"max_level": 4,
+                                                  "walk": "storage"}
         return header, dict(split_sections(header, body))
 
     @pytest.mark.parametrize("level", [0, -1, 40, 70, 2.5, "x", None, True,
                                        3, 5])
     def test_lying_max_level(self, parts, level):
+        """Without the walk marker: the float64 walk's reader."""
         header, sections = parts
         meta = {**header.stage_meta, "predictor": {"max_level": level}}
         _assert_resealed_codec_error(replace(header, stage_meta=meta), sections)
+
+    @pytest.mark.parametrize("level", [0, -1, 40, 70, 2.5, "x", None, True,
+                                       3, 5])
+    def test_lying_max_level_on_the_storage_walk(self, parts, level):
+        header, sections = parts
+        meta = {**header.stage_meta,
+                "predictor": {"max_level": level, "walk": "storage"}}
+        _assert_resealed_codec_error(replace(header, stage_meta=meta), sections)
+
+    @pytest.mark.parametrize("walk", ["float16", "", None, 1, ["storage"]],
+                             ids=repr)
+    def test_unknown_walk_marker(self, parts, walk):
+        header, sections = parts
+        meta = {**header.stage_meta,
+                "predictor": {"max_level": 4, "walk": walk}}
+        _assert_resealed_codec_error(replace(header, stage_meta=meta), sections)
+
+    @staticmethod
+    def _with_patches(header, sections, index, value):
+        """``header`` and ``sections`` carrying the given patch arrays (or
+        only one of them, for ``None``) through the ``aux`` channel."""
+        aux, extra = {}, {}
+        for name, arr in (("patch_index", index), ("patch_value", value)):
+            if arr is not None:
+                aux[name] = [arr.dtype.str, list(arr.shape)]
+                extra[f"aux.{name}"] = arr.tobytes()
+        meta = {**header.stage_meta, "aux": aux}
+        return replace(header, stage_meta=meta), {**sections, **extra}
+
+    def test_honest_patches_are_written_last(self, parts):
+        header, sections = parts
+        index = np.array([0, 5, 8639], dtype="<i8")
+        value = np.array([1.5, -2.5, 3.25], dtype="<f4")
+        blob = b"".join(assemble(*self._with_patches(header, sections,
+                                                     index, value)))
+        for entry in (decompress, repro.decompress):
+            assert entry(blob).reshape(-1)[index].tobytes() == value.tobytes()
+
+    @pytest.mark.parametrize("index,value", [
+        ([5, 8640], [1.0, 2.0]),
+        ([-1, 5], [1.0, 2.0]),
+        ([9, 5], [1.0, 2.0]),
+        ([5, 5], [1.0, 2.0]),
+        ([5, 9], [1.0]),
+        ([5, 9, 11], [1.0, 2.0]),
+        ([5, 9], np.array([1.0, 2.0], dtype="<f8")),
+        (np.array([5.0, 9.0], dtype="<f8"), [1.0, 2.0]),
+        ([5, 9], None),
+        (None, [1.0, 2.0]),
+    ], ids=["past-the-end", "negative", "unsorted", "duplicated",
+            "fewer-values", "fewer-indices", "value-dtype", "index-dtype",
+            "no-values", "no-indices"])
+    def test_lying_patches(self, parts, index, value):
+        """``aux.patch_index`` / ``aux.patch_value`` that do not pair up
+        one increasing field index with one ``<f4`` value."""
+        header, sections = parts
+        if index is not None and not isinstance(index, np.ndarray):
+            index = np.array(index, dtype="<i8")
+        if value is not None and not isinstance(value, np.ndarray):
+            value = np.array(value, dtype="<f4")
+        _assert_resealed_codec_error(
+            *self._with_patches(header, sections, index, value))
 
     def test_missing_max_level(self, parts):
         header, sections = parts
@@ -591,6 +655,24 @@ class TestResealedSZ3:
     def test_lying_interp_meta(self, parts, key, value):
         self._assert_refused(parts, "interp", key, value)
 
+    @pytest.mark.parametrize("walk", ["float16", None, 1], ids=repr)
+    def test_unknown_walk_marker(self, parts, walk):
+        self._assert_refused(parts, "interp", "walk", walk)
+
+    @pytest.mark.parametrize("idx,val", [
+        ([5], None), (None, [1.0]), ([5, 9], [1.0]), ([9, 5], [1.0, 2.0]),
+        ([5, 5], [1.0, 2.0]), ([-1], [1.0]), ([1 << 40], [1.0])], ids=repr)
+    def test_lying_patch_sections(self, parts, idx, val):
+        header, sections = parts["interp"]
+        extra = {}
+        if idx is not None:
+            extra["patch.idx"] = np.array(idx, dtype="<i8").tobytes()
+        if val is not None:
+            extra["patch.val"] = np.array(val, dtype="<f4").tobytes()
+        head, body = assemble(header, {**sections, **extra})
+        with pytest.raises(CodecError):
+            get_compressor("sz3").decompress(head + body)
+
     @pytest.mark.parametrize("key,value", [
         ("word_bytes", _MISSING), ("orig_len", _MISSING), ("orig_len", "x"),
         ("count", _MISSING), ("variant", _MISSING)], ids=repr)
@@ -735,6 +817,45 @@ class TestBaselineCorruption:
         head, body = assemble(
             replace(header, stage_meta={"baseline": baseline}),
             dict(split_sections(header, body)))
+        with pytest.raises(CodecError):
+            comp.decompress(head + body)
+
+
+    @pytest.mark.parametrize("name,key,value", [
+        ("fzgpu", "count", "abc"), ("cuszp2", "count", "abc"),
+        ("pfpl", "count", "abc"),
+        ("fzgpu", "count", None), ("cuszp2", "count", None),
+        ("fzgpu", "count", 1.5), ("pfpl", "count", 1.5),
+        ("cuszp2", "block", 0), ("cuszp2", "block", 1 << 40),
+        ("fzgpu", "count", True), ("cuszp2", "count", 1999),
+        ("fzgpu", "orig_len", _MISSING), ("cuszp2", "count", _MISSING),
+        ("pfpl", "word_bytes", _MISSING), ("cuszp2", "block", _MISSING),
+    ], ids=repr)
+    def test_resealed_meta_value(self, name, key, value, rng):
+        """Every meta field is a plain int in range before use: a string
+        used to raise ``ValueError``, ``None`` ``TypeError``, a float
+        truncate into a failing ``reshape``, block 0 divide by zero and a
+        missing key ``KeyError``."""
+        data = np.cumsum(rng.standard_normal(2000)).astype(np.float32)
+        comp = get_compressor(name)
+        header, body = parse(comp.compress(data, 1e-3).blob)
+        baseline = {**header.stage_meta["baseline"], key: value}
+        baseline = {k: v for k, v in baseline.items() if v != _MISSING}
+        head, body = assemble(
+            replace(header, stage_meta={"baseline": baseline}),
+            dict(split_sections(header, body)))
+        with pytest.raises(CodecError):
+            comp.decompress(head + body)
+
+    @pytest.mark.parametrize("name,section", [
+        ("fzgpu", "words"), ("pfpl", "bitmap2"), ("cuszp2", "widths")])
+    def test_missing_section(self, name, section, rng):
+        data = np.cumsum(rng.standard_normal(2000)).astype(np.float32)
+        comp = get_compressor(name)
+        header, body = parse(comp.compress(data, 1e-3).blob)
+        sections = dict(split_sections(header, body))
+        del sections[section]
+        head, body = assemble(header, sections)
         with pytest.raises(CodecError):
             comp.decompress(head + body)
 

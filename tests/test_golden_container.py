@@ -17,8 +17,13 @@ commit 22b8cfd, must also be *reproduced* byte for byte by today's encoder.
 
 Two more pin fzmod-default and fzmod-quality (interp + histogram-topk +
 huffman) the same way: both were written at commit 8614a1e, the last one
-with a stage interpreter next to the plan executor, so they hold the one
-remaining executor to the bytes both of them wrote.
+with a stage interpreter next to the plan executor, so they held the one
+remaining executor to the bytes both of them wrote.  The fzmod-quality
+one was written by the float64 G-Interp walk; since G-Interp walks in the
+storage dtype it is read-only (its predictor meta has no ``walk``
+marker, so it decodes on the float64 walk to the values pinned by
+digest), and a sixth blob, written at the commit that made that change,
+pins the writer.
 
 A fifth was written at commit 9811c60 by ``StfDefaultPipeline``, the
 hand-written task-graph pipeline deleted after it, at eb=1e-4 on the
@@ -182,6 +187,51 @@ GOLDEN_QUALITY_BLOB = base64.b64decode(
     "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAInAYPg=="
 )
 
+#: sha256 of the float32 bytes :data:`GOLDEN_QUALITY_BLOB` decoded to on
+#: the float64 walk at commit de90049
+GOLDEN_QUALITY_OUTPUT_DIGEST = (
+    "d33f3d5e98807fd2e99127148bee196cbb71101eb1f1566681d26ce89322eaa8")
+
+GOLDEN_QUALITY_STORAGE_BLOB = base64.b64decode(
+    "RlpNRAEA9wIAAKGV1bp7InNoYXBlIjpbMTIsMTZdLCJkdHlwZSI6IjxmNCIsImViX3ZhbHVl"
+    "IjowLjAwMSwiZWJfbW9kZSI6InJlbCIsImViX2FicyI6MC4wMTE5MTE5NTIwMTg3Mzc3OTMs"
+    "InJhZGl1cyI6NTEyLCJtb2R1bGVzIjp7InByZXByb2Nlc3MiOiJyZWwtZWIiLCJwcmVkaWN0"
+    "b3IiOiJpbnRlcnAiLCJlbmNvZGVyIjoiaHVmZm1hbiIsInNlY29uZGFyeSI6Im5vbmUiLCJz"
+    "dGF0aXN0aWNzIjoiaGlzdG9ncmFtLXRvcGsifSwic3RhZ2VfbWV0YSI6eyJwcmVkaWN0b3Ii"
+    "OnsibWF4X2xldmVsIjo1LCJ3YWxrIjoic3RvcmFnZSJ9LCJlbmNvZGVyIjp7ImNvdW50Ijox"
+    "OTEsIm1heF9sZW4iOjE2LCJuY2h1bmtzIjoxfSwicHJlcHJvY2VzcyI6eyJtb2RlIjoicmVs"
+    "IiwibWluIjotNi40NjkxNzgxOTk3NjgwNjYsIm1heCI6NS40NDI3NzM4MTg5Njk3Mjd9LCJv"
+    "dXRsaWVycyI6eyJjb3VudCI6MH0sImF1eCI6e319LCJzZWN0aW9ucyI6W1siZW5jLnBheWxv"
+    "YWQiLDAsMTcyXSxbImVuYy5jaHVua19zeW1zIiwxNzIsOF0sWyJlbmMuY2h1bmtfYml0cyIs"
+    "MTgwLDhdLFsiZW5jLmxlbmd0aHMiLDE4OCwxMDI0XSxbImFuY2hvcnMiLDEyMTIsNF1dLCJi"
+    "b2R5X2NyYyI6MjEwMzQ0MDUsInBpcGVsaW5lIjp7InByZXByb2Nlc3MiOiJyZWwtZWIiLCJw"
+    "cmVkaWN0b3IiOiJpbnRlcnAiLCJzdGF0aXN0aWNzIjoiaGlzdG9ncmFtLXRvcGsiLCJlbmNv"
+    "ZGVyIjoiaHVmZm1hbiIsInNlY29uZGFyeSI6Im5vbmUiLCJyYWRpdXMiOjUxMiwibmFtZSI6"
+    "ImZ6bW9kLXF1YWxpdHkifX3WQYgJ/NB8xw1ateTHDciEaH/A5SzjCjVnZybAnQBr8abtzl1R"
+    "JlWsLDJkCpSgKCA2ZfX8mYUGgjpkRVG/U6vSKAzHiXVFiB77Mo0LX86/QN2SiJ0QUSSb9wSj"
+    "E42rHto1uq37uL36PdytJtUI/kb/C5fvP0nmEuqF/2PAnmpdmzKvDwxntwTpd0gLoA71Gvc6"
+    "S2WV1Y9S/5fIwTbk08HOBpPtyHbx6fFnvdSkvwAAAAAAAABfBQAAAAAAAAAAAAAAAAAAAAAA"
+    "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
+    "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
+    "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
+    "AAAAAAAAAAAACAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
+    "AAAAAAAAAAAIAAAAAAAAAAAIAAAABwAAAAAAAAAIAAAAAAAAAAAAAAAAAAAAAAAAAAAIAAAI"
+    "AAAAAAAAAAAAAAAAAAAACAAAAAAAAAAIAAAAAAAAAAAAAAgAAAAAAAgICAAAAAAAAAAAAAAA"
+    "AAAAAAAIAAAAAAAIAAAIAAAAAAAAAAgAAAgAAAAACAAIAAAAAAAACAAAAAAAAAAACAgIAAAI"
+    "CAAIAAAICAAAAAAAAAAAAAAACAAHAAAAAAAIAAAAAAAIAAAAAAAACAAIAAAACAAAAAAIBwAI"
+    "CAAIAAYIAAAICAgICAAICAAICAAICAgIBwAICAcHAAAAAAAAAAAABwgIAAcGBwAABwcAAAAH"
+    "AAcHBwcGBwcABgcABwcAAAYAAAcHBwcHBwcHBwcHBwAHAAYABwcHBwcHBwcHAAAHBwcAAAcH"
+    "AAAAAAAABwcAAAcHAAAHBwcABwcABwcABwAAAAcAAAAABwAHBwAAAAAHAAAABwcABwcAAAcA"
+    "BwAHAAAAAAcHAAAAAAAAAAcHAAAAAAAAAAAABwAAAAAHAAAABwAAAAAABwAAAAAAAAAAAAAA"
+    "AAAAAAAAAAAAAAAAAAAAAAAHAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAABwAAAAAAAAAA"
+    "AAAABwAAAAAABwAAAAAAAAAAAAAAAAAAAAAAAAcAAAAAAAAAAAAAAAAABwAAAAAAAAAAAAAA"
+    "AAAAAAAAAAcABwAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
+    "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
+    "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
+    "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
+    "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAicBg+"
+)
+
 GOLDEN_STF_BLOB = base64.b64decode(
     "RlpNRAEAEwIAAH1ZRiJ7InNoYXBlIjpbMTIsMTZdLCJkdHlwZSI6IjxmNCIsImViX3ZhbHVl"
     "IjowLjAwMDEsImViX21vZGUiOiJyZWwiLCJlYl9hYnMiOjAuMDAxMTkxMTk1MjAxODczNzc5"
@@ -255,7 +305,8 @@ def shard_field() -> np.ndarray:
 
 #: sha256 of the multi-shard containers of :func:`shard_field` at eb=1e-3
 #: REL and shard_mb=0.01 (five shards), written at commit f4338d6 and
-#: identical there for workers 1, 2 and 3
+#: identical there for workers 1, 2 and 3 (fzmod-quality's rewritten by
+#: the storage-dtype G-Interp walk)
 GOLDEN_SHARD_DIGESTS = {
     ("fzmod-default", "per-shard"):
         "bd90d90eeb1b73541cb05c3d344c0516b1baf5074aa1321e5741ba33f1d858c4",
@@ -266,7 +317,7 @@ GOLDEN_SHARD_DIGESTS = {
     ("fzmod-speed", "per-shard"):
         "53fd3d59823d48536f1eebfade55daaef18e720f9795e0c25ed1cca0f9d31300",
     ("fzmod-quality", "per-shard"):
-        "50da8c1c80b971cbe2aec7f20c751ad765eef468fd2f80867b7baa3236b5f038",
+        "9f7c60b592591c7a39188182388a88d07fd0cf9a4a2105f8e318e7817f782275",
 }
 
 
@@ -337,7 +388,8 @@ class TestGoldenSpeedContainer:
 
 
 @pytest.mark.parametrize("preset,golden", [
-    (fzmod_default, GOLDEN_DEFAULT_BLOB), (fzmod_quality, GOLDEN_QUALITY_BLOB)],
+    (fzmod_default, GOLDEN_DEFAULT_BLOB),
+    (fzmod_quality, GOLDEN_QUALITY_STORAGE_BLOB)],
     ids=["default", "quality"])
 class TestGoldenHuffmanContainers:
     def test_bound_still_honoured(self, preset, golden):
@@ -362,3 +414,26 @@ class TestGoldenStfContainer:
             GOLDEN_STF_OUTPUT_DIGEST
         rng_v = float(GOLDEN_DATA.max() - GOLDEN_DATA.min())
         assert verify_error_bound(GOLDEN_DATA, recon, 1e-4 * rng_v)
+
+
+class TestGoldenFloat64WalkContainer:
+    """The fzmod-quality container of the float64 walk, read-only."""
+
+    def test_decodes_to_the_float64_walks_values(self):
+        from repro.core import parse
+        header, _ = parse(GOLDEN_QUALITY_BLOB)
+        assert header.stage_meta["predictor"] == {"max_level": 5}
+        for entry in (decompress, repro.decompress):
+            recon = entry(GOLDEN_QUALITY_BLOB)
+            assert recon.shape == (12, 16) and recon.dtype == np.float32
+            assert hashlib.sha256(recon.tobytes()).hexdigest() == \
+                GOLDEN_QUALITY_OUTPUT_DIGEST
+
+    def test_todays_writer_marks_the_storage_walk(self):
+        from repro.core import parse
+        header, _ = parse(GOLDEN_QUALITY_STORAGE_BLOB)
+        assert header.stage_meta["predictor"] == {"max_level": 5,
+                                                  "walk": "storage"}
+        recon = decompress(GOLDEN_QUALITY_STORAGE_BLOB)
+        eb = header.eb_abs
+        assert np.abs(GOLDEN_DATA.astype(np.float64) - recon).max() <= eb

@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import ALL_COMPRESSOR_NAMES, get_compressor
-from repro.core import decompress, fzmod_default
+from repro.core import decompress, fzmod_default, fzmod_quality
+from repro.kernels import interp
 from repro.metrics import psnr, verify_error_bound
 
 
@@ -100,6 +101,30 @@ class TestBoundComposition:
         recon = comp.decompress(cf)
         rng_v = float(data.max() - data.min())
         assert verify_error_bound(data, recon, eb * rng_v)
+
+    @given(st.integers(0, 2**16), st.integers(1, 3),
+           st.sampled_from([np.float32, np.float64]), st.booleans(),
+           st.sampled_from([1e-2, 1e-4, 1e-6, 1e-8]),
+           st.sampled_from([1e-3, 1.0, 1e5]))
+    @settings(max_examples=80, deadline=None)
+    def test_quality_bound_is_exact(self, seed, ndim, dtype, dynamic, rel,
+                                    scale):
+        """``max|x - x̂| <= eb`` with no tolerance: ``fzmod-quality``
+        (static G-Interp) through its container, and the dynamic mode the
+        ``sz3`` baseline runs, through the kernel."""
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(n) for n in rng.integers(2, 24, ndim))
+        data = (np.cumsum(rng.standard_normal(shape), axis=0)
+                * scale + scale).astype(dtype)
+        if dynamic:
+            eb = rel * float(np.ptp(data))
+            recon = interp.decompress(interp.compress(data, eb, dynamic=True))
+        else:
+            cf = fzmod_quality().compress(data, rel)
+            eb = cf.header.eb_abs
+            recon = decompress(cf.blob)
+        assert recon.dtype == dtype
+        assert np.abs(data.astype(np.float64) - recon).max() <= eb
 
     @given(st.integers(0, 20))
     @settings(max_examples=10, deadline=None)
