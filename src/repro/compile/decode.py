@@ -21,11 +21,14 @@ For the standard ``abs-eb``/``rel-eb`` preprocessors with the
 per-axis prefix-sum inverse Lorenzo and the dequantise scale/cast all
 run on one pooled grid — ``int32`` wherever a range proof over the
 decoded deltas and the swept result shows it exact, ``int64`` otherwise
-— with the floats written straight into the caller's ``out=`` buffer.  Any other preprocess or predictor
-module (anything whose ``backward`` may transform values, the ``interp``
-predictor, a subclass) runs as ``predictor.decode`` +
-``preprocess.backward`` module calls.  Encoder and secondary modules are
-pre-bound module calls in both cases, exactly as in the compress plans.
+— with the floats written straight into the caller's ``out=`` buffer.
+It applies no ``aux`` (patch) channel, so it refuses a container that
+carries one with :class:`~repro.errors.CodecError`.  Any other
+preprocess or predictor module (anything whose ``backward`` may
+transform values, the ``interp`` predictor, a subclass) runs as
+``predictor.decode`` + ``preprocess.backward`` module calls.  Encoder
+and secondary modules are pre-bound module calls in both cases, exactly
+as in the compress plans.
 
 Decode plans are content-addressed alongside the compress plans in
 :data:`repro.kernels.plancache.COMPILED_PLAN_CACHE` (a distinct digest
@@ -185,7 +188,7 @@ class CompiledDecodePlan(_BoundPlan):
                              "non-negative integer")
         # the side channels first: their metadata is checked before the
         # entropy decode allocates anything
-        outliers = _deserialize_outliers(header, sections)
+        outliers = _deserialize_outliers(header, sections, count)
         aux = _deserialize_aux(sections, header.stage_meta.get("aux", {}))
         n_threads = resolve_threads(
             threads, nbytes=int(header.element_count
@@ -215,6 +218,11 @@ class CompiledDecodePlan(_BoundPlan):
         """
         predictor = self._predictor
         if self._fused:
+            if arts.aux:
+                # a patch channel here would be dropped without a word
+                raise CodecError(
+                    f"aux channels {sorted(arts.aux)} are not applied by "
+                    "the fused Lorenzo decode")
             n_threads = resolve_threads(
                 threads, nbytes=int(header.element_count
                                     * header.np_dtype.itemsize))

@@ -77,13 +77,14 @@ def _serialize_outliers(out: OutlierSet) -> tuple[dict[str, bytes], int]:
     return sections, count
 
 
-def _outlier_count(header: ContainerHeader,
-                   sections: dict[str, bytes]) -> int:
+def _outlier_count(header: ContainerHeader, sections: dict[str, bytes],
+                   stream_length: int) -> int:
     """The outlier count a parsed container declares.
 
     It comes from the container: it is checked against the two outlier
-    sections (written together, and only for a non-zero count) before it
-    sizes anything.
+    sections (written together, and only for a non-zero count) and
+    against the ``stream_length`` codes an outlier stands in for, before
+    it sizes anything.
     """
     count = header.stage_meta.get("outliers", {}).get("count", 0)
     if (type(count) is not int or count < 0
@@ -91,14 +92,18 @@ def _outlier_count(header: ContainerHeader,
                    for name in ("outlier.idx", "outlier.val"))):
         raise CodecError("outlier count must be a non-negative integer "
                          "that matches the outlier sections")
+    if count > stream_length:
+        raise CodecError(f"outlier count {count} exceeds the "
+                         f"{stream_length}-code stream")
     return count
 
 
 def _deserialize_outliers(header: ContainerHeader,
-                          sections: dict[str, bytes]) -> OutlierSet:
+                          sections: dict[str, bytes],
+                          stream_length: int) -> OutlierSet:
     return quantize_unpack(sections.get("outlier.idx", b""),
                            sections.get("outlier.val", b""),
-                           _outlier_count(header, sections))
+                           _outlier_count(header, sections, stream_length))
 
 
 class Pipeline:

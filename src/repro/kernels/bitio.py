@@ -5,12 +5,13 @@ value-by-value, following the data-parallel formulation of the GPU kernels
 they model.  This module provides the shared primitives:
 
 * :func:`pack_varlen` / :func:`unpack_windows` — pack per-symbol variable
-  length codes into a byte stream (the core of the Huffman encoder: one
-  shifted 64-bit word per code, OR-reduced per output word) and read a
-  fixed-width window at *every* bit offset of a stream (what the
-  bit-serial reference Huffman decoder walks; the lock-step decoder in
-  :mod:`repro.kernels.huffman` reads its windows from a 32-bit word at
-  every byte offset instead).
+  length codes into a byte stream (the core of the Huffman encoder, which
+  hands :func:`pack_blocks` runs of codes merged into elements of up to
+  63 bits: one shifted 64-bit word per element, OR-reduced per output
+  word) and read a fixed-width window at *every* bit offset of a stream
+  (what the bit-serial reference Huffman decoder walks; the lock-step
+  decoder in :mod:`repro.kernels.huffman` reads its windows from a 32-bit
+  word at every byte offset instead).
 
 All functions operate on little-endian *bit order within a byte being MSB
 first* (``np.packbits`` convention), which keeps round-trips exact.
@@ -25,10 +26,12 @@ import numpy as np
 from ..errors import CodecError
 
 
-#: Codes per pass of :func:`pack_blocks`; derived, not a knob: the small
-#: end of the flat part, where a block's temporaries stay in L2.  A 983 k
-#: chunk of 2.5-bit codes (2 cores, 4 MiB L2) packs in 22 ms at 2**12 a
-#: block, 17 at 2**13, 14-15 at 2**14, 13-14 to 2**18, 18-19 as one block.
+#: Codes (for the Huffman encoder: merged groups of codes) per pass of
+#: :func:`pack_blocks`; derived, not a knob: the small end of the flat
+#: part, where a block's temporaries stay in L2.  A 983 k chunk of
+#: 2.5-bit codes, one per element (2 cores, 4 MiB L2), packed in 22 ms at
+#: 2**12 a block, 17 at 2**13, 14-15 at 2**14, 13-14 to 2**18, 18-19 as
+#: one block.
 PACK_BLOCK = 1 << 14
 
 
@@ -39,11 +42,12 @@ def pack_blocks(count: int, max_width: int,
 
     ``fetch(lo, hi)`` returns the codes of ``[lo, hi)``, each masked to
     its width, as a fresh ``uint64`` array (it is shifted in place) and the
-    widths, checked here; ``max_width`` bounds them and sizes the output.
+    widths, which it has checked to be in ``[1, 63]``; ``max_width``
+    bounds them and sizes the output.
 
     Every code is shifted until its last bit is in place in the 64-bit
     word it ends in, and the codes ending in one word are OR-reduced into
-    it.  A code is at most 32 bits, so some code ends in every word and
+    it.  A code is at most 63 bits, so some code ends in every word and
     only the first of them can have begun in the word before: its leading
     bits fall off the top of the shift and are ORed into that word on
     their own (the spill).  Blocks OR into one zeroed word array at the
@@ -54,8 +58,6 @@ def pack_blocks(count: int, max_width: int,
     total_bits = 0
     for lo in range(0, count, PACK_BLOCK):
         value, width = fetch(lo, min(lo + PACK_BLOCK, count))
-        if int(width.min()) < 1 or int(width.max()) > 32:
-            raise CodecError("code lengths must be in [1, 32]")
         # bit offsets count from the start of the word the block begins in
         ends = np.cumsum(width, dtype=u32)
         ends += u32(total_bits & 63)
@@ -97,6 +99,8 @@ def pack_varlen(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     lengths = np.asarray(lengths, dtype=np.int64)
     if codes.shape != lengths.shape or codes.ndim != 1:
         raise CodecError("codes and lengths must be 1-D arrays of equal shape")
+    if lengths.size and (int(lengths.min()) < 1 or int(lengths.max()) > 32):
+        raise CodecError("code lengths must be in [1, 32]")
 
     def fetch(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         width = lengths[lo:hi]

@@ -9,8 +9,9 @@ This models cuSZ's Huffman stage faithfully in structure:
   code length per symbol.
 * **Coarse-grained chunking**: symbols are encoded in independent,
   byte-aligned chunks (as cuSZ does for its GPU codec) so chunks can be
-  decoded concurrently and memory stays bounded; a chunk is packed a
-  cache-sized block of symbols at a time (:mod:`repro.kernels.bitio`).
+  decoded concurrently and memory stays bounded; a chunk's codes are
+  merged ``63 // L`` to an element (``L`` the longest code) and packed a
+  cache-sized block of elements at a time (:mod:`repro.kernels.bitio`).
 * **Resynchronising lock-step decoder**: a chunk's bit range is cut into
   segments of ``T`` bits (``T`` derived from the chunk's bit count), one
   lane each, and all lanes step together: a step reads every lane's
@@ -273,28 +274,67 @@ def encode_empty(num_bins: int, max_len: int = DEFAULT_MAX_LEN
 
 def encode(symbols: np.ndarray, book: Codebook,
            chunk: int = DEFAULT_CHUNK) -> HuffmanEncoded:
-    """Encode a symbol array with a canonical codebook, in chunks."""
+    """Encode a symbol array with a canonical codebook, in chunks.
+
+    Every run of ``group = 63 // L`` codes (``L`` the book's longest code)
+    is merged into one element of at most 63 bits, and the packer works
+    on those: ``1 / group`` of the element-ops per symbol, same bytes.
+    """
     symbols = np.ascontiguousarray(np.asarray(symbols).reshape(-1))
     with span("kernel.huffman.encode", symbols=int(symbols.size),
               bytes_in=int(symbols.nbytes)) as sp:
-        if symbols.size and int(symbols.max()) >= book.num_bins:
+        # ``take`` bounds-checks every unsigned symbol that fits an
+        # ``intp``, but counts a negative one back from the end
+        if (symbols.size and (symbols.dtype.kind != "u"
+                              or not np.can_cast(symbols.dtype, np.intp))
+                and (int(symbols.min()) < 0
+                     or int(symbols.max()) >= book.num_bins)):
             raise CodecError("symbol out of codebook range")
+        longest = int(book.lengths.max(initial=0))
+        group = 63 // max(longest, 1)
         # masking the table masks every code gathered from it
         codes_lut = book.codes.astype(np.uint64)
         codes_lut &= (np.uint64(1) << book.lengths) - np.uint64(1)
+        # an absent symbol's width overflows any group it is in, so one
+        # max over the merged widths finds it
+        width_lut = book.lengths.astype(np.uint16)
+        width_lut[book.lengths == 0] = 64
+
+        def merge(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """Row ``j`` of ``index`` holds code ``j`` of every group;
+            each column becomes one element of the codes in order."""
+            index = index.astype(np.intp, order="C", casting="same_kind")
+            try:
+                value, width = codes_lut.take(index), width_lut.take(index)
+            except IndexError:
+                raise CodecError("symbol out of codebook range") from None
+            # copies, so the gathered rows are freed before the packer runs
+            merged, widths = value[0].copy(), width[0].copy()
+            for j in range(1, index.shape[0]):
+                merged <<= width[j]
+                merged |= value[j]
+                widths += width[j]
+            return merged, widths
 
         def pack_chunk(start: int) -> tuple[bytes, int, int]:
             part = symbols[start:start + chunk]
 
             def fetch(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-                block = part[lo:hi]
-                width = book.lengths.take(block)
-                if int(width.min()) == 0:
+                block = part[lo * group:hi * group]
+                full = block.size - block.size % group
+                merged, widths = merge(block[:full].reshape(-1, group).T)
+                if full < block.size:
+                    # the chunk's last group is short: fewer rows
+                    last = merge(block[full:, None])
+                    merged = np.concatenate((merged, last[0]))
+                    widths = np.concatenate((widths, last[1]))
+                if int(widths.max()) > 63:
                     raise CodecError(
                         "stream contains a symbol absent from the histogram")
-                return codes_lut.take(block), width
+                return merged, widths
 
-            payload, nbits = pack_blocks(part.size, book.max_len, fetch)
+            payload, nbits = pack_blocks(-(-part.size // group),
+                                         group * longest, fetch)
             return payload, part.size, nbits
 
         starts = range(0, symbols.size, chunk)
@@ -315,8 +355,9 @@ def encode(symbols: np.ndarray, book: Codebook,
                              count=int(symbols.size),
                              lengths=book.lengths.copy(),
                              max_len=book.max_len)
-        sp.set(bytes_out=len(enc.payload),
-               blocks=sum(-(-nsyms // PACK_BLOCK) for nsyms in csyms))
+        sp.set(bytes_out=len(enc.payload), group=group,
+               blocks=sum(-(-nsyms // (group * PACK_BLOCK))
+                          for nsyms in csyms))
         return enc
 
 

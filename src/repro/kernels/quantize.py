@@ -229,7 +229,12 @@ def pack_outliers(out: OutlierSet) -> tuple[bytes, bytes, int]:
 
 def unpack_outliers(idx_payload: bytes, val_payload: bytes, count: int
                     ) -> OutlierSet:
-    """Inverse of :func:`pack_outliers`."""
+    """Inverse of :func:`pack_outliers`.
+
+    Every fixed-length table must declare ``count`` values in a width
+    table of that length: both are checked before the table sizes
+    anything.
+    """
     from . import bitshuffle as _bs
     from . import fixedlen as _fl
     import struct as _struct
@@ -237,15 +242,18 @@ def unpack_outliers(idx_payload: bytes, val_payload: bytes, count: int
         return OutlierSet(indices=np.zeros(0, dtype=np.int64),
                           values=np.zeros(0, dtype=np.int64))
 
-    def _fl_parse(blob: bytes, offset: int = 0
+    def _fl_parse(blob: bytes, what: str, offset: int = 0
                   ) -> tuple[_fl.FixedLenEncoded, int]:
         off = offset + _struct.calcsize("<QI")
         if len(blob) < off:
             raise CodecError("outlier payload shorter than its own header")
         n, wlen = _struct.unpack_from("<QI", blob, offset)
-        widths = blob[off:off + wlen]
         block = _fl.BLOCK_VALUES
-        padded = n + ((-n) % block)
+        if n != count:
+            raise CodecError(f"outlier {what} count mismatch")
+        if wlen != -(-n // block):
+            raise CodecError("width table length mismatch")
+        widths = blob[off:off + wlen]
         bytes_per = (np.frombuffer(widths, dtype=np.uint8).astype(np.int64)
                      * block + 7) // 8
         plen = int(bytes_per.sum())
@@ -253,27 +261,23 @@ def unpack_outliers(idx_payload: bytes, val_payload: bytes, count: int
         return (_fl.FixedLenEncoded(widths=widths, payload=payload, count=n),
                 off + wlen + plen)
 
-    enc_idx, _ = _fl_parse(idx_payload)
+    enc_idx, _ = _fl_parse(idx_payload, "index")
     deltas = _fl.decode(enc_idx).astype(np.int64)
-    if deltas.size != count:
-        raise CodecError("outlier index count mismatch")
     indices = np.cumsum(deltas + 1) - 1
 
     if not val_payload:
         raise CodecError("missing outlier value payload")
     flag, rest = val_payload[0], val_payload[1:]
     if flag == 0:
-        enc_lo, _ = _fl_parse(rest)
+        enc_lo, _ = _fl_parse(rest, "value")
         zz = _fl.decode(enc_lo).astype(np.uint64)
     elif flag == 1:
-        enc_lo, end = _fl_parse(rest)
-        enc_hi, _ = _fl_parse(rest, end)
+        enc_lo, end = _fl_parse(rest, "value")
+        enc_hi, _ = _fl_parse(rest, "value", end)
         lo = _fl.decode(enc_lo).astype(np.uint64)
         hi = _fl.decode(enc_hi).astype(np.uint64)
         zz = lo | (hi << np.uint64(32))
     else:
         raise CodecError(f"unknown outlier value packing flag {flag}")
     values = _bs.unzigzag(zz)
-    if values.size != count:
-        raise CodecError("outlier value count mismatch")
     return OutlierSet(indices=indices, values=values)

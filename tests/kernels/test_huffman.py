@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from repro.errors import CodecError
 from repro.kernels import bitio, huffman
 from repro.obs.spans import GLOBAL_TRACER, set_telemetry
+from repro.runtime.threads import thread_budget
+from tests.kernels.test_bitio import _pack_varlen_per_bit
 
 
 def _hist(symbols: np.ndarray, bins: int) -> np.ndarray:
@@ -355,7 +357,10 @@ class TestEncodeDecode:
         payload, nbits = bitio.pack_varlen(book.codes[syms],
                                            book.lengths[syms])
         assert (enc.payload, int(enc.chunk_bits[0])) == (payload, nbits)
-        assert attrs["blocks"] == -(-n // bitio.PACK_BLOCK)
+        # a block is PACK_BLOCK packed elements of ``group`` codes each
+        group = 63 // int(book.lengths.max())
+        assert attrs["group"] == group
+        assert attrs["blocks"] == -(-n // (group * bitio.PACK_BLOCK))
         np.testing.assert_array_equal(huffman.decode(enc), syms)
 
     def test_absent_symbol_in_a_later_block_rejected(self):
@@ -453,6 +458,101 @@ class TestEncodeDecode:
         enc = huffman.encode(syms, book)
         # ~0.95 prob on one symbol -> far below 9 bits/sym
         assert len(enc.payload) * 8 < 3 * syms.size
+
+
+def _book_with_longest(longest: int, bins: int, seed: int
+                       ) -> huffman.Codebook:
+    """A complete book whose longest code is ``longest``: lengths
+    ``1 .. longest - 1`` and two of ``longest``, on random bins (the rest
+    absent)."""
+    lengths = list(range(1, longest)) + [longest, longest]
+    rng = np.random.default_rng(seed)
+    table = np.zeros(max(bins, len(lengths)), dtype=np.uint8)
+    table[rng.permutation(table.size)[:len(lengths)]] = lengths
+    return huffman.Codebook(lengths=table, max_len=max(longest, 16))
+
+
+def _per_bit_chunks(syms: np.ndarray, book: huffman.Codebook,
+                    chunk: int) -> tuple[bytes, list[int]]:
+    """The reference encoding: each chunk packed one bit at a time."""
+    parts = [_pack_varlen_per_bit(book.codes[syms[lo:lo + chunk]],
+                                  book.lengths[syms[lo:lo + chunk]])
+             for lo in range(0, syms.size, chunk)]
+    return b"".join(p for p, _ in parts), [bits for _, bits in parts]
+
+
+class TestGroupedPacker:
+    """``encode`` merges ``63 // longest`` codes into each packed element;
+    the bytes are those of the codes packed one bit at a time."""
+
+    @given(st.integers(1, 24), st.integers(1, 600), st.integers(1, 300),
+           st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_matches_per_bit_reference(self, longest, n, chunk, seed,
+                                       threads):
+        group = 63 // longest
+        if chunk % group == 0 and group > 1:
+            chunk += 1                      # chunks end inside a group
+        book = _book_with_longest(longest, 64, seed)
+        live = np.flatnonzero(book.lengths)
+        syms = np.random.default_rng(seed).choice(live, n).astype(np.uint16)
+        with thread_budget(threads):
+            enc = huffman.encode(syms, book, chunk=chunk)
+        payload, bits = _per_bit_chunks(syms, book, chunk)
+        assert enc.payload == payload
+        assert enc.chunk_bits.tolist() == bits
+        np.testing.assert_array_equal(huffman.decode(enc), syms)
+
+    @pytest.mark.parametrize("longest", [24, 16, 15, 5])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sizes_around_whole_blocks_of_groups(self, longest, delta,
+                                                 threads):
+        group = 63 // longest
+        n = 2 * group * bitio.PACK_BLOCK + delta
+        book = _book_with_longest(longest, 300, longest)
+        live = np.flatnonzero(book.lengths)
+        syms = np.random.default_rng(delta + 1).choice(live, n)
+        chunk = n // 2 + 1                  # not a multiple of the group
+        with thread_budget(threads):
+            enc, attrs = _with_span_attrs(
+                "kernel.huffman.encode",
+                lambda: huffman.encode(syms, book, chunk=chunk))
+        payload, bits = _per_bit_chunks(syms, book, chunk)
+        assert (enc.payload, enc.chunk_bits.tolist()) == (payload, bits)
+        assert attrs["group"] == group
+
+    @pytest.mark.parametrize("where", ["group-start", "group-middle",
+                                       "group-end", "short-last-group"])
+    def test_absent_symbol_in_a_later_group_rejected(self, where):
+        book = _book_with_longest(16, 40, 3)
+        live, absent = (np.flatnonzero(book.lengths),
+                        np.flatnonzero(book.lengths == 0)[0])
+        n = 3 * bitio.PACK_BLOCK + 3 * 100 + 2        # a short last group
+        syms = np.resize(live, n)
+        at = {"group-start": 3 * bitio.PACK_BLOCK + 30,
+              "group-middle": 3 * bitio.PACK_BLOCK + 31,
+              "group-end": 3 * bitio.PACK_BLOCK + 32,
+              "short-last-group": n - 1}[where]
+        syms[at] = absent
+        with pytest.raises(CodecError,
+                           match="^stream contains a symbol absent from "
+                                 "the histogram$"):
+            huffman.encode(syms, book)
+
+    @pytest.mark.parametrize("bad", [
+        np.array([40], dtype=np.uint16), np.array([1 << 20], dtype=np.uint32),
+        np.array([2**64 - 1], dtype=np.uint64),
+        np.array([-41], dtype=np.int64), np.array([-1], dtype=np.int8)],
+        ids=repr)
+    def test_out_of_range_symbol_in_a_later_group_rejected(self, bad):
+        book = _book_with_longest(16, 40, 3)
+        syms = np.resize(np.flatnonzero(book.lengths),
+                         3 * bitio.PACK_BLOCK + 7).astype(bad.dtype)
+        syms[-5] = bad[0]
+        with pytest.raises(CodecError,
+                           match="^symbol out of codebook range$"):
+            huffman.encode(syms, book)
 
 
 class TestHostileChunkTable:

@@ -29,8 +29,10 @@ from repro.core import (decompress, fzmod_default, fzmod_quality,
 from repro.core.header import assemble, parse, split_sections
 from repro.errors import (CodecError, FZModError, HeaderError,
                           ModuleNotFoundInRegistry)
-from repro.kernels import deflate
+from repro.kernels import deflate, fixedlen
 from repro.parallel.executor import describe_sharded
+from repro.streaming import ShardReader, ShardStreamWriter
+from repro.streaming.engine import compress_stream, decompress_stream
 
 #: stands for a key deleted from re-sealed metadata
 _MISSING = "<deleted>"
@@ -500,6 +502,107 @@ class TestResealedContainerMeta:
             finally:
                 tracemalloc.stop()
             assert peak < 16 * len(blob)
+
+
+    @staticmethod
+    def _zero_width_table(count: int, widths: int | None = None) -> bytes:
+        """A fixed-length outlier table declaring ``count`` values, all in
+        zero-width blocks: its ``<QI`` header and width bytes, no
+        payload."""
+        if widths is None:
+            widths = -(-count // fixedlen.BLOCK_VALUES)
+        return struct.pack("<QI", count, widths) + bytes(widths)
+
+    @pytest.mark.parametrize("lie", ["count", "index", "value", "low-half",
+                                     "high-half", "width-table"])
+    def test_outlier_tables_do_not_size_an_allocation(self, parts, lie):
+        """256 KiB of zero widths declare 8.4 M outliers: the declared
+        count is held to the code stream, and every table's own count
+        (both halves of a 64-bit value table too) to the declared count,
+        before a table sizes anything."""
+        header, sections, entries = parts
+        bomb = self._zero_width_table(1 << 23)
+        one = self._zero_width_table(1)
+        idx, val, count = {
+            "count": (bomb, b"\x00" + bomb, 1 << 23),
+            "index": (bomb, b"\x00" + one, 1),
+            "value": (one, b"\x00" + bomb, 1),
+            "low-half": (one, b"\x01" + bomb + one, 1),
+            "high-half": (one, b"\x01" + one + bomb, 1),
+            "width-table": (self._zero_width_table(1, 1 << 18),
+                            b"\x00" + one, 1)}[lie]
+        head, body = assemble(
+            self._with_meta(header, "outliers", count=count),
+            {**sections, "outlier.idx": idx, "outlier.val": val})
+        blob = head + body
+        for entry in entries:
+            tracemalloc.start()
+            try:
+                with pytest.raises(CodecError):
+                    entry(blob)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * len(blob)
+
+
+class TestResealedFusedPatches:
+    """The fused Lorenzo decode applies no patch channel: a
+    ``fzmod-default`` or ``fzmod-speed`` container re-sealed (valid CRCs)
+    around ``aux.patch_index`` / ``aux.patch_value`` must end in
+    ``CodecError`` at every entry point, not decode to the unpatched
+    values."""
+
+    PIPELINES = {"fzmod-default": fzmod_default, "fzmod-speed": fzmod_speed}
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(7)
+        return np.cumsum(rng.standard_normal((24, 20, 18)),
+                         axis=0).astype(np.float32)
+
+    @staticmethod
+    def _patched(blob: bytes) -> bytes:
+        header, body = parse(blob)
+        index = np.array([0, 5], dtype="<i8")
+        value = np.array([1.5, -2.5], dtype=header.np_dtype)
+        meta = {**header.stage_meta,
+                "aux": {"patch_index": [index.dtype.str, [2]],
+                        "patch_value": [value.dtype.str, [2]]}}
+        head, body = assemble(
+            replace(header, stage_meta=meta),
+            {**split_sections(header, body),
+             "aux.patch_index": index.tobytes(),
+             "aux.patch_value": value.tobytes()})
+        return head + body
+
+    @pytest.mark.parametrize("preset", sorted(PIPELINES))
+    @pytest.mark.parametrize("entry", [repro.decompress, decompress],
+                             ids=["repro.decompress", "core.decompress"])
+    def test_in_memory_entry_points(self, data, preset, entry):
+        blob = repro.compress(data, preset, 1e-3).blob
+        patched = self._patched(blob)
+        entry(blob)                                    # the honest one
+        with pytest.raises(CodecError, match="fused Lorenzo decode"):
+            entry(patched)
+
+    @pytest.mark.parametrize("preset", sorted(PIPELINES))
+    def test_decompress_stream(self, tmp_path, data, preset):
+        src = str(tmp_path / "src.fzms")
+        compress_stream(data, self.PIPELINES[preset](), 1e-3, out_path=src,
+                        workers=1, shard_mb=0.01, layout="stream")
+        path = str(tmp_path / "patched.fzms")
+        with ShardReader(src) as reader:
+            assert reader.shard_count > 1
+            with ShardStreamWriter(path, reader.index,
+                                   layout="stream") as writer:
+                for k in range(reader.shard_count):
+                    shard = reader.shard(k)
+                    last = k == reader.shard_count - 1
+                    writer.append(self._patched(shard) if last else shard)
+        decompress_stream(src, workers=2)              # the honest one
+        with pytest.raises(CodecError, match="fused Lorenzo decode"):
+            decompress_stream(path, workers=2)
 
 
 class TestResealedPreprocessRange:
