@@ -9,7 +9,7 @@ Computing Framework for Customizable Scientific Data Compression Pipelines"*
   container format, auto-tuner);
 * :mod:`repro.kernels` — the data-parallel kernel library every compressor
   is built from;
-* :mod:`repro.runtime` — the host runtime: scratch pool, the ordered
+* :mod:`repro.runtime` — the host runtime: the sanitizer, the ordered
   work queue the engines schedule shards on, and slab threads;
 * :mod:`repro.baselines` — cuSZp2, FZ-GPU, PFPL and SZ3 from scratch;
 * :mod:`repro.data` — SDRBench-style synthetic datasets;

@@ -1,39 +1,30 @@
-"""Intra-procedural dataflow for fzlint: CFG + worklist lease analysis.
+"""Intra-procedural dataflow for fzlint: CFG + worklist alias analysis.
 
-fzlint v1 rules were syntactic — one AST pattern, one finding.  The bugs
-that matter for the pooled hot path are *path* properties: a
-``BufferPool`` lease released on one branch and used on another, a
-release reached twice around a loop back-edge, an ``out=`` buffer that
-aliases an input through a chain of view assignments.  This module
-builds a statement-level control-flow graph per function and runs a
-worklist fixpoint over it, tracking
-
-* **origins** — every value-producing site (pool ``acquire``, fresh
-  allocation, parameter) gets a stable identity; names map to *sets* of
-  origins (may-points-to), propagated through alias-preserving
-  expressions only (plain names, ``.reshape``/``.view``/… chains, slice
-  subscripts, conditional expressions, the ``out=`` keyword convention,
-  and cross-module ``returns-param`` summaries from the
-  :class:`~repro.analysis.project.ProjectContext`);
-* **lease status** — ``live``/``released`` per pool-acquire origin,
-  joined as a may-analysis so a release on *any* path to a use is
-  reported.
+fzlint v1 rules were syntactic — one AST pattern, one finding.  An
+``out=`` buffer that aliases an input through a chain of view
+assignments is a *path* property.  This module builds a statement-level
+control-flow graph per function and runs a worklist fixpoint over it,
+tracking **origins**: every value-producing site (fresh allocation,
+parameter) gets a stable identity; names map to *sets* of origins
+(may-points-to), propagated through alias-preserving expressions only
+(plain names, ``.reshape``/``.view``/… chains, slice subscripts,
+conditional expressions, the ``out=`` keyword convention, and
+cross-module ``returns-param`` summaries from the
+:class:`~repro.analysis.project.ProjectContext`).
 
 The analysis is deliberately conservative about what aliases: fancy
 indexing (``a[idx]``), ``.astype``/``np.asarray`` and unknown calls all
-produce fresh origins, so view-chain bugs are caught without flagging
-the copy-then-release idiom the kernels actually use.  Reports carry
-:class:`~repro.analysis.findings.FlowStep` traces (acquire → release →
-use) that the SARIF reporter renders as ``codeFlows``.
+produce fresh origins, so only must-alias view chains are reported.
+Reports carry :class:`~repro.analysis.findings.FlowStep` traces (origin
+→ call) that the SARIF reporter renders as ``codeFlows``.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .engine import attribute_chain, node_root_name
 from .findings import FlowStep
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,19 +35,9 @@ VIEW_METHODS = frozenset({
     "view", "reshape", "ravel", "squeeze", "transpose", "swapaxes",
 })
 
-#: method-call names treated as a pool release
-_RELEASE_ATTRS = frozenset({"release"})
-
-#: method-call names treated as a pool acquire
-_ACQUIRE_ATTRS = frozenset({"acquire"})
-
-#: attribute names whose call hands work (and captured leases) to
-#: another execution context — a thread pool, process pool or STF graph
+#: attribute names whose call hands work to another execution context —
+#: a thread pool, process pool or STF graph
 SUBMIT_ATTRS = frozenset({"submit", "task"})
-
-
-def _is_pool_root(root: str | None) -> bool:
-    return root is not None and "pool" in root.lower()
 
 
 def alias_load_roots(expr: ast.AST) -> set[str]:
@@ -322,37 +303,33 @@ def build_cfg(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> CFG:
     return b.cfg
 
 
+
+
 # ---------------------------------------------------------------------- #
-# origins and lease state                                                 #
+# origins                                                                 #
 # ---------------------------------------------------------------------- #
 @dataclass
 class Origin:
     """One value-producing site tracked by the analysis."""
 
     oid: int
-    kind: str              #: "lease" | "alloc" | "param"
+    kind: str              #: "alloc" | "param"
     line: int
     label: str             #: display text for flow steps
-    release_lines: list[int] = field(default_factory=list)
 
 
 @dataclass
 class Report:
     """One raw dataflow diagnostic (rule layer turns these into findings)."""
 
-    kind: str              #: "use-after-release" | "double-release" |
-                           #: "lease-escape" | "out-aliasing"
+    kind: str              #: "out-aliasing"
     node: ast.AST          #: anchor node for the finding
     message: str
     flow: tuple[FlowStep, ...] = ()
 
 
-_LIVE = "live"
-_RELEASED = "released"
-
-
 class _FunctionAnalysis:
-    """Worklist lease/alias analysis of a single function."""
+    """Worklist alias analysis of a single function."""
 
     def __init__(self, fn, ctx: "LintContext", project) -> None:
         self.fn = fn
@@ -362,8 +339,6 @@ class _FunctionAnalysis:
         self.origins: dict[int, Origin] = {}
         self._origin_by_node: dict[int, int] = {}
         self._next_oid = 0
-        #: nested def/lambda name -> free (captured) names
-        self.captures: dict[str, set[str]] = {}
         self.reports: list[Report] = []
         self._reported: set[tuple] = set()
         self._collecting = False
@@ -381,29 +356,15 @@ class _FunctionAnalysis:
                 label=label)
         return oid
 
-    def _entry_state(self) -> tuple[dict, dict]:
+    def _entry_state(self) -> dict:
         bind: dict[str, frozenset[int]] = {}
         args = self.fn.args
         for a in (args.posonlyargs + args.args + args.kwonlyargs):
             oid = self._origin_for(a, "param", f"parameter `{a.arg}`")
             bind[a.arg] = frozenset({oid})
-        return bind, {}
+        return bind
 
     # -- expression evaluation ----------------------------------------- #
-    def _is_acquire(self, call: ast.Call) -> bool:
-        fn = call.func
-        return (isinstance(fn, ast.Attribute)
-                and fn.attr in _ACQUIRE_ATTRS
-                and _is_pool_root(node_root_name(fn.value)))
-
-    def _release_arg(self, call: ast.Call) -> ast.expr | None:
-        fn = call.func
-        if (isinstance(fn, ast.Attribute) and fn.attr in _RELEASE_ATTRS
-                and _is_pool_root(node_root_name(fn.value))
-                and call.args):
-            return call.args[0]
-        return None
-
     def _value_origins(self, expr: ast.AST, bind: dict) -> frozenset[int]:
         """Origin set of ``expr``'s value (may create new origins)."""
         if isinstance(expr, ast.Name):
@@ -419,11 +380,6 @@ class _FunctionAnalysis:
         if isinstance(expr, ast.NamedExpr):
             return self._value_origins(expr.value, bind)
         if isinstance(expr, ast.Call):
-            if self._is_acquire(expr):
-                root = node_root_name(expr.func) or "pool"
-                oid = self._origin_for(
-                    expr, "lease", f"lease acquired from `{root}`")
-                return frozenset({oid})
             fn = expr.func
             if isinstance(fn, ast.Attribute) and fn.attr in VIEW_METHODS:
                 return self._value_origins(fn.value, bind)
@@ -465,8 +421,6 @@ class _FunctionAnalysis:
     # -- reporting ------------------------------------------------------ #
     def _report(self, kind: str, node: ast.AST, message: str,
                 flow: tuple[FlowStep, ...]) -> None:
-        if not self._collecting:
-            return
         key = (kind, getattr(node, "lineno", 0),
                getattr(node, "col_offset", 0), message)
         if key in self._reported:
@@ -478,108 +432,7 @@ class _FunctionAnalysis:
     def _step(self, line: int, message: str) -> FlowStep:
         return FlowStep(path=self.ctx.rel, line=line, message=message)
 
-    def _lease_flow(self, origin: Origin, node: ast.AST,
-                    last: str) -> tuple[FlowStep, ...]:
-        steps = [self._step(origin.line, origin.label)]
-        for rl in origin.release_lines[:3]:
-            steps.append(self._step(rl, "released here"))
-        steps.append(self._step(getattr(node, "lineno", origin.line), last))
-        return tuple(steps)
-
     # -- transfer function --------------------------------------------- #
-    def _check_uses(self, expr: ast.AST, bind: dict, status: dict,
-                    skip: set[int] | None = None) -> None:
-        """Report loads of names bound to a may-released lease."""
-        for node in ast.walk(expr):
-            if (isinstance(node, ast.Name)
-                    and isinstance(node.ctx, ast.Load)
-                    and (skip is None or id(node) not in skip)):
-                for oid in bind.get(node.id, ()):
-                    origin = self.origins[oid]
-                    if (origin.kind == "lease"
-                            and _RELEASED in status.get(oid, ())):
-                        self._report(
-                            "use-after-release", node,
-                            f"`{node.id}` may be used after its pool "
-                            f"lease was released (acquired line "
-                            f"{origin.line})",
-                            self._lease_flow(origin, node,
-                                             f"`{node.id}` used here"))
-
-    def _live_lease_names(self, bind: dict, status: dict) -> dict[str, int]:
-        names: dict[str, int] = {}
-        for name, oids in bind.items():
-            for oid in oids:
-                origin = self.origins[oid]
-                if origin.kind == "lease" and _LIVE in status.get(oid, ()):
-                    names[name] = oid
-        return names
-
-    def _check_escapes(self, unit: ast.AST, bind: dict,
-                       status: dict) -> None:
-        live = self._live_lease_names(bind, status)
-        if not live:
-            return
-
-        def escape(node: ast.AST, oid: int, how: str) -> None:
-            origin = self.origins[oid]
-            self._report(
-                "lease-escape", node,
-                f"pool lease escapes its owning scope ({how}); the pool "
-                f"may recycle the buffer while the reference is live",
-                (self._step(origin.line, origin.label),
-                 self._step(getattr(node, "lineno", origin.line),
-                            f"escapes here ({how})")))
-
-        for node in ast.walk(unit):
-            # stores onto module-level state or long-lived objects
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                value = node.value
-                if value is None:
-                    continue
-                v_roots = alias_load_roots(value)
-                leaked = {live[r] for r in v_roots if r in live}
-                if not leaked:
-                    continue
-                for t in targets:
-                    if isinstance(t, (ast.Attribute, ast.Subscript)):
-                        root = node_root_name(t)
-                        if root == "self":
-                            how = "stored on self"
-                        elif root in self.ctx.module_level_names:
-                            how = f"stored into module-level `{root}`"
-                        else:
-                            continue
-                        for oid in sorted(leaked):
-                            escape(t, oid, how)
-            # leases handed to another execution context
-            elif isinstance(node, ast.Call):
-                fn = node.func
-                if not (isinstance(fn, ast.Attribute)
-                        and fn.attr in SUBMIT_ATTRS):
-                    continue
-                for arg in list(node.args) + [kw.value
-                                              for kw in node.keywords]:
-                    for root in alias_load_roots(arg):
-                        if root in live:
-                            escape(arg, live[root],
-                                   f"passed to `.{fn.attr}(...)`")
-                        elif root in self.captures:
-                            for cap in sorted(self.captures[root] &
-                                              live.keys()):
-                                escape(arg, live[cap],
-                                       f"captured by `{root}` passed "
-                                       f"to `.{fn.attr}(...)`")
-                    for lam in ast.walk(arg) if not isinstance(
-                            arg, ast.Name) else ():
-                        if isinstance(lam, ast.Lambda):
-                            free = _free_names(lam)
-                            for cap in sorted(free & live.keys()):
-                                escape(arg, live[cap],
-                                       "captured by a lambda passed "
-                                       f"to `.{fn.attr}(...)`")
 
     def _check_out_aliasing(self, unit: ast.AST, bind: dict) -> None:
         for node in ast.walk(unit):
@@ -619,19 +472,17 @@ class _FunctionAnalysis:
                                     f"`{a_name}` and `out={o_name}` "
                                     f"reach the same call")))
 
-    def _transfer(self, unit: ast.AST, bind: dict, status: dict) -> None:
-        """Apply one unit to (bind, status) in place, reporting when in
-        the collecting pass."""
+
+    def _transfer(self, unit: ast.AST, bind: dict) -> None:
+        """Apply one unit to ``bind`` in place, reporting when in the
+        collecting pass."""
         if isinstance(unit, _ForBind):
             for n in ast.walk(unit.node.target):
                 if isinstance(n, ast.Name):
                     bind.pop(n.id, None)
             return
-        if isinstance(unit, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self.captures[unit.name] = _free_names(unit)
-            bind.pop(unit.name, None)
-            return
-        if isinstance(unit, ast.ClassDef):
+        if isinstance(unit, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
             bind.pop(unit.name, None)
             return
         if isinstance(unit, (ast.Import, ast.ImportFrom, ast.Global,
@@ -644,42 +495,13 @@ class _FunctionAnalysis:
             return
         if isinstance(unit, (ast.With, ast.AsyncWith)):
             for item in unit.items:
-                self._check_uses(item.context_expr, bind, status)
                 if item.optional_vars is not None:
                     for n in ast.walk(item.optional_vars):
                         if isinstance(n, ast.Name):
                             bind.pop(n.id, None)
             return
 
-        # releases first: the released name inside `pool.release(x)` is
-        # not itself a use-after-release
-        skip_uses: set[int] = set()
-        for node in ast.walk(unit):
-            if isinstance(node, ast.Call):
-                arg = self._release_arg(node)
-                if arg is None:
-                    continue
-                skip_uses |= {id(n) for n in ast.walk(arg)}
-                for oid in self._value_origins(arg, bind):
-                    origin = self.origins[oid]
-                    if origin.kind != "lease":
-                        continue
-                    st = status.get(oid, frozenset())
-                    if _RELEASED in st:
-                        self._report(
-                            "double-release", node,
-                            f"pool lease may be released twice "
-                            f"(acquired line {origin.line})",
-                            self._lease_flow(origin, node,
-                                             "released again here"))
-                    if (self._collecting
-                            and node.lineno not in origin.release_lines):
-                        origin.release_lines.append(node.lineno)
-                    status[oid] = st | {_RELEASED}
-
-        self._check_uses(unit, bind, status, skip_uses)
         if self._collecting:
-            self._check_escapes(unit, bind, status)
             self._check_out_aliasing(unit, bind)
 
         if isinstance(unit, (ast.Assign, ast.AnnAssign)):
@@ -698,35 +520,13 @@ class _FunctionAnalysis:
                         bind[t.id] = origins
                     else:
                         self._clobber(t, bind)
-                self._refresh_acquire_status(value, status)
                 return
             origins = self._value_origins(value, bind)
-            self._refresh_acquire_status(value, status)
             for t in targets:
                 if isinstance(t, ast.Name):
                     bind[t.id] = origins
                 else:
                     self._clobber(t, bind)
-        elif isinstance(unit, ast.Expr):
-            self._refresh_acquire_status(unit.value, status)
-        elif isinstance(unit, (ast.Return, ast.Raise)):
-            pass
-        elif isinstance(unit, ast.AugAssign):
-            pass  # in-place update keeps existing aliasing
-        else:
-            # header expressions (if/while tests, for iterables) and any
-            # other expression-bearing unit: uses were already checked
-            if isinstance(unit, ast.expr):
-                self._refresh_acquire_status(unit, status)
-
-    def _refresh_acquire_status(self, expr: ast.AST, status: dict) -> None:
-        """A (re-)executed acquire site yields a fresh generation: reset
-        its lease status to live so loop back-edges do not smear a prior
-        iteration's release onto the new lease."""
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Call) and self._is_acquire(node):
-                oid = self._origin_for(node, "lease", "lease acquired")
-                status[oid] = frozenset({_LIVE})
 
     def _clobber(self, target: ast.AST, bind: dict) -> None:
         for n in ast.walk(target):
@@ -735,26 +535,16 @@ class _FunctionAnalysis:
 
     # -- fixpoint ------------------------------------------------------- #
     @staticmethod
-    def _join(a: tuple[dict, dict], b: tuple[dict, dict]) -> tuple[dict,
-                                                                   dict]:
-        bind_a, st_a = a
-        bind_b, st_b = b
-        bind = dict(bind_a)
-        for k, v in bind_b.items():
+    def _join(a: dict, b: dict) -> dict:
+        bind = dict(a)
+        for k, v in b.items():
             bind[k] = bind.get(k, frozenset()) | v
-        st = dict(st_a)
-        for k, v in st_b.items():
-            st[k] = st.get(k, frozenset()) | v
-        return bind, st
-
-    @staticmethod
-    def _same(a: tuple[dict, dict], b: tuple[dict, dict]) -> bool:
-        return a[0] == b[0] and a[1] == b[1]
+        return bind
 
     def run(self) -> list[Report]:
         cfg = self.cfg
         n = len(cfg.units)
-        in_states: dict[int, tuple[dict, dict]] = {0: self._entry_state()}
+        in_states: dict[int, dict] = {0: self._entry_state()}
         work = [0]
         iterations = 0
         limit = max(200, n * 40)
@@ -764,16 +554,14 @@ class _FunctionAnalysis:
             state = in_states.get(block)
             if state is None:
                 continue
-            bind = dict(state[0])
-            status = dict(state[1])
+            bind = dict(state)
             for unit in cfg.units[block]:
-                self._transfer(unit, bind, status)
-            out = (bind, status)
+                self._transfer(unit, bind)
             for succ in cfg.succs[block]:
                 prev = in_states.get(succ)
-                merged = out if prev is None else self._join(prev, out)
-                if prev is None or not self._same(prev, merged):
-                    in_states[succ] = (dict(merged[0]), dict(merged[1]))
+                merged = bind if prev is None else self._join(prev, bind)
+                if prev is None or prev != merged:
+                    in_states[succ] = dict(merged)
                     work.append(succ)
         # collecting pass over the final in-states
         self._collecting = True
@@ -781,46 +569,20 @@ class _FunctionAnalysis:
             state = in_states.get(block)
             if state is None:
                 continue
-            bind = dict(state[0])
-            status = dict(state[1])
+            bind = dict(state)
             for unit in cfg.units[block]:
-                self._transfer(unit, bind, status)
+                self._transfer(unit, bind)
         return self.reports
 
 
-def _free_names(fn) -> set[str]:
-    """Names a nested def/lambda loads but does not bind locally."""
-    if isinstance(fn, ast.Lambda):
-        body: list[ast.AST] = [fn.body]
-        args = fn.args
-    else:
-        body = list(fn.body)
-        args = fn.args
-    bound = {a.arg for a in (args.posonlyargs + args.args
-                             + args.kwonlyargs)}
-    if args.vararg:
-        bound.add(args.vararg.arg)
-    if args.kwarg:
-        bound.add(args.kwarg.arg)
-    loads: set[str] = set()
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                if isinstance(node.ctx, ast.Store):
-                    bound.add(node.id)
-                elif isinstance(node.ctx, ast.Load):
-                    loads.add(node.id)
-    return loads - bound
-
-
 def analyze_function(fn, ctx: "LintContext", project=None) -> list[Report]:
-    """Lease/alias dataflow reports for one function."""
+    """Alias dataflow reports for one function."""
     return _FunctionAnalysis(fn, ctx, project).run()
 
 
 def analyze_file(ctx: "LintContext") -> list[tuple[ast.AST, Report]]:
     """Reports for every function in ``ctx``'s file, cached on the
-    context so the four dataflow rules share one fixpoint run."""
+    context so every dataflow rule shares one fixpoint run."""
     cached = getattr(ctx, "_dataflow_reports", None)
     if cached is not None:
         return cached

@@ -101,7 +101,7 @@ def register_rule(cls: type[Rule]) -> type[Rule]:
 def all_rules() -> list[Rule]:
     """One instance of every registered rule, sorted by id."""
     from . import rules  # noqa: F401 - registers the built-in rules
-    from . import rules_program  # noqa: F401 - registers FZL013-FZL018
+    from . import rules_program  # noqa: F401 - registers FZL016-FZL018
     return [_RULE_TYPES[rid]() for rid in sorted(_RULE_TYPES)]
 
 
@@ -111,7 +111,7 @@ def all_rules() -> list[Rule]:
 def node_root_name(node: ast.AST) -> str | None:
     """The base ``Name`` of an attribute/subscript/call chain.
 
-    ``pool.acquire(x)[0].view`` -> ``pool``; bare names return
+    ``grid.reshape(x)[0].view`` -> ``grid``; bare names return
     themselves; anything not rooted in a name returns ``None``.
     """
     while True:

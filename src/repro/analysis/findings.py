@@ -22,13 +22,13 @@ class FlowStep:
     """One step of the execution path that produces a finding.
 
     Dataflow rules attach these so a reader can see *how* the bad state
-    arises (acquire -> release -> use), and SARIF output renders them as
+    arises (origin -> aliasing call), and SARIF output renders them as
     ``codeFlows``/``threadFlows`` for code-scanning UIs.
     """
 
     path: str      #: posix path of the step (usually the finding's file)
     line: int      #: 1-based line
-    message: str   #: what happens at this step ("lease acquired here", ...)
+    message: str   #: what happens at this step ("allocated here", ...)
 
 
 @dataclass(frozen=True, order=True)

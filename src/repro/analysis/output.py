@@ -107,7 +107,7 @@ def _sarif_result(f: Finding, baseline_state: str) -> dict:
     }
     if f.flow:
         # dataflow rules attach the path behind the finding
-        # (acquire -> release -> use); render as one thread flow
+        # (origin -> aliasing call); render as one thread flow
         result["codeFlows"] = [{
             "threadFlows": [{
                 "locations": [{

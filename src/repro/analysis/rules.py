@@ -1,4 +1,5 @@
-"""The FZModules contract rules (FZL001 - FZL012, FZL019, FZL020).
+"""The FZModules contract rules (FZL001 - FZL007, FZL009 - FZL012, FZL019,
+FZL020).
 
 Each rule machine-checks one convention the framework's composability
 story depends on.  The checks are deliberately heuristic — AST-local,
@@ -98,11 +99,11 @@ class OutContract(Rule):
     title = "out= buffer contract"
     contract = (
         "A function whose signature accepts `out=None` promises the "
-        "pooled-buffer protocol: when the caller supplies a buffer the "
+        "caller-buffer protocol: when the caller supplies a buffer the "
         "function writes the result into it and returns it.  Ignoring "
         "`out` (or returning a silently allocated fresh array instead) "
-        "makes the caller's pool accounting wrong and hides allocations "
-        "on the hot path.")
+        "leaves the caller's buffer stale and hides allocations on the "
+        "hot path.")
 
     def run(self, ctx: LintContext) -> Iterator[Finding]:
         """Flag ``out=``-accepting functions that ignore or drop it."""
@@ -506,65 +507,6 @@ class RegistryContract(Rule):
 
 
 @register_rule
-class PoolHygiene(Rule):
-    """FZL008: pooled buffers must be released on every path."""
-
-    id = "FZL008"
-    title = "pool hygiene"
-    contract = (
-        "BufferPool scratch that is acquired but never released (or "
-        "returned to the caller) leaks pool accounting: live bytes climb "
-        "monotonically, the byte budget evicts hot buffers, and the "
-        "accounting-neutral-reuse invariant the runtime tests check is "
-        "violated.  Every acquire() needs a matching release(), return, "
-        "or ownership hand-off on all paths (a finally: block is the "
-        "idiom).")
-
-    def run(self, ctx: LintContext) -> Iterator[Finding]:
-        """Flag pool acquisitions with no release, return, or escape."""
-        for fn in functions_of(ctx.tree):
-            acquired: dict[str, ast.AST] = {}
-            for node in ast.walk(fn):
-                if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                        and isinstance(node.targets[0], ast.Name)
-                        and isinstance(node.value, ast.Call)
-                        and isinstance(node.value.func, ast.Attribute)
-                        and node.value.func.attr == "acquire"):
-                    root = node_root_name(node.value.func.value) or ""
-                    if "pool" in root.lower():
-                        acquired[node.targets[0].id] = node
-            for name, site in acquired.items():
-                if not self._escapes(fn, name):
-                    yield ctx.finding(
-                        self, site,
-                        f"pooled buffer {name!r} is acquired but never "
-                        "released, returned, or handed off; wrap the use "
-                        "in try/finally with pool.release()")
-
-    @staticmethod
-    def _escapes(fn: ast.FunctionDef, name: str) -> bool:
-        for node in ast.walk(fn):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "release"
-                    and any(isinstance(a, ast.Name) and a.id == name
-                            for a in node.args)):
-                return True
-            if (isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom))
-                    and node.value is not None
-                    and any(isinstance(n, ast.Name) and n.id == name
-                            for n in ast.walk(node.value))):
-                return True
-            for target in _stored_targets(node):
-                if (isinstance(target, ast.Attribute)
-                        and isinstance(node, ast.Assign)
-                        and any(isinstance(n, ast.Name) and n.id == name
-                                for n in ast.walk(node.value))):
-                    return True
-        return False
-
-
-@register_rule
 class TelemetryHygiene(Rule):
     """FZL009: spans via ``with``; telemetry names dotted lowercase."""
 
@@ -684,15 +626,15 @@ class StreamingHygiene(Rule):
                         f"np.{tail}() materialises a full array on the "
                         "streaming path; consume slab views from "
                         "FieldSource.slab() and copy at most one slab "
-                        "into a pooled buffer")
+                        "at a time")
                 continue
             if isinstance(node.func, ast.Attribute):
                 if node.func.attr == "copy" and not node.args:
                     yield ctx.finding(
                         self, node,
                         ".copy() on the streaming path duplicates its "
-                        "whole receiver; slabs are copied once, into "
-                        "pooled buffers, by the prefetcher only")
+                        "whole receiver; slabs are copied once, by the "
+                        "prefetcher only")
                 elif node.func.attr == "read" and not node.args:
                     yield ctx.finding(
                         self, node,
@@ -762,7 +704,7 @@ class DecodeOutContract(Rule):
     id = "FZL012"
     title = "decode out= contract"
     contract = (
-        "The read side has the same pooled-buffer story as the write "
+        "The read side has the same caller-buffer story as the write "
         "side: the fused decode plans, the sharded workers and the "
         "streaming scatter all hand reconstruction a destination slab "
         "(a shared-memory view, a caller's out= array, a memmap window) "
@@ -978,7 +920,7 @@ class SlabTaskIsolation(Rule):
                         f"slab task {fn.name}() writes module-level "
                         f"state {root!r} from a pool thread; tasks may "
                         "only touch their own slab (disjoint views and "
-                        "per-thread arenas)")
+                        "task-local scratch)")
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr in _MUTATORS):

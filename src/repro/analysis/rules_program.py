@@ -1,9 +1,9 @@
-"""fzlint v2 rules: dataflow (FZL013-FZL016) and whole-program
-concurrency rules (FZL017-FZL018).
+"""fzlint v2 rules: dataflow (FZL016) and whole-program concurrency
+rules (FZL017-FZL018).
 
-The first four consume the intra-procedural lease/alias analysis in
-:mod:`.dataflow` (one CFG fixpoint per function, shared across the four
-rules via a per-file cache); the last two consume the
+The first consumes the intra-procedural alias analysis in
+:mod:`.dataflow` (one CFG fixpoint per function, cached per file); the
+last two consume the
 :class:`~repro.analysis.project.ProjectContext` call graph.  All of them
 attach :class:`~repro.analysis.findings.FlowStep` traces, which the
 SARIF reporter renders as ``codeFlows``.
@@ -24,69 +24,6 @@ from .findings import Finding, FlowStep
 from .project import ProjectContext
 
 
-def _dataflow_findings(rule: Rule, ctx: LintContext,
-                       kind: str) -> Iterator[Finding]:
-    for _fn, report in analyze_file(ctx):
-        if report.kind == kind:
-            yield ctx.finding(rule, report.node, report.message,
-                              flow=report.flow)
-
-
-@register_rule
-class LeaseEscape(Rule):
-    id = "FZL013"
-    title = "pool lease escape"
-    contract = (
-        "A live BufferPool lease must stay within its acquiring scope: "
-        "storing it into module-level state or onto self, passing it "
-        "(or a closure capturing it) to `.submit(...)`/`.task(...)` "
-        "hands a recyclable buffer to code that outlives the lease — "
-        "the pool can hand the same memory to another shard while the "
-        "escaped reference is still read.  Hand ownership off "
-        "explicitly (return/yield, which FZL008 tracks) or copy before "
-        "escaping.")
-    severity = "warning"
-
-    def run(self, ctx: LintContext) -> Iterator[Finding]:
-        yield from _dataflow_findings(self, ctx, "lease-escape")
-
-
-@register_rule
-class DoubleRelease(Rule):
-    id = "FZL014"
-    title = "double release"
-    contract = (
-        "A BufferPool lease must be released exactly once: a second "
-        "`pool.release(buf)` on any path (branch merge, loop back-edge, "
-        "exception handler plus finally) corrupts the free list — the "
-        "same array is handed to two callers and silently shared.  The "
-        "dataflow pass reports a release reachable when the lease may "
-        "already be released.")
-    severity = "error"
-
-    def run(self, ctx: LintContext) -> Iterator[Finding]:
-        yield from _dataflow_findings(self, ctx, "double-release")
-
-
-@register_rule
-class UseAfterRelease(Rule):
-    id = "FZL015"
-    title = "use after release"
-    contract = (
-        "Once released back to the pool, a lease (or any view of it "
-        "reached through reshape/slice aliasing) is recycled memory: "
-        "reading it returns another caller's bytes, writing it corrupts "
-        "them.  The dataflow pass follows the buffer through "
-        "assignments, views and conditional expressions and reports any "
-        "use reachable after a release on some path.  The runtime "
-        "sanitizer (FZMOD_SANITIZE=1) enforces the same contract with "
-        "canary poisoning at execution time.")
-    severity = "error"
-
-    def run(self, ctx: LintContext) -> Iterator[Finding]:
-        yield from _dataflow_findings(self, ctx, "use-after-release")
-
-
 @register_rule
 class HiddenOutAliasing(Rule):
     id = "FZL016"
@@ -105,7 +42,9 @@ class HiddenOutAliasing(Rule):
     severity = "error"
 
     def run(self, ctx: LintContext) -> Iterator[Finding]:
-        yield from _dataflow_findings(self, ctx, "out-aliasing")
+        for _fn, report in analyze_file(ctx):
+            yield ctx.finding(self, report.node, report.message,
+                              flow=report.flow)
 
 
 @register_rule

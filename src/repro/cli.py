@@ -19,7 +19,7 @@ Subcommands
 ``modules``     list every registered module per stage
 ``lint``        contract-aware static analysis (kernel purity, out=
                 contract, plan-cache safety, shard determinism, ...)
-``stats``       print hot-path cache/pool/allocator counters
+``stats``       print hot-path cache, telemetry and sanitizer counters
 ``trace``       compress a field with telemetry on and export the span
                 trace (Chrome trace-event JSON for Perfetto, JSONL,
                 Prometheus metrics)
@@ -284,7 +284,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(_args: argparse.Namespace) -> int:
-    """``fzmod stats``: hot-path cache/pool/allocator counters."""
+    """``fzmod stats``: hot-path cache, telemetry and sanitizer counters."""
     from .core.inspect import render_hotpath
     print(render_hotpath())
     return 0
@@ -537,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "engine; default 32)")
     sp.add_argument("--stream", action="store_true",
                     help="out-of-core engine: memory-map the input and "
-                         "pump slabs through the pool (peak RSS "
+                         "pump slabs through the shard threads (peak RSS "
                          "O(window x shard), not O(field))")
     sp.add_argument("--layout", default="compat",
                     choices=["compat", "stream"],
@@ -623,8 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_lint_arguments(sp)
     sp.set_defaults(fn=cmd_lint)
 
-    sp = sub.add_parser("stats", help="print hot-path cache/pool/allocator "
-                                      "counters for this process")
+    sp = sub.add_parser("stats", help="print hot-path cache, telemetry and "
+                                      "sanitizer counters for this process")
     sp.set_defaults(fn=cmd_stats)
 
     sp = sub.add_parser("trace", help="compress a field with telemetry "

@@ -3,7 +3,7 @@
 ``repro.compile`` traces an assembled pipeline into a
 :class:`~repro.compile.plan.CompiledPlan` — a flat list of pre-bound
 step closures.  For the standard Lorenzo pipelines preprocess,
-prediction, quantisation and histogramming collapse into a single pooled
+prediction, quantisation and histogramming collapse into a single
 pass per slab; every other module runs as a module-call step of the same
 plan.  There is no second executor: :meth:`Pipeline.compress
 <repro.core.pipeline.Pipeline.compress>`, :func:`repro.core.decompress`

@@ -16,10 +16,10 @@ container metadata is checked before it sizes anything) and
 What is fused, what is a module call
 ------------------------------------
 For the standard ``abs-eb``/``rel-eb`` preprocessors with the
-``lorenzo`` predictor the reconstruction half is a single pooled pass
+``lorenzo`` predictor the reconstruction half is a single pass
 (:func:`repro.compile.fused.fused_decode_reconstruct`): outlier merge,
 per-axis prefix-sum inverse Lorenzo and the dequantise scale/cast all
-run on one pooled grid — ``int32`` wherever a range proof over the
+run on one grid — ``int32`` wherever a range proof over the
 decoded deltas and the swept result shows it exact, ``int64`` otherwise
 — with the floats written straight into the caller's ``out=`` buffer.
 It applies no ``aux`` (patch) channel, so it refuses a container that
@@ -127,7 +127,7 @@ class CompiledDecodePlan(_BoundPlan):
         if self._fused:
             lines.append(
                 "  [2] reconstruct              fused outlier merge + "
-                "inverse lorenzo + dequantize, one pooled pass into out=")
+                "inverse lorenzo + dequantize, one pass into out=")
         else:
             lines += [
                 f"  [2] predictor[{self._predictor.name}]       module call",

@@ -22,7 +22,7 @@ held on chip):
 
 :func:`fused_decode_reconstruct` is the read-side mirror: outlier
 merge, the d-D inverse-Lorenzo prefix-sum sweep and the dequantise
-scale/cast collapse into one pass over a single pooled grid, with the
+scale/cast collapse into one pass over a single grid, with the
 final floats written directly into the caller's ``out=`` buffer — no
 full-field temporaries between the decode stages.
 
@@ -49,12 +49,11 @@ each) stays cache-resident whatever the field size:
   and a d-D delta sums ``2**ndim`` of them), ``int64`` otherwise.  The
   ``float64`` divide stays in both: it is what keeps the rounding
   identical;
-* *threads* — ``threads=1`` walks ``[0, n0)`` with scratch from the
-  global pool; ``threads > 1`` hands each :func:`repro.runtime.threads.
-  slab_ranges` range to the shared :class:`~repro.runtime.threads.
-  SlabPool`, where the same walk draws scratch from its thread's arena
-  (:func:`~repro.runtime.threads.thread_arena`).  NumPy releases the
-  GIL on every large ufunc, so the slabs genuinely overlap.  Per-slab
+* *threads* — ``threads=1`` walks ``[0, n0)``; ``threads > 1`` hands
+  each :func:`repro.runtime.threads.slab_ranges` range to the shared
+  :class:`~repro.runtime.threads.SlabPool`, where the same walk
+  allocates its own block scratch.  NumPy releases the GIL on every
+  large ufunc, so the slabs genuinely overlap.  Per-slab
   ``bincount`` partials are summed in slab order (integer adds —
   exact) and every slab casts its codes into a disjoint slice of one
   shared array, so the output is byte-identical for every width.
@@ -96,13 +95,19 @@ from ..kernels.quantize import OutlierSet
 from ..obs.metrics import GLOBAL_METRICS
 from ..obs.spans import (GLOBAL_TRACER, absorb_capture, span,
                          telemetry_enabled)
-from ..runtime.memory import SANITIZER, default_pool
-from ..runtime.threads import run_slabs, slab_ranges, thread_arena
+from ..runtime.memory import SANITIZER
+from ..runtime.threads import run_slabs, slab_ranges
 
 #: slices smaller than this run the inverse-Lorenzo scan via
 #: ``np.cumsum`` — the running-add loop's per-iteration ufunc dispatch
 #: only pays off once each fused add covers a decent stretch of memory
 _SCAN_LOOP_MIN_SLICE = 1024
+
+#: ufunc buffer elements for the dequantise cast: NumPy stages the
+#: grid -> float64 input and float64 -> float32 output casts through two
+#: buffers of 8 B per element, 128 KiB at its default of 8192; at 1024
+#: they hold 16 KiB and the cast ran at the same speed on a 3.9 MB field
+_CAST_BUFSIZE = 1024
 
 #: elements per block of the write pass: its scratch (8 B + 2 x 4 B per
 #: element on ``int32`` grids) stays in L2.  Against the whole-field
@@ -216,8 +221,6 @@ def fused_predict_quantize(data: np.ndarray, eb_abs: float, radius: int,
         raise CodecError(f"absolute error bound must be positive, got {eb_abs}")
     if radius < 1 or radius > 2**30:
         raise CodecError(f"radius out of range: {radius}")
-    if SANITIZER.enabled:
-        SANITIZER.check_live("fused_predict_quantize", data)
     shape = data.shape
     ndim = len(shape)
     size = int(data.size)
@@ -242,82 +245,74 @@ def fused_predict_quantize(data: np.ndarray, eb_abs: float, radius: int,
     bound = view_dtype(2 * radius)
     scale = 2.0 * eb_abs
 
-    def walk(s0: int, e0: int, pool) -> tuple[list, list, np.ndarray | None]:
-        """Blocks of ``rows`` rows over ``[s0, e0)``; scratch from ``pool``."""
+    def walk(s0: int, e0: int) -> tuple[list, list, np.ndarray | None]:
+        """Blocks of ``rows`` rows over ``[s0, e0)``."""
         cap = (min(rows, e0 - s0) + 1) * plane
-        alloc = np.empty if pool is None else pool.acquire
-        bufs = [alloc(cap, np.float64), alloc(cap, grid_dtype),
-                alloc(cap, grid_dtype)]
+        bufs = [np.empty(cap, np.float64), np.empty(cap, grid_dtype),
+                np.empty(cap, grid_dtype)]
         idx_parts, val_parts = [], []
         counts = np.zeros(num_bins, dtype=np.int64) if collect_counts \
             else None
-        try:
-            for s in range(s0, e0, rows):
-                e = min(s + rows, e0)
-                # the ghost row s-1 is recomputed from the read-only
-                # input, so a block needs nothing from its predecessor
-                ghost = 1 if s > 0 else 0
-                bshape = (e - s + ghost,) + shape[1:]
-                n = bshape[0] * plane
-                scaled = bufs[0][:n].reshape(bshape)
-                src = bufs[1][:n].reshape(bshape)
-                dst = bufs[2][:n].reshape(bshape)
-                # dtype= forces the float64 loop for float32 inputs,
-                # matching kernels.quantize.prequantize's rounding; the
-                # rounded value is integral, so the unsafe cast is exact
-                np.divide(data[s - ghost:e], scale, out=scaled,
-                          dtype=np.float64)
-                np.rint(scaled, out=src, casting="unsafe")
-                # axis 0 over the ghost-extended rows: local row i is
-                # global row s-ghost+i, so dst[1:] holds every owned
-                # row's difference
-                np.subtract(src[1:], src[:-1], out=dst[1:])
-                if not ghost:
-                    dst[0] = src[0]
-                src, dst = dst[ghost:], src[ghost:]
-                # later axes act within rows: one ping-ponged subtract
-                for axis in range(1, ndim):
-                    hi = (slice(None),) * axis + (slice(1, None),)
-                    lo = (slice(None),) * axis + (slice(None, -1),)
-                    first = (slice(None),) * axis + (slice(0, 1),)
-                    np.subtract(src[hi], src[lo], out=dst[hi])
-                    dst[first] = src[first]
-                    src, dst = dst, src
-                flat = src.reshape(-1)
-                np.add(flat, radius, out=flat)
-                # one unsigned compare flags both tails: deltas >= radius
-                # rebase past 2*radius, deltas < -radius wrap huge
-                unsigned = flat.view(view_dtype)
-                if unsigned.max() >= bound:
-                    idx = np.flatnonzero(unsigned >= bound)
-                    values = flat[idx].astype(np.int64, copy=False)
-                    np.subtract(values, radius, out=values)
-                    flat[idx] = radius
-                    # ascending within the block, and block offsets
-                    # increase, so concatenation is the global scan
-                    np.add(idx, s * plane, out=idx)
-                    idx_parts.append(idx)
-                    val_parts.append(values)
-                if counts is not None:
-                    np.add(counts, np.bincount(flat, minlength=num_bins),
-                           out=counts)
-                np.copyto(codes[s * plane:e * plane], flat,
-                          casting="unsafe")
-        finally:
-            if pool is not None:
-                for buf in bufs:
-                    pool.release(buf)
+        for s in range(s0, e0, rows):
+            e = min(s + rows, e0)
+            # the ghost row s-1 is recomputed from the read-only
+            # input, so a block needs nothing from its predecessor
+            ghost = 1 if s > 0 else 0
+            bshape = (e - s + ghost,) + shape[1:]
+            n = bshape[0] * plane
+            scaled = bufs[0][:n].reshape(bshape)
+            src = bufs[1][:n].reshape(bshape)
+            dst = bufs[2][:n].reshape(bshape)
+            # dtype= forces the float64 loop for float32 inputs,
+            # matching kernels.quantize.prequantize's rounding; the
+            # rounded value is integral, so the unsafe cast is exact
+            np.divide(data[s - ghost:e], scale, out=scaled,
+                      dtype=np.float64)
+            np.rint(scaled, out=src, casting="unsafe")
+            # axis 0 over the ghost-extended rows: local row i is
+            # global row s-ghost+i, so dst[1:] holds every owned
+            # row's difference
+            np.subtract(src[1:], src[:-1], out=dst[1:])
+            if not ghost:
+                dst[0] = src[0]
+            src, dst = dst[ghost:], src[ghost:]
+            # later axes act within rows: one ping-ponged subtract
+            for axis in range(1, ndim):
+                hi = (slice(None),) * axis + (slice(1, None),)
+                lo = (slice(None),) * axis + (slice(None, -1),)
+                first = (slice(None),) * axis + (slice(0, 1),)
+                np.subtract(src[hi], src[lo], out=dst[hi])
+                dst[first] = src[first]
+                src, dst = dst, src
+            flat = src.reshape(-1)
+            np.add(flat, radius, out=flat)
+            # one unsigned compare flags both tails: deltas >= radius
+            # rebase past 2*radius, deltas < -radius wrap huge
+            unsigned = flat.view(view_dtype)
+            if unsigned.max() >= bound:
+                idx = np.flatnonzero(unsigned >= bound)
+                values = flat[idx].astype(np.int64, copy=False)
+                np.subtract(values, radius, out=values)
+                flat[idx] = radius
+                # ascending within the block, and block offsets
+                # increase, so concatenation is the global scan
+                np.add(idx, s * plane, out=idx)
+                idx_parts.append(idx)
+                val_parts.append(values)
+            if counts is not None:
+                np.add(counts, np.bincount(flat, minlength=num_bins),
+                       out=counts)
+            np.copyto(codes[s * plane:e * plane], flat,
+                      casting="unsafe")
         return idx_parts, val_parts, counts
 
     threads = max(1, int(threads))
     ranges = slab_ranges(n0, threads)
     if len(ranges) > 1:
-        pooling = default_pool() is not None
-        results = _run_slab_tasks(
-            lambda k, s, e: walk(s, e, thread_arena() if pooling else None),
-            ranges, threads, phase="predict")
+        results = _run_slab_tasks(lambda k, s, e: walk(s, e), ranges,
+                                  threads, phase="predict")
     else:
-        results = [walk(0, n0, default_pool())]
+        results = [walk(0, n0)]
     none = [np.empty(0, dtype=np.int64)]
     outliers = OutlierSet(
         indices=np.concatenate(none + [a for r in results for a in r[0]]),
@@ -338,7 +333,7 @@ def fused_decode_reconstruct(codes: np.ndarray, outliers: OutlierSet,
     """One pass from quant codes (+ outliers) back to the field.
 
     The read-side mirror of :func:`fused_predict_quantize`: the codes
-    are rebased into one pooled grid, the outliers scattered into it,
+    are rebased into one grid, the outliers scattered into it,
     the d-D inverse Lorenzo runs as :func:`_inplace_prefix_sum`, and the
     dequantise scale/cast lands directly in ``out`` — the only
     field-sized array the caller sees.  The grid is ``int32`` where the
@@ -376,8 +371,6 @@ def fused_decode_reconstruct(codes: np.ndarray, outliers: OutlierSet,
     if radius < 1 or radius > 2**30:
         raise CodecError(f"radius out of range: {radius}")
     if SANITIZER.enabled:
-        SANITIZER.check_live("fused_decode_reconstruct", codes, out,
-                             outliers.indices, outliers.values)
         SANITIZER.check_no_alias("fused_decode_reconstruct", out,
                                  codes=codes,
                                  outlier_values=outliers.values,
@@ -417,7 +410,6 @@ def fused_decode_reconstruct(codes: np.ndarray, outliers: OutlierSet,
             ranges = split
     single = len(ranges) == 1
     codes, dst = codes.reshape(grid_shape), out.reshape(grid_shape)
-    pool = default_pool()
     bound = (2**31 - 1) >> len(grid_shape)
 
     def fan(task, phase: str) -> None:
@@ -429,42 +421,41 @@ def fused_decode_reconstruct(codes: np.ndarray, outliers: OutlierSet,
     def attempt(grid_dtype) -> bool:
         """Sweep on a ``grid_dtype`` grid and write ``out``; ``False``
         when an ``int32`` sweep fails the range proof (``out`` untouched)."""
-        grid = (np.empty(grid_shape, dtype=grid_dtype) if pool is None
-                else pool.acquire(grid_shape, grid_dtype))
-        try:
-            def scan(k: int, s: int, e: int) -> None:
-                sub = grid[s:e]
-                # the typed scalar keeps the rebase in the grid's width (a
-                # bare python int would run it in the codes' uint and wrap)
-                np.subtract(codes[s:e], grid_dtype(radius), out=sub,
-                            casting="unsafe")
-                lo, hi = (0, count) if single else (
-                    int(np.searchsorted(idx, s * plane, side="left")),
-                    int(np.searchsorted(idx, e * plane, side="left")))
-                if hi > lo:
-                    where = idx[lo:hi] - s * plane if s else idx[lo:hi]
-                    sub.reshape(-1)[where] = values[lo:hi]
-                _inplace_prefix_sum(sub)
+        grid = np.empty(grid_shape, dtype=grid_dtype)
 
-            fan(scan, "scan")
-            # -- axis 0 across the seams: each slab swept its own rows, so
-            # it still owes the final row of the slab before it
-            for s, e in ranges[1:]:
-                np.add(grid[s:e], grid[s - 1], out=grid[s:e])
-            # -- check 1 (module docstring): the int32 sweep is exact
-            if grid_dtype is np.int32 and size and not (
-                    -bound <= grid.min() and grid.max() <= bound):
-                return False
+        def scan(k: int, s: int, e: int) -> None:
+            sub = grid[s:e]
+            # the typed scalar keeps the rebase in the grid's width (a
+            # bare python int would run it in the codes' uint and wrap)
+            np.subtract(codes[s:e], grid_dtype(radius), out=sub,
+                        casting="unsafe")
+            lo, hi = (0, count) if single else (
+                int(np.searchsorted(idx, s * plane, side="left")),
+                int(np.searchsorted(idx, e * plane, side="left")))
+            if hi > lo:
+                where = idx[lo:hi] - s * plane if s else idx[lo:hi]
+                sub.reshape(-1)[where] = values[lo:hi]
+            _inplace_prefix_sum(sub)
 
-            def dequantize(k: int, s: int, e: int) -> None:
+        fan(scan, "scan")
+        # -- axis 0 across the seams: each slab swept its own rows, so
+        # it still owes the final row of the slab before it
+        for s, e in ranges[1:]:
+            np.add(grid[s:e], grid[s - 1], out=grid[s:e])
+        # -- check 1 (module docstring): the int32 sweep is exact
+        if grid_dtype is np.int32 and size and not (
+                -bound <= grid.min() and grid.max() <= bound):
+            return False
+
+        def dequantize(k: int, s: int, e: int) -> None:
+            with np.errstate():
+                # the int -> float64 -> out casts go through ufunc buffers
+                np.setbufsize(_CAST_BUFSIZE)
                 np.multiply(grid[s:e], 2.0 * eb_abs, out=dst[s:e],
                             casting="unsafe")
 
-            fan(dequantize, "dequantize")
-            return True
-        finally:
-            if pool is not None:
-                pool.release(grid)
+        fan(dequantize, "dequantize")
+        return True
 
     # -- check 0: the deltas fit int32.  Codes of at most 16 bits always
     # do (|code - radius| <= 2**30); outlier values and wider codes are

@@ -13,9 +13,9 @@ What is fused, what is a module call
 When preprocess, predictor and statistics are exactly the standard
 modules the fused kernels reproduce, ``preprocess -> prequantize ->
 Lorenzo -> outlier split -> histogram`` collapse into a single pass over
-the slab (:func:`repro.compile.fused.fused_predict_quantize`), threaded
-through the runtime :class:`~repro.runtime.memory.BufferPool` so no
-intermediate array is materialised between the fused stages.  ``type()
+the slab (:func:`repro.compile.fused.fused_predict_quantize`), in
+cache-sized blocks, so no intermediate array is materialised between
+the fused stages.  ``type()
 is`` checks — not ``isinstance`` — do the gating, so subclasses that may
 override behaviour are never fused.  Any other module at those stages (a
 re-registered custom module, the ``interp`` predictor, a subclassed
@@ -375,7 +375,7 @@ def _fused_steps(pipeline) -> list[PlanStep]:
     steps.append(PlanStep(
         name=f"predictor[{pipeline.predictor.name}]",
         detail=f"fused prequantize+lorenzo+split{hist_note}, one pass, "
-               "pooled scratch",
+               "blocked scratch",
         run=run_fused, stage="predictor", span_name="stage.predictor",
         span_attrs={"module": pipeline.predictor.name, "fused": True},
         bytes_of=lambda s: {"bytes_in": int(s.data.nbytes),

@@ -97,10 +97,10 @@ def hotpath_stats() -> dict:
     """Live counters of every hot-path amortisation layer in the process.
 
     Returns a JSON-ready dict with one entry per plan cache (hits, misses,
-    evictions, occupancy — see :mod:`repro.kernels.plancache`), the
-    runtime buffer pool's reuse counters, and the global allocator's
-    live/peak bytes per memory space.  The benchmark (``bench/``) reads
-    its ``plancache.*`` and ``memory.*`` layer metrics from here.
+    evictions, occupancy — see :mod:`repro.kernels.plancache`), the span
+    tracer's counts and the sanitizer's ``out=`` aliasing count.  The
+    benchmark (``bench/``) reads its ``plancache.*`` layer metrics from
+    here.
 
     This is a *view*: the counters themselves live in the unified
     telemetry registry (:data:`repro.obs.GLOBAL_METRICS`), which the
@@ -110,20 +110,14 @@ def hotpath_stats() -> dict:
     from ..kernels.plancache import cache_stats
     from ..obs.metrics import GLOBAL_METRICS
     from ..obs.spans import GLOBAL_TRACER, telemetry_enabled
-    from ..runtime.memory import GLOBAL_ALLOCATOR, GLOBAL_POOL, pooling_enabled
     return {
         "plan_caches": cache_stats(),
-        "buffer_pool": {"enabled": pooling_enabled(), **GLOBAL_POOL.stats()},
-        "allocator": {"live": dict(GLOBAL_ALLOCATOR.live),
-                      "peak": dict(GLOBAL_ALLOCATOR.peak)},
         "telemetry": {"enabled": telemetry_enabled(),
                       "spans_emitted": GLOBAL_TRACER.emitted,
                       "spans_in_ring": len(GLOBAL_TRACER.records()),
                       "spans_dropped": GLOBAL_TRACER.dropped},
         "sanitizer": {
-            key: int(GLOBAL_METRICS.value(f"sanitizer.{key}") or 0)
-            for key in ("use_after_release", "double_release",
-                        "aliasing", "poisoned")
+            "aliasing": int(GLOBAL_METRICS.value("sanitizer.aliasing") or 0),
         },
     }
 
@@ -144,16 +138,6 @@ def render_hotpath() -> str:
                          f"({g['hits']} hits / "
                          f"{g['misses']} misses, "
                          f"{g['evictions']} evicted)")
-    bp = s["buffer_pool"]
-    state = "on" if bp["enabled"] else "off"
-    lines.append(f"buffer pool ({state}): {bp['pooled_arrays']} idle arrays, "
-                 f"{bp['pooled_bytes']} B pooled, reuse rate "
-                 f"{bp['reuse_rate']:.2%} ({bp['hits']} hits / "
-                 f"{bp['misses']} misses, {bp['drops']} drops)")
-    alloc = s["allocator"]
-    for space in sorted(alloc["peak"]):
-        lines.append(f"allocator[{space}]: live {alloc['live'].get(space, 0)} B, "
-                     f"peak {alloc['peak'][space]} B")
     tel = s["telemetry"]
     lines.append(f"telemetry ({'on' if tel['enabled'] else 'off'}): "
                  f"{tel['spans_emitted']} spans emitted, "

@@ -306,5 +306,10 @@ def decompress(blob: bytes, registry: ModuleRegistry = DEFAULT_REGISTRY,
     header = peek_header(blob)
     if out is not None:
         check_decode_out(out, header.shape, header.np_dtype)
-    return decode_plan_for_header(header, registry).decompress(
-        blob, out=out, section_overrides=section_overrides, threads=threads)
+    plan = decode_plan_for_header(header, registry)
+    # the plan parses the header again; holding this copy through the
+    # decode would only add to its peak
+    del header
+    return plan.decompress(blob, out=out,
+                           section_overrides=section_overrides,
+                           threads=threads)

@@ -36,8 +36,7 @@ class HeaderError(FZModError):
 
 class DeviceError(FZModError):
     """A runtime resource was misused (an ordered work queue given a
-    bound below one or fed after a failed job, an allocator released
-    below zero)."""
+    bound below one or fed after a failed job)."""
 
 
 class DataError(FZModError):
@@ -47,6 +46,5 @@ class DataError(FZModError):
 
 class SanitizerError(FZModError):
     """The runtime contract sanitizer (``FZMOD_SANITIZE=1``) caught a
-    memory-contract violation at a kernel or pool boundary: a buffer
-    used after its pool lease was released, a lease released twice, or
-    an ``out=`` destination that aliases an input array."""
+    memory-contract violation at a kernel boundary: an ``out=``
+    destination that aliases an input array."""

@@ -18,11 +18,9 @@ def delta_forward(values: np.ndarray, *,
     """First-order backward difference over the flattened array (int64).
 
     ``out`` (``int64``, at least ``values.size`` elements, distinct from
-    ``values``) receives the differences, making the call allocation-free
-    for pooled callers.
+    ``values``) receives the differences, making the call allocation-free.
     """
     if SANITIZER.enabled:
-        SANITIZER.check_live("delta_forward", values, out)
         SANITIZER.check_no_alias("delta_forward", out, values=values,
                                  allow_identical=False)
     flat = np.asarray(values, dtype=np.int64).reshape(-1)
@@ -40,7 +38,6 @@ def delta_inverse(deltas: np.ndarray, *,
     ``out=deltas`` scans in place (clobbering the input).
     """
     if SANITIZER.enabled:
-        SANITIZER.check_live("delta_inverse", deltas, out)
         SANITIZER.check_no_alias("delta_inverse", out, deltas=deltas)
     flat = np.asarray(deltas, dtype=np.int64).reshape(-1)
     if out is None:

@@ -31,8 +31,8 @@ from ..runtime.memory import SANITIZER
 from . import quantize as q
 
 
-def lorenzo_forward(grid: np.ndarray, *, out: np.ndarray | None = None,
-                    scratch: np.ndarray | None = None) -> np.ndarray:
+def lorenzo_forward(grid: np.ndarray, *,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Apply the d-D Lorenzo difference operator to an integer grid.
 
     Boundary semantics: values outside the array are treated as zero, so the
@@ -40,15 +40,11 @@ def lorenzo_forward(grid: np.ndarray, *, out: np.ndarray | None = None,
     "first element predicts from 0" behaviour).
 
     ``out`` receives the residuals (``out=grid`` differentiates in place,
-    clobbering the input) and ``scratch`` (``int64``, grid-shaped) carries
-    the shifted copy each axis pass needs; with both supplied the operator
-    allocates nothing instead of two grid-sized temporaries per axis.
+    clobbering the input); one grid-sized buffer carries the shifted copy
+    every axis pass needs.
     """
     if SANITIZER.enabled:
-        SANITIZER.check_live("lorenzo_forward", grid, out, scratch)
         SANITIZER.check_no_alias("lorenzo_forward", out, grid=grid)
-        SANITIZER.check_no_alias("lorenzo_forward(scratch)", scratch,
-                                 grid=grid, out=out, allow_identical=False)
     grid = np.asarray(grid)
     if grid.dtype != np.int64:
         grid = grid.astype(np.int64)
@@ -56,7 +52,7 @@ def lorenzo_forward(grid: np.ndarray, *, out: np.ndarray | None = None,
         out = grid.copy()
     elif out is not grid:
         out[...] = grid
-    shifted = np.empty_like(out) if scratch is None else scratch
+    shifted = np.empty_like(out)
     for axis in range(out.ndim):
         src = [slice(None)] * out.ndim
         dst = [slice(None)] * out.ndim
@@ -79,7 +75,6 @@ def lorenzo_inverse(deltas: np.ndarray, *,
     array per axis.
     """
     if SANITIZER.enabled:
-        SANITIZER.check_live("lorenzo_inverse", deltas, out)
         SANITIZER.check_no_alias("lorenzo_inverse", out, deltas=deltas)
     deltas = np.asarray(deltas, dtype=np.int64)
     if out is None:
@@ -124,33 +119,14 @@ def compress(data: np.ndarray, eb_abs: float, radius: int = q.DEFAULT_RADIUS
 
     The returned artifacts reconstruct the field to within ``eb_abs``
     (guaranteed: pre-quantization bounds the error; prediction on integers
-    is exact).  Scratch (the integer grid, the shift buffer and the scaled
-    float intermediate) is drawn from the runtime buffer pool when enabled,
-    so repeated same-shape calls — the sharded engine's steady state —
-    allocate nothing on this path.
+    is exact).
     """
-    from ..runtime.memory import default_pool
     data = np.asarray(data)
     with span("kernel.lorenzo.compress", elements=int(data.size),
               bytes_in=int(data.nbytes)) as sp:
-        pool = default_pool()
-        if pool is None:
-            grid = q.prequantize(data, eb_abs)
-            deltas = lorenzo_forward(grid, out=grid)
-            codes, outliers = q.split_outliers(deltas, radius, in_place=True)
-        else:
-            scaled = pool.acquire(data.shape, np.float64)
-            grid = pool.acquire(data.shape, np.int64)
-            shifted = pool.acquire(data.shape, np.int64)
-            try:
-                q.prequantize(data, eb_abs, out=grid, scratch=scaled)
-                deltas = lorenzo_forward(grid, out=grid, scratch=shifted)
-                codes, outliers = q.split_outliers(deltas, radius,
-                                                   in_place=True)
-            finally:
-                pool.release(scaled)
-                pool.release(shifted)
-                pool.release(grid)
+        grid = q.prequantize(data, eb_abs)
+        deltas = lorenzo_forward(grid, out=grid)
+        codes, outliers = q.split_outliers(deltas, radius, in_place=True)
         sp.set(bytes_out=int(codes.nbytes))
         return LorenzoResult(codes=codes, outliers=outliers, radius=radius,
                              eb_abs=float(eb_abs), shape=data.shape,
@@ -163,35 +139,19 @@ def decompress(result: LorenzoResult, *,
 
     ``out`` receives the dequantised field when given (shape/dtype
     matching the artifacts) and is returned; otherwise exactly one
-    writable array is materialised for the caller.  The integer
-    residual/scan buffer is pooled scratch when the runtime pool is
-    enabled.
+    writable array is materialised for the caller.
     """
-    from ..runtime.memory import default_pool
-    pool = default_pool()
     shape = tuple(result.shape)
     recon = np.empty(shape, dtype=result.dtype) if out is None else out
     with span("kernel.lorenzo.decompress", elements=int(recon.size),
               bytes_in=int(result.codes.nbytes),
               bytes_out=int(recon.nbytes)):
-        if pool is None:
-            deltas = q.merge_outliers(result.codes, result.outliers,
-                                      result.radius)
-            if deltas.shape != shape:
-                deltas = deltas.reshape(shape)
-            grid = lorenzo_inverse(deltas, out=deltas)
-            return q.dequantize(grid, result.eb_abs, result.dtype, out=recon)
-        work = pool.acquire(shape, np.int64)
-        try:
-            deltas = q.merge_outliers(result.codes, result.outliers,
-                                      result.radius, out=work)
-            if deltas.shape != shape:
-                deltas = deltas.reshape(shape)
-            grid = lorenzo_inverse(deltas, out=deltas)
-            q.dequantize(grid, result.eb_abs, result.dtype, out=recon)
-        finally:
-            pool.release(work)
-        return recon
+        deltas = q.merge_outliers(result.codes, result.outliers,
+                                  result.radius)
+        if deltas.shape != shape:
+            deltas = deltas.reshape(shape)
+        grid = lorenzo_inverse(deltas, out=deltas)
+        return q.dequantize(grid, result.eb_abs, result.dtype, out=recon)
 
 
 def decompress_parts(codes: np.ndarray, outliers: q.OutlierSet, radius: int,

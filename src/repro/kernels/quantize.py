@@ -33,8 +33,7 @@ DEFAULT_RADIUS = 512
 
 
 def prequantize(data: np.ndarray, eb_abs: float, *,
-                out: np.ndarray | None = None,
-                scratch: np.ndarray | None = None) -> np.ndarray:
+                out: np.ndarray | None = None) -> np.ndarray:
     """Quantise ``data`` onto the grid ``2*eb_abs * k`` (k integer).
 
     Returns an ``int64`` array of grid indices.  ``|data - 2*eb*k| <= eb``
@@ -42,24 +41,13 @@ def prequantize(data: np.ndarray, eb_abs: float, *,
     bound).  ``int64`` is wide enough for any float32/64 field with a sane
     error bound; overflow (astronomically tight bounds) raises.
 
-    ``out`` (``int64``, data-shaped) receives the grid indices and
-    ``scratch`` (``float64``, data-shaped) holds the scaled intermediate;
-    passing pooled buffers for both makes the call allocation-free.
+    ``out`` (``int64``, data-shaped) receives the grid indices.
     """
     if eb_abs <= 0 or not np.isfinite(eb_abs):
         raise CodecError(f"absolute error bound must be positive, got {eb_abs}")
     if SANITIZER.enabled:
-        SANITIZER.check_live("prequantize", data, out, scratch)
-        SANITIZER.check_no_alias("prequantize", out, data=data,
-                                 scratch=scratch)
-        SANITIZER.check_no_alias("prequantize(scratch)", scratch, data=data)
-    data = np.asarray(data)
-    if scratch is None:
-        scaled = np.asarray(data, dtype=np.float64) / (2.0 * eb_abs)
-    else:
-        # dtype= forces the float64 loop even for float32 inputs; without it
-        # the division runs in float32 and half-point values round wrong
-        scaled = np.divide(data, 2.0 * eb_abs, out=scratch, dtype=np.float64)
+        SANITIZER.check_no_alias("prequantize", out, data=data)
+    scaled = np.asarray(data, dtype=np.float64) / (2.0 * eb_abs)
     if scaled.size and float(np.abs(scaled).max()) >= 2**62:
         raise CodecError("error bound too tight: quantization index overflows int64")
     np.rint(scaled, out=scaled)
@@ -78,7 +66,6 @@ def dequantize(codes: np.ndarray, eb_abs: float, dtype: np.dtype, *,
     intermediate the allocating path pays.
     """
     if SANITIZER.enabled:
-        SANITIZER.check_live("dequantize", codes, out)
         SANITIZER.check_no_alias("dequantize", out, codes=codes)
     if out is None:
         return (np.asarray(codes, dtype=np.float64) * (2.0 * eb_abs)).astype(dtype)
@@ -131,8 +118,8 @@ def split_outliers(deltas: np.ndarray, radius: int = DEFAULT_RADIUS, *,
         compressible.
     in_place:
         rebase inside ``deltas`` itself instead of a fresh temporary
-        (clobbers the input; used by callers whose residual buffer is
-        pooled scratch).  The returned ``codes`` array is fresh either way.
+        (clobbers the input; used by callers that own the residual
+        buffer).  The returned ``codes`` array is fresh either way.
 
     Returns
     -------
@@ -164,11 +151,9 @@ def merge_outliers(codes: np.ndarray, outliers: OutlierSet,
     """Inverse of :func:`split_outliers`: recover signed residuals.
 
     ``out`` (``int64``, at least ``codes.size`` elements) receives the
-    residuals, making the call allocation-free for pooled callers.
+    residuals, making the call allocation-free.
     """
     if SANITIZER.enabled:
-        SANITIZER.check_live("merge_outliers", codes, out,
-                             outliers.indices, outliers.values)
         SANITIZER.check_no_alias("merge_outliers", out, codes=codes,
                                  outlier_values=outliers.values,
                                  allow_identical=False)

@@ -2,14 +2,14 @@
 
 One ``MetricsRegistry`` (``GLOBAL_METRICS``) is the single source of truth
 for every operational counter in the codebase — plan-cache hits/misses,
-buffer-pool reuse, pipeline byte counts, stage-latency histograms.
+pipeline byte counts, stage-latency histograms.
 Subsystems either
 
 * hold a metric object and bump it directly (``registry.counter(...)``
   returns the same object for the same ``(name, labels)`` pair, so the
   get-or-create call is cheap enough for hot paths to do once at setup), or
 * register a *collector* callback that publishes derived gauges (cache
-  occupancy, allocator watermarks) each time the registry is scraped.
+  occupancy) each time the registry is scraped.
 
 Metric names are dot-separated lowercase (``plancache.hits``) and must
 match ``^[a-z0-9_.]+$`` — enforced here and by fzlint rule FZL009.  The

@@ -4,7 +4,7 @@ The compiled hot path is one fused NumPy pass per field; every large
 ufunc in it releases the GIL, so slab-level *threads* can saturate the
 cores while still emitting the identical single-stream FZMD container —
 unlike the sharded engine, which pays per-shard container framing for
-its parallelism.  This module provides the three pieces the compiled
+its parallelism.  This module provides the two pieces the compiled
 plans need:
 
 * :func:`resolve_threads` — one place that turns ``threads=`` / the
@@ -12,11 +12,7 @@ plans need:
 * :class:`SlabPool` and :func:`shared_pool` — a lazily-created,
   persistent process-wide thread pool (warm calls pay zero pool
   spin-up) with ordered fan-out/fan-in and an inline guard so slab
-  tasks that themselves reach the pool never deadlock;
-* :func:`thread_arena` — a per-thread :class:`~repro.runtime.memory.
-  BufferPool` with a private allocator and metrics registry, so slab
-  workers acquire scratch without contending on the global pool's lock
-  (or racing the unlocked global :class:`Allocator` counters).
+  tasks that themselves reach the pool never deadlock.
 
 Determinism contract (enforced by fzlint FZL020 and the byte-identity
 tests): work scheduled onto the pool must not mutate module-level or
@@ -40,15 +36,12 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from ..obs.metrics import MetricsRegistry
-from .memory import Allocator, BufferPool
-
 T = TypeVar("T")
 R = TypeVar("R")
 
 __all__ = ["AUTO_MIN_BYTES", "MAX_THREADS", "SlabPool", "active_threads",
            "resolve_threads", "run_slabs", "shared_pool", "slab_ranges",
-           "thread_arena", "thread_budget"]
+           "thread_budget"]
 
 #: below this input size "auto" stays single-threaded: slab fan-out
 #: costs a few hundred microseconds of submission + join, which only
@@ -238,35 +231,3 @@ def run_slabs(fn: Callable[[T], R], items: Sequence[T], *,
     if len(items) <= 1:
         return [fn(item) for item in items]
     return shared_pool(threads).run_ordered(fn, items)
-
-
-# --------------------------------------------------------------------- #
-# per-thread scratch arenas                                              #
-# --------------------------------------------------------------------- #
-
-#: each slab worker's arena is bounded well below the global pool's
-#: budget — scratch is a handful of slab-sized arrays per thread
-ARENA_MAX_BYTES = 128 << 20
-
-_ARENA = threading.local()
-
-
-def thread_arena() -> BufferPool:
-    """This thread's private scratch :class:`BufferPool`.
-
-    Slab workers acquire their ping-pong grids here instead of from the
-    global pool: no cross-thread lock contention on the hot path, and —
-    load-bearing — a *private* :class:`Allocator` and
-    :class:`MetricsRegistry`, because the global allocator's counters
-    are plain unlocked dict updates that data-race under concurrent
-    slab traffic.  Arenas persist for the life of the pool thread, so
-    warm slab runs reuse their scratch across calls.
-    """
-    pool = getattr(_ARENA, "pool", None)
-    if pool is None:
-        pool = BufferPool(Allocator(), metrics=MetricsRegistry(),
-                          max_bytes=ARENA_MAX_BYTES)
-        # fzlint: disable-next-line=FZL017 -- _ARENA is threading.local, so
-        # this store is private to the calling thread by construction
-        _ARENA.pool = pool
-    return pool

@@ -34,8 +34,10 @@ from ..parallel.executor import (SHARD_MAGIC, SHARD_VERSION,
                                  check_shard_headers, load_index, pack_index,
                                  parse_trailer)
 
-#: chunk size for the compat layout's spill-to-final copy
-_COPY_CHUNK = 8 << 20
+#: chunk size for the compat layout's spill-to-final copy; ``read(n)``
+#: allocates all ``n`` bytes up front, so this is a fixed cost of every
+#: compat close and stays well below a shard window
+_COPY_CHUNK = 1 << 20
 
 LAYOUTS = ("compat", "stream")
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -46,7 +45,6 @@ from ..parallel.executor import (CODEBOOK_MODES, DEFAULT_SHARD_MB,
                                  _build_shared_codebook, _compress_shard,
                                  _histogram_shard, _with_fixed_codebook,
                                  combine_stats, resolve_workers)
-from ..runtime.memory import Allocator, BufferPool
 from ..runtime.stream import OrderedWorkQueue
 from ..types import EbMode, ErrorBound
 from .container import ShardReader, ShardStreamWriter
@@ -96,17 +94,15 @@ def compress_stream(source, pipeline: Pipeline | PipelineSpec,
                     shard_mb: float | None = None,
                     registry: ModuleRegistry = DEFAULT_REGISTRY,
                     codebook: str | None = None,
-                    layout: str = "compat",
-                    prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
-                    prefetch_bytes: int | None = None
+                    layout: str = "compat"
                     ) -> StreamedCompressedField:
     """Compress a field slab-by-slab into a multi-shard container on disk.
 
     ``source`` is anything :func:`~repro.streaming.source.as_source`
     accepts: a :class:`FieldSource`, an ``np.memmap`` (the out-of-core
     path — consumed pages are dropped as slabs are read), or an
-    in-memory array.  Peak resident input is ``(prefetch_depth +
-    in-flight shards) x shard``, never the field.
+    in-memory array.  Peak resident input is ``(DEFAULT_PREFETCH_DEPTH
+    + 1 + in-flight shards) x shard``, never the field.
 
     ``layout="compat"`` (default) writes a header-first container
     byte-identical to :func:`repro.parallel.executor.compress_sharded`
@@ -147,13 +143,6 @@ def compress_stream(source, pipeline: Pipeline | PipelineSpec,
     bounds = plan.bounds
     workers = min(workers, len(bounds))
     in_flight = _IN_FLIGHT_PER_WORKER * workers
-    slab_bytes = plan.rows_per_shard * src.row_bytes
-    # one recycling pool covers both passes: enough buffers for every
-    # queued shard plus the prefetch window, so steady state allocates
-    # nothing and the budget can never creep past the window
-    window = in_flight + prefetch_depth + 1
-    buf_pool = BufferPool(allocator=Allocator(), max_per_key=window,
-                          max_bytes=max(1, window * slab_bytes))
 
     index = ShardIndex(shape=tuple(src.shape), dtype=dtype.str,
                        eb_value=eb.value, eb_mode=eb.mode.value,
@@ -174,24 +163,20 @@ def compress_stream(source, pipeline: Pipeline | PipelineSpec,
                     """Prefetched slabs -> queue, retiring in order as
                     results surface (backpressure comes from the queue's
                     in-flight bound and the prefetcher's depth).  A slab's
-                    buffer is held until its shard retires; the shard's
+                    buffer lives as long as its shard's job; the shard's
                     spans land on lane ``shard:<k>``."""
                     queue = OrderedWorkQueue(exec_pool,
                                              max_in_flight=in_flight)
-                    held: deque[np.ndarray] = deque()
                     lanes = itertools.count()
-                    pf = SlabPrefetcher(src, bounds, pool=buf_pool,
-                                        depth=prefetch_depth,
-                                        max_bytes=prefetch_bytes)
+                    pf = SlabPrefetcher(src, bounds,
+                                        depth=DEFAULT_PREFETCH_DEPTH)
 
                     def retire(res) -> None:
                         absorb_capture(res[-1], lane=f"shard:{next(lanes)}")
                         retire_one(*res[:-1])
-                        pf.recycle(held.popleft())
 
                     with pf:
                         for _k, _bnds, buf in pf:
-                            held.append(buf)
                             queue.submit(job, job_pipeline, buf, eb_abs)
                             for res in queue.completed():
                                 retire(res)
@@ -235,8 +220,6 @@ def compress_stream(source, pipeline: Pipeline | PipelineSpec,
         except BaseException:  # noqa: BLE001 - partial output removed, re-raised
             writer.abort()
             raise
-        finally:
-            buf_pool.clear()
         stats = combine_stats(shard_stats, writer.bytes_written, eb_abs,
                               extra_seconds=extra_seconds)
         engine_sp.set(bytes_out=writer.bytes_written)

@@ -6,13 +6,12 @@ default: while the engine compresses slab ``k``, the prefetcher is
 already faulting slab ``k+1`` in from disk — the paper's I/O/compute
 overlap applied at the ingestion stage.
 
-The memory budget is structural, not advisory: slabs are copied into
-arrays drawn from a :class:`~repro.runtime.memory.BufferPool` (the copy
-*is* the disk read for mapped sources) and handed over through a bounded
-queue.  The producer blocks when ``depth`` slabs are waiting, the
-consumer recycles each buffer back to the pool when its shard retires,
-and the source's consumed pages are dropped immediately — so in-flight
-input bytes can never exceed ``(depth + consumer window) x slab`` no
+The memory budget is structural, not advisory: each slab is copied into
+a fresh array (the copy *is* the disk read for mapped sources) and handed
+over through a bounded queue.  The producer blocks when ``depth`` slabs
+are waiting, the consumer drops each array once it is done with it, and
+the source's consumed pages are dropped immediately — so in-flight input
+bytes can never exceed ``(depth + 1 + consumer window) x slab`` no
 matter how large the field is.
 """
 
@@ -25,7 +24,6 @@ from typing import Iterator
 import numpy as np
 
 from ..errors import DataError
-from ..runtime.memory import BufferPool
 
 #: poll interval for queue hand-offs (lets close() interrupt both sides)
 _POLL_SECONDS = 0.05
@@ -41,30 +39,22 @@ class _Failure:
 
 
 class SlabPrefetcher:
-    """Background slab reader with a pool-backed byte budget.
+    """Background slab reader with a bounded read-ahead.
 
-    Iterating yields ``(k, (start, stop), buffer)`` in slab order; the
-    caller owns each buffer until it calls :meth:`recycle`.  ``depth``
-    bounds how many slabs may sit read-but-unconsumed (2 = classic
-    double buffering); ``max_bytes``, when given, converts the budget to
-    bytes and derives the depth from the slab size.  Producer-side
+    Iterating yields ``(k, (start, stop), buffer)`` in slab order; each
+    buffer is a fresh array the caller owns.  ``depth`` bounds how many
+    slabs may sit read-but-unconsumed (2 = classic double buffering);
+    the producer holds at most one more while it waits.  Producer-side
     errors (I/O failures, a lying iterator source) surface on the
     consuming thread with their original traceback.
     """
 
-    def __init__(self, source, bounds, *, pool: BufferPool | None = None,
-                 depth: int = 2, max_bytes: int | None = None) -> None:
+    def __init__(self, source, bounds, *, depth: int = 2) -> None:
         self.source = source
         self.bounds = tuple(bounds)
-        if max_bytes is not None:
-            slab_bytes = max(
-                1, max((stop - start) for start, stop in self.bounds)
-                * source.row_bytes) if self.bounds else 1
-            depth = max(1, int(max_bytes // slab_bytes))
         if depth < 1:
             raise DataError(f"prefetch depth must be >= 1, got {depth}")
         self.depth = depth
-        self.pool = pool if pool is not None else BufferPool()
         self._queue: Queue = Queue(maxsize=depth)
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -91,16 +81,11 @@ class SlabPrefetcher:
                 if self._stop.is_set():
                     return
                 view = self.source.slab(start, stop)
-                buf = self.pool.acquire(view.shape, view.dtype)
-                try:
-                    buf[...] = view          # the actual read/page-fault
-                    self.source.done_with(start, stop)
-                except BaseException:  # noqa: BLE001 - released, re-raised
-                    self.pool.release(buf)
-                    raise
+                buf = np.empty(view.shape, dtype=view.dtype)
+                buf[...] = view              # the actual read/page-fault
+                self.source.done_with(start, stop)
                 if not self._put((k, (start, stop), buf)):
-                    self.pool.release(buf)   # close() raced the hand-off
-                    return
+                    return                   # close() raced the hand-off
             self._put(_DONE)
         except BaseException as exc:  # noqa: BLE001 - forwarded to consumer
             self._record_failure(exc)
@@ -126,20 +111,14 @@ class SlabPrefetcher:
                 raise item.exc
             yield item
 
-    def recycle(self, buf: np.ndarray) -> None:
-        """Return a yielded buffer to the pool for the next slab."""
-        self.pool.release(buf)
-
     def close(self) -> None:
         """Stop the producer and drop any undelivered slabs."""
         self._stop.set()
         while True:
             try:
-                item = self._queue.get_nowait()
+                self._queue.get_nowait()
             except Empty:
                 break
-            if isinstance(item, tuple):
-                self.pool.release(item[2])
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None

@@ -92,7 +92,7 @@ class FieldSource:
 
         The returned array is only guaranteed valid until the next
         :meth:`slab` / :meth:`done_with` call for those rows — consumers
-        copy what they keep (into pool buffers, never a full field).
+        copy what they keep (one slab at a time, never a full field).
         """
         raise NotImplementedError
 

@@ -62,7 +62,7 @@ def test_sarif_structure():
     driver = run["tool"]["driver"]
     assert driver["name"] == "fzlint"
     ids = [r["id"] for r in driver["rules"]]
-    assert ids == sorted(ids) and "FZL001" in ids and len(ids) == 20
+    assert ids == sorted(ids) and "FZL001" in ids and len(ids) == 16
     for r in driver["rules"]:
         assert r["fullDescription"]["text"]  # contract paragraph present
     states = {r["ruleId"]: r["baselineState"] for r in run["results"]}

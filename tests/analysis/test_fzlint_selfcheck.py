@@ -63,5 +63,5 @@ def test_fzmod_lint_subcommand(capsys):
 def test_fzmod_lint_list_rules(capsys):
     assert fzmod_main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rid in ("FZL001", "FZL004", "FZL008"):
+    for rid in ("FZL001", "FZL004", "FZL016"):
         assert rid in out

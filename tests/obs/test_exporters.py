@@ -93,12 +93,12 @@ class TestPrometheus:
     def test_counter_gauge_exposition(self):
         reg = MetricsRegistry()
         reg.counter("plancache.hits", cache="huffman").inc(5)
-        reg.gauge("bufferpool.pooled_bytes").set(1024)
+        reg.gauge("stream.decompress_seconds").set(1024)
         text = prometheus_text(reg)
         assert "# TYPE fzmod_plancache_hits_total counter" in text
         assert 'fzmod_plancache_hits_total{cache="huffman"} 5' in text
-        assert "# TYPE fzmod_bufferpool_pooled_bytes gauge" in text
-        assert "fzmod_bufferpool_pooled_bytes 1024" in text
+        assert "# TYPE fzmod_stream_decompress_seconds gauge" in text
+        assert "fzmod_stream_decompress_seconds 1024" in text
         assert text.endswith("\n")
 
     def test_histogram_buckets_are_cumulative(self):

@@ -2,8 +2,8 @@
 
 Covers thread-count resolution (explicit / env / auto-by-size), slab
 partitioning, the pool's ordered fan-out semantics (result order,
-deterministic failure choice, inline nesting guard), per-thread arena
-privacy and the grow-on-demand shared pool.
+deterministic failure choice, inline nesting guard) and the
+grow-on-demand shared pool.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import threading
 import pytest
 
 from repro.runtime import threads as th
-from repro.runtime.memory import GLOBAL_ALLOCATOR
 
 
 class TestResolveThreads:
@@ -120,24 +119,6 @@ class TestSlabPool:
             assert ident == [threading.get_ident()]
         finally:
             pool.shutdown(wait=True)
-
-
-class TestThreadArena:
-    def test_private_per_thread(self):
-        pools = {}
-
-        def grab(tag):
-            pools[tag] = th.thread_arena()
-
-        grab("main")
-        worker = threading.Thread(target=grab, args=("worker",))
-        worker.start()
-        worker.join()
-        assert pools["main"] is not pools["worker"]
-        assert pools["main"].allocator is not GLOBAL_ALLOCATOR
-
-    def test_same_thread_reuses_its_arena(self):
-        assert th.thread_arena() is th.thread_arena()
 
 
 class TestSharedPool:
